@@ -44,7 +44,6 @@ from .flow import (
     composed_flow,
     flow,
     retract,
-    write_trajectory_csv,
 )
 from .connection import (
     ChartSetup,
@@ -87,7 +86,6 @@ from .orbit import (
     OrbitSearchParams,
     PushforwardSpan,
     global_minimality_certificate,
-    is_minimal,
     lie_hull,
     pushforward_span,
     reachable_samples,

@@ -1,9 +1,9 @@
 """Scenario-driven command line: analyze, transport, orbit, verify.
 
 Exit codes are a stable contract: 0 success, 1 check failure, 2 input
-error (schema violations, unknown points, expression errors).  Reports are
-JSON; trajectories and point clouds are CSV.  CRORBIT_THREADS caps the
-parallelism of batch flow evaluations.
+error (schema violations, unknown points, non-finite coordinates,
+non-positive budgets, expression errors).  Reports are JSON; trajectories
+and point clouds are CSV.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .orbit import (
     random_words,
 )
 from .report import CheckResult, Report
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _finite_coordinates, load_scenario
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "cmd_analyze", "cmd_transport", "cmd_orbit", "cmd_verify"]
@@ -61,8 +61,8 @@ _INPUT_ERRORS = (
 )
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+def _parse_vector(text: str, option: str) -> np.ndarray:
+    return _finite_coordinates([float(v) for v in text.split(",")], f"{option} {text!r}")
 
 
 def _parse_word(text: str) -> FlowWord:
@@ -297,6 +297,8 @@ def cmd_orbit(
     out_dir: Path | None = None,
 ) -> Report:
     """Orbit dimension estimates, minimality certificate search, sample cloud."""
+    if budget < 1:
+        raise ScenarioError(f"--budget must be at least 1, got {budget}")
     if scenario.kind != "embedded":
         raise ScenarioError("orbit analysis needs an embedded-manifold scenario")
     seed = scenario.seed if seed is None else seed
@@ -505,8 +507,8 @@ def main(argv=None) -> int:
                 field=args.field,
                 word=_parse_word(args.word) if args.word else None,
                 point_spec=args.point,
-                eta0=_parse_vector(args.eta) if args.eta else None,
-                xi0=_parse_vector(args.xi) if args.xi else None,
+                eta0=_parse_vector(args.eta, "--eta") if args.eta else None,
+                xi0=_parse_vector(args.xi, "--xi") if args.xi else None,
                 t=args.t,
                 out_dir=args.out,
             )

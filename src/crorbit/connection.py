@@ -306,7 +306,7 @@ def flow_transport(
             raise ValueError("a FlowWord carries its own times; t must be None")
         for idx, _ in X.steps:
             _require_valid(c, c.frame[idx - 1], x0p)
-        res = composed_flow(c.frame, X, x0)
+        res = composed_flow(c.frame, X, x0, cfg)
     else:
         if t is None:
             raise ValueError("a single field needs a transport time t")

@@ -44,7 +44,6 @@ __all__ = [
     "tangent_space",
     "complex_tangent_space",
     "cr_frame",
-    "PointwiseFrame",
     "conormal_fiber",
     "lemma21_check",
     "Lemma21Report",
@@ -188,7 +187,7 @@ class EmbeddedManifold:
 
     def require_on_manifold(self, x: Sequence[float], tol: float = ON_MANIFOLD_TOL) -> None:
         resid = float(np.max(np.abs(self.rho_values(x))))
-        if resid > tol:
+        if not resid <= tol:  # also true for a NaN residual
             raise PointNotOnManifoldError(
                 f"|rho| = {resid:.3e} exceeds {tol:.1e} at {np.asarray(x)}"
             )
@@ -246,46 +245,19 @@ def complex_tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBa
     return SubspaceBasis(m.ambient_dim, basis, m.rank_rtol)
 
 
-class PointwiseFrame:
-    """Continuous local frame of T^c built pointwise and aligned to an anchor.
-
-    ``basis_at`` orthonormalizes the complex tangent space at the query
-    point and rotates it (closest orthogonal alignment) towards the anchor
-    basis, producing a frame that varies continuously near the anchor.
-    """
-
-    def __init__(self, manifold: EmbeddedManifold, anchor: Sequence[float]):
-        self.manifold = manifold
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.anchor_basis = complex_tangent_space(manifold, anchor).basis
-
-    def basis_at(self, x: Sequence[float]) -> np.ndarray:
-        b = complex_tangent_space(self.manifold, x).basis
-        u, _, vh = np.linalg.svd(b.T @ self.anchor_basis)
-        return b @ (u @ vh)
-
-
 def cr_frame(
     m: EmbeddedManifold,
     z: Sequence[float],
-    mode: str = "user",
-    frame: Sequence[VectorFieldSpec] | None = None,
+    frame: Sequence[VectorFieldSpec],
     samples: Sequence[Sequence[float]] | None = None,
     tol: float = 1e-10,
-):
+) -> list[VectorFieldSpec]:
     """Verified frame of complex-tangent sections.
 
-    In ``user`` mode the supplied ambient fields are checked to satisfy
-    d rho (X) = 0 and d rho (J X) = 0 at the sample points (so X and JX are
-    tangent: X is a section of T^c).  ``auto`` mode returns a
-    :class:`PointwiseFrame` of aligned pointwise bases.
+    The supplied ambient fields are checked to satisfy d rho (X) = 0 and
+    d rho (J X) = 0 at z and the sample points (so X and JX are tangent: X
+    is a section of T^c).
     """
-    if mode == "auto":
-        return PointwiseFrame(m, z)
-    if mode != "user":
-        raise ValueError(f"unknown mode {mode!r}")
-    if frame is None:
-        raise ValueError("user mode needs a frame")
     pts = [np.asarray(z, dtype=float)] + [np.asarray(s, dtype=float) for s in (samples or [])]
     for f_idx, x_field in enumerate(frame, start=1):
         if x_field.dim != m.ambient_dim:

@@ -1,12 +1,12 @@
-"""Scalar expression trees with exact first/second derivatives.
+"""Scalar expression trees with exact derivatives.
 
 Expressions are immutable trees over positional variables x1..xn built from
 +, -, *, /, integer powers and sin/cos/exp/log.  They define manifold
 defining functions, vector-field coefficients and scalar multipliers, and
 support three evaluation paths:
 
-* ``eval_jet`` -- interpreted forward-mode evaluation carrying value,
-  gradient and (optionally) Hessian through every node.
+* ``eval_jet`` -- interpreted forward-mode evaluation carrying value and
+  (optionally) gradient through every node.
 * ``differentiate`` -- symbolic partial derivatives, closing the tree
   grammar under differentiation (used to build bracket fields).
 * ``JetCompiler`` -- generates straight-line Python source for value plus
@@ -544,114 +544,82 @@ def substitute(e: ScalarExpr, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
 
 @dataclass
 class Jet:
-    """Value with optional exact gradient and Hessian at a point."""
+    """Value with optional exact gradient at a point."""
 
     value: float
     gradient: np.ndarray | None = None
-    hessian: np.ndarray | None = None
 
 
 def _jet_rec(e: ScalarExpr, x: np.ndarray, order: int):
     n = x.shape[0]
-
-    def mk(v, g=None, h=None):
-        if order == 0:
-            return (v, None, None)
-        g = np.zeros(n) if g is None else g
-        if order == 1:
-            return (v, g, None)
-        h = np.zeros((n, n)) if h is None else h
-        return (v, g, h)
+    first = order >= 1
 
     if isinstance(e, Const):
-        return mk(e.value)
+        return (e.value, np.zeros(n) if first else None)
     if isinstance(e, Var):
         g = None
-        if order >= 1:
+        if first:
             g = np.zeros(n)
             g[e.index] = 1.0
-        return mk(float(x[e.index]), g)
+        return (float(x[e.index]), g)
     if isinstance(e, (Add, Sub)):
-        va, ga, ha = _jet_rec(e.left, x, order)
-        vb, gb, hb = _jet_rec(e.right, x, order)
+        va, ga = _jet_rec(e.left, x, order)
+        vb, gb = _jet_rec(e.right, x, order)
         s = 1.0 if isinstance(e, Add) else -1.0
-        return (
-            va + s * vb,
-            None if order < 1 else ga + s * gb,
-            None if order < 2 else ha + s * hb,
-        )
+        return (va + s * vb, ga + s * gb if first else None)
     if isinstance(e, Mul):
-        va, ga, ha = _jet_rec(e.left, x, order)
-        vb, gb, hb = _jet_rec(e.right, x, order)
-        v = va * vb
-        g = None if order < 1 else va * gb + vb * ga
-        h = None
-        if order >= 2:
-            h = va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga)
-        return (v, g, h)
+        va, ga = _jet_rec(e.left, x, order)
+        vb, gb = _jet_rec(e.right, x, order)
+        return (va * vb, va * gb + vb * ga if first else None)
     if isinstance(e, Div):
-        va, ga, ha = _jet_rec(e.left, x, order)
-        vb, gb, hb = _jet_rec(e.right, x, order)
+        va, ga = _jet_rec(e.left, x, order)
+        vb, gb = _jet_rec(e.right, x, order)
         if vb == 0.0:
             raise ExprDomainError("division by zero")
         v = va / vb
-        g = None if order < 1 else (ga - v * gb) / vb
-        h = None
-        if order >= 2:
-            h = (ha - v * hb - np.outer(g, gb) - np.outer(gb, g)) / vb
-        return (v, g, h)
+        return (v, (ga - v * gb) / vb if first else None)
     if isinstance(e, Pow):
-        va, ga, ha = _jet_rec(e.base, x, order)
+        va, ga = _jet_rec(e.base, x, order)
         nexp = e.exponent
         if va == 0.0 and nexp < 0:
             raise ExprDomainError("zero raised to a negative power")
-        v = va**nexp
-        g = h = None
-        if order >= 1:
+        g = None
+        if first:
             d1 = nexp * va ** (nexp - 1) if nexp != 0 else 0.0
             g = d1 * ga
-            if order >= 2:
-                d2 = nexp * (nexp - 1) * va ** (nexp - 2) if nexp not in (0, 1) else 0.0
-                h = d1 * ha + d2 * np.outer(ga, ga)
-        return (v, g, h)
+        return (va**nexp, g)
     if isinstance(e, Neg):
-        va, ga, ha = _jet_rec(e.operand, x, order)
-        return (
-            -va,
-            None if order < 1 else -ga,
-            None if order < 2 else -ha,
-        )
+        va, ga = _jet_rec(e.operand, x, order)
+        return (-va, -ga if first else None)
     if isinstance(e, Call):
-        va, ga, ha = _jet_rec(e.arg, x, order)
+        va, ga = _jet_rec(e.arg, x, order)
         if e.func == "log" and va <= 0.0:
             raise ExprDomainError("log of a non-positive value")
-        f = getattr(math, e.func)
-        v = f(va)
-        if e.func == "sin":
-            d1, d2 = math.cos(va), -v
-        elif e.func == "cos":
-            d1, d2 = -math.sin(va), -v
-        elif e.func == "exp":
-            d1 = d2 = v
-        else:  # log
-            d1, d2 = 1.0 / va, -1.0 / (va * va)
-        g = None if order < 1 else d1 * ga
-        h = None
-        if order >= 2:
-            h = d1 * ha + d2 * np.outer(ga, ga)
-        return (v, g, h)
+        v = getattr(math, e.func)(va)
+        g = None
+        if first:
+            if e.func == "sin":
+                d1 = math.cos(va)
+            elif e.func == "cos":
+                d1 = -math.sin(va)
+            elif e.func == "exp":
+                d1 = v
+            else:  # log
+                d1 = 1.0 / va
+            g = d1 * ga
+        return (v, g)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_jet(e: ScalarExpr, x: Sequence[float], order: int = 1) -> Jet:
-    """Evaluate ``e`` at ``x`` with exact derivatives up to ``order`` (0|1|2)."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+    """Evaluate ``e`` at ``x`` with its exact gradient when ``order`` is 1 (0|1)."""
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
     xv = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xv)):
         raise ExprDomainError("evaluation point is not finite")
-    v, g, h = _jet_rec(e, xv, order)
-    return Jet(float(v), g, h)
+    v, g = _jet_rec(e, xv, order)
+    return Jet(float(v), g)
 
 
 def eval_value(e: ScalarExpr, x: Sequence[float]) -> float:

@@ -11,7 +11,6 @@ monitored and reported, never silently corrected beyond tolerance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -32,7 +31,6 @@ __all__ = [
     "flow",
     "composed_flow",
     "retract",
-    "write_trajectory_csv",
 ]
 
 
@@ -364,20 +362,3 @@ def composed_flow(
     total.drift_exceeded = total.drift > cfg.drift_bound
     return total
 
-
-def write_trajectory_csv(
-    path: str,
-    result: FlowResult,
-    names: Sequence[str] | None = None,
-) -> None:
-    """Write the sampled trajectory as CSV with columns t, x1..xn, drift."""
-    dim = result.endpoint.shape[0]
-    cols = list(names) if names is not None else [f"x{i + 1}" for i in range(dim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *cols, "drift"])
-        for i, (t, pt) in enumerate(result.trajectory):
-            drift = result.drifts[i] if result.drifts is not None else 0.0
-            writer.writerow(
-                [repr(float(t)), *[repr(float(v)) for v in pt], repr(float(drift))]
-            )

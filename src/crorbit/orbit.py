@@ -19,7 +19,6 @@ import numpy as np
 from .crmanifold import EmbeddedManifold, complex_tangent_space, tangent_space
 from .flow import FlowError, FlowWord, IntegratorConfig, composed_flow
 from .linalg import SubspaceBasis
-from .util import parallel_map
 from .vectorfield import VectorFieldSpec, lie_bracket_field
 from .expr import Const
 
@@ -31,7 +30,6 @@ __all__ = [
     "SampleCloud",
     "OrbitSearchParams",
     "lie_hull",
-    "is_minimal",
     "pushforward_span",
     "global_minimality_certificate",
     "verify_certificate",
@@ -157,23 +155,6 @@ def lie_hull(
     return LieHullResult(z, depth_reached, span, span.dim, stabilized)
 
 
-def is_minimal(
-    m: EmbeddedManifold,
-    frame: Sequence[VectorFieldSpec],
-    z: Sequence[float],
-    max_depth: int = 6,
-) -> MinimalityReport:
-    """Local minimality via the Lie hull: minimal iff the hull fills T_zM."""
-    hull = lie_hull(m, frame, z, max_depth)
-    return MinimalityReport(
-        local_dimension=hull.dimension,
-        manifold_dimension=m.dim,
-        minimal=hull.dimension == m.dim,
-        method="lie-hull",
-        hull=hull,
-    )
-
-
 def _word_columns(
     m: EmbeddedManifold,
     frame: Sequence[VectorFieldSpec],
@@ -200,6 +181,33 @@ def _word_columns(
     return source, pushed / norms
 
 
+def _assemble_span(
+    m: EmbeddedManifold,
+    z: np.ndarray,
+    tangent: SubspaceBasis,
+    evaluated: Sequence[tuple[FlowWord, np.ndarray, np.ndarray]],
+) -> PushforwardSpan:
+    """Span of already-evaluated ``(word, source, pushed columns)`` triples.
+
+    Singular values are taken in the orthonormal basis ``tangent`` of T_zM;
+    the tangent residual of every pushed column is recorded.
+    """
+    contributions = [(word, source) for word, source, _ in evaluated]
+    all_cols = [cols for _, _, cols in evaluated]
+    max_resid = 0.0
+    for cols in all_cols:
+        for k in range(cols.shape[1]):
+            max_resid = max(max_resid, tangent.residual(cols[:, k]))
+    stacked = np.hstack(all_cols) if all_cols else np.zeros((m.ambient_dim, 0))
+    coords = tangent.basis.T @ stacked
+    sv = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
+    dim = int(np.sum(sv > m.rank_rtol * sv[0])) if sv.size else 0
+    span = SubspaceBasis.from_spanning(stacked, m.rank_rtol) if all_cols else SubspaceBasis(
+        m.ambient_dim, np.zeros((m.ambient_dim, 0))
+    )
+    return PushforwardSpan(z, contributions, span, sv, dim, max_resid)
+
+
 def pushforward_span(
     m: EmbeddedManifold,
     frame: Sequence[VectorFieldSpec],
@@ -217,23 +225,8 @@ def pushforward_span(
     cfg = cfg or IntegratorConfig(retract=True)
     z = np.asarray(z, dtype=float)
     tangent = tangent_space(m, z)
-    contributions = []
-    all_cols = []
-    max_resid = 0.0
-    evaluated = parallel_map(lambda w: _word_columns(m, frame, z, w, cfg), list(words))
-    for word, (source, cols) in zip(words, evaluated):
-        contributions.append((word, source))
-        all_cols.append(cols)
-        for k in range(cols.shape[1]):
-            max_resid = max(max_resid, tangent.residual(cols[:, k]))
-    stacked = np.hstack(all_cols) if all_cols else np.zeros((m.ambient_dim, 0))
-    coords = tangent.basis.T @ stacked
-    sv = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
-    dim = int(np.sum(sv > m.rank_rtol * sv[0])) if sv.size else 0
-    span = SubspaceBasis.from_spanning(stacked, m.rank_rtol) if all_cols else SubspaceBasis(
-        m.ambient_dim, np.zeros((m.ambient_dim, 0))
-    )
-    return PushforwardSpan(z, contributions, span, sv, dim, max_resid)
+    evaluated = [(w, *_word_columns(m, frame, z, w, cfg)) for w in words]
+    return _assemble_span(m, z, tangent, evaluated)
 
 
 def random_words(
@@ -322,20 +315,20 @@ def global_minimality_certificate(
     pool = [FlowWord.empty()] + random_words(
         rng, params.budget, len(frame), params.word_length_cap, params.time_range
     )
-    col_sets: list[np.ndarray] = []
-    kept_words: list[FlowWord] = []
+    kept: list[tuple[FlowWord, np.ndarray, np.ndarray]] = []  # (word, source, cols)
+    col_sets: list[np.ndarray] = []  # the same columns in T_zM coordinates
     failures = 0
-    success_at = None
+    found = False
     for word in pool:
         try:
-            _, cols = _word_columns(m, frame, z, word, cfg)
+            source, cols = _word_columns(m, frame, z, word, cfg)
         except FlowError:
             failures += 1
             continue
-        kept_words.append(word)
+        kept.append((word, source, cols))
         col_sets.append(tangent.basis.T @ cols)
         if _sigma_min(col_sets, dim) >= params.tau_cert:
-            success_at = len(kept_words)
+            found = True
             break
 
     hull = lie_hull(m, frame, z)
@@ -346,7 +339,8 @@ def global_minimality_certificate(
         hull=hull,
         method="lie-hull+pushforward",
     )
-    if success_at is not None:
+    if found:
+        kept_words = [word for word, _, _ in kept]
         selected, sigma = _greedy_select(col_sets, kept_words, dim, params.tau_cert)
         words = tuple(kept_words[i] for i in selected)
         chosen = np.hstack([col_sets[i] for i in selected])
@@ -359,10 +353,10 @@ def global_minimality_certificate(
             seed=params.seed,
             singular_values=tuple(float(s) for s in all_sv),
         )
-        local.best_span = pushforward_span(m, frame, z, list(words), cfg)
+        local.best_span = _assemble_span(m, z, tangent, [kept[i] for i in selected])
     else:
         local.budget_exhausted = True
-        local.best_span = pushforward_span(m, frame, z, kept_words, cfg)
+        local.best_span = _assemble_span(m, z, tangent, kept)
         if failures:
             local.note = f"{FRAME_SUBFAMILY_NOTE}; {failures} word(s) failed to integrate"
     return local
@@ -407,14 +401,12 @@ def reachable_samples(
     rng = np.random.default_rng(seed)
     words = random_words(rng, n_words, len(frame), word_length_cap, time_range)
 
-    def run(word):
-        try:
-            return composed_flow(frame, word, z, cfg, manifold=m)
-        except FlowError:
-            return None
-
     pts, kept, drifts, failures = [], [], [], 0
-    for word, res in zip(words, parallel_map(run, words)):
+    for word in words:
+        try:
+            res = composed_flow(frame, word, z, cfg, manifold=m)
+        except FlowError:
+            res = None
         if res is None or res.drift_exceeded:
             failures += 1
             continue

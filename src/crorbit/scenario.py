@@ -39,6 +39,14 @@ class ScenarioError(Exception):
     """Scenario failed schema validation or reference resolution."""
 
 
+def _finite_coordinates(values, label: str) -> np.ndarray:
+    """``values`` as a float vector; ScenarioError naming ``label`` if one is not finite."""
+    coords = np.array(values, dtype=float)
+    if not np.all(np.isfinite(coords)):
+        raise ScenarioError(f"{label} has a non-finite coordinate")
+    return coords
+
+
 _FIELD = {"type": "array", "items": {"type": "string"}, "minItems": 1}
 _FRAME = {"type": "array", "items": _FIELD, "minItems": 1}
 
@@ -157,11 +165,12 @@ class Scenario:
         if spec in self.points:
             return self.points[spec].copy()
         try:
-            return np.array([float(v) for v in spec.split(",")], dtype=float)
+            coords = [float(v) for v in spec.split(",")]
         except ValueError:
             raise ScenarioError(
                 f"unknown point {spec!r}; known: {sorted(self.points)}"
             ) from None
+        return _finite_coordinates(coords, f"point {spec!r}")
 
     def default_frame(self) -> list[VectorFieldSpec]:
         if self.kind == "chart":
@@ -183,6 +192,11 @@ def _resolve(raw: dict) -> Scenario:
         raise ScenarioError(
             f"scenario schema version {declared!r} is not supported (expected {SCHEMA_VERSION!r})"
         )
+    # before the digest, whose JSON rendering rejects NaN without naming it
+    points = {
+        pname: _finite_coordinates(coords, f"point {pname!r}")
+        for pname, coords in raw.get("points", {}).items()
+    }
 
     digest = hashlib.sha256(canonical_json(raw).encode()).hexdigest()
     man = raw["manifold"]
@@ -248,8 +262,7 @@ def _resolve(raw: dict) -> Scenario:
     expected_dim = (
         sc.manifold.ambient_dim if sc.manifold is not None else sc.model_chart.l
     )
-    for pname, coords in raw.get("points", {}).items():
-        pt = np.array(coords, dtype=float)
+    for pname, pt in points.items():
         if pt.shape[0] != expected_dim:
             raise ScenarioError(
                 f"point {pname!r} has {pt.shape[0]} coordinates, expected {expected_dim}"

@@ -1,38 +1,10 @@
-"""Small shared helpers: bounded parallelism and deterministic JSON."""
+"""Small shared helpers: deterministic JSON."""
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-__all__ = ["thread_count", "parallel_map", "canonical_json"]
-
-
-def thread_count() -> int:
-    """Parallelism cap from CRORBIT_THREADS (default 1: sequential)."""
-    raw = os.environ.get("CRORBIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map preserving input order; runs on a thread pool when the cap allows.
-
-    Results are identical to the sequential map: workers only evaluate pure
-    functions and the output list is assembled in input order.
-    """
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+__all__ = ["canonical_json"]
 
 
 def canonical_json(obj) -> str:

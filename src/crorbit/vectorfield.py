@@ -14,7 +14,6 @@ from .expr import (
     compile_values,
     compile_values_and_jacobian,
     differentiate,
-    eval_jet,
     mul,
     parse_expr,
     sub,
@@ -143,7 +142,3 @@ def hamiltonian_field(X: VectorFieldSpec, p: CotangentPoint) -> tuple[np.ndarray
     a, jac = X.values_and_jacobian(p.x)
     return a, -(jac.T @ p.xi)
 
-
-def eval_field_exact(X: VectorFieldSpec, x: Sequence[float]) -> np.ndarray:
-    """Interpreted evaluation; used to cross-check the compiled path."""
-    return np.array([eval_jet(c, x, order=0).value for c in X.coefficients])

@@ -21,7 +21,7 @@ from crorbit.connection import (
     xhat_field,
 )
 from crorbit.expr import Const, Var, add, mul, parse_expr
-from crorbit.flow import FlowWord
+from crorbit.flow import FlowWord, IntegratorConfig
 from crorbit.vectorfield import VectorFieldSpec
 from crorbit.verify import transport_corpus
 
@@ -122,6 +122,14 @@ class TestTransports:
         w = flow_transport(EXP_CHART, FlowWord.of((1, 0.8)), [0.0], [1.0])
         s = flow_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], 0.8)
         assert abs(w.eta[0] - s.eta[0]) <= 1e-12
+
+    def test_flow_transport_word_uses_cfg(self):
+        loose = IntegratorConfig(rtol=1e-3, atol=1e-6)
+        w = flow_transport(EXP_CHART, FlowWord.of((1, 1.0)), [0.0], [1.0], cfg=loose)
+        s = flow_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], 1.0, loose)
+        default = flow_transport(EXP_CHART, FlowWord.of((1, 1.0)), [0.0], [1.0])
+        assert w.eta[0] == s.eta[0]
+        assert w.eta[0] != default.eta[0]  # the loose tolerances reach the integrator
 
     def test_word_with_time_rejected(self):
         with pytest.raises(ValueError, match="t must be None"):

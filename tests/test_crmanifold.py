@@ -85,6 +85,12 @@ class TestGenericity:
         with pytest.raises(PointNotOnManifoldError):
             genericity_check(LEWY, np.array([1.0, 0.0, 0.0, 0.5]))
 
+    def test_non_finite_point_is_off_manifold(self):
+        nan_point = np.array([np.nan, 0.0, 0.0, 0.0])
+        assert not LEWY.on_manifold(nan_point)
+        with pytest.raises(PointNotOnManifoldError):
+            genericity_check(LEWY, nan_point)
+
 
 class TestTangentSpaces:
     def test_lewy_origin(self):
@@ -121,26 +127,13 @@ class TestTangentSpaces:
 class TestCrFrame:
     def test_user_frame_verified(self):
         samples = [lewy_point(0.5, -0.2, 0.7), lewy_point(-0.3, 0.9, 0.0)]
-        frame = cr_frame(LEWY, np.zeros(4), "user", LEWY_FRAME, samples=samples)
+        frame = cr_frame(LEWY, np.zeros(4), LEWY_FRAME, samples=samples)
         assert len(frame) == 2
 
     def test_user_frame_failure(self):
         bad = [VectorFieldSpec.parse(["0", "0", "1", "0"], 4, AL4)]  # du not in T^c
         with pytest.raises(ManifoldError, match="complex-tangent"):
-            cr_frame(LEWY, np.zeros(4), "user", bad)
-
-    def test_auto_frame_matches_complex_tangent(self):
-        pf = cr_frame(LEWY, np.zeros(4), "auto")
-        b = pf.basis_at(np.zeros(4))
-        tc = complex_tangent_space(LEWY, np.zeros(4))
-        assert np.max(np.abs(b - tc.project(b))) <= 1e-12
-        assert np.allclose(b.T @ b, np.eye(2), atol=1e-12)
-
-    def test_auto_frame_continuity(self):
-        pf = cr_frame(LEWY, np.zeros(4), "auto")
-        b0 = pf.basis_at(np.zeros(4))
-        b1 = pf.basis_at(lewy_point(1e-4, -2e-4, 3e-4))
-        assert np.max(np.abs(b1 - b0)) <= 1e-2
+            cr_frame(LEWY, np.zeros(4), bad)
 
 
 class TestConormalFiber:
@@ -370,4 +363,4 @@ class TestThetaStarTransport:
         for _ in range(5):
             x, y, u = rng.uniform(-0.8, 0.8, 3)
             samples.append(np.array([x, y, u, u * (x * x + y * y)]))
-        assert cr_frame(manifold, samples[0], "user", ambient, samples=samples[1:])
+        assert cr_frame(manifold, samples[0], ambient, samples=samples[1:])

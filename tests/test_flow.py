@@ -15,7 +15,6 @@ from crorbit.flow import (
     composed_flow,
     flow,
     retract,
-    write_trajectory_csv,
 )
 from crorbit.vectorfield import VectorFieldSpec
 
@@ -135,19 +134,6 @@ class TestRetraction:
         hard = EmbeddedManifold.parse(1, ["exp(x1) + 1"])  # empty zero set
         with pytest.raises(RetractionError):
             retract(hard, np.array([0.0, 0.0]), 1e-12)
-
-
-class TestTrajectoryExport:
-    def test_csv_columns(self, tmp_path):
-        res = flow(LEWY_FRAME[0], np.zeros(4), 0.5, IntegratorConfig(retract=True), manifold=LEWY)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(str(path), res, names=["x", "y", "u", "v"])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x,y,u,v,drift"
-        assert len(lines) == len(res.trajectory) + 1
-        last = lines[-1].split(",")
-        assert float(last[0]) == pytest.approx(0.5)
-        assert np.allclose([float(v) for v in last[1:5]], res.endpoint, atol=1e-12)
 
 
 class TestIntegratorConfig:

@@ -8,7 +8,6 @@ from crorbit.flow import FlowWord
 from crorbit.orbit import (
     OrbitSearchParams,
     global_minimality_certificate,
-    is_minimal,
     lie_hull,
     pushforward_span,
     reachable_samples,
@@ -67,18 +66,15 @@ class TestLieHull:
 
 class TestIsMinimal:
     def test_canonical_trio(self):
-        assert is_minimal(LEWY, LEWY_FRAME, np.zeros(4)).minimal
-        rep = is_minimal(FLAT, FLAT_FRAME, np.zeros(4))
-        assert not rep.minimal and rep.local_dimension == 2
-        rep = is_minimal(TUBE3, TUBE3_FRAME, np.zeros(6))
-        assert not rep.minimal and rep.local_dimension == 3
-        assert rep.manifold_dimension == 4
-        assert rep.method == "lie-hull"
+        assert lie_hull(LEWY, LEWY_FRAME, np.zeros(4)).dimension == LEWY.dim
+        assert lie_hull(FLAT, FLAT_FRAME, np.zeros(4)).dimension == 2 < FLAT.dim
+        assert lie_hull(TUBE3, TUBE3_FRAME, np.zeros(6)).dimension == 3 < TUBE3.dim
+        assert TUBE3.dim == 4
 
     def test_lewy_minimal_away_from_origin(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            assert is_minimal(LEWY, LEWY_FRAME, lewy_point(rng)).minimal
+            assert lie_hull(LEWY, LEWY_FRAME, lewy_point(rng)).dimension == LEWY.dim
 
 
 class TestPushforwardSpan:
@@ -152,6 +148,33 @@ class TestCertificates:
         assert rep.certificate is None
         assert rep.budget_exhausted
         assert rep.best_span.dimension == 2
+
+    @pytest.mark.parametrize(
+        "manifold, frame, params",
+        [
+            (FLAT, FLAT_FRAME, OrbitSearchParams(seed=7, budget=16)),
+            (LEWY, LEWY_FRAME, OrbitSearchParams(seed=7)),
+        ],
+        ids=["flat-exhausted", "lewy-certificate"],
+    )
+    def test_best_span_equals_fresh_pushforward(self, manifold, frame, params):
+        """The best span reuses the search's flows: re-running its words changes nothing."""
+        z = np.zeros(4)
+        rep = global_minimality_certificate(manifold, frame, z, params)
+        best = rep.best_span
+        words = [word for word, _ in best.contributions]
+        if rep.certificate is not None:
+            assert tuple(words) == rep.certificate.words
+        else:
+            assert len(words) == params.budget + 1
+        fresh = pushforward_span(manifold, frame, z, words)
+        assert [word for word, _ in fresh.contributions] == words
+        for (_, source), (_, fresh_source) in zip(best.contributions, fresh.contributions):
+            assert np.array_equal(source, fresh_source)
+        assert best.dimension == fresh.dimension
+        assert np.array_equal(best.singular_values, fresh.singular_values)
+        assert np.array_equal(best.span.basis, fresh.span.basis)
+        assert best.max_tangent_residual == fresh.max_tangent_residual
 
     def test_seeded_determinism(self):
         a = global_minimality_certificate(

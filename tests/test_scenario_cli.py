@@ -1,6 +1,7 @@
 """Scenario schema, builtins, CLI exit codes and report determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +149,40 @@ class TestExitCodes:
         code = main(["analyze", "--scenario", "lewy", "--point", "1,0,0,0.5"])
         assert code == 2
         assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "orbit"])
+    def test_non_finite_point_exit_2(self, command, capsys):
+        code = main([command, "--scenario", "lewy", "--point", "nan,0,0,0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'nan,0,0,0'" in err and "non-finite" in err
+
+    def test_non_finite_scenario_point_exit_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        raw["points"]["bad"] = [float("nan"), 0.0, 0.0, 0.0]
+        path = tmp_path / "nan_point.json"
+        path.write_text(json.dumps(raw))  # written as the JSON extension NaN
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'bad'" in err and "non-finite" in err
+
+    def test_non_finite_eta_exit_2(self, capsys):
+        code = main(["transport", "--scenario", "expchart", "--eta", "inf"])
+        assert code == 2
+        assert "--eta 'inf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["-3", "0"])
+    def test_non_positive_budget_exit_2(self, budget, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("orbit work started before the budget was checked")
+
+        for name in ("lie_hull", "global_minimality_certificate", "pushforward_span",
+                     "reachable_samples"):
+            monkeypatch.setattr(sys.modules["crorbit.cli"], name, no_work)
+        code = main(["orbit", "--scenario", "lewy", "--point", "origin", "--budget", budget])
+        assert code == 2
+        assert "--budget" in capsys.readouterr().err
 
     def test_malformed_scenario_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
