@@ -49,6 +49,7 @@ __all__ = [
     "dual_transport",
     "curve_transport",
     "xhat_field",
+    "restricted_hamiltonian",
     "hamiltonian_restriction_check",
     "connection_axioms_check",
 ]
@@ -368,6 +369,25 @@ def xhat_field(
     return np.concatenate((a[: c.l], -(b.T @ xi)))
 
 
+def restricted_hamiltonian(
+    c: ChartSetup, X: VectorFieldSpec, xp: Sequence[float], xi: Sequence[float]
+) -> tuple[np.ndarray, float]:
+    """Hamiltonian field of sigma(X) at ((x', 0), (0, xi'')), read in (x', xi'').
+
+    Returns the (x', xi'') velocities and the tangency defect: the largest
+    x''- or xi'-velocity, which vanishes when the field is tangent to the
+    conormal bundle.
+    """
+    x_full = np.concatenate((np.asarray(xp, dtype=float), np.zeros(c.m)))
+    xi_full = np.concatenate((np.zeros(c.l), np.asarray(xi, dtype=float)))
+    xdot, xidot = hamiltonian_field(X, CotangentPoint(x_full, xi_full))
+    tangency = max(
+        float(np.max(np.abs(xdot[c.l:]), initial=0.0)),
+        float(np.max(np.abs(xidot[: c.l]), initial=0.0)),
+    )
+    return np.concatenate((xdot[: c.l], xidot[c.l:])), tangency
+
+
 @dataclass
 class RestrictionReport:
     passed: bool
@@ -399,20 +419,11 @@ def hamiltonian_restriction_check(
     max_tan = max_mis = max_mult = 0.0
     worst_sample = 0
     for s_idx, (xp, xi) in enumerate(samples):
-        xp = np.asarray(xp, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        x_full = np.concatenate((xp, np.zeros(c.m)))
-        xi_full = np.concatenate((np.zeros(c.l), xi))
-        xdot, xidot = hamiltonian_field(X, CotangentPoint(x_full, xi_full))
-        tangency = max(
-            float(np.max(np.abs(xdot[c.l:]), initial=0.0)),
-            float(np.max(np.abs(xidot[: c.l]), initial=0.0)),
-        )
-        restricted = np.concatenate((xdot[: c.l], xidot[c.l:]))
+        restricted, tangency = restricted_hamiltonian(c, X, xp, xi)
         mismatch = float(np.max(np.abs(restricted - xhat_field(c, X, (xp, xi)))))
+        x_full = np.concatenate((np.asarray(xp, dtype=float), np.zeros(c.m)))
         phi_val = eval_jet(multiplier, x_full, order=0).value
-        pdot, pxidot = hamiltonian_field(phi_x, CotangentPoint(x_full, xi_full))
-        phi_restricted = np.concatenate((pdot[: c.l], pxidot[c.l:]))
+        phi_restricted, _ = restricted_hamiltonian(c, phi_x, xp, xi)
         mult_mismatch = float(np.max(np.abs(phi_restricted - phi_val * restricted)))
         score = max(tangency, mismatch, mult_mismatch)
         if score > max(max_tan, max_mis, max_mult):

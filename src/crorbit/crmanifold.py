@@ -36,7 +36,6 @@ __all__ = [
     "jmat",
     "apply_j",
     "to_complex",
-    "from_complex",
     "pair_form",
     "theta_covector",
     "genericity_check",
@@ -46,6 +45,7 @@ __all__ = [
     "cr_frame",
     "conormal_fiber",
     "lemma21_check",
+    "lemma21_sample",
     "Lemma21Report",
     "theta_isomorphism_check",
     "validate_adapted_chart",
@@ -94,14 +94,6 @@ def apply_j(v: np.ndarray) -> np.ndarray:
 def to_complex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     return v[0::2] + 1j * v[1::2]
-
-
-def from_complex(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    out = np.empty(2 * w.shape[0])
-    out[0::2] = w.real
-    out[1::2] = w.imag
-    return out
 
 
 @dataclass(frozen=True)
@@ -322,6 +314,23 @@ def lemma21_check(
     return Lemma21Report(max(r1, r2) <= tol, r1, r2)
 
 
+def lemma21_sample(
+    m: EmbeddedManifold, z: Sequence[float], rng: np.random.Generator
+) -> Lemma21Report:
+    """:func:`lemma21_check` for a random conormal form and tangent vector at z.
+
+    The form combines the :func:`conormal_fiber` basis with weights drawn
+    from U[-1, 1]; the vector then gets U[-1, 1] coefficients on the
+    orthonormal tangent basis.
+    """
+    forms = conormal_fiber(m, z)
+    weights = rng.uniform(-1.0, 1.0, len(forms))
+    omega = HolomorphicForm(sum(w * f.zeta for w, f in zip(weights, forms)))
+    tangent = tangent_space(m, z)
+    x_vec = tangent.basis @ rng.uniform(-1.0, 1.0, tangent.dim)
+    return lemma21_check(m, z, omega, x_vec)
+
+
 def theta_isomorphism_check(
     m: EmbeddedManifold, z: Sequence[float]
 ) -> tuple[bool, float]:
@@ -401,6 +410,8 @@ class EFiber:
     e_basis: SubspaceBasis
     estar_forms: list[HolomorphicForm]
     low_basis: SubspaceBasis  # TM + JTS
+    tangent: SubspaceBasis  # TM at the point
+    dpsi: np.ndarray  # d psi at (x', 0)
 
     @property
     def dim(self) -> int:
@@ -452,7 +463,7 @@ def e_fiber(m: EmbeddedManifold, chart: AdaptedChart, xp: Sequence[float]) -> EF
     forms = [
         HolomorphicForm(sols[0::2, k] + 1j * sols[1::2, k]) for k in range(sols.shape[1])
     ]
-    return EFiber(z, e_basis, forms, low)
+    return EFiber(z, e_basis, forms, low, tm, dpsi)
 
 
 @dataclass
@@ -486,9 +497,7 @@ def theta_transport(
 
     start = e_fiber(m, chart, xp)
     eta = np.asarray(eta, dtype=float)
-    u0 = np.concatenate((np.asarray(xp, dtype=float), np.zeros(chart.m)))
-    _, dpsi0 = chart.point_and_frame(u0)
-    tm0 = tangent_space(m, start.point)
+    tm0 = start.tangent
 
     # solve J Y + c = eta with Y in TM, c in TM + JTS
     lhs = np.hstack(
@@ -506,14 +515,12 @@ def theta_transport(
         )
 
     # chart coordinates of the class of Y mod TS
-    u_coords, *_ = np.linalg.lstsq(dpsi0, y_vec, rcond=None)
+    u_coords, *_ = np.linalg.lstsq(start.dpsi, y_vec, rcond=None)
     eta_chart = u_coords[chart.l:]
 
     moved = flow_transport(k_chart, word, np.asarray(xp, dtype=float), eta_chart, cfg=cfg)
     end = e_fiber(m, chart, moved.base)
-    u1 = np.concatenate((moved.base, np.zeros(chart.m)))
-    _, dpsi1 = chart.point_and_frame(u1)
-    y_end = dpsi1 @ np.concatenate((np.zeros(chart.l), moved.eta))
+    y_end = end.dpsi @ np.concatenate((np.zeros(chart.l), moved.eta))
     value = end.e_basis.project(apply_j(y_end))
     return ThetaTransportResult(start, end, moved.base, value)
 
@@ -552,10 +559,8 @@ def theta_star_transport(
     k_chart = ChartSetup(chart.l, chart.m, tuple(frame_chart))
     start = e_fiber(m, chart, xp)
     theta_r = theta_covector(omega)
-    u0 = np.concatenate((np.asarray(xp, dtype=float), np.zeros(chart.m)))
-    _, dpsi0 = chart.point_and_frame(u0)
-    tangential = float(np.max(np.abs(theta_r @ dpsi0[:, : chart.l]), initial=0.0))
-    tm0 = tangent_space(m, start.point)
+    tangential = float(np.max(np.abs(theta_r @ start.dpsi[:, : chart.l]), initial=0.0))
+    tm0 = start.tangent
     conormal_resid = max(
         abs(pair_form(omega, tm0.basis[:, k]).imag) for k in range(tm0.dim)
     )
@@ -564,7 +569,7 @@ def theta_star_transport(
             "form is not in the paired space at the base point: "
             f"residual {max(tangential, conormal_resid):.3e}"
         )
-    xi_chart = theta_r @ dpsi0[:, chart.l:]
+    xi_chart = theta_r @ start.dpsi[:, chart.l:]
 
     base = np.asarray(xp, dtype=float)
     xi = np.asarray(xi_chart, dtype=float)
@@ -573,10 +578,8 @@ def theta_star_transport(
         base, xi = out.base, out.xi
 
     end = e_fiber(m, chart, base)
-    u1 = np.concatenate((base, np.zeros(chart.m)))
-    _, dpsi1 = chart.point_and_frame(u1)
     columns = np.array(
-        [theta_covector(w) @ dpsi1[:, chart.l:] for w in end.estar_forms]
+        [theta_covector(w) @ end.dpsi[:, chart.l:] for w in end.estar_forms]
     ).T
     coeffs, *_ = np.linalg.lstsq(columns, xi, rcond=None)
     value = HolomorphicForm(

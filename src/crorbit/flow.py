@@ -110,13 +110,7 @@ class FlowResult:
     differential: np.ndarray
     trajectory: list[tuple[float, np.ndarray]]
     drift: float = 0.0
-    drifts: list[float] | None = None
     drift_exceeded: bool = False
-
-    @property
-    def condition(self) -> float:
-        """Condition number of the differential (invertibility diagnostic)."""
-        return float(np.linalg.cond(self.differential))
 
 
 class _DefinedByEquations(Protocol):
@@ -286,7 +280,6 @@ def flow(
             differential=np.eye(n),
             trajectory=[(0.0, x0.copy())],
             drift=d0,
-            drifts=[d0] if manifold is not None else None,
             drift_exceeded=d0 > cfg.drift_bound,
         )
 
@@ -308,23 +301,22 @@ def flow(
             return y
 
     trajectory: list[tuple[float, np.ndarray]] = [(0.0, x0.copy())]
-    drifts: list[float] | None = [d0] if manifold is not None else None
+    drift = d0
 
     def on_sample(tt, y):
+        nonlocal drift
         pt = y[:n].copy()
         trajectory.append((tt, pt))
-        if drifts is not None:
-            drifts.append(_drift_of(manifold, pt))
+        if manifold is not None:
+            drift = max(drift, _drift_of(manifold, pt))
 
     y0 = np.concatenate((x0, np.eye(n).ravel()))
     y_end = _integrate(rhs, (0.0, t), y0, cfg, post_step=post, on_sample=on_sample)
-    drift = max(drifts) if drifts else 0.0
     return FlowResult(
         endpoint=y_end[:n],
         differential=y_end[n:].reshape(n, n),
         trajectory=trajectory,
         drift=drift,
-        drifts=drifts,
         drift_exceeded=drift > cfg.drift_bound,
     )
 
@@ -345,7 +337,6 @@ def composed_flow(
         differential=np.eye(n),
         trajectory=[(0.0, x0.copy())],
         drift=_drift_of(manifold, x0),
-        drifts=[_drift_of(manifold, x0)] if manifold is not None else None,
     )
     t_offset = 0.0
     for idx, t in word.steps:
@@ -355,8 +346,6 @@ def composed_flow(
         total.trajectory.extend(
             (t_offset + abs(tt), pt) for tt, pt in leg.trajectory[1:]
         )
-        if total.drifts is not None and leg.drifts is not None:
-            total.drifts.extend(leg.drifts[1:])
         total.drift = max(total.drift, leg.drift)
         t_offset += abs(t)
     total.drift_exceeded = total.drift > cfg.drift_bound

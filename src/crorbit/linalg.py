@@ -74,9 +74,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ v)
 

@@ -11,7 +11,7 @@ certificate is reported as such and is never a proof of non-minimality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -85,11 +85,6 @@ class Certificate:
 
 @dataclass
 class MinimalityReport:
-    local_dimension: int
-    manifold_dimension: int
-    minimal: bool
-    method: str = "lie-hull"
-    hull: LieHullResult | None = None
     certificate: Certificate | None = None
     best_span: PushforwardSpan | None = None
     budget_exhausted: bool = False
@@ -331,14 +326,7 @@ def global_minimality_certificate(
             found = True
             break
 
-    hull = lie_hull(m, frame, z)
-    local = MinimalityReport(
-        local_dimension=hull.dimension,
-        manifold_dimension=m.dim,
-        minimal=hull.dimension == m.dim,
-        hull=hull,
-        method="lie-hull+pushforward",
-    )
+    local = MinimalityReport()
     if found:
         kept_words = [word for word, _, _ in kept]
         selected, sigma = _greedy_select(col_sets, kept_words, dim, params.tau_cert)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +46,23 @@ def _finite_coordinates(values, label: str) -> np.ndarray:
     if not np.all(np.isfinite(coords)):
         raise ScenarioError(f"{label} has a non-finite coordinate")
     return coords
+
+
+def _require_finite(value, path: str) -> None:
+    """ScenarioError naming ``path`` (subscript form) at the first non-finite number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}[{key!r}]")
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            _require_finite(item, f"{path}[{idx}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        hint = (
+            "; omit the key for an unbounded step"
+            if path == "integrator['max_step']" and value == math.inf
+            else ""
+        )
+        raise ScenarioError(f"{path} is non-finite ({value}){hint}")
 
 
 _FIELD = {"type": "array", "items": {"type": "string"}, "minItems": 1}
@@ -193,10 +211,8 @@ def _resolve(raw: dict) -> Scenario:
             f"scenario schema version {declared!r} is not supported (expected {SCHEMA_VERSION!r})"
         )
     # before the digest, whose JSON rendering rejects NaN without naming it
-    points = {
-        pname: _finite_coordinates(coords, f"point {pname!r}")
-        for pname, coords in raw.get("points", {}).items()
-    }
+    for key, value in raw.items():
+        _require_finite(value, key)
 
     digest = hashlib.sha256(canonical_json(raw).encode()).hexdigest()
     man = raw["manifold"]
@@ -262,7 +278,8 @@ def _resolve(raw: dict) -> Scenario:
     expected_dim = (
         sc.manifold.ambient_dim if sc.manifold is not None else sc.model_chart.l
     )
-    for pname, pt in points.items():
+    for pname, coords in raw.get("points", {}).items():
+        pt = np.array(coords, dtype=float)
         if pt.shape[0] != expected_dim:
             raise ScenarioError(
                 f"point {pname!r} has {pt.shape[0]} coordinates, expected {expected_dim}"

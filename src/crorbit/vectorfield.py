@@ -17,7 +17,6 @@ from .expr import (
     mul,
     parse_expr,
     sub,
-    to_text,
 )
 
 __all__ = [
@@ -52,9 +51,6 @@ class VectorFieldSpec:
         return VectorFieldSpec(
             tuple(parse_expr(t, dim, aliases) for t in texts), dim
         )
-
-    def to_texts(self, aliases: Sequence[str] | None = None) -> list[str]:
-        return [to_text(e, aliases) for e in self.coefficients]
 
     @cached_property
     def _values_fn(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,20 +22,19 @@ from .connection import (
     flow_transport,
     hamiltonian_restriction_check,
     horizontal_transport,
+    restricted_hamiltonian,
     xhat_field,
 )
 from .crmanifold import (
     AdaptedChart,
     EmbeddedManifold,
-    conormal_fiber,
     e_fiber,
-    lemma21_check,
+    lemma21_sample,
     pair_e_estar,
     tangent_space,
     theta_isomorphism_check,
     theta_star_transport,
     theta_transport,
-    HolomorphicForm,
 )
 from .expr import ScalarExpr, add, const, mul, parse_expr, var
 from .crmanifold import ManifoldError
@@ -53,7 +52,7 @@ from .report import CheckResult
 from .scenario import builtin_scenario
 from .vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field, lie_bracket
 
-__all__ = ["SUITES", "run_suite", "run_suites", "transport_corpus", "random_chart"]
+__all__ = ["SUITES", "run_suite", "transport_corpus", "random_chart"]
 
 # corpus and sample sizes (pinned)
 N_RANDOM_CHARTS = 200
@@ -183,6 +182,15 @@ def _expchart() -> tuple[ChartSetup, VectorFieldSpec]:
 def _canonical_trio():
     scs = [builtin_scenario(n) for n in ("lewy", "flat", "tube3")]
     return [(sc.manifold, sc.frames["cr"], sc.points["origin"], sc.name) for sc in scs]
+
+
+def _quadric_point(name: str, rng: np.random.Generator) -> np.ndarray:
+    """Random point of the builtin quadric ``name``, free coordinates in U[-0.7, 0.7]."""
+    if name == "tube3":
+        x, y, u1, u2 = rng.uniform(-0.7, 0.7, 4)
+        return np.array([x, y, u1, x * x + y * y, u2, 0.0])
+    x, y, u = rng.uniform(-0.7, 0.7, 3)
+    return np.array([x, y, u, x * x + y * y if name == "lewy" else 0.0])
 
 
 def _lewy_intrinsic_frame() -> list[VectorFieldSpec]:
@@ -456,14 +464,8 @@ def _check_transport_reversibility(seed: int) -> CheckResult:
 def _quotient_duality_cases():
     """Adapted-chart fixtures: the flat complex line and a twisted manifold
     containing it, whose quotient-bundle transport has genuine holonomy."""
-    flat = builtin_scenario("flat").manifold
-    flat_chart = AdaptedChart(
-        l=2, m=1, psi=tuple(parse_expr(t, 3) for t in ["x1", "x2", "x3", "0"])
-    )
-    flat_frame = [
-        VectorFieldSpec.parse(["1", "0", "0"], 3),
-        VectorFieldSpec.parse(["0", "1", "0"], 3),
-    ]
+    flat_sc = builtin_scenario("flat")
+    flat_chart, flat_frame = flat_sc.adapted_charts["complex_line"]
     twisted = EmbeddedManifold.parse(
         2, ["v - u*(x^2 + y^2)"], ["x", "y", "u", "v"]
     )
@@ -479,7 +481,7 @@ def _quotient_duality_cases():
         VectorFieldSpec.parse(["0", "1", f"-(2*x3*(x1 + {r2}*x2)/{den})"], 3),
     ]
     return [
-        ("flat", flat, flat_chart, flat_frame, np.zeros(2)),
+        ("flat", flat_sc.manifold, flat_chart, flat_frame, np.zeros(2)),
         ("twisted", twisted, tw_chart, tw_frame, np.array([0.0, 1.0])),
     ]
 
@@ -526,33 +528,28 @@ def duality_suite(seed: int) -> list[CheckResult]:
 # hamiltonian suite
 # ---------------------------------------------------------------------------
 
-def _restricted_hamiltonian(c: ChartSetup, f: VectorFieldSpec, xp, xi):
-    x_full = np.concatenate((xp, np.zeros(c.m)))
-    xi_full = np.concatenate((np.zeros(c.l), xi))
-    xdot, xidot = hamiltonian_field(f, CotangentPoint(x_full, xi_full))
-    tangency = max(
-        float(np.max(np.abs(xdot[c.l:]), initial=0.0)),
-        float(np.max(np.abs(xidot[: c.l]), initial=0.0)),
-    )
-    return np.concatenate((xdot[: c.l], xidot[c.l:])), tangency
+def _hamiltonian_charts(seed: int, count: int) -> list[tuple[ChartSetup, VectorFieldSpec]]:
+    """The expchart field followed by ``count`` random charts drawn from ``seed``."""
+    chart, x_exp = _expchart()
+    charts = [(chart, x_exp)]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        l = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        c = random_chart(rng, l, m)
+        charts.append((c, c.frame[0]))
+    return charts
 
 
 def _check_xhat_hamiltonian(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    chart, x_exp = _expchart()
-    charts = [(chart, x_exp)]
-    corpus_rng = np.random.default_rng(seed + 1)
-    for _ in range(N_HAMILTONIAN_CHARTS):
-        l = int(corpus_rng.integers(1, 4))
-        m = int(corpus_rng.integers(1, 4))
-        c = random_chart(corpus_rng, l, m)
-        charts.append((c, c.frame[0]))
+    charts = _hamiltonian_charts(seed + 1, N_HAMILTONIAN_CHARTS)
     worst = 0.0
     for c, f in charts:
         for _ in range(N_HAMILTONIAN_SAMPLES):
             xp = rng.uniform(-0.5, 0.5, c.l)
             xi = rng.uniform(-1.0, 1.0, c.m)
-            restricted, tangency = _restricted_hamiltonian(c, f, xp, xi)
+            restricted, tangency = restricted_hamiltonian(c, f, xp, xi)
             mismatch = float(np.max(np.abs(restricted - xhat_field(c, f, (xp, xi)))))
             worst = max(worst, tangency, mismatch)
     return CheckResult(
@@ -569,16 +566,8 @@ def _check_xhat_hamiltonian(seed: int) -> CheckResult:
 
 def _check_multiplier(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    chart, x_exp = _expchart()
-    charts = [(chart, x_exp)]
-    corpus_rng = np.random.default_rng(seed + 1)
-    for _ in range(4):
-        l = int(corpus_rng.integers(1, 4))
-        m = int(corpus_rng.integers(1, 4))
-        c = random_chart(corpus_rng, l, m)
-        charts.append((c, c.frame[0]))
     worst = 0.0
-    for c, f in charts:
+    for c, f in _hamiltonian_charts(seed + 1, 4):
         phi = _random_poly(rng, c.dim, 2, 3, 1.0)
         samples = [
             (rng.uniform(-0.5, 0.5, c.l), rng.uniform(-1.0, 1.0, c.m))
@@ -647,18 +636,7 @@ def _lemma_pairs(manifold: EmbeddedManifold, name: str, rng) -> tuple[float, flo
     """Max residuals of the two identities over random conormal/tangent pairs."""
     worst_c = worst_r = 0.0
     for _ in range(N_LEMMA_PAIRS):
-        if name == "lewy":
-            x, y, u = rng.uniform(-0.7, 0.7, 3)
-            z = np.array([x, y, u, x * x + y * y])
-        else:  # tube3
-            x, y, u1, u2 = rng.uniform(-0.7, 0.7, 4)
-            z = np.array([x, y, u1, x * x + y * y, u2, 0.0])
-        forms = conormal_fiber(manifold, z)
-        weights = rng.uniform(-1.0, 1.0, len(forms))
-        omega = HolomorphicForm(sum(w * f.zeta for w, f in zip(weights, forms)))
-        tangent = tangent_space(manifold, z)
-        x_vec = tangent.basis @ rng.uniform(-1.0, 1.0, tangent.dim)
-        rep = lemma21_check(manifold, z, omega, x_vec)
+        rep = lemma21_sample(manifold, _quadric_point(name, rng), rng)
         worst_c = max(worst_c, rep.complex_identity_residual)
         worst_r = max(worst_r, rep.real_convention_residual)
     return worst_c, worst_r
@@ -693,14 +671,7 @@ def _check_theta_isomorphism(seed: int) -> CheckResult:
     for name in ("lewy", "flat", "tube3"):
         manifold = builtin_scenario(name).manifold
         for _ in range(20):
-            if name == "tube3":
-                x, y, u1, u2 = rng.uniform(-0.7, 0.7, 4)
-                z = np.array([x, y, u1, x * x + y * y, u2, 0.0])
-            else:
-                x, y, u = rng.uniform(-0.7, 0.7, 3)
-                v = x * x + y * y if name == "lewy" else 0.0
-                z = np.array([x, y, u, v])
-            _ok, sv = theta_isomorphism_check(manifold, z)
+            _ok, sv = theta_isomorphism_check(manifold, _quadric_point(name, rng))
             smallest = min(smallest, sv)
     return CheckResult(
         "theta-isomorphism",
@@ -895,10 +866,3 @@ def run_suite(name: str, seed: int) -> list[CheckResult]:
                 details={"error": str(exc), "seed": seed},
             )
         ]
-
-
-def run_suites(names: Sequence[str], seed: int) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for name in names:
-        out.extend(run_suite(name, seed))
-    return out

@@ -17,6 +17,7 @@ from crorbit.connection import (
     hamiltonian_restriction_check,
     horizontal_transport,
     lift_section,
+    restricted_hamiltonian,
     validate_chart,
     xhat_field,
 )
@@ -198,6 +199,14 @@ class TestHamiltonianRestriction:
         samples = [(np.array([0.4]), np.array([0.0]))]
         rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples)
         assert rep.passed
+
+    def test_restricted_field_and_tangency_defect(self):
+        restricted, tangency = restricted_hamiltonian(EXP_CHART, EXP_FIELD, [0.3], [0.7])
+        assert np.allclose(restricted, [1.0, -0.7]) and tangency == 0.0
+        # a'' = 1 + x1 leaves N, and its xi'-velocity is -xi''
+        normal = VectorFieldSpec.parse(["1", "1 + x1"], 2)
+        _, tangency = restricted_hamiltonian(EXP_CHART, normal, [0.3], [0.7])
+        assert tangency == pytest.approx(1.3)
 
 
 class TestConnectionAxioms:

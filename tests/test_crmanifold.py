@@ -18,6 +18,7 @@ from crorbit.crmanifold import (
     genericity_check,
     jmat,
     lemma21_check,
+    lemma21_sample,
     pair_e_estar,
     pair_form,
     tangent_space,
@@ -196,6 +197,15 @@ class TestLemma21:
         ok, sv = theta_isomorphism_check(TUBE3, np.zeros(6))
         assert ok and sv >= 1e-8
 
+    def test_random_samples_pass_in_codimension_one_and_two(self):
+        rng = np.random.default_rng(11)
+        for m, z in (
+            (LEWY, lewy_point(0.3, -0.2, 0.5)),
+            (TUBE3, tube3_point(-0.4, 0.1, 0.2, 0.6)),
+        ):
+            for _ in range(5):
+                assert lemma21_sample(m, z, rng).passed
+
 
 FLAT_CHART = AdaptedChart(
     l=2, m=1, psi=tuple(parse_expr(t, 3) for t in ["x1", "x2", "x3", "0"])
@@ -225,6 +235,11 @@ class TestEFiber:
         assert ef.dim == 1
         assert np.allclose(np.abs(ef.e_basis.basis[:, 0]), [0, 0, 0, 1], atol=1e-12)
         assert len(ef.estar_forms) == 1
+
+    def test_keeps_tangent_space_and_chart_differential(self):
+        ef = e_fiber(FLAT, FLAT_CHART, [0.4, -0.1])
+        assert np.array_equal(ef.tangent.basis, tangent_space(FLAT, ef.point).basis)
+        assert np.array_equal(ef.dpsi, FLAT_CHART.point_and_frame([0.4, -0.1, 0.0])[1])
 
     def test_complement_dimensions_add_up(self):
         ef = e_fiber(FLAT, FLAT_CHART, [0.4, -0.1])

@@ -77,7 +77,7 @@ class TestFlow:
 
     def test_condition_number_reported(self):
         res = flow(EXP_FIELD, [0.0, 1.0], 1.0)
-        assert res.condition == pytest.approx(math.e, rel=1e-6)
+        assert np.linalg.cond(res.differential) == pytest.approx(math.e, rel=1e-6)
 
 
 class TestComposedFlow:

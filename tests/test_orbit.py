@@ -176,6 +176,19 @@ class TestCertificates:
         assert np.array_equal(best.span.basis, fresh.span.basis)
         assert best.max_tangent_residual == fresh.max_tangent_residual
 
+    def test_search_computes_no_lie_hull(self, monkeypatch):
+        """The search stands on its own flows; the Lie hull is left to the caller."""
+        import crorbit.orbit as orbit
+
+        def no_hull(*args, **kwargs):
+            raise AssertionError("global_minimality_certificate computed a Lie hull")
+
+        monkeypatch.setattr(orbit, "lie_hull", no_hull)
+        rep = global_minimality_certificate(
+            LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=7)
+        )
+        assert rep.certificate is not None
+
     def test_seeded_determinism(self):
         a = global_minimality_certificate(
             LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=123)

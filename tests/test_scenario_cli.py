@@ -88,6 +88,12 @@ class TestCommands:
         by_name = {r.name: r for r in report.results}
         assert by_name["minimality"].details["minimal"] is False
 
+    def test_analyze_tube3_codimension_two(self):
+        report = cmd_analyze(builtin_scenario("tube3"), "origin")
+        assert report.passed
+        spot = {r.name: r for r in report.results}["lemma21-spot"]
+        assert spot.value <= 1e-12
+
     def test_analyze_chart_scenario(self):
         report = cmd_analyze(builtin_scenario("expchart"), "origin")
         assert report.passed
@@ -167,6 +173,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'bad'" in err and "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value, hint",
+        [
+            ("integrator", "rtol", float("nan"), ""),
+            ("integrator", "max_step", float("inf"), "omit the key"),
+            ("tolerances", "rank_rtol", float("nan"), ""),
+        ],
+        ids=["rtol-nan", "max-step-inf", "rank-rtol-nan"],
+    )
+    def test_non_finite_scenario_setting_exit_2(
+        self, section, key, value, hint, tmp_path, capsys
+    ):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        raw.setdefault(section, {})[key] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(raw))  # NaN / Infinity JSON extensions
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{section}[{key!r}] is non-finite" in err and hint in err
+
     def test_non_finite_eta_exit_2(self, capsys):
         code = main(["transport", "--scenario", "expchart", "--eta", "inf"])
         assert code == 2
@@ -219,6 +246,13 @@ class TestExitCodes:
         assert code == 1
         out = capsys.readouterr().out
         assert "[FAIL] xhat-hamiltonian-identification" in out
+
+    def test_csv_format_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--scenario", "lewy", "--point", "origin",
+                  "--format", "csv", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_json_format_emits_report(self, capsys):
         assert main(["verify", "--suite", "lemma21", "--format", "json"]) == 0
