@@ -83,7 +83,6 @@ from .orbit import (
     Certificate,
     LieHullResult,
     MinimalityReport,
-    OrbitSearchParams,
     PushforwardSpan,
     global_minimality_certificate,
     lie_hull,

@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 check failure, 2 input
 error (schema violations, unknown points, non-finite coordinates,
-non-positive budgets, expression errors).  Reports are JSON; trajectories
-and point clouds are CSV.
+non-positive budgets, expression errors, unreadable or unwritable
+paths).  Reports are JSON; trajectories and point clouds are CSV.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .connection import (
+    TANGENCY_TOL,
     ChartValidationError,
     dual_transport,
     flow_transport,
@@ -25,6 +26,8 @@ from .connection import (
     validate_chart,
 )
 from .crmanifold import (
+    LEMMA21_TOL,
+    THETA_SV_MIN,
     ManifoldError,
     complex_tangent_space,
     genericity_check,
@@ -35,7 +38,7 @@ from .crmanifold import (
 from .expr import ExprError
 from .flow import FlowError, FlowWord
 from .orbit import (
-    OrbitSearchParams,
+    TAU_CERT,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
@@ -46,7 +49,7 @@ from .orbit import (
 )
 from .report import CheckResult, Report
 from .scenario import Scenario, ScenarioError, _finite_coordinates, load_scenario
-from .verify import SUITES, run_suite
+from .verify import SUITES, TOL_DUALITY, TOL_TRANSPORT_RANDOM, run_suite
 
 __all__ = ["main", "cmd_analyze", "cmd_transport", "cmd_orbit", "cmd_verify"]
 
@@ -56,6 +59,7 @@ _INPUT_ERRORS = (
     ManifoldError,
     ChartValidationError,
     ValueError,
+    OSError,
 )
 
 
@@ -97,7 +101,7 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
                 "chart-validation",
                 rep.passed,
                 rep.max_tangency_violation,
-                1e-12,
+                TANGENCY_TOL,
                 details={"rank_ok": rep.rank_ok, "l": chart.l, "m": chart.m},
             )
         )
@@ -139,10 +143,10 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
     for _ in range(20):
         rep = lemma21_sample(m, pt, rng)
         worst = max(worst, rep.complex_identity_residual, rep.real_convention_residual)
-    report.results.append(CheckResult("lemma21-spot", worst <= 1e-12, worst, 1e-12))
+    report.results.append(CheckResult("lemma21-spot", worst <= LEMMA21_TOL, worst, LEMMA21_TOL))
     ok, sv = theta_isomorphism_check(m, pt)
     report.results.append(
-        CheckResult("theta-isomorphism", ok, sv, 1e-8, comparator=">=")
+        CheckResult("theta-isomorphism", ok, sv, THETA_SV_MIN, comparator=">=")
     )
 
     hull = lie_hull(m, scenario.default_frame(), pt)
@@ -241,9 +245,9 @@ def cmd_transport(
     report.results.append(
         CheckResult(
             "horizontal-vs-flow",
-            deviation <= 1e-7 * scale,
+            deviation <= TOL_TRANSPORT_RANDOM * scale,
             deviation / scale,
-            1e-7,
+            TOL_TRANSPORT_RANDOM,
             details={
                 "horizontal": h_eta.tolist(),
                 "flow": fv.eta.tolist(),
@@ -254,9 +258,9 @@ def cmd_transport(
     report.results.append(
         CheckResult(
             "duality-pairing",
-            pairing_drift <= 1e-8,
+            pairing_drift <= TOL_DUALITY,
             pairing_drift,
-            1e-8,
+            TOL_DUALITY,
             details={"xi": d_xi.tolist(), "initial_pairing": float(eta0 @ xi0)},
         )
     )
@@ -298,6 +302,7 @@ def cmd_orbit(
     seed = scenario.seed if seed is None else seed
     m = scenario.manifold
     frame = scenario.default_frame()
+    cfg = scenario.integrator
     pt = scenario.point(point_spec)
     m.require_on_manifold(pt)
 
@@ -322,16 +327,15 @@ def cmd_orbit(
         )
     )
 
-    params = OrbitSearchParams(budget=budget, seed=seed)
-    cert_rep = global_minimality_certificate(m, frame, pt, params)
+    cert_rep = global_minimality_certificate(m, frame, pt, budget, seed, cfg)
     if cert_rep.certificate is not None:
-        ok, sigma = verify_certificate(m, frame, pt, cert_rep.certificate)
+        ok, sigma = verify_certificate(m, frame, pt, cert_rep.certificate, cfg)
         report.results.append(
             CheckResult(
                 "global-minimality-certificate",
                 ok,
                 cert_rep.certificate.smallest_singular_value,
-                params.tau_cert,
+                TAU_CERT,
                 comparator=">=",
                 details={
                     "found": True,
@@ -364,7 +368,7 @@ def cmd_orbit(
 
     rng = np.random.default_rng(seed)
     words = [FlowWord.empty()] + random_words(rng, min(budget, 8), len(frame), 3, 0.4)
-    span = pushforward_span(m, frame, pt, words)
+    span = pushforward_span(m, frame, pt, words, cfg)
     report.results.append(
         CheckResult(
             "pushforward-span",
@@ -377,14 +381,14 @@ def cmd_orbit(
         )
     )
 
-    cloud = reachable_samples(m, frame, pt, min(budget, 60), seed=seed)
+    cloud = reachable_samples(m, frame, pt, min(budget, 60), cfg, seed)
     max_drift = max(cloud.drifts, default=0.0)
     report.results.append(
         CheckResult(
             "reachable-samples",
-            max_drift <= scenario.integrator.drift_bound,
+            max_drift <= cfg.drift_bound,
             max_drift,
-            scenario.integrator.drift_bound,
+            cfg.drift_bound,
             details={"points": len(cloud.points), "failures": cloud.failures},
         )
     )
@@ -462,11 +466,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: Report, args) -> int:
-    out_dir: Path | None = getattr(args, "out", None)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(report.to_json() + "\n")
-    if getattr(args, "format", None) == "json":
+    if args.out is not None:
+        (args.out / "report.json").write_text(report.to_json() + "\n")
+    if args.format == "json":
         print(report.to_json())
     else:
         for r in report.results:
@@ -483,6 +485,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if args.out is not None:  # an unusable --out fails before any work
+            args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "analyze":
             scenario = load_scenario(args.scenario)
             report = cmd_analyze(scenario, args.point, args.seed)

@@ -33,6 +33,7 @@ from .expr import (
     substitute,
 )
 from .flow import FlowWord, IntegratorConfig, composed_flow, flow, _integrate
+from .linalg import RANK_RTOL
 from .vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field, lie_bracket
 
 __all__ = [
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 TANGENCY_TOL = 1e-12
+HAMILTONIAN_TOL = 1e-12
+MULTIPLIER_TOL = 1e-10
+AXIOMS_TOL = 1e-10
 
 
 class ChartValidationError(Exception):
@@ -146,10 +150,8 @@ def _restricted(field: VectorFieldSpec, c: ChartSetup, xp: Sequence[float]):
 def validate_chart(
     c: ChartSetup,
     samples: Sequence[Sequence[float]],
-    tol: float = TANGENCY_TOL,
-    rank_rtol: float = 1e-8,
 ) -> ChartReport:
-    """Check K-tangency (|a_j(x',0)| <= tol for j > l) and frame rank at samples."""
+    """Check K-tangency (|a_j(x',0)| <= TANGENCY_TOL for j > l) and frame rank at samples."""
     worst = 0.0
     first: tuple[int, int] | None = None
     rank_ok = True
@@ -160,16 +162,16 @@ def validate_chart(
             viol = float(np.max(np.abs(a[c.l:]), initial=0.0))
             if viol > worst:
                 worst = viol
-            if viol > tol and first is None:
+            if viol > TANGENCY_TOL and first is None:
                 first = (f_idx, s_idx)
             vecs.append(a)
         if vecs:
             sv = np.linalg.svd(np.column_stack(vecs), compute_uv=False)
-            if len(sv) < c.rank or (sv.size and sv[-1] <= rank_rtol * sv[0]):
+            if len(sv) < c.rank or (sv.size and sv[-1] <= RANK_RTOL * sv[0]):
                 rank_ok = False
                 if first is None:
                     first = (0, s_idx)
-    return ChartReport(worst <= tol and rank_ok, worst, rank_ok, first)
+    return ChartReport(worst <= TANGENCY_TOL and rank_ok, worst, rank_ok, first)
 
 
 def _require_valid(c: ChartSetup, X: VectorFieldSpec, xp: Sequence[float]) -> None:
@@ -402,8 +404,6 @@ def hamiltonian_restriction_check(
     X: VectorFieldSpec,
     samples: Sequence[tuple[Sequence[float], Sequence[float]]],
     multiplier: ScalarExpr | None = None,
-    tol: float = 1e-12,
-    multiplier_tol: float = 1e-10,
 ) -> RestrictionReport:
     """Compare the restricted Hamiltonian field of the symbol with the conormal field.
 
@@ -431,7 +431,7 @@ def hamiltonian_restriction_check(
         max_tan = max(max_tan, tangency)
         max_mis = max(max_mis, mismatch)
         max_mult = max(max_mult, mult_mismatch)
-    passed = max_tan <= tol and max_mis <= tol and max_mult <= multiplier_tol
+    passed = max(max_tan, max_mis) <= HAMILTONIAN_TOL and max_mult <= MULTIPLIER_TOL
     return RestrictionReport(passed, max_tan, max_mis, max_mult, worst_sample)
 
 
@@ -451,30 +451,24 @@ def connection_axioms_check(
     eta: Sequence[ScalarExpr],
     phi: ScalarExpr,
     samples: Sequence[Sequence[float]],
-    tangent_perturbation: VectorFieldSpec | None = None,
-    tol: float = 1e-10,
 ) -> AxiomsReport:
     """Check tensoriality in X, the Leibniz rule and lifting independence.
 
     ``phi`` is a scalar on the ambient chart (l + m variables).  The lifting
     check compares the bracket definition computed with the canonical lift
-    of ``eta`` against the same bracket with ``tangent_perturbation`` added;
-    the perturbation must be tangent to N along N.
+    of ``eta`` against the same bracket with a field tangent to N along N
+    added: x''-weighted normal components and a free x' component.
     """
     zero_map = {i: Const(0.0) for i in range(c.l, c.dim)}
     phi_on_n = substitute(phi, zero_map)
     phi_eta = [mul(phi_on_n, ej) for ej in eta]
     lift = lift_section(c, eta)
-    if tangent_perturbation is None:
-        # x''-weighted normal components and a free x' component: tangent to N on N
-        coeffs = [Const(0.0)] * c.dim
-        coeffs[0] = Var(0) if c.l >= 1 else Const(0.0)
-        for j in range(c.l, c.dim):
-            coeffs[j] = mul(Var(c.l), Var(j)) if c.m else Const(0.0)
-        tangent_perturbation = VectorFieldSpec(tuple(coeffs), c.dim)
+    perturbation = [Const(0.0)] * c.dim
+    perturbation[0] = Var(0)
+    for j in range(c.l, c.dim):
+        perturbation[j] = mul(Var(c.l), Var(j))
     perturbed = VectorFieldSpec(
-        tuple(add(a, b) for a, b in zip(lift.coefficients, tangent_perturbation.coefficients)),
-        c.dim,
+        tuple(add(a, b) for a, b in zip(lift.coefficients, perturbation)), c.dim
     )
 
     max_scale = max_leib = max_lift = 0.0
@@ -511,7 +505,7 @@ def connection_axioms_check(
         max_leib = max(max_leib, r_leib)
         max_lift = max(max_lift, r_lift)
 
-    passed = max(max_scale, max_leib, max_lift) <= tol
+    passed = max(max_scale, max_leib, max_lift) <= AXIOMS_TOL
     return AxiomsReport(
         passed, max_scale, max_leib, max_lift, None if passed else failing, worst
     )

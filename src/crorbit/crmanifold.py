@@ -23,7 +23,7 @@ import numpy as np
 from .connection import ChartSetup, dual_transport, flow_transport, validate_chart
 from .expr import ScalarExpr, compile_values, compile_values_and_jacobian, parse_expr
 from .flow import FlowWord, IntegratorConfig
-from .linalg import RANK_RTOL, SubspaceBasis, nullspace, orthonormal_columns
+from .linalg import RANK_RTOL, SubspaceBasis, nullspace, orthonormal_columns, rank
 from .vectorfield import VectorFieldSpec
 
 __all__ = [
@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 ON_MANIFOLD_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-9  # tangent vectors and paired forms, relative to max(1, |v|)
+CR_FRAME_TOL = 1e-10  # |d rho (X)| and |d rho (JX)| of a complex-tangent frame field
+LEMMA21_TOL = 1e-12  # residual of the Lemma 2.1 transposedness identities
+THETA_SV_MIN = 1e-8  # smallest singular value of the restricted conormal basis
 
 
 class ManifoldError(Exception):
@@ -174,14 +178,11 @@ class EmbeddedManifold:
         _, rows = self._rho_jet_fn(x)
         return np.array(rows, dtype=float)
 
-    def on_manifold(self, x: Sequence[float], tol: float = ON_MANIFOLD_TOL) -> bool:
-        return float(np.max(np.abs(self.rho_values(x)))) <= tol
-
-    def require_on_manifold(self, x: Sequence[float], tol: float = ON_MANIFOLD_TOL) -> None:
+    def require_on_manifold(self, x: Sequence[float]) -> None:
         resid = float(np.max(np.abs(self.rho_values(x))))
-        if not resid <= tol:  # also true for a NaN residual
+        if not resid <= ON_MANIFOLD_TOL:  # also true for a NaN residual
             raise PointNotOnManifoldError(
-                f"|rho| = {resid:.3e} exceeds {tol:.1e} at {np.asarray(x)}"
+                f"|rho| = {resid:.3e} exceeds {ON_MANIFOLD_TOL:.1e} at {np.asarray(x)}"
             )
 
     def complex_differentials(self, z: Sequence[float]) -> np.ndarray:
@@ -200,10 +201,8 @@ class GenericityReport:
 def genericity_check(m: EmbeddedManifold, z: Sequence[float]) -> GenericityReport:
     """Rank report at a point of M; generic iff the d rho_i are C-independent."""
     m.require_on_manifold(z)
-    sr = np.linalg.svd(m.rho_jacobian(z), compute_uv=False)
-    sc = np.linalg.svd(m.complex_differentials(z), compute_uv=False)
-    real_rank = int(np.sum(sr > m.rank_rtol * sr[0])) if sr.size else 0
-    complex_rank = int(np.sum(sc > m.rank_rtol * sc[0])) if sc.size else 0
+    real_rank = rank(m.rho_jacobian(z), m.rank_rtol)
+    complex_rank = rank(m.complex_differentials(z), m.rank_rtol)
     return GenericityReport(real_rank, complex_rank, complex_rank == m.d)
 
 
@@ -242,7 +241,6 @@ def cr_frame(
     z: Sequence[float],
     frame: Sequence[VectorFieldSpec],
     samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-10,
 ) -> list[VectorFieldSpec]:
     """Verified frame of complex-tangent sections.
 
@@ -261,7 +259,7 @@ def cr_frame(
                 float(np.max(np.abs(jac @ v), initial=0.0)),
                 float(np.max(np.abs(jac @ apply_j(v)), initial=0.0)),
             )
-            if worst > tol:
+            if worst > CR_FRAME_TOL:
                 raise ManifoldError(
                     f"frame field {f_idx} is not a complex-tangent section at "
                     f"{pt}: residual {worst:.3e}"
@@ -288,22 +286,26 @@ def lemma21_check(
     z: Sequence[float],
     omega: HolomorphicForm,
     x_vec: Sequence[float],
-    tol: float = 1e-12,
-    membership_tol: float = 1e-9,
 ) -> Lemma21Report:
     """Transposedness identities for a conormal form and a tangent vector.
 
     Checks <omega, JX> = i <omega, X> exactly and, under the Re-pairing
     convention for real forms, Im<omega, JX> = theta(omega) . X.
     """
-    tangent = tangent_space(m, z)
+    return _lemma21(tangent_space(m, z), omega, x_vec)
+
+
+def _lemma21(
+    tangent: SubspaceBasis, omega: HolomorphicForm, x_vec: Sequence[float]
+) -> Lemma21Report:
+    """:func:`lemma21_check` against an already computed T_zM basis."""
     x_vec = np.asarray(x_vec, dtype=float)
-    if tangent.residual(x_vec) > membership_tol * max(1.0, float(np.linalg.norm(x_vec))):
+    if tangent.residual(x_vec) > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(x_vec))):
         raise ManifoldError("vector is not tangent to M at z")
     im_on_tm = max(
         abs(pair_form(omega, tangent.basis[:, k]).imag) for k in range(tangent.dim)
     )
-    if im_on_tm > membership_tol:
+    if im_on_tm > MEMBERSHIP_TOL:
         raise ManifoldError(
             f"form fails the conormal membership test: max |Im<omega, TM>| = {im_on_tm:.3e}"
         )
@@ -311,7 +313,7 @@ def lemma21_check(
     rhs = 1j * pair_form(omega, x_vec)
     r1 = abs(lhs - rhs)
     r2 = abs(lhs.imag - float(theta_covector(omega) @ x_vec))
-    return Lemma21Report(max(r1, r2) <= tol, r1, r2)
+    return Lemma21Report(max(r1, r2) <= LEMMA21_TOL, r1, r2)
 
 
 def lemma21_sample(
@@ -328,7 +330,7 @@ def lemma21_sample(
     omega = HolomorphicForm(sum(w * f.zeta for w, f in zip(weights, forms)))
     tangent = tangent_space(m, z)
     x_vec = tangent.basis @ rng.uniform(-1.0, 1.0, tangent.dim)
-    return lemma21_check(m, z, omega, x_vec)
+    return _lemma21(tangent, omega, x_vec)
 
 
 def theta_isomorphism_check(
@@ -340,7 +342,7 @@ def theta_isomorphism_check(
     rows = np.array([theta_covector(w) @ tangent.basis for w in forms])
     sv = np.linalg.svd(rows, compute_uv=False)
     smallest = float(sv[-1]) if sv.size else 0.0
-    return smallest >= 1e-8, smallest
+    return smallest >= THETA_SV_MIN, smallest
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,6 @@ def validate_adapted_chart(
     m: EmbeddedManifold,
     chart: AdaptedChart,
     samples: Sequence[Sequence[float]],
-    tol: float = 1e-9,
 ) -> AdaptedChartReport:
     """psi must land on M and be an immersion at the sample parameters."""
     worst = 0.0
@@ -396,10 +397,9 @@ def validate_adapted_chart(
     for u in samples:
         pt, dpsi = chart.point_and_frame(u)
         worst = max(worst, float(np.max(np.abs(m.rho_values(pt)))))
-        sv = np.linalg.svd(dpsi, compute_uv=False)
-        r = int(np.sum(sv > m.rank_rtol * sv[0])) if sv.size else 0
-        min_rank = min(min_rank, r)
-    return AdaptedChartReport(worst <= tol and min_rank == chart.dim, worst, min_rank)
+        min_rank = min(min_rank, rank(dpsi, m.rank_rtol))
+    passed = worst <= ON_MANIFOLD_TOL and min_rank == chart.dim
+    return AdaptedChartReport(passed, worst, min_rank)
 
 
 @dataclass
@@ -546,7 +546,6 @@ def theta_star_transport(
     omega: HolomorphicForm,
     xp: Sequence[float],
     cfg: IntegratorConfig = IntegratorConfig(),
-    membership_tol: float = 1e-9,
 ) -> ThetaStarTransportResult:
     """Transport a paired-space form along a composed flow (dual route).
 
@@ -564,7 +563,7 @@ def theta_star_transport(
     conormal_resid = max(
         abs(pair_form(omega, tm0.basis[:, k]).imag) for k in range(tm0.dim)
     )
-    if max(tangential, conormal_resid) > membership_tol:
+    if max(tangential, conormal_resid) > MEMBERSHIP_TOL:
         raise ManifoldError(
             "form is not in the paired space at the base point: "
             f"residual {max(tangential, conormal_resid):.3e}"

@@ -828,13 +828,10 @@ def coordinate_directions(dim: int, which: Iterable[int] | None = None) -> list[
 
 
 def compile_values(
-    exprs: Sequence[ScalarExpr],
-    dim: int,
-    var_refs: Sequence[str] | None = None,
+    exprs: Sequence[ScalarExpr], dim: int
 ) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Compile ``x -> (e_1(x), ..., e_k(x))`` into a single function."""
-    refs = list(var_refs) if var_refs is not None else [f"x[{i}]" for i in range(dim)]
-    comp = JetCompiler(refs, [])
+    comp = JetCompiler([f"x[{i}]" for i in range(dim)], [])
     vals = [comp.emit(e)[0] for e in exprs]
     result = "(" + ", ".join(vals) + ("," if len(vals) == 1 else "") + ")"
     return _compile_source("field_values", comp.lines, result)

@@ -52,12 +52,12 @@ class RetractionError(FlowError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive step control and retraction settings."""
+    """Adaptive step control and retraction settings (retraction needs a manifold)."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: float = math.inf
-    retract: bool = False
+    retract: bool = True
     retract_tol: float = 1e-12
     drift_bound: float = 1e-9
 
@@ -136,6 +136,7 @@ _ERR = np.array(
 )
 
 _MAX_STEPS = 500_000
+_RETRACT_MAX_ITER = 25
 _DOMAIN_EXCS = (ExprDomainError, ZeroDivisionError, OverflowError, ValueError)
 
 
@@ -221,8 +222,7 @@ def _integrate(
 def retract(
     manifold: _DefinedByEquations,
     x: Sequence[float],
-    tol: float = 1e-12,
-    max_iter: int = 25,
+    tol: float,
 ) -> np.ndarray:
     """Gauss-Newton projection of ``x`` onto the zero set of the defining functions.
 
@@ -231,7 +231,7 @@ def retract(
     :class:`RetractionError` outside the convergence basin.
     """
     y = np.asarray(x, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(_RETRACT_MAX_ITER):
         r = manifold.rho_values(y)
         if float(np.max(np.abs(r), initial=0.0)) <= tol:
             return y
@@ -244,7 +244,7 @@ def retract(
         if not np.all(np.isfinite(y)):
             raise RetractionError("retraction diverged")
     raise RetractionError(
-        f"no convergence to |rho| <= {tol} within {max_iter} iterations"
+        f"no convergence to |rho| <= {tol} within {_RETRACT_MAX_ITER} iterations"
     )
 
 

@@ -82,11 +82,6 @@ class SubspaceBasis:
         v = np.asarray(v, dtype=float)
         return float(np.linalg.norm(v - self.project(v)))
 
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        v = np.asarray(v, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(v)))
-        return self.residual(v) <= tol * scale
-
     def complement(self) -> "SubspaceBasis":
         """Orthogonal complement within the ambient space."""
         comp = nullspace(self.basis.T, self.rtol) if self.dim else np.eye(self.ambient_dim)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .crmanifold import EmbeddedManifold, complex_tangent_space, tangent_space
 from .flow import FlowError, FlowWord, IntegratorConfig, composed_flow
-from .linalg import SubspaceBasis
+from .linalg import SubspaceBasis, _svd_rank
 from .vectorfield import VectorFieldSpec, lie_bracket_field
 from .expr import Const
 
@@ -28,7 +28,6 @@ __all__ = [
     "Certificate",
     "MinimalityReport",
     "SampleCloud",
-    "OrbitSearchParams",
     "lie_hull",
     "pushforward_span",
     "global_minimality_certificate",
@@ -37,6 +36,12 @@ __all__ = [
     "random_words",
     "write_cloud_csv",
 ]
+
+# randomized word search: lengths in [1, cap], times in [-T, T]
+WORD_LENGTH_CAP = 4
+TIME_RANGE = 0.5
+# smallest singular value a certificate's span must reach
+TAU_CERT = 1e-3
 
 FRAME_SUBFAMILY_NOTE = (
     "orbit evidence is generated from composed flows of the supplied frame; "
@@ -70,7 +75,7 @@ class Certificate:
     span_dimension: int
     tau: float
     seed: int
-    singular_values: tuple[float, ...] = ()
+    singular_values: tuple[float, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -89,17 +94,6 @@ class MinimalityReport:
     best_span: PushforwardSpan | None = None
     budget_exhausted: bool = False
     note: str = FRAME_SUBFAMILY_NOTE
-
-
-@dataclass(frozen=True)
-class OrbitSearchParams:
-    """Randomized word search: lengths in [1, cap], times in [-T, T], fixed seed."""
-
-    word_length_cap: int = 4
-    time_range: float = 0.5
-    budget: int = 64
-    seed: int = 0
-    tau_cert: float = 1e-3
 
 
 def _is_zero_field(f: VectorFieldSpec) -> bool:
@@ -196,7 +190,7 @@ def _assemble_span(
     stacked = np.hstack(all_cols) if all_cols else np.zeros((m.ambient_dim, 0))
     coords = tangent.basis.T @ stacked
     sv = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
-    dim = int(np.sum(sv > m.rank_rtol * sv[0])) if sv.size else 0
+    dim = _svd_rank(sv, m.rank_rtol)
     span = SubspaceBasis.from_spanning(stacked, m.rank_rtol) if all_cols else SubspaceBasis(
         m.ambient_dim, np.zeros((m.ambient_dim, 0))
     )
@@ -208,7 +202,7 @@ def pushforward_span(
     frame: Sequence[VectorFieldSpec],
     z: Sequence[float],
     words: Sequence[FlowWord],
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig,
 ) -> PushforwardSpan:
     """Span of flow-pushforwards of the complex-tangent distribution into T_zM.
 
@@ -217,7 +211,6 @@ def pushforward_span(
     and all unit-normalized images are assembled; singular values are taken
     in an orthonormal basis of T_zM.
     """
-    cfg = cfg or IntegratorConfig(retract=True)
     z = np.asarray(z, dtype=float)
     tangent = tangent_space(m, z)
     evaluated = [(w, *_word_columns(m, frame, z, w, cfg)) for w in words]
@@ -291,24 +284,24 @@ def global_minimality_certificate(
     m: EmbeddedManifold,
     frame: Sequence[VectorFieldSpec],
     z: Sequence[float],
-    params: OrbitSearchParams = OrbitSearchParams(),
-    cfg: IntegratorConfig | None = None,
+    budget: int,
+    seed: int,
+    cfg: IntegratorConfig,
 ) -> MinimalityReport:
     """Search composed-flow words whose pushed spans cover T_zM.
 
-    The word pool starts with the empty word and grows by seeded random
-    words.  Success requires the smallest singular value of the assembled
-    span to reach ``params.tau_cert``; the returned certificate is the
-    greedy-pruned minimal subcollection.  On failure the best span reached
-    is reported; this is explicitly not a proof of non-minimality.
+    The word pool starts with the empty word and grows by ``budget`` random
+    words drawn from ``seed``.  Success requires the smallest singular value
+    of the assembled span to reach :data:`TAU_CERT`; the returned certificate
+    is the greedy-pruned minimal subcollection.  On failure the best span
+    reached is reported; this is explicitly not a proof of non-minimality.
     """
-    cfg = cfg or IntegratorConfig(retract=True)
     z = np.asarray(z, dtype=float)
     tangent = tangent_space(m, z)
     dim = tangent.dim
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     pool = [FlowWord.empty()] + random_words(
-        rng, params.budget, len(frame), params.word_length_cap, params.time_range
+        rng, budget, len(frame), WORD_LENGTH_CAP, TIME_RANGE
     )
     kept: list[tuple[FlowWord, np.ndarray, np.ndarray]] = []  # (word, source, cols)
     col_sets: list[np.ndarray] = []  # the same columns in T_zM coordinates
@@ -322,14 +315,14 @@ def global_minimality_certificate(
             continue
         kept.append((word, source, cols))
         col_sets.append(tangent.basis.T @ cols)
-        if _sigma_min(col_sets, dim) >= params.tau_cert:
+        if _sigma_min(col_sets, dim) >= TAU_CERT:
             found = True
             break
 
     local = MinimalityReport()
     if found:
         kept_words = [word for word, _, _ in kept]
-        selected, sigma = _greedy_select(col_sets, kept_words, dim, params.tau_cert)
+        selected, sigma = _greedy_select(col_sets, kept_words, dim, TAU_CERT)
         words = tuple(kept_words[i] for i in selected)
         chosen = np.hstack([col_sets[i] for i in selected])
         all_sv = np.linalg.svd(chosen, compute_uv=False)
@@ -337,8 +330,8 @@ def global_minimality_certificate(
             words=words,
             smallest_singular_value=sigma,
             span_dimension=dim,
-            tau=params.tau_cert,
-            seed=params.seed,
+            tau=TAU_CERT,
+            seed=seed,
             singular_values=tuple(float(s) for s in all_sv),
         )
         local.best_span = _assemble_span(m, z, tangent, [kept[i] for i in selected])
@@ -355,11 +348,11 @@ def verify_certificate(
     frame: Sequence[VectorFieldSpec],
     z: Sequence[float],
     certificate: Certificate,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig,
 ) -> tuple[bool, float]:
     """Re-run the certificate words from scratch; sound if sigma_min >= tau / 2."""
     span = pushforward_span(m, frame, z, list(certificate.words), cfg)
-    dim = tangent_space(m, z).dim
+    dim = m.dim
     sigma = float(span.singular_values[dim - 1]) if span.singular_values.size >= dim else 0.0
     return sigma >= certificate.tau / 2.0, sigma
 
@@ -378,13 +371,12 @@ def reachable_samples(
     frame: Sequence[VectorFieldSpec],
     z: Sequence[float],
     n_words: int,
-    cfg: IntegratorConfig | None = None,
-    seed: int = 0,
-    word_length_cap: int = 4,
-    time_range: float = 0.5,
+    cfg: IntegratorConfig,
+    seed: int,
+    word_length_cap: int = WORD_LENGTH_CAP,
+    time_range: float = TIME_RANGE,
 ) -> SampleCloud:
     """Endpoints of seeded random words from z; failed flows are skipped and counted."""
-    cfg = cfg or IntegratorConfig(retract=True)
     z = np.asarray(z, dtype=float)
     rng = np.random.default_rng(seed)
     words = random_words(rng, n_words, len(frame), word_length_cap, time_range)

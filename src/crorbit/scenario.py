@@ -385,7 +385,9 @@ def load_scenario(spec: str | Path) -> Scenario:
             f"{name!r} is neither a builtin scenario nor an existing file"
         )
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):

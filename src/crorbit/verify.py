@@ -26,6 +26,7 @@ from .connection import (
     xhat_field,
 )
 from .crmanifold import (
+    THETA_SV_MIN,
     AdaptedChart,
     EmbeddedManifold,
     e_fiber,
@@ -40,7 +41,7 @@ from .expr import ScalarExpr, add, const, mul, parse_expr, var
 from .crmanifold import ManifoldError
 from .flow import FlowError, FlowWord, IntegratorConfig, flow
 from .orbit import (
-    OrbitSearchParams,
+    TAU_CERT,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
@@ -62,6 +63,7 @@ N_HAMILTONIAN_CHARTS = 10
 N_LEMMA_PAIRS = 1000
 N_BRACKET_POINTS = 100
 N_CLOUD_WORDS = 80
+N_CERT_BUDGET = 64
 
 # bounds (pinned)
 TOL_TRANSPORT_EXPCHART = 1e-8
@@ -81,7 +83,6 @@ TOL_CHART_TANGENCY = 1e-9
 TOL_BRACKET = 1e-12
 TOL_COMMUTATOR_LOOP = 2e-3
 TOL_ORBIT_INVARIANT = 1e-9
-TAU_CERT = 1e-3
 PCA_SIGNIFICANCE = 1e-6
 
 
@@ -110,24 +111,15 @@ def _random_poly(
     return e
 
 
-def random_chart(
-    rng: np.random.Generator,
-    l: int,
-    m: int,
-    degree: int = 3,
-    n_terms: int = 3,
-    scale: float = 0.25,
-) -> ChartSetup:
+def random_chart(rng: np.random.Generator, l: int, m: int) -> ChartSetup:
     """Random polynomial chart: coefficients of the normal block vanish on x'' = 0."""
     dim = l + m
     coeffs = []
     for j in range(dim):
         if j < l:
-            coeffs.append(_random_poly(rng, dim, degree, n_terms, scale))
+            coeffs.append(_random_poly(rng, dim, 3, 3, 0.25))
         else:
-            coeffs.append(
-                _random_poly(rng, dim, degree - 1, n_terms, scale, (l, dim))
-            )
+            coeffs.append(_random_poly(rng, dim, 2, 3, 0.25, (l, dim)))
     return ChartSetup(l, m, (VectorFieldSpec(tuple(coeffs), dim),))
 
 
@@ -180,8 +172,12 @@ def _expchart() -> tuple[ChartSetup, VectorFieldSpec]:
 
 
 def _canonical_trio():
+    """(manifold, frame, origin, integrator, name) of lewy, flat and tube3."""
     scs = [builtin_scenario(n) for n in ("lewy", "flat", "tube3")]
-    return [(sc.manifold, sc.frames["cr"], sc.points["origin"], sc.name) for sc in scs]
+    return [
+        (sc.manifold, sc.frames["cr"], sc.points["origin"], sc.integrator, sc.name)
+        for sc in scs
+    ]
 
 
 def _quadric_point(name: str, rng: np.random.Generator) -> np.ndarray:
@@ -346,9 +342,8 @@ def _check_flow_group_law(seed: int) -> CheckResult:
 
 def _check_manifold_drift(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    cfg = IntegratorConfig(retract=True)
     worst = 0.0
-    for manifold, frame, origin, _name in _canonical_trio():
+    for manifold, frame, origin, cfg, _name in _canonical_trio():
         for f in frame:
             t = float(rng.uniform(-1.0, 1.0))
             res = flow(f, origin, t, cfg, manifold=manifold)
@@ -675,9 +670,9 @@ def _check_theta_isomorphism(seed: int) -> CheckResult:
             smallest = min(smallest, sv)
     return CheckResult(
         "theta-isomorphism",
-        smallest >= 1e-8,
+        smallest >= THETA_SV_MIN,
         smallest,
-        1e-8,
+        THETA_SV_MIN,
         comparator=">=",
     )
 
@@ -697,7 +692,7 @@ def _check_orbit_dimensions(seed: int) -> list[CheckResult]:
     out = []
     hull_ok, push_ok = True, True
     hull_detail, push_detail = {}, {}
-    for manifold, frame, origin, name in _canonical_trio():
+    for manifold, frame, origin, cfg, name in _canonical_trio():
         expected_dim, expected_minimal = _EXPECTED_ORBIT[name]
         hull = lie_hull(manifold, frame, origin)
         hull_detail[name] = {
@@ -709,7 +704,7 @@ def _check_orbit_dimensions(seed: int) -> list[CheckResult]:
             hull_ok = False
         rng = np.random.default_rng(seed)
         words = [FlowWord.empty()] + random_words(rng, 8, len(frame), 3, 0.4)
-        span = pushforward_span(manifold, frame, origin, words)
+        span = pushforward_span(manifold, frame, origin, words, cfg)
         push_detail[name] = {"dimension": span.dimension}
         if span.dimension != expected_dim:
             push_ok = False
@@ -729,14 +724,16 @@ def _check_certificates(seed: int) -> list[CheckResult]:
         lewy.manifold,
         lewy.frames["cr"],
         lewy.points["origin"],
-        OrbitSearchParams(seed=seed, tau_cert=TAU_CERT),
+        N_CERT_BUDGET,
+        seed,
+        lewy.integrator,
     )
     cert = rep.certificate
     if cert is None:
         out.append(CheckResult("lewy-certificate", False, details={"found": False}))
     else:
         ok, sigma = verify_certificate(
-            lewy.manifold, lewy.frames["cr"], lewy.points["origin"], cert
+            lewy.manifold, lewy.frames["cr"], lewy.points["origin"], cert, lewy.integrator
         )
         passed = (
             len(cert.words) <= 3
@@ -762,7 +759,9 @@ def _check_certificates(seed: int) -> list[CheckResult]:
         flat.manifold,
         flat.frames["cr"],
         flat.points["origin"],
-        OrbitSearchParams(seed=seed, tau_cert=TAU_CERT),
+        N_CERT_BUDGET,
+        seed,
+        flat.integrator,
     )
     passed_flat = (
         repf.certificate is None
@@ -791,7 +790,7 @@ def _check_orbit_invariants(seed: int) -> CheckResult:
     for name, coords in (("flat", (2,)), ("tube3", (4, 5))):
         sc = builtin_scenario(name)
         cloud = reachable_samples(
-            sc.manifold, sc.frames["cr"], sc.points["origin"], 40, seed=seed
+            sc.manifold, sc.frames["cr"], sc.points["origin"], 40, sc.integrator, seed
         )
         dev = max(
             float(abs(p[c] - sc.points["origin"][c])) for p in cloud.points for c in coords
@@ -811,10 +810,10 @@ def _check_cloud_pca(seed: int) -> CheckResult:
     """Tangent-projected PCA of reachable clouds has the orbit dimension."""
     ok = True
     details = {}
-    for manifold, frame, origin, name in _canonical_trio():
+    for manifold, frame, origin, cfg, name in _canonical_trio():
         expected_dim, _ = _EXPECTED_ORBIT[name]
         cloud = reachable_samples(
-            manifold, frame, origin, N_CLOUD_WORDS, seed=seed,
+            manifold, frame, origin, N_CLOUD_WORDS, cfg, seed,
             word_length_cap=3, time_range=0.1,
         )
         tangent = tangent_space(manifold, origin)

@@ -18,7 +18,6 @@ from crorbit.connection import (
 )
 from crorbit.flow import FlowWord, composed_flow, flow
 from crorbit.orbit import (
-    OrbitSearchParams,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
@@ -116,7 +115,9 @@ class TestAcceptance:
             words = [FlowWord.empty()] + random_words(
                 rng, 8, len(sc.frames["cr"]), 3, 0.4
             )
-            span = pushforward_span(sc.manifold, sc.frames["cr"], sc.points["origin"], words)
+            span = pushforward_span(
+                sc.manifold, sc.frames["cr"], sc.points["origin"], words, sc.integrator
+            )
             ok = (
                 hull.dimension == dim
                 and span.dimension == dim
@@ -158,7 +159,9 @@ class TestAcceptance:
             lewy.manifold,
             lewy.frames["cr"],
             lewy.points["origin"],
-            OrbitSearchParams(seed=SEED),
+            64,
+            SEED,
+            lewy.integrator,
         )
         cert = rep.certificate
         cert_ok = (
@@ -168,7 +171,7 @@ class TestAcceptance:
         )
         if cert_ok:
             ok, _sigma = verify_certificate(
-                lewy.manifold, lewy.frames["cr"], lewy.points["origin"], cert
+                lewy.manifold, lewy.frames["cr"], lewy.points["origin"], cert, lewy.integrator
             )
             cert_ok = ok
 
@@ -177,7 +180,9 @@ class TestAcceptance:
             flat.manifold,
             flat.frames["cr"],
             flat.points["origin"],
-            OrbitSearchParams(seed=SEED),
+            64,
+            SEED,
+            flat.integrator,
         )
         flat_ok = (
             repf.certificate is None

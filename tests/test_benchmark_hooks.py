@@ -7,6 +7,7 @@ benchmark run fails at install.  These checks make it a test failure.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,16 @@ def test_every_traced_function_resolves(tracer):
 def test_integrator_entry_point_exists():
     flow_module = importlib.import_module("crorbit.flow")
     assert callable(flow_module._integrate)
+
+
+def test_benchmark_calls_bind(tmp_path):
+    """The calls ``perfbench/child.py`` makes into the CLI layer still bind."""
+    from crorbit.cli import cmd_orbit, cmd_verify
+
+    orbit = inspect.signature(cmd_orbit)
+    orbit.bind("scenario", "origin", 256, 0)
+    orbit.bind("scenario", "0.1,0.2,0.3,0.05", 64, 7, out_dir=tmp_path)
+    inspect.signature(cmd_verify).bind("all", 0)
 
 
 def test_verify_suites_match_tracer(tracer):

@@ -88,7 +88,8 @@ class TestGenericity:
 
     def test_non_finite_point_is_off_manifold(self):
         nan_point = np.array([np.nan, 0.0, 0.0, 0.0])
-        assert not LEWY.on_manifold(nan_point)
+        with pytest.raises(PointNotOnManifoldError):
+            LEWY.require_on_manifold(nan_point)
         with pytest.raises(PointNotOnManifoldError):
             genericity_check(LEWY, nan_point)
 
@@ -205,6 +206,19 @@ class TestLemma21:
         ):
             for _ in range(5):
                 assert lemma21_sample(m, z, rng).passed
+
+    def test_sample_builds_tangent_space_once(self, monkeypatch):
+        import crorbit.crmanifold as crm
+
+        calls = []
+
+        def counted(m, z, real=crm.tangent_space):
+            calls.append(z)
+            return real(m, z)
+
+        monkeypatch.setattr(crm, "tangent_space", counted)
+        assert lemma21_sample(LEWY, lewy_point(0.3, -0.2, 0.5), np.random.default_rng(2)).passed
+        assert len(calls) == 1
 
 
 FLAT_CHART = AdaptedChart(

@@ -6,7 +6,6 @@ import pytest
 from crorbit.crmanifold import complex_tangent_space, tangent_space
 from crorbit.flow import FlowWord
 from crorbit.orbit import (
-    OrbitSearchParams,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
@@ -23,6 +22,7 @@ TUBE3_SC = builtin_scenario("tube3")
 LEWY, LEWY_FRAME = LEWY_SC.manifold, LEWY_SC.frames["cr"]
 FLAT, FLAT_FRAME = FLAT_SC.manifold, FLAT_SC.frames["cr"]
 TUBE3, TUBE3_FRAME = TUBE3_SC.manifold, TUBE3_SC.frames["cr"]
+CFG = LEWY_SC.integrator  # the three builtins share one integrator block
 
 
 def lewy_point(rng):
@@ -61,7 +61,7 @@ class TestLieHull:
             hull = lie_hull(LEWY, LEWY_FRAME, z)
             tc = complex_tangent_space(LEWY, z)
             for k in range(tc.dim):
-                assert hull.basis.contains(tc.basis[:, k], tol=1e-9)
+                assert hull.basis.residual(tc.basis[:, k]) <= 1e-9
 
 
 class TestIsMinimal:
@@ -79,21 +79,21 @@ class TestIsMinimal:
 
 class TestPushforwardSpan:
     def test_empty_word_gives_complex_tangent(self):
-        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), [FlowWord.empty()])
+        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), [FlowWord.empty()], CFG)
         assert span.dimension == 2
         tc = complex_tangent_space(LEWY, np.zeros(4))
         for k in range(2):
-            assert span.span.contains(tc.basis[:, k], tol=1e-9)
+            assert span.span.residual(tc.basis[:, k]) <= 1e-9
 
     def test_lewy_one_word_fills_tangent(self):
         words = [FlowWord.empty(), FlowWord.of((1, 0.5))]
-        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), words)
+        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), words, CFG)
         assert span.dimension == 3
         assert span.max_tangent_residual <= 1e-8
 
     def test_flat_stays_two_dimensional(self):
         words = [FlowWord.empty(), FlowWord.of((1, 0.4), (2, -0.6))]
-        span = pushforward_span(FLAT, FLAT_FRAME, np.zeros(4), words)
+        span = pushforward_span(FLAT, FLAT_FRAME, np.zeros(4), words, CFG)
         assert span.dimension == 2
 
     def test_sussmann_consistency_at_random_points(self):
@@ -118,56 +118,53 @@ class TestPushforwardSpan:
                 z = random_base(name)
                 hull_dim = lie_hull(manifold, frame, z).dimension
                 words = [FlowWord.empty()] + random_words(rng, 5, len(frame), 3, 0.3)
-                span = pushforward_span(manifold, frame, z, words)
+                span = pushforward_span(manifold, frame, z, words, CFG)
                 assert span.dimension == hull_dim, (name, z)
 
 
 class TestCertificates:
     def test_lewy_certificate_found_and_verified(self):
         rep = global_minimality_certificate(
-            LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=7)
+            LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG
         )
         cert = rep.certificate
         assert cert is not None
         assert len(cert.words) <= 3
         assert cert.smallest_singular_value >= 1e-3
-        ok, sigma = verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), cert)
+        ok, sigma = verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), cert, CFG)
         assert ok and sigma >= cert.tau / 2
 
     def test_certificate_reverification_is_tight(self):
         rep = global_minimality_certificate(
-            LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=3)
+            LEWY, LEWY_FRAME, np.zeros(4), 64, 3, CFG
         )
-        _, sigma = verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), rep.certificate)
+        _, sigma = verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), rep.certificate, CFG)
         assert abs(sigma - rep.certificate.smallest_singular_value) <= 1e-9
 
     def test_flat_budget_exhausted(self):
         rep = global_minimality_certificate(
-            FLAT, FLAT_FRAME, np.zeros(4), OrbitSearchParams(seed=7, budget=16)
+            FLAT, FLAT_FRAME, np.zeros(4), 16, 7, CFG
         )
         assert rep.certificate is None
         assert rep.budget_exhausted
         assert rep.best_span.dimension == 2
 
     @pytest.mark.parametrize(
-        "manifold, frame, params",
-        [
-            (FLAT, FLAT_FRAME, OrbitSearchParams(seed=7, budget=16)),
-            (LEWY, LEWY_FRAME, OrbitSearchParams(seed=7)),
-        ],
+        "manifold, frame, budget",
+        [(FLAT, FLAT_FRAME, 16), (LEWY, LEWY_FRAME, 64)],
         ids=["flat-exhausted", "lewy-certificate"],
     )
-    def test_best_span_equals_fresh_pushforward(self, manifold, frame, params):
+    def test_best_span_equals_fresh_pushforward(self, manifold, frame, budget):
         """The best span reuses the search's flows: re-running its words changes nothing."""
         z = np.zeros(4)
-        rep = global_minimality_certificate(manifold, frame, z, params)
+        rep = global_minimality_certificate(manifold, frame, z, budget, 7, CFG)
         best = rep.best_span
         words = [word for word, _ in best.contributions]
         if rep.certificate is not None:
             assert tuple(words) == rep.certificate.words
         else:
-            assert len(words) == params.budget + 1
-        fresh = pushforward_span(manifold, frame, z, words)
+            assert len(words) == budget + 1
+        fresh = pushforward_span(manifold, frame, z, words, CFG)
         assert [word for word, _ in fresh.contributions] == words
         for (_, source), (_, fresh_source) in zip(best.contributions, fresh.contributions):
             assert np.array_equal(source, fresh_source)
@@ -185,44 +182,44 @@ class TestCertificates:
 
         monkeypatch.setattr(orbit, "lie_hull", no_hull)
         rep = global_minimality_certificate(
-            LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=7)
+            LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG
         )
         assert rep.certificate is not None
 
     def test_seeded_determinism(self):
         a = global_minimality_certificate(
-            LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=123)
+            LEWY, LEWY_FRAME, np.zeros(4), 64, 123, CFG
         )
         b = global_minimality_certificate(
-            LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=123)
+            LEWY, LEWY_FRAME, np.zeros(4), 64, 123, CFG
         )
         assert a.certificate.to_dict() == b.certificate.to_dict()
 
     def test_certificate_json_round_trip(self):
         rep = global_minimality_certificate(
-            LEWY, LEWY_FRAME, np.zeros(4), OrbitSearchParams(seed=7)
+            LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG
         )
         d = rep.certificate.to_dict()
         words = [FlowWord(tuple((i, t) for i, t in w)) for w in d["words"]]
-        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), words)
+        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), words, CFG)
         assert span.singular_values[2] >= d["tau"] / 2
 
 
 class TestReachableSamples:
     def test_flat_orbit_invariant(self):
-        cloud = reachable_samples(FLAT, FLAT_FRAME, np.zeros(4), 30, seed=3)
+        cloud = reachable_samples(FLAT, FLAT_FRAME, np.zeros(4), 30, CFG, 3)
         assert cloud.failures == 0
         assert max(abs(p[2]) for p in cloud.points) <= 1e-9
         assert max(cloud.drifts) <= 1e-9
 
     def test_tube3_conserved_coordinates(self):
-        cloud = reachable_samples(TUBE3, TUBE3_FRAME, np.zeros(6), 30, seed=3)
+        cloud = reachable_samples(TUBE3, TUBE3_FRAME, np.zeros(6), 30, CFG, 3)
         worst = max(max(abs(p[4]), abs(p[5])) for p in cloud.points)
         assert worst <= 1e-9
 
     def test_lewy_cloud_is_three_dimensional_in_tangent_chart(self):
         cloud = reachable_samples(
-            LEWY, LEWY_FRAME, np.zeros(4), 80, seed=5, word_length_cap=3, time_range=0.1
+            LEWY, LEWY_FRAME, np.zeros(4), 80, CFG, 5, word_length_cap=3, time_range=0.1
         )
         tangent = tangent_space(LEWY, np.zeros(4))
         pts = np.array([tangent.basis.T @ p for p in cloud.points])
@@ -230,7 +227,7 @@ class TestReachableSamples:
         assert int(np.sum(sv > 1e-6 * sv[0])) == 3
 
     def test_cloud_csv(self, tmp_path):
-        cloud = reachable_samples(FLAT, FLAT_FRAME, np.zeros(4), 10, seed=1)
+        cloud = reachable_samples(FLAT, FLAT_FRAME, np.zeros(4), 10, CFG, 1)
         path = tmp_path / "cloud.csv"
         write_cloud_csv(str(path), cloud)
         lines = path.read_text().strip().splitlines()
@@ -248,7 +245,7 @@ class TestReachableSamples:
             VectorFieldSpec.parse(["0", "1", "0", "0"], 4, ["x", "y", "u", "v"]),
         ]
         cloud = reachable_samples(
-            manifold, frame, np.zeros(4), 40, seed=2, word_length_cap=4, time_range=0.9
+            manifold, frame, np.zeros(4), 40, CFG, 2, word_length_cap=4, time_range=0.9
         )
         assert cloud.failures > 0
         assert len(cloud.points) + cloud.failures == 40

@@ -144,6 +144,34 @@ class TestCommands:
         assert detail["budget_exhausted"] is True
         assert detail["best_span_dimension"] == 2
 
+    def test_orbit_flows_use_scenario_integrator(self, tmp_path, monkeypatch):
+        import crorbit.orbit as orbit
+
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        raw["integrator"] = {"retract": True, "rtol": 1e-8}
+        path = tmp_path / "lewy_rtol.json"
+        path.write_text(json.dumps(raw))
+        scenario = load_scenario(path)
+        seen = []
+
+        def recorder(frame, word, x0, cfg, *args, real=orbit.composed_flow, **kwargs):
+            seen.append(cfg)
+            return real(frame, word, x0, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(orbit, "composed_flow", recorder)
+        cmd_orbit(scenario, "origin", budget=8, seed=1)
+        assert seen and all(cfg == scenario.integrator for cfg in seen)
+
+    def test_orbit_without_integrator_block_matches_builtin(self, tmp_path):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        del raw["integrator"]  # retract defaults to true
+        path = tmp_path / "lewy_default.json"
+        path.write_text(json.dumps(raw))
+        a = cmd_orbit(load_scenario(path), "origin", budget=8, seed=1)
+        b = cmd_orbit(builtin_scenario("lewy"), "origin", budget=8, seed=1)
+        assert a.scenario_digest != b.scenario_digest
+        assert [r.to_dict() for r in a.results] == [r.to_dict() for r in b.results]
+
 
 class TestExitCodes:
     def test_analyze_success(self, capsys):
@@ -217,6 +245,29 @@ class TestExitCodes:
         code = main(["analyze", "--scenario", str(path), "--point", "origin"])
         assert code == 2
         assert "schema" in capsys.readouterr().err
+
+    def test_scenario_directory_exit_2(self, tmp_path, capsys):
+        code = main(["analyze", "--scenario", str(tmp_path), "--point", "origin"])
+        assert code == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_scenario_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_out_is_existing_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(sys.modules["crorbit.cli"], "cmd_analyze", no_work)
+        path = tmp_path / "taken"
+        path.write_text("")
+        code = main(["analyze", "--scenario", "lewy", "--point", "origin", "--out", str(path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nonsense.json"
