@@ -38,14 +38,15 @@ from .crmanifold import (
 from .expr import ExprError
 from .flow import FlowError, FlowWord
 from .orbit import (
+    SPAN_WORDS,
     TAU_CERT,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
     reachable_samples,
+    span_words,
     verify_certificate,
     write_cloud_csv,
-    random_words,
 )
 from .report import CheckResult, Report
 from .scenario import Scenario, ScenarioError, _finite_coordinates, load_scenario
@@ -366,8 +367,7 @@ def cmd_orbit(
             )
         )
 
-    rng = np.random.default_rng(seed)
-    words = [FlowWord.empty()] + random_words(rng, min(budget, 8), len(frame), 3, 0.4)
+    words = span_words(len(frame), seed, min(budget, SPAN_WORDS))
     span = pushforward_span(m, frame, pt, words, cfg)
     report.results.append(
         CheckResult(

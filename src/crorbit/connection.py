@@ -17,7 +17,6 @@ of the symbol and against the connection axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from .expr import (
     ScalarExpr,
     Var,
     add,
-    compile_values_and_jacobian,
     eval_jet,
     mul,
     substitute,
@@ -125,26 +123,11 @@ class ChartReport:
         return self.passed
 
 
-@lru_cache(maxsize=512)
-def _restricted_jet_fn(field: VectorFieldSpec, l: int, m: int) -> Callable:
-    """Compiled evaluator of all coefficients at (x', 0) with d/dx'' partials.
-
-    Returns f(s) -> (values, rows) where s is any state vector whose first l
-    entries are x', values[j] = a_j(x', 0) and rows[j][k] = da_j/dx_{l+k}(x', 0).
-    """
-    n = l + m
-    refs = [f"x[{i}]" for i in range(l)] + ["0.0"] * m
-    return compile_values_and_jacobian(
-        field.coefficients, n, var_refs=refs, deriv_vars=range(l, n)
-    )
-
-
 def _restricted(field: VectorFieldSpec, c: ChartSetup, xp: Sequence[float]):
     """(a(x',0), B) with B[j,k] = da_{l+j}/dx_{l+k}(x',0), the normal block."""
-    vals, rows = _restricted_jet_fn(field, c.l, c.m)(np.asarray(xp, dtype=float))
-    a = np.array(vals, dtype=float)
-    b = np.array(rows, dtype=float)[c.l:, :] if c.m else np.zeros((0, 0))
-    return a, b
+    x = np.concatenate((np.asarray(xp, dtype=float), np.zeros(c.m)))
+    a, jac = field.values_and_jacobian(x)
+    return a, jac[c.l:, c.l:]
 
 
 def validate_chart(
@@ -238,12 +221,14 @@ def _transport_ode(
 ):
     """Shared base/fiber ODE for horizontal (sign=+1) and dual (sign=-1, transposed) transport."""
     _require_valid(c, X, x0p)
-    jet_fn = _restricted_jet_fn(X, c.l, c.m)
+    jet_fn = X._jet_fn
     l, m = c.l, c.m
+    x = np.zeros(l + m)  # (x', 0): the base point on N
 
     def rhs(_t, y):
-        vals, rows = jet_fn(y)
-        b = np.array(rows, dtype=float)[l:, :]
+        x[:l] = y[:l]
+        vals, rows = jet_fn(x)
+        b = np.array(rows, dtype=float)[l:, l:]
         out = np.empty(l + m)
         out[:l] = vals[:l]
         out[l:] = sign * ((b.T if transpose else b) @ y[l:])
@@ -340,19 +325,21 @@ def curve_transport(
     """
     if not experimental:
         raise ValueError("curve_transport is experimental; pass experimental=True")
-    jets = [_restricted_jet_fn(f, c.l, c.m) for f in c.frame]
+    jets = [f._jet_fn for f in c.frame]
     l, m = c.l, c.m
+    x = np.zeros(l + m)  # (x', 0): the base point on N
 
     def rhs(tt, y):
         w = np.asarray(weights(tt), dtype=float)
+        x[:l] = y[:l]
         out = np.zeros(l + m)
         for wi, jet_fn in zip(w, jets):
             if wi == 0.0:
                 continue
-            vals, rows = jet_fn(y)
+            vals, rows = jet_fn(x)
             out[:l] += wi * np.array(vals[:l])
             if m:
-                out[l:] += wi * (np.array(rows, dtype=float)[l:, :] @ y[l:])
+                out[l:] += wi * (np.array(rows, dtype=float)[l:, l:] @ y[l:])
         return out
 
     y0 = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(eta0, dtype=float)))

@@ -165,7 +165,7 @@ class EmbeddedManifold:
 
     @cached_property
     def _rho_values_fn(self) -> Callable:
-        return compile_values(self.rho, 2 * self.n)
+        return compile_values(self.rho)
 
     @cached_property
     def _rho_jet_fn(self) -> Callable:
@@ -270,6 +270,11 @@ def cr_frame(
 def conormal_fiber(m: EmbeddedManifold, z: Sequence[float]) -> list[HolomorphicForm]:
     """Basis i * d rho_k of the holomorphic forms with Im<omega, TM> = 0."""
     _require_generic(m, z)
+    return _conormal_forms(m, z)
+
+
+def _conormal_forms(m: EmbeddedManifold, z: Sequence[float]) -> list[HolomorphicForm]:
+    """:func:`conormal_fiber` at a point already checked to be generic."""
     c = m.complex_differentials(z)
     return [HolomorphicForm(1j * c[k]) for k in range(m.d)]
 
@@ -325,10 +330,10 @@ def lemma21_sample(
     from U[-1, 1]; the vector then gets U[-1, 1] coefficients on the
     orthonormal tangent basis.
     """
-    forms = conormal_fiber(m, z)
+    tangent = tangent_space(m, z)  # checks genericity once for both draws
+    forms = _conormal_forms(m, z)
     weights = rng.uniform(-1.0, 1.0, len(forms))
     omega = HolomorphicForm(sum(w * f.zeta for w, f in zip(weights, forms)))
-    tangent = tangent_space(m, z)
     x_vec = tangent.basis @ rng.uniform(-1.0, 1.0, tangent.dim)
     return _lemma21(tangent, omega, x_vec)
 
@@ -338,7 +343,7 @@ def theta_isomorphism_check(
 ) -> tuple[bool, float]:
     """Restriction of the conormal basis to TM stays independent (smallest s.v.)."""
     tangent = tangent_space(m, z)
-    forms = conormal_fiber(m, z)
+    forms = _conormal_forms(m, z)
     rows = np.array([theta_covector(w) @ tangent.basis for w in forms])
     sv = np.linalg.svd(rows, compute_uv=False)
     smallest = float(sv[-1]) if sv.size else 0.0

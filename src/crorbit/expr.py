@@ -6,13 +6,19 @@ defining functions, vector-field coefficients and scalar multipliers, and
 support three evaluation paths:
 
 * ``eval_jet`` -- interpreted forward-mode evaluation carrying value and
-  (optionally) gradient through every node.
+  (optionally) gradient through every node; the pointwise reference that
+  the compiled kernels are tested against.
 * ``differentiate`` -- symbolic partial derivatives, closing the tree
   grammar under differentiation (used to build bracket fields).
-* ``JetCompiler`` -- generates straight-line Python source for value plus
-  directional-derivative evaluation, used by the ODE right-hand sides where
-  interpreted evaluation would dominate the runtime.
+* ``JetCompiler`` -- generates straight-line Python source for the values
+  and all coordinate partials of a tuple of expressions, used by the ODE
+  right-hand sides where interpreted evaluation would dominate the runtime.
+  One tuple (a field's coefficients, a manifold's defining functions) gets
+  one compiled kernel; restricted quantities, such as the normal block on
+  x'' = 0, are slices of that kernel's output at the restricted point.
 
+Literals must be finite: the parser rejects a number that is not, and a
+constant subexpression whose fold overflows raises ``ExprDomainError``.
 All derivative values come from forward-mode rules, never finite
 differences; the test suite keeps a finite-difference oracle.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,9 +159,24 @@ def _is_const(e: ScalarExpr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def _fold(node: ScalarExpr) -> Const:
+    """The all-constant ``node`` as one constant.
+
+    A fold that overflows or is not finite raises :class:`ExprDomainError`
+    naming the subexpression, instead of leaving an infinity in the tree.
+    """
+    try:
+        value = _jet_rec(node, np.empty(0), 0)[0]  # reads no coordinate
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ExprDomainError(f"constant subexpression {to_text(node)} is not finite")
+    return Const(value)
+
+
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
+        return _fold(Add(a, b))
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -165,7 +186,7 @@ def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 def sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
+        return _fold(Sub(a, b))
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -175,7 +196,7 @@ def sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
+        return _fold(Mul(a, b))
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -195,7 +216,7 @@ def div(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if _is_const(b, 1.0):
         return a
     if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return Const(a.value / b.value)
+        return _fold(Div(a, b))
     return Div(a, b)
 
 
@@ -213,17 +234,15 @@ def powi(a: ScalarExpr, n: int) -> ScalarExpr:
     if n == 1:
         return a
     if _is_const(a) and not (a.value == 0.0 and n < 0):
-        return Const(a.value**n)
+        return _fold(Pow(a, n))
     return Pow(a, n)
 
 
 def call(func: str, a: ScalarExpr) -> ScalarExpr:
     if func not in FUNCTIONS:
         raise ValueError(f"unknown function {func!r}")
-    if _is_const(a):
-        v = a.value
-        if func != "log" or v > 0.0:
-            return Const(getattr(math, func)(v))
+    if _is_const(a) and (func != "log" or a.value > 0.0):
+        return _fold(Call(func, a))
     return Call(func, a)
 
 
@@ -263,9 +282,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                     j = k
             lit = text[i:j]
             try:
-                float(lit)
+                value = float(lit)
             except ValueError:
                 raise ExprSyntaxError(f"bad number literal {lit!r}", i) from None
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number literal {lit!r} is not finite", i)
             tokens.append(("num", lit, i))
             i = j
             continue
@@ -630,32 +651,32 @@ def eval_value(e: ScalarExpr, x: Sequence[float]) -> float:
 # compiled forward-mode evaluation
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+Ref = float | str  # a literal, or the code of a value (a name or an expression)
 
 
-def _lit(ref: str) -> float | None:
-    try:
-        return float(ref)
-    except ValueError:
-        return None
+def _finite(value: float) -> float:
+    """A literal folded at generation time; one that is not finite is an overflow."""
+    if not math.isfinite(value):
+        raise OverflowError
+    return value
 
 
 class JetCompiler:
-    """Emit straight-line Python for values and directional derivatives.
+    """Emit straight-line Python for values and coordinate partial derivatives.
 
     Every distinct subtree is emitted once (structural memoization), and
     tangent terms that are statically zero or one are folded away at
     generation time, so the emitted code does exactly the arithmetic the
-    chain and product rules require.  Variables may be bound to state-array
-    slots or to literal constants (used to pin the normal block x'' = 0).
+    chain and product rules require.  Variable ``k`` reads ``x[k]``; its
+    tangents are the first ``tangents`` coordinate axes (none when only
+    values are compiled).  A reference is a ``float`` literal or a ``str``
+    of code; a literal value always has literal zero tangents.
     """
 
-    def __init__(self, var_refs: Sequence[str], directions: Sequence[Sequence[float]]):
-        self.var_refs = list(var_refs)
-        self.directions = [list(d) for d in directions]
+    def __init__(self, tangents: int):
+        self.tangents = tangents
         self.lines: list[str] = []
-        self._memo: dict[ScalarExpr, tuple[str, tuple[str, ...]]] = {}
+        self._memo: dict[ScalarExpr, tuple[Ref, tuple[Ref, ...]]] = {}
         self._count = 0
 
     # -- low-level emission helpers -------------------------------------
@@ -666,75 +687,83 @@ class JetCompiler:
         self.lines.append(f"{name} = {code}")
         return name
 
-    def _bind(self, code: str) -> str:
+    def _bind(self, code: Ref) -> Ref:
         """Bind composite code to a temp; pass through bare names/literals."""
-        if code.isidentifier() or _lit(code) is not None:
+        if isinstance(code, float) or code.isidentifier():
             return code
         return self._tmp(code)
 
-    def _add(self, a: str, b: str) -> str:
-        la, lb = _lit(a), _lit(b)
-        if la is not None and lb is not None:
-            return _fmt(la + lb)
-        if la == 0.0:
+    def _add(self, a: Ref, b: Ref) -> Ref:
+        if isinstance(a, float) and isinstance(b, float):
+            return _finite(a + b)
+        if a == 0.0:
             return b
-        if lb == 0.0:
+        if b == 0.0:
             return a
         return f"({a} + {b})"
 
-    def _sub(self, a: str, b: str) -> str:
-        la, lb = _lit(a), _lit(b)
-        if la is not None and lb is not None:
-            return _fmt(la - lb)
-        if lb == 0.0:
+    def _sub(self, a: Ref, b: Ref) -> Ref:
+        if isinstance(a, float) and isinstance(b, float):
+            return _finite(a - b)
+        if b == 0.0:
             return a
-        if la == 0.0:
+        if a == 0.0:
             return self._neg(b)
         return f"({a} - {b})"
 
-    def _mul(self, a: str, b: str) -> str:
-        la, lb = _lit(a), _lit(b)
-        if la is not None and lb is not None:
-            return _fmt(la * lb)
-        if la == 0.0 or lb == 0.0:
-            return "0.0"
-        if la == 1.0:
+    def _mul(self, a: Ref, b: Ref) -> Ref:
+        if isinstance(a, float) and isinstance(b, float):
+            return _finite(a * b)
+        if a == 0.0 or b == 0.0:
+            return 0.0
+        if a == 1.0:
             return b
-        if lb == 1.0:
+        if b == 1.0:
             return a
-        if la == -1.0:
+        if a == -1.0:
             return self._neg(b)
-        if lb == -1.0:
+        if b == -1.0:
             return self._neg(a)
         return f"{a}*{b}"
 
-    def _neg(self, a: str) -> str:
-        la = _lit(a)
-        if la is not None:
-            return _fmt(-la)
+    def _neg(self, a: Ref) -> Ref:
+        if isinstance(a, float):
+            return -a
         return f"(-{a})"
 
     # -- node emission ----------------------------------------------------
 
-    def emit(self, e: ScalarExpr) -> tuple[str, tuple[str, ...]]:
-        """Return (value_ref, tangent_refs) for node ``e``."""
+    def emit(self, e: ScalarExpr) -> tuple[Ref, tuple[Ref, ...]]:
+        """Return (value_ref, tangent_refs) for node ``e``.
+
+        Raises :class:`ExprDomainError` naming the subexpression whose
+        generation-time fold overflows or is not finite.
+        """
         hit = self._memo.get(e)
         if hit is not None:
             return hit
-        ndir = len(self.directions)
+        try:
+            out = self._emit(e)
+        except OverflowError:  # a literal fold of this node, not of a child
+            raise ExprDomainError(
+                f"constant subexpression {to_text(e)} is not finite"
+            ) from None
+        self._memo[e] = out
+        return out
 
+    def _emit(self, e: ScalarExpr) -> tuple[Ref, tuple[Ref, ...]]:
         if isinstance(e, Const):
-            out = (_fmt(e.value), tuple("0.0" for _ in range(ndir)))
-        elif isinstance(e, Var):
-            tangents = tuple(_fmt(d[e.index]) for d in self.directions)
-            out = (self.var_refs[e.index], tangents)
-        elif isinstance(e, (Add, Sub)):
+            return (float(e.value), (0.0,) * self.tangents)
+        if isinstance(e, Var):
+            axes = tuple(1.0 if k == e.index else 0.0 for k in range(self.tangents))
+            return (f"x[{e.index}]", axes)
+        if isinstance(e, (Add, Sub)):
             va, da = self.emit(e.left)
             vb, db = self.emit(e.right)
             op = self._add if isinstance(e, Add) else self._sub
             v = self._bind(op(va, vb))
-            out = (v, tuple(self._bind(op(x, y)) for x, y in zip(da, db)))
-        elif isinstance(e, Mul):
+            return (v, tuple(self._bind(op(x, y)) for x, y in zip(da, db)))
+        if isinstance(e, Mul):
             va, da = self.emit(e.left)
             vb, db = self.emit(e.right)
             v = self._bind(self._mul(va, vb))
@@ -742,8 +771,8 @@ class JetCompiler:
                 self._bind(self._add(self._mul(va, y), self._mul(vb, x)))
                 for x, y in zip(da, db)
             )
-            out = (v, tangents)
-        elif isinstance(e, Div):
+            return (v, tangents)
+        if isinstance(e, Div):
             va, da = self.emit(e.left)
             vb, db = self.emit(e.right)
             r = self._bind(f"1.0/{vb}")
@@ -752,57 +781,43 @@ class JetCompiler:
                 self._bind(self._mul(self._sub(x, self._mul(v, y)), r))
                 for x, y in zip(da, db)
             )
-            out = (v, tangents)
-        elif isinstance(e, Pow):
+            return (v, tangents)
+        if isinstance(e, Pow):
             va, da = self.emit(e.base)
             n = e.exponent
-            lv = _lit(va)
-            if lv is not None and not (lv == 0.0 and n < 0):
-                v = _fmt(lv**n)
+            if isinstance(va, float) and not (va == 0.0 and n < 0):
+                v = _finite(va**n)
             else:
                 v = self._bind(f"{va}**{n}")
-            if all(_lit(x) == 0.0 for x in da):
-                tangents = tuple("0.0" for _ in da)
-            else:
-                if lv is not None and not (lv == 0.0 and n < 2):
-                    dfac = _fmt(n * lv ** (n - 1))
-                elif n == 2:
-                    dfac = self._bind(self._mul("2.0", va))
-                else:
-                    dfac = self._bind(f"{_fmt(n)}*{va}**{n - 1}")
-                tangents = tuple(self._bind(self._mul(dfac, x)) for x in da)
-            out = (v, tangents)
-        elif isinstance(e, Neg):
+            if all(x == 0.0 for x in da):  # always so for a literal base
+                return (v, (0.0,) * len(da))
+            dfac = self._bind(self._mul(2.0, va) if n == 2 else f"{float(n)}*{va}**{n - 1}")
+            return (v, tuple(self._bind(self._mul(dfac, x)) for x in da))
+        if isinstance(e, Neg):
             va, da = self.emit(e.operand)
-            out = (
-                self._bind(self._neg(va)),
-                tuple(self._bind(self._neg(x)) for x in da),
-            )
-        elif isinstance(e, Call):
+            return (self._bind(self._neg(va)), tuple(self._bind(self._neg(x)) for x in da))
+        if isinstance(e, Call):
             va, da = self.emit(e.arg)
-            lv = _lit(va)
-            if lv is not None and (e.func != "log" or lv > 0.0):
-                v = _fmt(getattr(math, e.func)(lv))
+            if isinstance(va, float) and (e.func != "log" or va > 0.0):
+                v = _finite(getattr(math, e.func)(va))
             else:
                 v = self._bind(f"math.{e.func}({va})")
-            if all(_lit(x) == 0.0 for x in da):
-                tangents = tuple("0.0" for _ in da)
-            else:
-                if e.func == "sin":
-                    dfac = _fmt(math.cos(lv)) if lv is not None else self._bind(f"math.cos({va})")
-                elif e.func == "cos":
-                    dfac = _fmt(-math.sin(lv)) if lv is not None else self._bind(self._neg(f"math.sin({va})"))
-                elif e.func == "exp":
-                    dfac = v
-                else:  # log
-                    dfac = _fmt(1.0 / lv) if lv is not None else self._bind(f"1.0/{va}")
-                tangents = tuple(self._bind(self._mul(dfac, x)) for x in da)
-            out = (v, tangents)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
+            if all(x == 0.0 for x in da):  # always so for a literal argument
+                return (v, (0.0,) * len(da))
+            if e.func == "sin":
+                dfac = self._bind(f"math.cos({va})")
+            elif e.func == "cos":
+                dfac = self._bind(self._neg(f"math.sin({va})"))
+            elif e.func == "exp":
+                dfac = v
+            else:  # log
+                dfac = self._bind(f"1.0/{va}")
+            return (v, tuple(self._bind(self._mul(dfac, x)) for x in da))
+        raise TypeError(f"not an expression node: {e!r}")
 
-        self._memo[e] = out
-        return out
+
+def _tuple(refs: Sequence) -> str:
+    return "(" + ", ".join(map(str, refs)) + ("," if len(refs) == 1 else "") + ")"
 
 
 def _compile_source(name: str, body: list[str], result: str) -> Callable:
@@ -812,50 +827,22 @@ def _compile_source(name: str, body: list[str], result: str) -> Callable:
     src += f"    return {result}\n"
     namespace: dict = {"math": math}
     exec(compile(src, f"<crorbit:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    fn.__generated_source__ = src
-    return fn
+    return namespace[name]
 
 
-def coordinate_directions(dim: int, which: Iterable[int] | None = None) -> list[list[float]]:
-    idx = range(dim) if which is None else which
-    out = []
-    for k in idx:
-        d = [0.0] * dim
-        d[k] = 1.0
-        out.append(d)
-    return out
-
-
-def compile_values(
-    exprs: Sequence[ScalarExpr], dim: int
-) -> Callable[[Sequence[float]], tuple[float, ...]]:
+def compile_values(exprs: Sequence[ScalarExpr]) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Compile ``x -> (e_1(x), ..., e_k(x))`` into a single function."""
-    comp = JetCompiler([f"x[{i}]" for i in range(dim)], [])
+    comp = JetCompiler(0)
     vals = [comp.emit(e)[0] for e in exprs]
-    result = "(" + ", ".join(vals) + ("," if len(vals) == 1 else "") + ")"
-    return _compile_source("field_values", comp.lines, result)
+    return _compile_source("field_values", comp.lines, _tuple(vals))
 
 
-def compile_values_and_jacobian(
-    exprs: Sequence[ScalarExpr],
-    dim: int,
-    var_refs: Sequence[str] | None = None,
-    deriv_vars: Sequence[int] | None = None,
-) -> Callable:
-    """Compile ``x -> (values, rows)`` where ``rows[i][j] = d e_i / d x_{deriv_vars[j]}``.
-
-    ``var_refs`` may pin selected coordinates to literals (e.g. "0.0"),
-    which prunes the generated code for restricted evaluations on x'' = 0.
-    """
-    refs = list(var_refs) if var_refs is not None else [f"x[{i}]" for i in range(dim)]
-    dirs = coordinate_directions(dim, deriv_vars)
-    comp = JetCompiler(refs, dirs)
+def compile_values_and_jacobian(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
+    """Compile ``x -> (values, rows)`` where ``rows[i][k] = d e_i / d x_k``, k < ``dim``."""
+    comp = JetCompiler(dim)
     vals, rows = [], []
     for e in exprs:
         v, tangents = comp.emit(e)
         vals.append(v)
-        rows.append("(" + ", ".join(tangents) + ("," if len(tangents) == 1 else "") + ")")
-    values = "(" + ", ".join(vals) + ("," if len(vals) == 1 else "") + ")"
-    jac = "(" + ", ".join(rows) + ("," if len(rows) == 1 else "") + ")"
-    return _compile_source("field_jet", comp.lines, f"({values}, {jac})")
+        rows.append(_tuple(tangents))
+    return _compile_source("field_jet", comp.lines, f"({_tuple(vals)}, {_tuple(rows)})")

@@ -34,6 +34,7 @@ __all__ = [
     "verify_certificate",
     "reachable_samples",
     "random_words",
+    "span_words",
     "write_cloud_csv",
 ]
 
@@ -42,6 +43,8 @@ WORD_LENGTH_CAP = 4
 TIME_RANGE = 0.5
 # smallest singular value a certificate's span must reach
 TAU_CERT = 1e-3
+# orbit-dimension word sample: the empty word plus up to SPAN_WORDS short words
+SPAN_WORDS = 8
 
 FRAME_SUBFAMILY_NOTE = (
     "orbit evidence is generated from composed flows of the supplied frame; "
@@ -234,6 +237,16 @@ def random_words(
         )
         words.append(FlowWord(steps))
     return words
+
+
+def span_words(frame_size: int, seed: int, count: int = SPAN_WORDS) -> list[FlowWord]:
+    """The orbit-dimension word sample: the empty word and ``count`` seeded words.
+
+    Lengths are at most 3 and times lie in [-0.4, 0.4]; :func:`pushforward_span`
+    over these words estimates the orbit dimension at the base point.
+    """
+    rng = np.random.default_rng(seed)
+    return [FlowWord.empty()] + random_words(rng, count, frame_size, 3, 0.4)
 
 
 def _sigma_min(coord_cols: list[np.ndarray], dim: int) -> float:

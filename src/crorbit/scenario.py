@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import jsonschema
@@ -366,7 +367,13 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 }
 
 
+@cache
 def builtin_scenario(name: str) -> Scenario:
+    """The named builtin, resolved once and shared by every caller.
+
+    A resolved scenario is never mutated, so sharing it also shares each
+    field's compiled kernels.
+    """
     if name not in BUILTIN_SCENARIOS:
         raise ScenarioError(
             f"unknown builtin scenario {name!r}; available: {sorted(BUILTIN_SCENARIOS)}"

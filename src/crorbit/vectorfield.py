@@ -54,7 +54,7 @@ class VectorFieldSpec:
 
     @cached_property
     def _values_fn(self):
-        return compile_values(self.coefficients, self.dim)
+        return compile_values(self.coefficients)
 
     @cached_property
     def _jet_fn(self):

@@ -45,8 +45,8 @@ from .orbit import (
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
-    random_words,
     reachable_samples,
+    span_words,
     verify_certificate,
 )
 from .report import CheckResult
@@ -702,9 +702,7 @@ def _check_orbit_dimensions(seed: int) -> list[CheckResult]:
         }
         if hull.dimension != expected_dim or (hull.dimension == manifold.dim) != expected_minimal:
             hull_ok = False
-        rng = np.random.default_rng(seed)
-        words = [FlowWord.empty()] + random_words(rng, 8, len(frame), 3, 0.4)
-        span = pushforward_span(manifold, frame, origin, words, cfg)
+        span = pushforward_span(manifold, frame, origin, span_words(len(frame), seed), cfg)
         push_detail[name] = {"dimension": span.dimension}
         if span.dimension != expected_dim:
             push_ok = False

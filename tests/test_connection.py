@@ -1,6 +1,7 @@
 """The flattened-chart partial connection and its three transport routes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from crorbit.connection import (
     restricted_hamiltonian,
     validate_chart,
     xhat_field,
+    _restricted,
 )
-from crorbit.expr import Const, Var, add, mul, parse_expr
+from crorbit import expr
+from crorbit.expr import Const, Var, add, eval_jet, mul, parse_expr
 from crorbit.flow import FlowWord, IntegratorConfig
 from crorbit.vectorfield import VectorFieldSpec
-from crorbit.verify import transport_corpus
+from crorbit.verify import random_chart, transport_corpus
 
 EXP_FIELD = VectorFieldSpec.parse(["1", "x2"], 2)
 EXP_CHART = ChartSetup(l=1, m=1, frame=(EXP_FIELD,))
@@ -179,6 +182,51 @@ class TestXhatField:
         c = ChartSetup(1, 1, (VectorFieldSpec.parse(["1", "0"], 2),))
         out = xhat_field(c, c.frame[0], ([0.0], [3.0]))
         assert np.allclose(out, [1.0, 0.0])
+
+
+class TestRestrictedEvaluation:
+    def test_values_and_normal_block_match_interpreter(self):
+        rng = np.random.default_rng(17)
+        for l, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            c = random_chart(rng, l, m)
+            field = c.frame[0]
+            for _ in range(5):
+                xp = rng.uniform(-0.5, 0.5, l)
+                xi = rng.uniform(-1.0, 1.0, m)
+                jets = [eval_jet(a, np.concatenate((xp, np.zeros(m)))) for a in field.coefficients]
+                a_ref = np.array([j.value for j in jets])
+                b_ref = np.array([j.gradient[l:] for j in jets[l:]])
+                a, b = _restricted(field, c, xp)
+                assert np.allclose(a, a_ref, rtol=1e-13, atol=1e-13)
+                assert b.shape == (m, m)
+                assert np.allclose(b, b_ref, rtol=1e-13, atol=1e-13)
+                assert np.allclose(
+                    xhat_field(c, field, (xp, xi)),
+                    np.concatenate((a_ref[:l], -(b_ref.T @ xi))),
+                    rtol=1e-13,
+                    atol=1e-13,
+                )
+
+    def test_one_jacobian_kernel_per_field(self, monkeypatch):
+        compiled = []
+        real = expr.compile_values_and_jacobian
+
+        def counting(*args, **kwargs):
+            compiled.append(args)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):  # every binding in the package
+            if getattr(module, "__name__", "").startswith("crorbit") and hasattr(
+                module, "compile_values_and_jacobian"
+            ):
+                monkeypatch.setattr(module, "compile_values_and_jacobian", counting)
+        field = VectorFieldSpec.parse(["1 + 0.25*x2", "x2*(1 + 0.5*x1)"], 2)
+        chart = ChartSetup(1, 1, (field,))
+        horizontal_transport(chart, field, [0.1], [1.0], 0.5)
+        dual_transport(chart, field, [0.1], [1.0], 0.5)
+        flow_transport(chart, field, [0.1], [1.0], 0.5)
+        xhat_field(chart, field, ([0.1], [1.0]))
+        assert len(compiled) == 1
 
 
 class TestHamiltonianRestriction:

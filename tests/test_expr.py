@@ -1,5 +1,7 @@
 """Expression parsing, printing, jets and the finite-difference oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +17,17 @@ from crorbit.expr import (
     Pow,
     Sub,
     Var,
+    add,
+    call,
     compile_values,
     compile_values_and_jacobian,
+    const,
     differentiate,
     eval_jet,
     eval_value,
+    mul,
     parse_expr,
+    powi,
     substitute,
     to_text,
 )
@@ -226,16 +233,46 @@ class TestCompiledEvaluators:
                 assert vals[i] == pytest.approx(jet.value, abs=1e-13, rel=1e-13)
                 assert np.allclose(jac[i], jet.gradient, atol=1e-13, rtol=1e-13)
 
-    def test_pinned_variables_prune_to_restriction(self):
-        tree = parse_expr("x1*x2 + x2^2", 2)
-        fn = compile_values_and_jacobian([tree], 2, var_refs=["x[0]", "0.0"], deriv_vars=[1])
-        vals, jac = fn([3.0])
-        assert vals[0] == 0.0
-        assert jac[0][0] == 3.0  # d/dx2 at (3, 0)
-
     def test_values_only(self):
-        fn = compile_values([parse_expr("x1 + 2", 1)], 1)
+        fn = compile_values([parse_expr("x1 + 2", 1)])
         assert fn([1.5]) == (3.5,)
+
+
+class TestNonFiniteConstants:
+    def test_literal_rejected_at_its_position(self):
+        with pytest.raises(ExprSyntaxError, match="'1e400' is not finite") as info:
+            parse_expr("x1 - 1e400", 1)
+        assert info.value.position == 5
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: mul(const(1e308), const(10.0)), "1e+308*10.0"),
+            (lambda: add(const(1e308), const(1e308)), "1e+308 + 1e+308"),
+            (lambda: powi(const(1e200), 2), "1e+200^2"),
+            (lambda: call("exp", const(1000.0)), "exp(1000.0)"),
+        ],
+        ids=["mul", "add", "powi", "call"],
+    )
+    def test_smart_constructor_fold_names_subexpression(self, build, named):
+        with pytest.raises(ExprDomainError, match=re.escape(named)):
+            build()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("1e308*10*x1", "1e+308*10.0"),
+            ("1e200^2*x1", "1e+200^2"),
+            ("exp(1000)*x1", "exp(1000.0)"),
+        ],
+        ids=["mul", "pow", "exp"],
+    )
+    def test_generator_fold_names_subexpression(self, text, named):
+        tree = parse_expr(text, 1)
+        with pytest.raises(ExprDomainError, match=re.escape(named)):
+            compile_values([tree])
+        with pytest.raises(ExprDomainError, match=re.escape(named)):
+            compile_values_and_jacobian([tree], 1)
 
 
 class TestSubstitute:

@@ -27,6 +27,10 @@ class TestScenarioLoading:
             else:
                 assert sc.model_chart is not None
 
+    def test_builtin_resolved_once(self):
+        assert builtin_scenario("lewy") is builtin_scenario("lewy")
+        assert load_scenario("tube3") is builtin_scenario("tube3")
+
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError, match="neither a builtin"):
             load_scenario("does-not-exist")
@@ -221,6 +225,24 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{section}[{key!r}] is non-finite" in err and hint in err
+
+    @pytest.mark.parametrize(
+        "rho, named",
+        [
+            ("v - 1e400*x^2", "number literal '1e400' is not finite"),
+            ("v - 1e308*10*x^2", "constant subexpression 1e+308*10.0 is not finite"),
+            ("v - exp(1000)*x^2", "constant subexpression exp(1000.0) is not finite"),
+        ],
+        ids=["literal", "product", "exp"],
+    )
+    def test_non_finite_constant_exit_2(self, rho, named, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        raw["manifold"]["rho"] = [rho]
+        path = tmp_path / "non_finite_constant.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     def test_non_finite_eta_exit_2(self, capsys):
         code = main(["transport", "--scenario", "expchart", "--eta", "inf"])
