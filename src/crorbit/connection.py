@@ -234,15 +234,16 @@ def _transport_ode(
         out[l:] = sign * ((b.T if transpose else b) @ y[l:])
         return out
 
-    on_sample = None
+    on_step = None
     if path is not None:
         path.append((0.0, np.asarray(x0p, float).copy(), np.asarray(v0, float).copy()))
 
-        def on_sample(tt, y):
+        def on_step(tt, y):
             path.append((tt, y[:l].copy(), y[l:].copy()))
+            return y
 
     y0 = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(v0, dtype=float)))
-    y = _integrate(rhs, (0.0, t), y0, cfg, on_sample=on_sample)
+    y = _integrate(rhs, (0.0, t), y0, cfg, on_step=on_step)
     return y[:l], y[l:]
 
 

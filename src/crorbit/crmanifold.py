@@ -185,10 +185,10 @@ class EmbeddedManifold:
                 f"|rho| = {resid:.3e} exceeds {ON_MANIFOLD_TOL:.1e} at {np.asarray(x)}"
             )
 
-    def complex_differentials(self, z: Sequence[float]) -> np.ndarray:
-        """The d x n complex matrix (d rho_i / d z_j) = 0.5 (d/dx_j - i d/dy_j) rho_i."""
-        jac = self.rho_jacobian(z)
-        return 0.5 * (jac[:, 0::2] - 1j * jac[:, 1::2])
+
+def _complex_differentials(jac: np.ndarray) -> np.ndarray:
+    """The d x n complex matrix (d rho_i / d z_j) = 0.5 (d/dx_j - i d/dy_j) rho_i."""
+    return 0.5 * (jac[:, 0::2] - 1j * jac[:, 1::2])
 
 
 @dataclass
@@ -200,32 +200,44 @@ class GenericityReport:
 
 def genericity_check(m: EmbeddedManifold, z: Sequence[float]) -> GenericityReport:
     """Rank report at a point of M; generic iff the d rho_i are C-independent."""
+    return _genericity(m, z)[0]
+
+
+def _genericity(
+    m: EmbeddedManifold, z: Sequence[float]
+) -> tuple[GenericityReport, np.ndarray]:
+    """:func:`genericity_check` and the Jacobian of rho it was computed from."""
     m.require_on_manifold(z)
-    real_rank = rank(m.rho_jacobian(z), m.rank_rtol)
-    complex_rank = rank(m.complex_differentials(z), m.rank_rtol)
-    return GenericityReport(real_rank, complex_rank, complex_rank == m.d)
+    jac = m.rho_jacobian(z)
+    real_rank = rank(jac, m.rank_rtol)
+    complex_rank = rank(_complex_differentials(jac), m.rank_rtol)
+    return GenericityReport(real_rank, complex_rank, complex_rank == m.d), jac
 
 
-def _require_generic(m: EmbeddedManifold, z: Sequence[float]) -> None:
-    rep = genericity_check(m, z)
+def _require_generic(m: EmbeddedManifold, z: Sequence[float]) -> np.ndarray:
+    """Raise unless z is a generic point of M; returns the Jacobian of rho at z."""
+    rep, jac = _genericity(m, z)
     if not rep.generic or rep.real_rank != m.d:
         raise NonGenericPointError(
             f"point is not generic: real rank {rep.real_rank}, "
             f"complex rank {rep.complex_rank}, codimension {m.d}"
         )
+    return jac
 
 
 def tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
     """T_zM = ker(d rho) as an orthonormal-column basis."""
-    _require_generic(m, z)
-    basis = nullspace(m.rho_jacobian(z), m.rank_rtol)
-    return SubspaceBasis(m.ambient_dim, basis, m.rank_rtol)
+    return _tangent_space(m, _require_generic(m, z))
+
+
+def _tangent_space(m: EmbeddedManifold, jac: np.ndarray) -> SubspaceBasis:
+    """:func:`tangent_space` from the Jacobian at a point checked to be generic."""
+    return SubspaceBasis(m.ambient_dim, nullspace(jac, m.rank_rtol), m.rank_rtol)
 
 
 def complex_tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
     """T^c_zM = ker(d rho) intersect ker(d rho o J); dimension 2(n - d)."""
-    _require_generic(m, z)
-    jac = m.rho_jacobian(z)
+    jac = _require_generic(m, z)
     stacked = np.vstack((jac, jac @ jmat(m.n)))
     basis = nullspace(stacked, m.rank_rtol)
     if basis.shape[1] != 2 * m.cr_dim:
@@ -269,14 +281,12 @@ def cr_frame(
 
 def conormal_fiber(m: EmbeddedManifold, z: Sequence[float]) -> list[HolomorphicForm]:
     """Basis i * d rho_k of the holomorphic forms with Im<omega, TM> = 0."""
-    _require_generic(m, z)
-    return _conormal_forms(m, z)
+    return _conormal_forms(_require_generic(m, z))
 
 
-def _conormal_forms(m: EmbeddedManifold, z: Sequence[float]) -> list[HolomorphicForm]:
-    """:func:`conormal_fiber` at a point already checked to be generic."""
-    c = m.complex_differentials(z)
-    return [HolomorphicForm(1j * c[k]) for k in range(m.d)]
+def _conormal_forms(jac: np.ndarray) -> list[HolomorphicForm]:
+    """:func:`conormal_fiber` from the Jacobian at a point checked to be generic."""
+    return [HolomorphicForm(1j * row) for row in _complex_differentials(jac)]
 
 
 @dataclass
@@ -330,8 +340,9 @@ def lemma21_sample(
     from U[-1, 1]; the vector then gets U[-1, 1] coefficients on the
     orthonormal tangent basis.
     """
-    tangent = tangent_space(m, z)  # checks genericity once for both draws
-    forms = _conormal_forms(m, z)
+    jac = _require_generic(m, z)  # one check and one Jacobian for both draws
+    tangent = _tangent_space(m, jac)
+    forms = _conormal_forms(jac)
     weights = rng.uniform(-1.0, 1.0, len(forms))
     omega = HolomorphicForm(sum(w * f.zeta for w, f in zip(weights, forms)))
     x_vec = tangent.basis @ rng.uniform(-1.0, 1.0, tangent.dim)
@@ -342,8 +353,9 @@ def theta_isomorphism_check(
     m: EmbeddedManifold, z: Sequence[float]
 ) -> tuple[bool, float]:
     """Restriction of the conormal basis to TM stays independent (smallest s.v.)."""
-    tangent = tangent_space(m, z)
-    forms = _conormal_forms(m, z)
+    jac = _require_generic(m, z)
+    tangent = _tangent_space(m, jac)
+    forms = _conormal_forms(jac)
     rows = np.array([theta_covector(w) @ tangent.basis for w in forms])
     sv = np.linalg.svd(rows, compute_uv=False)
     smallest = float(sv[-1]) if sv.size else 0.0

@@ -7,6 +7,20 @@ the state so endpoint and differential share the same step sequence.
 Trajectories on embedded manifolds can be retracted back to the zero set of
 the defining functions after every accepted step; the residual drift is
 monitored and reported, never silently corrected beyond tolerance.
+
+One step does its work once:
+
+- First same as last (Dormand & Prince 1980; Hairer-Norsett-Wanner,
+  *Solving ODEs I*, II.4-5): the seventh stage is evaluated at the
+  fifth-order solution, so after an accepted step it is the next step's
+  first derivative.  Only a step hook that moves the state (a retraction
+  Newton step) costs a fresh evaluation.
+- Finiteness is tested once per step: the first derivative is checked, and
+  after that a non-finite stage shows up as a NaN error estimate, because
+  every stage enters ``_ERR @ k`` (a zero weight times inf is NaN too).
+- The drift at an accepted point is the residual :func:`retract` computed
+  there; the defining functions are probed separately only for flows on a
+  manifold without retraction, and at the start point.
 """
 
 from __future__ import annotations
@@ -138,16 +152,22 @@ _ERR = np.array(
 _MAX_STEPS = 500_000
 _RETRACT_MAX_ITER = 25
 _DOMAIN_EXCS = (ExprDomainError, ZeroDivisionError, OverflowError, ValueError)
+_MIN_STEP = 16 * np.finfo(float).eps  # relative to max(|t|, 1)
+
+
+def _rms(v: np.ndarray) -> float:
+    """Root mean square; the same bits as ``np.sqrt(np.mean(v**2))``."""
+    return math.sqrt(np.add.reduce(v * v) / v.shape[0])
 
 
 def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, max_step):
     scale = atol + np.abs(y0) * rtol
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
     f1 = rhs(t0 + h0 * direction, y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -155,56 +175,75 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, max_step):
     return min(100 * h0, h1, max_step)
 
 
+def _domain_error(exc: Exception) -> FlowDomainError:
+    return FlowDomainError(f"trajectory left the expression domain: {exc}")
+
+
 def _integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     t_span: tuple[float, float],
     y0: np.ndarray,
     cfg: IntegratorConfig,
-    post_step: Callable[[np.ndarray], np.ndarray] | None = None,
-    on_sample: Callable[[float, np.ndarray], None] | None = None,
+    on_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Adaptive RK5(4) from t_span[0] to t_span[1]; returns the final state."""
+    """Adaptive RK5(4) from t_span[0] to t_span[1]; returns the final state.
+
+    ``on_step(t, y)`` sees every accepted state and returns the state to
+    continue from: the same array when it leaves the state alone, which lets
+    the next step reuse the last stage's derivative.
+    """
     t0, t1 = t_span
+    for bound in (t0, t1):
+        if not math.isfinite(bound):
+            raise ValueError(f"integration time {bound} is not finite")
     if t1 == t0:
         return y0.copy()
     direction = 1.0 if t1 > t0 else -1.0
+    atol, rtol, max_step = cfg.atol, cfg.rtol, cfg.max_step
     t = t0
     y = y0.astype(float).copy()
 
-    def safe_rhs(tt, yy):
+    def checked_rhs(tt, yy):
         try:
             f = rhs(tt, yy)
         except _DOMAIN_EXCS as exc:
-            raise FlowDomainError(f"trajectory left the expression domain: {exc}") from exc
+            raise _domain_error(exc) from exc
         if not np.all(np.isfinite(f)):
             raise FlowBlowupError("non-finite derivative encountered")
         return f
 
-    f = safe_rhs(t, y)
-    h = _initial_step(safe_rhs, t, y, f, direction, cfg.rtol, cfg.atol, cfg.max_step)
+    # k[0] always holds f(t, y); the stages fill k[1:]
+    k = np.empty((7, y.shape[0]))
+    k[0] = checked_rhs(t, y)
+    h = _initial_step(checked_rhs, t, y, k[0], direction, rtol, atol, max_step)
     h = min(h, abs(t1 - t0))
     err_prev = 1.0
-    k = np.empty((7, y.shape[0]))
     for _ in range(_MAX_STEPS):
-        if h < 16 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h < _MIN_STEP * max(abs(t), 1.0):
             raise FlowBlowupError(f"step size underflow at t = {t}")
-        h = min(h, abs(t1 - t), cfg.max_step)
+        h = min(h, abs(t1 - t), max_step)
         dt = direction * h
-        k[0] = f
         for i in range(1, 7):
-            yi = y + dt * (_A[i] @ k[:i])
-            k[i] = safe_rhs(t + _C[i] * dt, yi)
-        y_new = y + dt * (_B5 @ k)
-        err_vec = dt * (_ERR @ k)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            y_new = y + dt * (_A[i] @ k[:i])
+            try:
+                f = rhs(t + _C[i] * dt, y_new)
+            except _DOMAIN_EXCS as exc:
+                # a stage fed by a non-finite derivative is a blow-up, not a domain exit
+                if not np.all(np.isfinite(k[:i])):
+                    raise FlowBlowupError("non-finite derivative encountered") from exc
+                raise _domain_error(exc) from exc
+            k[i] = f
+        # stage 6 is evaluated at the fifth-order solution (_A[6] is _B5 without
+        # its zero last weight), so k[6] = f(t + dt, y_new)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(dt * (_ERR @ k) / scale)
+        # every weight of _ERR @ k multiplies its stage, so a non-finite stage
+        # makes err NaN: one test per step covers all seven derivatives
+        if not math.isfinite(err) and not np.all(np.isfinite(k)):
+            raise FlowBlowupError("non-finite derivative encountered")
         if err <= 1.0:
             t = t1 if abs(t1 - (t + dt)) < 1e-15 * max(abs(t1), 1.0) else t + dt
-            y = y_new
-            if post_step is not None:
-                y = post_step(y)
-            if on_sample is not None:
-                on_sample(t, y)
+            y = y_new if on_step is None else on_step(t, y_new)
             if not np.all(np.isfinite(y)):
                 raise FlowBlowupError("non-finite state encountered")
             # PI controller (Gustafsson); err_prev only after an accepted step
@@ -213,7 +252,9 @@ def _integrate(
             h *= min(10.0, max(0.2, factor))
             if t == t1 or abs(t1 - t) <= 1e-15 * max(abs(t1), 1.0):
                 return y
-            f = safe_rhs(t, y)
+            # first same as last: t is t + dt exactly here, so k[6] = f(t, y)
+            # unless the hook moved the state
+            k[0] = k[6] if y is y_new else checked_rhs(t, y)
         else:
             h *= max(0.2, 0.9 * err ** (-0.2))
     raise FlowBlowupError("step budget exhausted")
@@ -223,18 +264,21 @@ def retract(
     manifold: _DefinedByEquations,
     x: Sequence[float],
     tol: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Gauss-Newton projection of ``x`` onto the zero set of the defining functions.
 
     Each update is the minimal-norm Newton step dx = -J^T (J J^T)^{-1} rho(x),
-    so the displacement is minimal to first order.  Raises
-    :class:`RetractionError` outside the convergence basin.
+    so the displacement is minimal to first order.  Returns the point and its
+    residual max |rho|; a float array already within ``tol`` is returned
+    itself, not a copy.  Raises :class:`RetractionError` outside the
+    convergence basin.
     """
-    y = np.asarray(x, dtype=float).copy()
+    y = np.asarray(x, dtype=float)
     for _ in range(_RETRACT_MAX_ITER):
         r = manifold.rho_values(y)
-        if float(np.max(np.abs(r), initial=0.0)) <= tol:
-            return y
+        resid = float(np.max(np.abs(r), initial=0.0))
+        if resid <= tol:
+            return y, resid
         jac = manifold.rho_jacobian(y)
         try:
             lam = np.linalg.solve(jac @ jac.T, r)
@@ -271,8 +315,6 @@ def flow(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"initial point has shape {x0.shape}, expected ({n},)")
-    if not math.isfinite(t):
-        raise ValueError("flow time must be finite")
     d0 = _drift_of(manifold, x0)
     if t == 0.0:
         return FlowResult(
@@ -287,31 +329,30 @@ def flow(
 
     def rhs(_t, y):
         vals, jac = jet_fn(y[:n])
-        m = y[n:].reshape(n, n)
         out = np.empty(n + n * n)
         out[:n] = vals
-        out[n:] = (np.array(jac) @ m).ravel()
+        np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
         return out
 
-    post = None
-    if cfg.retract and manifold is not None:
-        def post(y):
-            y = y.copy()
-            y[:n] = retract(manifold, y[:n], cfg.retract_tol)
-            return y
-
+    retracting = cfg.retract and manifold is not None
     trajectory: list[tuple[float, np.ndarray]] = [(0.0, x0.copy())]
     drift = d0
 
-    def on_sample(tt, y):
+    def on_step(tt, y):
         nonlocal drift
-        pt = y[:n].copy()
-        trajectory.append((tt, pt))
-        if manifold is not None:
-            drift = max(drift, _drift_of(manifold, pt))
+        x = y[:n]
+        if retracting:
+            pt, resid = retract(manifold, x, cfg.retract_tol)
+            if pt is not x:
+                y = np.concatenate((pt, y[n:]))
+        else:
+            resid = _drift_of(manifold, x)
+        trajectory.append((tt, y[:n].copy()))
+        drift = max(drift, resid)
+        return y
 
     y0 = np.concatenate((x0, np.eye(n).ravel()))
-    y_end = _integrate(rhs, (0.0, t), y0, cfg, post_step=post, on_sample=on_sample)
+    y_end = _integrate(rhs, (0.0, t), y0, cfg, on_step=on_step)
     return FlowResult(
         endpoint=y_end[:n],
         differential=y_end[n:].reshape(n, n),

@@ -601,13 +601,14 @@ def _check_symbol_conservation(seed: int) -> CheckResult:
             drift[0] = max(
                 drift[0], abs(symbol(f, CotangentPoint(y[:2], y[2:])) - sigma0)
             )
+            return y
 
         _integrate(
             rhs,
             (0.0, 1.0),
             np.concatenate((x0, xi0)),
             IntegratorConfig(),
-            on_sample=watch,
+            on_step=watch,
         )
         worst = max(worst, drift[0])
     return CheckResult(

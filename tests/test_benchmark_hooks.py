@@ -38,6 +38,14 @@ def test_integrator_entry_point_exists():
     assert callable(flow_module._integrate)
 
 
+def test_integrator_takes_rhs_first():
+    """The tracer wraps ``_integrate`` as ``wrapped(rhs, *args, **kwargs)``."""
+    flow_module = importlib.import_module("crorbit.flow")
+    first = next(iter(inspect.signature(flow_module._integrate).parameters.values()))
+    assert first.name == "rhs"
+    assert first.kind in (first.POSITIONAL_ONLY, first.POSITIONAL_OR_KEYWORD)
+
+
 def test_benchmark_calls_bind(tmp_path):
     """The calls ``perfbench/child.py`` makes into the CLI layer still bind."""
     from crorbit.cli import cmd_orbit, cmd_verify

@@ -212,12 +212,35 @@ class TestLemma21:
 
         calls = []
 
-        def counted(m, z, real=crm.tangent_space):
-            calls.append(z)
-            return real(m, z)
+        def counted(m, jac, real=crm._tangent_space):
+            calls.append(jac)
+            return real(m, jac)
 
-        monkeypatch.setattr(crm, "tangent_space", counted)
+        monkeypatch.setattr(crm, "_tangent_space", counted)
         assert lemma21_sample(LEWY, lewy_point(0.3, -0.2, 0.5), np.random.default_rng(2)).passed
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, z: tangent_space(m, z),
+            lambda m, z: complex_tangent_space(m, z),
+            lambda m, z: conormal_fiber(m, z),
+            lambda m, z: lemma21_sample(m, z, np.random.default_rng(2)),
+            lambda m, z: theta_isomorphism_check(m, z),
+        ],
+        ids=["tangent", "complex-tangent", "conormal", "lemma21-sample", "theta-iso"],
+    )
+    def test_one_jacobian_per_point(self, call, monkeypatch):
+        calls = []
+        real = EmbeddedManifold.rho_jacobian
+
+        def counted(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian", counted)
+        call(TUBE3, tube3_point(-0.4, 0.1, 0.2, 0.6))
         assert len(calls) == 1
 
 

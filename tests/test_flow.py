@@ -1,6 +1,8 @@
 """Flows, variational differentials, composed words and retraction."""
 
+import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from crorbit.flow import (
     FlowWord,
     IntegratorConfig,
     RetractionError,
+    _integrate,
     composed_flow,
     flow,
     retract,
@@ -28,6 +31,60 @@ INTRINSIC_FRAME = [
     VectorFieldSpec.parse(["1", "0", "2*x2"], 3),
     VectorFieldSpec.parse(["0", "1", "-2*x1"], 3),
 ]
+CIRCLE = EmbeddedManifold.parse(1, ["x1^2 + x2^2 - 1"])
+ROTATION = VectorFieldSpec.parse(["-1*x2", "x1"], 2)
+LOOSE = IntegratorConfig(rtol=1e-6, atol=1e-8)  # drift above retract_tol: Newton steps
+
+
+def _record_integrations(monkeypatch):
+    """Log every RHS call ('r') and accepted step ('a' kept, 'm' moved by the hook)."""
+    flow_module = importlib.import_module("crorbit.flow")
+    real = flow_module._integrate
+    events = []
+
+    def recording(rhs, t_span, y0, cfg, on_step=None):
+        def counted_rhs(t, y):
+            events.append("r")
+            return rhs(t, y)
+
+        def logged_step(t, y):
+            out = y if on_step is None else on_step(t, y)
+            events.append("a" if out is y else "m")
+            return out
+
+        return real(counted_rhs, t_span, y0, cfg, on_step=logged_step)
+
+    monkeypatch.setattr(flow_module, "_integrate", recording)
+    return events
+
+
+def _steps(events) -> list[str]:
+    """Split one integration's log into steps after the two start-up calls.
+
+    A step is its six stage calls, then 'a' or 'm' if it was accepted, and one
+    more call ('r') when the hook moved the state and the integration goes on.
+    """
+    log = "".join(events)
+    assert log.startswith("rr")
+    steps = re.findall(r"r{6}(?:a|mr?)?", log[2:])
+    assert "".join(steps) == log[2:], log
+    return steps
+
+
+class _CountingManifold:
+    """A manifold whose defining-function evaluations are counted."""
+
+    def __init__(self, manifold):
+        self.manifold = manifold
+        self.values = self.jacobians = 0
+
+    def rho_values(self, x):
+        self.values += 1
+        return self.manifold.rho_values(x)
+
+    def rho_jacobian(self, x):
+        self.jacobians += 1
+        return self.manifold.rho_jacobian(x)
 
 
 class TestFlow:
@@ -122,18 +179,79 @@ class TestComposedFlow:
 class TestRetraction:
     def test_on_manifold_point_unchanged(self):
         x = np.array([1.0, 2.0, 0.3, 5.0])
-        assert np.array_equal(retract(LEWY, x, 1e-12), x)
+        y, residual = retract(LEWY, x, 1e-12)
+        assert y is x
+        assert residual == 0.0
 
     def test_newton_projection_close_to_input(self):
         x = np.array([1.0, 0.0, 0.0, 1.0 + 1e-4])
-        y = retract(LEWY, x, 1e-12)
+        y, residual = retract(LEWY, x, 1e-12)
         assert abs(y[3] - (y[0] ** 2 + y[1] ** 2)) <= 1e-12
         assert np.linalg.norm(y - x) <= 1e-3
+        assert residual == float(np.max(np.abs(LEWY.rho_values(y))))
 
     def test_no_convergence_far_from_basin(self):
         hard = EmbeddedManifold.parse(1, ["exp(x1) + 1"])  # empty zero set
         with pytest.raises(RetractionError):
             retract(hard, np.array([0.0, 0.0]), 1e-12)
+
+
+class TestIntegratorStep:
+    def test_last_stage_reused_without_retraction(self, monkeypatch):
+        events = _record_integrations(monkeypatch)
+        bump = VectorFieldSpec.parse(["1", "exp(-100*(x1-1)^2)"], 2)
+        flow(bump, [0.0, 0.0], 2.0)
+        steps = _steps(events)
+        rejected = steps.count("r" * 6)
+        accepted = steps.count("r" * 6 + "a")
+        assert rejected > 0
+        assert accepted + rejected == len(steps)
+        assert events.count("r") == 2 + 6 * (accepted + rejected)
+
+    def test_moved_state_re_evaluates_rhs(self, monkeypatch):
+        events = _record_integrations(monkeypatch)
+        flow(ROTATION, [1.0, 0.0], 1.0, LOOSE, CIRCLE)
+        steps = _steps(events)
+        re_evaluated = steps.count("r" * 6 + "mr")
+        assert re_evaluated > 0
+        assert events.count("r") == 2 + 6 * len(steps) + re_evaluated
+
+    def test_drift_is_the_retraction_residual(self):
+        counting = _CountingManifold(CIRCLE)
+        res = flow(ROTATION, [0.6, 0.8], 1.0, LOOSE, counting)
+        worst = max(
+            float(np.max(np.abs(CIRCLE.rho_values(pt)), initial=0.0))
+            for _, pt in res.trajectory
+        )
+        assert res.drift == worst
+        assert counting.jacobians > 0
+        # one probe of the start point, one per Newton iteration, one per accepted point
+        assert counting.values == len(res.trajectory) + counting.jacobians
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stage", range(1, 7))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("rejects_bad_input", [False, True], ids=["returns", "raises"])
+    def test_non_finite_trial_stage_is_a_blowup(self, stage, bad, rejects_bad_input):
+        """k[stage] alone is non-finite; k[1] has zero weight in both _B5 and _ERR."""
+        calls = []
+
+        def rhs(_t, y):
+            calls.append(y)
+            if rejects_bad_input and not np.all(np.isfinite(y)):
+                raise ZeroDivisionError("division by zero")
+            return np.array([bad if len(calls) == 2 + stage else 1.0])
+
+        with pytest.raises(FlowBlowupError, match="non-finite derivative"):
+            _integrate(rhs, (0.0, 1.0), np.zeros(1), IntegratorConfig())
+        # one finiteness test per step: the stages after the bad one still run
+        # until one of them rejects its non-finite input
+        assert len(calls) == (2 + min(stage + 1, 6) if rejects_bad_input else 8)
+
+    @pytest.mark.parametrize("span", [(0.0, math.nan), (math.inf, 1.0)])
+    def test_non_finite_time_rejected(self, span):
+        with pytest.raises(ValueError, match="integration time (nan|inf) is not finite"):
+            _integrate(lambda _t, y: y, span, np.ones(1), IntegratorConfig())
 
 
 class TestIntegratorConfig:

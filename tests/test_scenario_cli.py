@@ -249,6 +249,14 @@ class TestExitCodes:
         assert code == 2
         assert "--eta 'inf'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args", [["--t", "nan"], ["--word", "[[1, NaN]]"]], ids=["t", "word"]
+    )
+    def test_non_finite_time_exit_2(self, args, capsys):
+        code = main(["transport", "--scenario", "expchart", *args])
+        assert code == 2
+        assert "integration time nan is not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("budget", ["-3", "0"])
     def test_non_positive_budget_exit_2(self, budget, monkeypatch, capsys):
         def no_work(*args, **kwargs):

@@ -168,6 +168,7 @@ class TestHamiltonianField:
             drift[0] = max(
                 drift[0], abs(symbol(f, CotangentPoint(y[:2], y[2:])) - sigma0)
             )
+            return y
 
-        _integrate(rhs, (0.0, 1.0), np.concatenate((x0, xi0)), IntegratorConfig(), on_sample=watch)
+        _integrate(rhs, (0.0, 1.0), np.concatenate((x0, xi0)), IntegratorConfig(), on_step=watch)
         assert drift[0] <= 1e-8
