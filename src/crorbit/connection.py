@@ -157,13 +157,15 @@ def validate_chart(
     return ChartReport(worst <= TANGENCY_TOL and rank_ok, worst, rank_ok, first)
 
 
-def _require_valid(c: ChartSetup, X: VectorFieldSpec, xp: Sequence[float]) -> None:
-    a, _ = _restricted(X, c, xp)
+def _require_valid(c: ChartSetup, X: VectorFieldSpec, xp: Sequence[float]):
+    """Raise unless X is tangent to N at x'; returns ``_restricted(X, c, xp)``."""
+    a, b = _restricted(X, c, xp)
     viol = float(np.max(np.abs(a[c.l:]), initial=0.0))
     if viol > TANGENCY_TOL:
         raise ChartValidationError(
             f"field is not tangent to N at {np.asarray(xp)}: |a''| = {viol:.3e}"
         )
+    return a, b
 
 
 def covariant_derivative(
@@ -179,9 +181,8 @@ def covariant_derivative(
     """
     if len(eta) != c.m:
         raise ValueError(f"section has {len(eta)} components, chart has m = {c.m}")
-    _require_valid(c, X, xp)
+    a, b = _require_valid(c, X, xp)
     xp = np.asarray(xp, dtype=float)
-    a, b = _restricted(X, c, xp)
     out = np.zeros(c.m)
     eta_vals = np.zeros(c.m)
     for j, ej in enumerate(eta):

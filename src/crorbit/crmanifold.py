@@ -391,10 +391,6 @@ class AdaptedChart:
         vals, rows = self._psi_jet_fn(np.asarray(u, dtype=float))
         return np.array(vals, dtype=float), np.array(rows, dtype=float)
 
-    def point_on_s(self, xp: Sequence[float]) -> np.ndarray:
-        u = np.concatenate((np.asarray(xp, dtype=float), np.zeros(self.m)))
-        return self.point_and_frame(u)[0]
-
 
 @dataclass
 class AdaptedChartReport:
@@ -441,11 +437,9 @@ def e_fiber(m: EmbeddedManifold, chart: AdaptedChart, xp: Sequence[float]) -> EF
     The paired space of forms is cut out by Im<omega, TM> = 0 together with
     Re<omega, TS> = 0, solved as a real linear system in (Re zeta, Im zeta).
     """
-    z = chart.point_on_s(xp)
-    m.require_on_manifold(z)
-    tm = tangent_space(m, z)
     u = np.concatenate((np.asarray(xp, dtype=float), np.zeros(chart.m)))
-    _, dpsi = chart.point_and_frame(u)
+    z, dpsi = chart.point_and_frame(u)
+    tm = tangent_space(m, z)  # raises PointNotOnManifoldError off M
     ts = orthonormal_columns(dpsi[:, : chart.l], m.rank_rtol)
     jts = np.column_stack([apply_j(ts[:, k]) for k in range(ts.shape[1])]) if ts.size else ts
     low = SubspaceBasis.from_spanning(np.hstack((tm.basis, jts)), m.rank_rtol)

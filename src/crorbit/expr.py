@@ -17,15 +17,25 @@ support three evaluation paths:
   one compiled kernel; restricted quantities, such as the normal block on
   x'' = 0, are slices of that kernel's output at the restricted point.
 
-Literals must be finite: the parser rejects a number that is not, and a
-constant subexpression whose fold overflows raises ``ExprDomainError``.
+Text is read by Python's parser (``ast.parse``, ``^`` read as ``**``) and
+one walker that maps the grammar onto the node classes.  Anything else, a
+literal that is not finite, or a tree more than ``MAX_DEPTH`` = 100 nodes
+deep is an ``ExprSyntaxError`` at its position in the text.  The bound keeps
+the recursive passes (printing and code generation take two frames per
+level) inside Python's default recursion limit with room for Lie brackets:
+the first shape measured to overflow, a product chain in a frame
+coefficient, does so at depth 173.  A constant subexpression whose fold
+overflows raises ``ExprDomainError``.
 All derivative values come from forward-mode rules, never finite
 differences; the test suite keeps a finite-difference oracle.
 """
 
 from __future__ import annotations
 
+import ast
+import keyword
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -250,162 +260,97 @@ def call(func: str, a: ScalarExpr) -> ScalarExpr:
 # parsing
 # ---------------------------------------------------------------------------
 
-_NUM_START = set("0123456789.")
+MAX_DEPTH = 100  # nodes on the longest root-to-leaf path; see the module docstring
+_TOO_DEEP = f"expression is nested more than {MAX_DEPTH} levels deep"
+_BINOPS = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, value, position) tokens; kind in num/ident/op."""
-    tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch in _NUM_START:
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            lit = text[i:j]
-            try:
-                value = float(lit)
-            except ValueError:
-                raise ExprSyntaxError(f"bad number literal {lit!r}", i) from None
-            if not math.isfinite(value):
-                raise ExprSyntaxError(f"number literal {lit!r} is not finite", i)
-            tokens.append(("num", lit, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+class _Reader:
+    """Reads Python's parse of ``text`` as a crorbit expression, or rejects it."""
 
+    def __init__(self, text: str, dim: int, aliases: Mapping[str, int]):
+        self.text, self.dim, self.aliases = text, dim, aliases
+        # The source Python reads: leading whitespace dropped (it would be an
+        # indent), other whitespace as spaces, "^" as "**".  origin[b] is the
+        # position in text of source byte b (ast offsets count UTF-8 bytes).
+        pieces, self.origin = [], []
+        for i, ch in enumerate(text):
+            if pieces or not ch.isspace():
+                pieces.append(" " if ch.isspace() else "**" if ch == "^" else ch)
+                self.origin += [i] * len(pieces[-1].encode())
+        self.origin.append(len(text))
+        self.source = "".join(pieces)
 
-class _Parser:
-    def __init__(self, text: str, dim: int, aliases: Mapping[str, int] | None):
-        self.text = text
-        self.dim = dim
-        self.aliases = dict(aliases or {})
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    def read(self) -> ScalarExpr:
+        for bad in ("**", "#", "\0"):  # Python reads these, crorbit does not
+            if bad in self.text:
+                raise ExprSyntaxError(f"unexpected {bad!r}", self.text.index(bad))
+        try:
+            tree = ast.parse(self.source, mode="eval")
+        except SyntaxError as err:  # its offset counts characters, not bytes
+            byte = len(self.source[: max((err.offset or 1) - 1, 0)].encode())
+            # the first clause: the hints after it ("Perhaps you forgot a comma?") are Python's
+            raise ExprSyntaxError(re.split(r"[.;] ", err.msg)[0], self.origin[byte]) from None
+        except (RecursionError, MemoryError):
+            raise ExprSyntaxError(_TOO_DEEP, 0) from None
+        return self.walk(tree.body, 1)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def at(self, node: ast.expr) -> int:
+        return self.origin[node.col_offset]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def between(self, start: int, end: int) -> str:  # source byte offsets
+        return self.text[self.origin[start] : self.origin[end]]
 
-    def expect_op(self, op: str) -> None:
-        kind, val, at = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {val or 'end of input'!r}", at)
+    def span(self, node: ast.expr) -> str:
+        return self.between(node.col_offset, node.end_col_offset)
 
-    def parse(self) -> ScalarExpr:
-        e = self.expr()
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {val!r}", at)
-        return e
-
-    def expr(self) -> ScalarExpr:
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> ScalarExpr:
-        e = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
-            else:
-                return e
-
-    def unary(self) -> ScalarExpr:
-        # extension over the strict grammar: unary minus on a factor
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
+    def walk(self, node: ast.expr, depth: int) -> ScalarExpr:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, self.at(node))
+        depth += 1
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return Pow(self.walk(node.left, depth), self.exponent(node))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            left, right = self.walk(node.left, depth), self.walk(node.right, depth)
+            return _BINOPS[type(node.op)](left, right)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             # fold a directly negated literal; "-(...)" stays a Neg node
-            nkind, nval, _ = self.peek()
-            if nkind == "num":
-                self.next()
-                node: ScalarExpr = Const(-float(nval))
-                okind, oval, _ = self.peek()
-                if okind == "op" and oval == "^":
-                    self.next()
-                    node = Neg(Pow(Const(float(nval)), self.exponent()))
-                return node
-            return Neg(self.unary())
-        return self.factor()
+            operand, gap = node.operand, self.between(node.col_offset, node.operand.col_offset)
+            if isinstance(operand, ast.Constant) and "(" not in gap:
+                return Const(-self.literal(operand))
+            return Neg(self.walk(operand, depth))
+        if isinstance(node, ast.Constant):
+            return Const(self.literal(node))
+        if isinstance(node, ast.Name):
+            return self.variable(node)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 1:
+            func, (arg,) = self.span(node.func), node.args
+            tail = self.between(arg.end_col_offset, node.end_col_offset)  # "," in "sin(x1,)"
+            if func in FUNCTIONS and not node.keywords and "," not in tail:
+                return Call(func, self.walk(arg, depth))
+        raise ExprSyntaxError(f"{self.span(node)!r} is not part of the grammar", self.at(node))
 
-    def factor(self) -> ScalarExpr:
-        e = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            e = Pow(e, self.exponent())
-        return e
+    def literal(self, node: ast.Constant) -> float:
+        lit = self.span(node)
+        if type(node.value) not in (int, float) or not set(lit) <= set("0123456789.eE+-"):
+            raise ExprSyntaxError(f"bad number literal {lit!r}", self.at(node))
+        if not math.isfinite(float(lit)):
+            raise ExprSyntaxError(f"number literal {lit!r} is not finite", self.at(node))
+        return float(lit)
 
-    def exponent(self) -> int:
-        sign = 1
-        kind, val, at = self.next()
-        if kind == "op" and val == "-":
-            sign = -1
-            kind, val, at = self.next()
-        if kind != "num" or any(c in val for c in ".eE"):
-            raise ExprSyntaxError("exponent must be an integer", at)
-        return sign * int(val)
+    def exponent(self, power: ast.BinOp) -> int:
+        """The right side of ``^``: an integer literal, optionally negated, unparenthesised."""
+        node, sign = power.right, 1
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node, sign = node.operand, -1
+        gap = self.between(power.left.end_col_offset, node.col_offset)
+        if not (isinstance(node, ast.Constant) and self.span(node).isdigit() and "(" not in gap):
+            raise ExprSyntaxError("exponent must be an integer", self.at(power.right))
+        return sign * node.value
 
-    def base(self) -> ScalarExpr:
-        kind, val, at = self.next()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if kind == "ident":
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            return self.variable(val, at)
-        raise ExprSyntaxError(f"expected a number, variable or '(', found {val or 'end of input'!r}", at)
-
-    def variable(self, name: str, at: int) -> Var:
+    def variable(self, node: ast.Name) -> Var:
+        # the name as written: Python NFKC-normalises the identifiers it reads
+        name, at = self.span(node), self.at(node)
         if name in self.aliases:
             idx = self.aliases[name]
         elif len(name) > 1 and name[0] == "x" and name[1:].isdigit():
@@ -413,9 +358,7 @@ class _Parser:
         else:
             raise ExprSyntaxError(f"unknown identifier {name!r}", at)
         if not 0 <= idx < self.dim:
-            raise ExprSyntaxError(
-                f"variable {name!r} is out of range for dimension {self.dim}", at
-            )
+            raise ExprSyntaxError(f"variable {name!r} is out of range for dimension {self.dim}", at)
         return Var(idx)
 
 
@@ -428,16 +371,12 @@ def parse_expr(
     sequence of names is interpreted positionally.  Raises
     :class:`ExprSyntaxError` with the offending position on bad input.
     """
-    if isinstance(aliases, Mapping):
-        amap = dict(aliases)
-    elif aliases is not None:
-        amap = {name: i for i, name in enumerate(aliases)}
-    else:
-        amap = {}
-    for name in amap:
-        if name in FUNCTIONS:
-            raise ValueError(f"alias {name!r} shadows a builtin function")
-    return _Parser(text, dim, amap).parse()
+    if not isinstance(aliases, Mapping):
+        aliases = {name: i for i, name in enumerate(aliases or ())}
+    for name in aliases:
+        if name in FUNCTIONS or keyword.iskeyword(name):
+            raise ValueError(f"alias {name!r} shadows a builtin function or keyword")
+    return _Reader(text, dim, aliases).read()
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ def _domain_error(exc: Exception) -> FlowDomainError:
     return FlowDomainError(f"trajectory left the expression domain: {exc}")
 
 
+# the finiteness tests below decide blow-ups, so numpy need not warn about inf/NaN
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     t_span: tuple[float, float],
@@ -315,20 +317,9 @@ def flow(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"initial point has shape {x0.shape}, expected ({n},)")
-    d0 = _drift_of(manifold, x0)
-    if t == 0.0:
-        return FlowResult(
-            endpoint=x0.copy(),
-            differential=np.eye(n),
-            trajectory=[(0.0, x0.copy())],
-            drift=d0,
-            drift_exceeded=d0 > cfg.drift_bound,
-        )
-
-    jet_fn = X._jet_fn
 
     def rhs(_t, y):
-        vals, jac = jet_fn(y[:n])
+        vals, jac = X._jet_fn(y[:n])  # compiled on first use: a zero-time flow needs none
         out = np.empty(n + n * n)
         out[:n] = vals
         np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
@@ -336,7 +327,7 @@ def flow(
 
     retracting = cfg.retract and manifold is not None
     trajectory: list[tuple[float, np.ndarray]] = [(0.0, x0.copy())]
-    drift = d0
+    drift = _drift_of(manifold, x0)
 
     def on_step(tt, y):
         nonlocal drift
@@ -377,7 +368,7 @@ def composed_flow(
         endpoint=x0.copy(),
         differential=np.eye(n),
         trajectory=[(0.0, x0.copy())],
-        drift=_drift_of(manifold, x0),
+        drift=0.0 if word.steps else _drift_of(manifold, x0),  # a first leg probes x0
     )
     t_offset = 0.0
     for idx, t in word.steps:

@@ -9,7 +9,6 @@ without ad-hoc epsilons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -58,16 +57,11 @@ class SubspaceBasis:
         object.__setattr__(self, "basis", b)
 
     @staticmethod
-    def from_spanning(
-        vectors: Sequence[Sequence[float]] | np.ndarray, rtol: float = RANK_RTOL
-    ) -> "SubspaceBasis":
-        """Build from spanning vectors: a matrix of columns, or a list of vectors."""
-        if isinstance(vectors, np.ndarray):
-            cols = np.asarray(vectors, dtype=float)
-            if cols.ndim != 2:
-                raise ValueError("matrix input must be 2-D with spanning columns")
-        else:
-            cols = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    def from_spanning(vectors: np.ndarray, rtol: float = RANK_RTOL) -> "SubspaceBasis":
+        """Build from a matrix whose columns span the subspace."""
+        cols = np.asarray(vectors, dtype=float)
+        if cols.ndim != 2:
+            raise ValueError("matrix input must be 2-D with spanning columns")
         return SubspaceBasis(cols.shape[0], orthonormal_columns(cols, rtol), rtol)
 
     @property

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crorbit.expr import (
+    MAX_DEPTH,
     Add,
     Call,
     Const,
@@ -67,6 +68,9 @@ class TestParser:
 
     def test_unary_minus_extension(self):
         assert parse_expr("-3", 1) == Const(-3.0)
+        assert parse_expr("- 3", 1) == Const(-3.0)
+        assert parse_expr("-(2.0)", 1) == Neg(Const(2.0))  # a parenthesised literal stays
+        assert parse_expr("-2^2", 1) == Neg(Pow(Const(2.0), 2))
         assert parse_expr("-x1", 1) == Neg(Var(0))
         assert eval_value(parse_expr("-x1^2", 1), [3.0]) == -9.0
 
@@ -77,6 +81,66 @@ class TestParser:
     def test_alias_shadows_function_rejected(self):
         with pytest.raises(ValueError, match="shadows"):
             parse_expr("sin(x1)", 1, aliases={"sin": 0})
+        with pytest.raises(ValueError, match="shadows"):  # Python could not read it as a name
+            parse_expr("lambda + 1", 1, aliases=["lambda"])
+
+    def test_error_after_power_keeps_its_position(self):
+        # every "^" is read as "**", one character longer: positions are mapped back
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr("x1^2 + x2^2 + foo", 2)
+        assert err.value.position == 14
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr("x1^2 + x2^2 + * x2", 2)
+        assert err.value.position == 14
+
+
+class TestGrammarEdges:
+    @pytest.mark.parametrize(
+        "text", ["  x1*x2", "\tx1 *x2", "x1\n*\tx2", "\n x1\r\n*\n\t x2\n"]
+    )
+    def test_whitespace_anywhere(self, text):
+        assert parse_expr(text, 2) == Mul(Var(0), Var(1))
+
+    @pytest.mark.parametrize("text", ["007", "x1^02", "x1 + 01"])
+    def test_leading_zero_integers_rejected(self, text):
+        with pytest.raises(ExprSyntaxError, match="leading zeros"):
+            parse_expr(text, 1)
+
+    def test_zero_and_float_literals_with_leading_zeros_accepted(self):
+        assert parse_expr("00", 1) == Const(0.0)
+        assert parse_expr("00.5 + x1^0", 1) == Add(Const(0.5), Pow(Var(0), 0))
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("x1**2", 2),
+            ("x1^(2)", 4),
+            ("x1^0x2", 3),
+            ("x1^1_0", 3),
+            ("sin(x1,)", 0),
+            ("sin(x=x1)", 0),
+            ("0x1F", 0),
+            ("1_000", 0),
+            ("True", 0),
+            ("1j", 0),
+            ("x2 + x1.real", 5),
+            ("x1 < x2", 0),
+            ("x1 # comment", 3),
+        ],
+    )
+    def test_python_syntax_outside_the_grammar_rejected(self, text, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 2)
+        assert err.value.position == position
+
+    def test_depth_bound(self):
+        def nested(levels):
+            return "sin(" * levels + "x1" + ")" * levels
+
+        assert parse_expr(nested(MAX_DEPTH - 1), 1) is not None  # MAX_DEPTH nodes deep
+        with pytest.raises(ExprSyntaxError, match=f"nested more than {MAX_DEPTH}") as err:
+            parse_expr(nested(MAX_DEPTH), 1)
+        assert err.value.position == 4 * MAX_DEPTH  # the innermost x1, one node too deep
 
 
 # random tree strategy for the round-trip property

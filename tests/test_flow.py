@@ -228,7 +228,7 @@ class TestIntegratorStep:
         # one probe of the start point, one per Newton iteration, one per accepted point
         assert counting.values == len(res.trajectory) + counting.jacobians
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("stage", range(1, 7))
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("rejects_bad_input", [False, True], ids=["returns", "raises"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from crorbit.cli import cmd_analyze, cmd_orbit, cmd_transport, cmd_verify, main
+from crorbit.expr import MAX_DEPTH
 from crorbit.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
@@ -177,6 +178,11 @@ class TestCommands:
         assert [r.to_dict() for r in a.results] == [r.to_dict() for r in b.results]
 
 
+def _right_nested_sum(levels):
+    """x4 + (x1*0.0 + (... + (x1*0.0))): levels + 2 nodes deep, equal to x4."""
+    return "x4" + "+(x1*0.0" * levels + ")" * levels
+
+
 class TestExitCodes:
     def test_analyze_success(self, capsys):
         assert main(["analyze", "--scenario", "lewy", "--point", "origin"]) == 0
@@ -243,6 +249,32 @@ class TestExitCodes:
         code = main(["analyze", "--scenario", str(path), "--point", "origin"])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rho, named",
+        [
+            ("(" * 3000 + "v" + ")" * 3000, "too many nested parentheses"),
+            ("-" * 5000 + "v", f"nested more than {MAX_DEPTH} levels deep"),
+            (_right_nested_sum(MAX_DEPTH - 1), f"nested more than {MAX_DEPTH} levels deep"),
+        ],
+        ids=["parentheses", "minus", "right-nested-sum"],
+    )
+    def test_too_deep_expression_exit_2(self, rho, named, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["flat"]))
+        raw["manifold"]["rho"] = [rho]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    def test_expression_at_depth_bound_runs(self, tmp_path):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["flat"]))
+        raw["manifold"]["rho"] = [_right_nested_sum(MAX_DEPTH - 2)]
+        path = tmp_path / "at_bound.json"
+        path.write_text(json.dumps(raw))
+        report = cmd_analyze(load_scenario(str(path)), "origin")
+        assert report.passed
 
     def test_non_finite_eta_exit_2(self, capsys):
         code = main(["transport", "--scenario", "expchart", "--eta", "inf"])
