@@ -21,7 +21,6 @@ from .expr import (
     ScalarExpr,
     differentiate,
     eval_jet,
-    eval_value,
     parse_expr,
     to_text,
 )

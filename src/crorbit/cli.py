@@ -191,9 +191,7 @@ def cmd_transport(
     else:
         raise ScenarioError("scenario has no unique chart; pass --chart")
 
-    x0 = scenario.point(point_spec) if point_spec else np.zeros(chart.l)
-    if x0.shape != (chart.l,):
-        raise ScenarioError(f"point must have {chart.l} coordinates (x' only)")
+    x0 = scenario.point(point_spec, chart.l) if point_spec else np.zeros(chart.l)
     eta0 = np.ones(chart.m) if eta0 is None else eta0
     xi0 = np.ones(chart.m) if xi0 is None else xi0
     if eta0.shape != (chart.m,) or xi0.shape != (chart.m,):

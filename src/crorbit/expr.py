@@ -2,20 +2,20 @@
 
 Expressions are immutable trees over positional variables x1..xn built from
 +, -, *, /, integer powers and sin/cos/exp/log.  They define manifold
-defining functions, vector-field coefficients and scalar multipliers, and
-support three evaluation paths:
+defining functions, vector-field coefficients and scalar multipliers.
 
-* ``eval_jet`` -- interpreted forward-mode evaluation carrying value and
-  (optionally) gradient through every node; the pointwise reference that
-  the compiled kernels are tested against.
 * ``differentiate`` -- symbolic partial derivatives, closing the tree
   grammar under differentiation (used to build bracket fields).
-* ``JetCompiler`` -- generates straight-line Python source for the values
-  and all coordinate partials of a tuple of expressions, used by the ODE
-  right-hand sides where interpreted evaluation would dominate the runtime.
-  One tuple (a field's coefficients, a manifold's defining functions) gets
-  one compiled kernel; restricted quantities, such as the normal block on
-  x'' = 0, are slices of that kernel's output at the restricted point.
+* ``JetCompiler`` -- the one set of forward-mode rules for values and
+  coordinate partials.  Without a point it generates straight-line Python
+  source, compiled by ``compile_values`` and ``compile_values_and_jacobian``
+  for the ODE right-hand sides.  One tuple (a field's coefficients, a
+  manifold's defining functions) gets one compiled kernel; restricted
+  quantities, such as the normal block on x'' = 0, are slices of that
+  kernel's output at the restricted point.  Given a point, every variable
+  is a literal and every rule folds, so the same rules return numbers:
+  ``eval_jet`` and the smart constructors' constant folding evaluate this
+  way, with the arithmetic, operation for operation, of the compiled kernel.
 
 Text is read by Python's parser (``ast.parse``, ``^`` read as ``**``) and
 one walker that maps the grammar onto the node classes.  Anything else, a
@@ -59,7 +59,6 @@ __all__ = [
     "parse_expr",
     "to_text",
     "eval_jet",
-    "eval_value",
     "differentiate",
     "const",
     "var",
@@ -176,7 +175,7 @@ def _fold(node: ScalarExpr) -> Const:
     naming the subexpression, instead of leaving an infinity in the tree.
     """
     try:
-        value = _jet_rec(node, np.empty(0), 0)[0]  # reads no coordinate
+        value = JetCompiler(0, ()).emit(node)[0]  # reads no coordinate
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -288,7 +287,9 @@ class _Reader:
         try:
             tree = ast.parse(self.source, mode="eval")
         except SyntaxError as err:  # its offset counts characters, not bytes
-            byte = len(self.source[: max((err.offset or 1) - 1, 0)].encode())
+            if not err.offset:  # Python's offset 0: the input ended early
+                raise ExprSyntaxError("unexpected end of input", len(self.text)) from None
+            byte = len(self.source[: err.offset - 1].encode())
             # the first clause: the hints after it ("Perhaps you forgot a comma?") are Python's
             raise ExprSyntaxError(re.split(r"[.;] ", err.msg)[0], self.origin[byte]) from None
         except (RecursionError, MemoryError):
@@ -499,105 +500,10 @@ def substitute(e: ScalarExpr, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# interpreted jet evaluation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Jet:
-    """Value with optional exact gradient at a point."""
-
-    value: float
-    gradient: np.ndarray | None = None
-
-
-def _jet_rec(e: ScalarExpr, x: np.ndarray, order: int):
-    n = x.shape[0]
-    first = order >= 1
-
-    if isinstance(e, Const):
-        return (e.value, np.zeros(n) if first else None)
-    if isinstance(e, Var):
-        g = None
-        if first:
-            g = np.zeros(n)
-            g[e.index] = 1.0
-        return (float(x[e.index]), g)
-    if isinstance(e, (Add, Sub)):
-        va, ga = _jet_rec(e.left, x, order)
-        vb, gb = _jet_rec(e.right, x, order)
-        s = 1.0 if isinstance(e, Add) else -1.0
-        return (va + s * vb, ga + s * gb if first else None)
-    if isinstance(e, Mul):
-        va, ga = _jet_rec(e.left, x, order)
-        vb, gb = _jet_rec(e.right, x, order)
-        return (va * vb, va * gb + vb * ga if first else None)
-    if isinstance(e, Div):
-        va, ga = _jet_rec(e.left, x, order)
-        vb, gb = _jet_rec(e.right, x, order)
-        if vb == 0.0:
-            raise ExprDomainError("division by zero")
-        v = va / vb
-        return (v, (ga - v * gb) / vb if first else None)
-    if isinstance(e, Pow):
-        va, ga = _jet_rec(e.base, x, order)
-        nexp = e.exponent
-        if va == 0.0 and nexp < 0:
-            raise ExprDomainError("zero raised to a negative power")
-        g = None
-        if first:
-            d1 = nexp * va ** (nexp - 1) if nexp != 0 else 0.0
-            g = d1 * ga
-        return (va**nexp, g)
-    if isinstance(e, Neg):
-        va, ga = _jet_rec(e.operand, x, order)
-        return (-va, -ga if first else None)
-    if isinstance(e, Call):
-        va, ga = _jet_rec(e.arg, x, order)
-        if e.func == "log" and va <= 0.0:
-            raise ExprDomainError("log of a non-positive value")
-        v = getattr(math, e.func)(va)
-        g = None
-        if first:
-            if e.func == "sin":
-                d1 = math.cos(va)
-            elif e.func == "cos":
-                d1 = -math.sin(va)
-            elif e.func == "exp":
-                d1 = v
-            else:  # log
-                d1 = 1.0 / va
-            g = d1 * ga
-        return (v, g)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def eval_jet(e: ScalarExpr, x: Sequence[float], order: int = 1) -> Jet:
-    """Evaluate ``e`` at ``x`` with its exact gradient when ``order`` is 1 (0|1)."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    xv = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xv)):
-        raise ExprDomainError("evaluation point is not finite")
-    v, g = _jet_rec(e, xv, order)
-    return Jet(float(v), g)
-
-
-def eval_value(e: ScalarExpr, x: Sequence[float]) -> float:
-    return eval_jet(e, x, order=0).value
-
-
-# ---------------------------------------------------------------------------
-# compiled forward-mode evaluation
+# forward-mode rules: generated code, or numbers at a point
 # ---------------------------------------------------------------------------
 
 Ref = float | str  # a literal, or the code of a value (a name or an expression)
-
-
-def _finite(value: float) -> float:
-    """A literal folded at generation time; one that is not finite is an overflow."""
-    if not math.isfinite(value):
-        raise OverflowError
-    return value
 
 
 class JetCompiler:
@@ -609,11 +515,17 @@ class JetCompiler:
     chain and product rules require.  Variable ``k`` reads ``x[k]``; its
     tangents are the first ``tangents`` coordinate axes (none when only
     values are compiled).  A reference is a ``float`` literal or a ``str``
-    of code; a literal value always has literal zero tangents.
+    of code; while generating code, a literal value has literal zero
+    tangents.
+
+    Given ``point``, variable ``k`` is the literal ``point[k]``, so every
+    rule folds and :meth:`emit` returns numbers, computed as the generated
+    code would compute them.  No code is emitted and nothing is memoized.
     """
 
-    def __init__(self, tangents: int):
+    def __init__(self, tangents: int, point: Sequence[float] | None = None):
         self.tangents = tangents
+        self.point = point
         self.lines: list[str] = []
         self._memo: dict[ScalarExpr, tuple[Ref, tuple[Ref, ...]]] = {}
         self._count = 0
@@ -632,9 +544,29 @@ class JetCompiler:
             return code
         return self._tmp(code)
 
+    def _literal(self, value: float) -> float:
+        """A fold; while generating code, one that is not finite is an overflow."""
+        if self.point is None and not math.isfinite(value):
+            raise OverflowError
+        return value
+
+    def _apply(self, template: str, fn: Callable[[float], float], a: Ref) -> Ref:
+        """``fn(a)`` folded for a literal ``a``, else the code ``template`` of ``a``.
+
+        While generating code, a fold Python refuses (``1.0/0.0``,
+        ``math.log(-1.0)``) is emitted, so the kernel raises when it runs.
+        """
+        if isinstance(a, float):
+            try:
+                return self._literal(fn(a))
+            except (ZeroDivisionError, ValueError):
+                if self.point is not None:
+                    raise
+        return self._bind(template.format(a))
+
     def _add(self, a: Ref, b: Ref) -> Ref:
         if isinstance(a, float) and isinstance(b, float):
-            return _finite(a + b)
+            return self._literal(a + b)
         if a == 0.0:
             return b
         if b == 0.0:
@@ -643,7 +575,7 @@ class JetCompiler:
 
     def _sub(self, a: Ref, b: Ref) -> Ref:
         if isinstance(a, float) and isinstance(b, float):
-            return _finite(a - b)
+            return self._literal(a - b)
         if b == 0.0:
             return a
         if a == 0.0:
@@ -652,7 +584,7 @@ class JetCompiler:
 
     def _mul(self, a: Ref, b: Ref) -> Ref:
         if isinstance(a, float) and isinstance(b, float):
-            return _finite(a * b)
+            return self._literal(a * b)
         if a == 0.0 or b == 0.0:
             return 0.0
         if a == 1.0:
@@ -675,9 +607,12 @@ class JetCompiler:
     def emit(self, e: ScalarExpr) -> tuple[Ref, tuple[Ref, ...]]:
         """Return (value_ref, tangent_refs) for node ``e``.
 
-        Raises :class:`ExprDomainError` naming the subexpression whose
-        generation-time fold overflows or is not finite.
+        While generating code, raises :class:`ExprDomainError` naming the
+        subexpression whose fold overflows or is not finite.  At a point,
+        errors are Python's, as the kernel's would be.
         """
+        if self.point is not None:  # a repeat costs less than the memo's structural hash
+            return self._emit(e)
         hit = self._memo.get(e)
         if hit is not None:
             return hit
@@ -695,6 +630,8 @@ class JetCompiler:
             return (float(e.value), (0.0,) * self.tangents)
         if isinstance(e, Var):
             axes = tuple(1.0 if k == e.index else 0.0 for k in range(self.tangents))
+            if self.point is not None:
+                return (float(self.point[e.index]), axes)
             return (f"x[{e.index}]", axes)
         if isinstance(e, (Add, Sub)):
             va, da = self.emit(e.left)
@@ -714,7 +651,7 @@ class JetCompiler:
         if isinstance(e, Div):
             va, da = self.emit(e.left)
             vb, db = self.emit(e.right)
-            r = self._bind(f"1.0/{vb}")
+            r = self._apply("1.0/{}", lambda b: 1.0 / b, vb)
             v = self._bind(self._mul(va, r))
             tangents = tuple(
                 self._bind(self._mul(self._sub(x, self._mul(v, y)), r))
@@ -724,35 +661,59 @@ class JetCompiler:
         if isinstance(e, Pow):
             va, da = self.emit(e.base)
             n = e.exponent
-            if isinstance(va, float) and not (va == 0.0 and n < 0):
-                v = _finite(va**n)
-            else:
-                v = self._bind(f"{va}**{n}")
-            if all(x == 0.0 for x in da):  # always so for a literal base
+            v = self._apply(f"{{}}**{n}", lambda a: a**n, va)
+            if all(x == 0.0 for x in da):  # always so for a literal base in code
                 return (v, (0.0,) * len(da))
-            dfac = self._bind(self._mul(2.0, va) if n == 2 else f"{float(n)}*{va}**{n - 1}")
+            if n == 2:
+                dfac = self._bind(self._mul(2.0, va))
+            else:
+                factor = f"{float(n)}*{{}}**{n - 1}"
+                dfac = self._apply(factor, lambda a: float(n) * a ** (n - 1), va)
             return (v, tuple(self._bind(self._mul(dfac, x)) for x in da))
         if isinstance(e, Neg):
             va, da = self.emit(e.operand)
             return (self._bind(self._neg(va)), tuple(self._bind(self._neg(x)) for x in da))
         if isinstance(e, Call):
             va, da = self.emit(e.arg)
-            if isinstance(va, float) and (e.func != "log" or va > 0.0):
-                v = _finite(getattr(math, e.func)(va))
-            else:
-                v = self._bind(f"math.{e.func}({va})")
-            if all(x == 0.0 for x in da):  # always so for a literal argument
+            v = self._apply(f"math.{e.func}({{}})", getattr(math, e.func), va)
+            if all(x == 0.0 for x in da):  # always so for a literal argument in code
                 return (v, (0.0,) * len(da))
             if e.func == "sin":
-                dfac = self._bind(f"math.cos({va})")
+                dfac = self._apply("math.cos({})", math.cos, va)
             elif e.func == "cos":
-                dfac = self._bind(self._neg(f"math.sin({va})"))
+                dfac = self._apply("(-math.sin({}))", lambda a: -math.sin(a), va)
             elif e.func == "exp":
                 dfac = v
             else:  # log
-                dfac = self._bind(f"1.0/{va}")
+                dfac = self._apply("1.0/{}", lambda a: 1.0 / a, va)
             return (v, tuple(self._bind(self._mul(dfac, x)) for x in da))
         raise TypeError(f"not an expression node: {e!r}")
+
+
+@dataclass
+class Jet:
+    """Value with optional exact gradient at a point."""
+
+    value: float
+    gradient: np.ndarray | None = None
+
+
+def eval_jet(e: ScalarExpr, x: Sequence[float], order: int = 1) -> Jet:
+    """Evaluate ``e`` at ``x`` with its exact gradient when ``order`` is 1 (0|1).
+
+    The value and gradient are computed as ``e``'s compiled kernel computes
+    them at ``x``, by the same rules.
+    """
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    point = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(point)):
+        raise ExprDomainError("evaluation point is not finite")
+    try:
+        v, g = JetCompiler(len(point) if order else 0, point.tolist()).emit(e)
+    except (ZeroDivisionError, ValueError) as exc:  # 1/0, 0^-n, log of x <= 0
+        raise ExprDomainError(f"undefined at the evaluation point: {exc}") from None
+    return Jet(v, np.array(g) if order else None)
 
 
 def _tuple(refs: Sequence) -> str:

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .connection import ChartSetup
 from .crmanifold import AdaptedChart, EmbeddedManifold
-from .expr import ExprError, parse_expr
+from .expr import ExprError, ScalarExpr, parse_expr
 from .flow import IntegratorConfig
 from .util import canonical_json
 from .vectorfield import VectorFieldSpec
@@ -64,6 +63,25 @@ def _require_finite(value, path: str) -> None:
             else ""
         )
         raise ScenarioError(f"{path} is non-finite ({value}){hint}")
+
+
+def _expr(text: str, dim: int, aliases, path: str) -> ScalarExpr:
+    """``text`` parsed; ScenarioError naming ``path`` (subscript form) on an expression error."""
+    try:
+        return parse_expr(text, dim, aliases)
+    except ExprError as exc:
+        raise ScenarioError(f"expression error at {path}: {exc}") from exc
+
+
+def _frame(fields, dim: int, aliases, path: str) -> list[VectorFieldSpec]:
+    """The frame declared at ``path``: one field per list of coefficient expressions."""
+    return [
+        VectorFieldSpec(
+            tuple(_expr(t, dim, aliases, f"{path}[{j}][{i}]") for i, t in enumerate(coeffs)),
+            dim,
+        )
+        for j, coeffs in enumerate(fields)
+    ]
 
 
 _FIELD = {"type": "array", "items": {"type": "string"}, "minItems": 1}
@@ -179,17 +197,35 @@ class Scenario:
     points: dict[str, np.ndarray] = field(default_factory=dict)
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
-    def point(self, spec: str) -> np.ndarray:
-        """Resolve a named point or comma-separated coordinates."""
+    @property
+    def dim(self) -> int:
+        """Coordinates of a point: 2n for an embedded manifold, l for a chart model."""
+        if self.manifold is not None:
+            return self.manifold.ambient_dim
+        return self.model_chart.l
+
+    def point(self, spec: str, dim: int | None = None) -> np.ndarray:
+        """Resolve a named point or comma-separated coordinates.
+
+        The point must have ``dim`` coordinates, by default the scenario's
+        :attr:`dim`; a transport chart passes its own ``l``.
+        """
         if spec in self.points:
-            return self.points[spec].copy()
-        try:
-            coords = [float(v) for v in spec.split(",")]
-        except ValueError:
+            coords = self.points[spec].copy()
+        else:
+            try:
+                values = [float(v) for v in spec.split(",")]
+            except ValueError:
+                raise ScenarioError(
+                    f"unknown point {spec!r}; known: {sorted(self.points)}"
+                ) from None
+            coords = _finite_coordinates(values, f"point {spec!r}")
+        expected = self.dim if dim is None else dim
+        if coords.shape != (expected,):
             raise ScenarioError(
-                f"unknown point {spec!r}; known: {sorted(self.points)}"
-            ) from None
-        return _finite_coordinates(coords, f"point {spec!r}")
+                f"point {spec!r} has {coords.shape[0]} coordinates, expected {expected}"
+            )
+        return coords
 
     def default_frame(self) -> list[VectorFieldSpec]:
         if self.kind == "chart":
@@ -201,11 +237,7 @@ class Scenario:
 
 
 def _resolve(raw: dict) -> Scenario:
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioError(f"schema violation at {path}: {exc.message}") from exc
+    """The scenario ``raw`` declares; ``raw`` already satisfies SCENARIO_SCHEMA."""
     declared = raw.get("schema_version", SCHEMA_VERSION)
     if declared != SCHEMA_VERSION:
         raise ScenarioError(
@@ -226,64 +258,49 @@ def _resolve(raw: dict) -> Scenario:
         digest=digest,
         aliases=list(aliases) if aliases else None,
     )
-    try:
-        if man["type"] == "embedded":
-            n = man["complex_dim"]
-            ambient = 2 * n
-            if aliases and len(aliases) != ambient:
-                raise ScenarioError(
-                    f"{len(aliases)} aliases for {ambient} real coordinates"
-                )
-            sc.manifold = EmbeddedManifold.parse(n, man["rho"], aliases)
-            if "tolerances" in raw and "rank_rtol" in raw["tolerances"]:
-                sc.manifold = EmbeddedManifold(
-                    n, sc.manifold.rho, raw["tolerances"]["rank_rtol"]
-                )
-            for fname, fields in raw.get("frames", {}).items():
-                sc.frames[fname] = [
-                    VectorFieldSpec.parse(coeffs, ambient, aliases) for coeffs in fields
-                ]
-        else:
-            l, m = man["l"], man["m"]
-            dim = l + m
-            frame = tuple(
-                VectorFieldSpec.parse(coeffs, dim, aliases) for coeffs in man["frame"]
-            )
-            sc.model_chart = ChartSetup(l, m, frame)
+    if man["type"] == "embedded":
+        n = man["complex_dim"]
+        ambient = 2 * n
+        if aliases and len(aliases) != ambient:
+            raise ScenarioError(f"{len(aliases)} aliases for {ambient} real coordinates")
+        rho = tuple(
+            _expr(t, ambient, aliases, f"manifold['rho'][{i}]") for i, t in enumerate(man["rho"])
+        )
+        sc.manifold = EmbeddedManifold(n, rho)
+        if "tolerances" in raw and "rank_rtol" in raw["tolerances"]:
+            sc.manifold = EmbeddedManifold(n, rho, raw["tolerances"]["rank_rtol"])
+        for fname, fields in raw.get("frames", {}).items():
+            sc.frames[fname] = _frame(fields, ambient, aliases, f"frames[{fname!r}]")
+    else:
+        l, m = man["l"], man["m"]
+        frame = _frame(man["frame"], l + m, aliases, "manifold['frame']")
+        sc.model_chart = ChartSetup(l, m, tuple(frame))
 
-        for cname, cdecl in raw.get("charts", {}).items():
-            dim = cdecl["l"] + cdecl["m"]
-            frame = tuple(
-                VectorFieldSpec.parse(coeffs, dim) for coeffs in cdecl["frame"]
-            )
-            sc.charts[cname] = ChartSetup(cdecl["l"], cdecl["m"], frame)
+    for cname, cdecl in raw.get("charts", {}).items():
+        dim = cdecl["l"] + cdecl["m"]
+        frame = _frame(cdecl["frame"], dim, None, f"charts[{cname!r}]['frame']")
+        sc.charts[cname] = ChartSetup(cdecl["l"], cdecl["m"], tuple(frame))
 
-        for aname, adecl in raw.get("adapted_charts", {}).items():
-            if sc.manifold is None:
-                raise ScenarioError("adapted charts need an embedded manifold")
-            dim = adecl["l"] + adecl["m"]
-            if len(adecl["psi"]) != sc.manifold.ambient_dim:
-                raise ScenarioError(
-                    f"adapted chart {aname!r}: psi needs {sc.manifold.ambient_dim} components"
-                )
-            chart = AdaptedChart(
-                adecl["l"],
-                adecl["m"],
-                tuple(parse_expr(t, dim) for t in adecl["psi"]),
+    for aname, adecl in raw.get("adapted_charts", {}).items():
+        if sc.manifold is None:
+            raise ScenarioError("adapted charts need an embedded manifold")
+        dim = adecl["l"] + adecl["m"]
+        if len(adecl["psi"]) != sc.manifold.ambient_dim:
+            raise ScenarioError(
+                f"adapted chart {aname!r}: psi needs {sc.manifold.ambient_dim} components"
             )
-            frame = [VectorFieldSpec.parse(coeffs, dim) for coeffs in adecl["frame"]]
-            sc.adapted_charts[aname] = (chart, frame)
-    except ExprError as exc:
-        raise ScenarioError(f"expression error: {exc}") from exc
+        path = f"adapted_charts[{aname!r}]"
+        psi = tuple(
+            _expr(t, dim, None, f"{path}['psi'][{i}]") for i, t in enumerate(adecl["psi"])
+        )
+        frame = _frame(adecl["frame"], dim, None, f"{path}['frame']")
+        sc.adapted_charts[aname] = (AdaptedChart(adecl["l"], adecl["m"], psi), frame)
 
-    expected_dim = (
-        sc.manifold.ambient_dim if sc.manifold is not None else sc.model_chart.l
-    )
     for pname, coords in raw.get("points", {}).items():
         pt = np.array(coords, dtype=float)
-        if pt.shape[0] != expected_dim:
+        if pt.shape[0] != sc.dim:
             raise ScenarioError(
-                f"point {pname!r} has {pt.shape[0]} coordinates, expected {expected_dim}"
+                f"point {pname!r} has {pt.shape[0]} coordinates, expected {sc.dim}"
             )
         sc.points[pname] = pt
 
@@ -399,4 +416,11 @@ def load_scenario(spec: str | Path) -> Scenario:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a JSON object")
+    import jsonschema  # only input needs validating: the builtins are program data
+
+    try:
+        jsonschema.validate(raw, SCENARIO_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ScenarioError(f"schema violation at {path}: {exc.message}") from exc
     return _resolve(raw)

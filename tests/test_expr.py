@@ -11,6 +11,7 @@ from crorbit.expr import (
     Add,
     Call,
     Const,
+    Div,
     ExprDomainError,
     ExprSyntaxError,
     Mul,
@@ -25,13 +26,13 @@ from crorbit.expr import (
     const,
     differentiate,
     eval_jet,
-    eval_value,
     mul,
     parse_expr,
     powi,
     substitute,
     to_text,
 )
+from jet_oracle import _jet_rec
 
 
 class TestParser:
@@ -72,7 +73,7 @@ class TestParser:
         assert parse_expr("-(2.0)", 1) == Neg(Const(2.0))  # a parenthesised literal stays
         assert parse_expr("-2^2", 1) == Neg(Pow(Const(2.0), 2))
         assert parse_expr("-x1", 1) == Neg(Var(0))
-        assert eval_value(parse_expr("-x1^2", 1), [3.0]) == -9.0
+        assert eval_jet(parse_expr("-x1^2", 1), [3.0], order=0).value == -9.0
 
     def test_function_calls(self):
         assert parse_expr("sin(x1)", 1) == Call("sin", Var(0))
@@ -92,6 +93,15 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expr("x1^2 + x2^2 + * x2", 2)
         assert err.value.position == 14
+
+    @pytest.mark.parametrize(
+        "text, aliases, position",
+        [("x1 +", None, 4), ("x1^", None, 3), ("x1 +  ", None, 6), ("2*y +", ["x", "y"], 5)],
+    )
+    def test_truncated_input_reports_its_end(self, text, aliases, position):
+        with pytest.raises(ExprSyntaxError, match="end of input") as err:
+            parse_expr(text, 2, aliases)
+        assert err.value.position == position
 
 
 class TestGrammarEdges:
@@ -164,9 +174,6 @@ def _exprs(depth: int = 4, dim: int = 3):
         )
 
     return st.recursive(leaves, extend, max_leaves=25)
-
-
-from crorbit.expr import Div  # noqa: E402  (used by the strategy)
 
 
 class TestRoundTrip:
@@ -251,7 +258,8 @@ class TestFiniteDifferenceOracle:
                 xp, xm = x.copy(), x.copy()
                 xp[k] += step
                 xm[k] -= step
-                fd = (eval_value(tree, xp) - eval_value(tree, xm)) / (2 * step)
+                up, down = (eval_jet(tree, y, order=0).value for y in (xp, xm))
+                fd = (up - down) / (2 * step)
                 scale = max(1.0, abs(jet.gradient[k]))
                 assert abs(jet.gradient[k] - fd) <= 1e-6 * scale
             checked += 1
@@ -261,7 +269,7 @@ class TestDifferentiate:
     def test_polynomial_partial(self):
         tree = parse_expr("x1^3*x2", 2)
         dx = differentiate(tree, 0)
-        assert eval_value(dx, [2.0, 5.0]) == pytest.approx(60.0, abs=1e-12)
+        assert eval_jet(dx, [2.0, 5.0], order=0).value == pytest.approx(60.0, abs=1e-12)
 
     def test_chain_rules(self):
         rng = np.random.default_rng(5)
@@ -270,7 +278,7 @@ class TestDifferentiate:
             dx = differentiate(tree, 0)
             for _ in range(10):
                 x = rng.uniform(-1.0, 1.0, 1)
-                assert eval_value(dx, x) == pytest.approx(
+                assert eval_jet(dx, x, order=0).value == pytest.approx(
                     eval_jet(tree, x, order=1).gradient[0], abs=1e-14
                 )
 
@@ -280,8 +288,32 @@ class TestDifferentiate:
         assert parse_expr(to_text(d), 2) == d
 
 
+def _random_jet_tree(rng, dim, depth):
+    """A random tree over every rule: + - * /, Neg, ^ (negative too), sin/cos/exp/log."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            return Var(int(rng.integers(0, dim)))
+        return Const(float(rng.uniform(-2, 2)))
+    kind = int(rng.integers(0, 7))
+    a = _random_jet_tree(rng, dim, depth - 1)
+    if kind == 4:
+        return Neg(a)
+    if kind == 5:
+        return Pow(a, int(rng.integers(-2, 4)))
+    if kind == 6:
+        return Call(str(rng.choice(["sin", "cos", "exp", "log"])), a)
+    return (Add, Sub, Mul, Div)[kind](a, _random_jet_tree(rng, dim, depth - 1))
+
+
+def _equal_where_finite(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    both = np.isfinite(a) & np.isfinite(b)
+    return np.array_equal(a[both], b[both])
+
+
 class TestCompiledEvaluators:
     def test_matches_interpreted_path(self):
+        """Kernels and eval_jet agree with the reference interpreter to rounding."""
         rng = np.random.default_rng(11)
         for _ in range(50):
             dim = int(rng.integers(1, 5))
@@ -293,9 +325,30 @@ class TestCompiledEvaluators:
             except (ZeroDivisionError, OverflowError, ValueError):
                 continue
             for i, tree in enumerate(trees):
+                value, gradient = _jet_rec(tree, x, 1)
                 jet = eval_jet(tree, x, order=1)
-                assert vals[i] == pytest.approx(jet.value, abs=1e-13, rel=1e-13)
-                assert np.allclose(jac[i], jet.gradient, atol=1e-13, rtol=1e-13)
+                for v, g in ((vals[i], jac[i]), (jet.value, jet.gradient)):
+                    assert v == pytest.approx(value, abs=1e-13, rel=1e-13)
+                    assert np.allclose(g, gradient, atol=1e-13, rtol=1e-13)
+
+    def test_one_shot_evaluation_equals_kernel_exactly(self):
+        """eval_jet runs the kernel's rules: equal bits wherever both are finite."""
+        rng = np.random.default_rng(9)
+        jets = 0
+        while jets < 10_000:
+            dim = int(rng.integers(1, 4))
+            tree = _random_jet_tree(rng, dim, 4)
+            fn = compile_values_and_jacobian([tree], dim)
+            for x in rng.uniform(-1.5, 1.5, (4, dim)):
+                try:
+                    jet = eval_jet(tree, x)
+                    kernels = [fn(x.tolist()), fn(x)]
+                except (ExprDomainError, ZeroDivisionError, OverflowError, ValueError):
+                    continue
+                for (value,), (row,) in kernels:
+                    assert _equal_where_finite(value, jet.value), (to_text(tree), x)
+                    assert _equal_where_finite(row, jet.gradient), (to_text(tree), x)
+                jets += 1
 
     def test_values_only(self):
         fn = compile_values([parse_expr("x1 + 2", 1)])

@@ -1,15 +1,21 @@
 """Scenario schema, builtins, CLI exit codes and report determinism."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+import crorbit
 from crorbit.cli import cmd_analyze, cmd_orbit, cmd_transport, cmd_verify, main
 from crorbit.expr import MAX_DEPTH
 from crorbit.scenario import (
     BUILTIN_SCENARIOS,
+    SCENARIO_SCHEMA,
     ScenarioError,
     builtin_scenario,
     load_scenario,
@@ -52,6 +58,47 @@ class TestScenarioLoading:
         path.write_text(json.dumps(raw))
         with pytest.raises(ScenarioError, match="expression error"):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize(
+        "section, index, path",
+        [
+            (("frames", "cr", 0), 2, "frames['cr'][0][2]"),
+            (("manifold", "rho"), 0, "manifold['rho'][0]"),
+        ],
+        ids=["frame-coefficient", "rho"],
+    )
+    def test_expression_error_names_its_path(self, section, index, path, tmp_path):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        entries = raw
+        for key in section:
+            entries = entries[key]
+        entries[index] = "2*y +"
+        bad = tmp_path / "truncated.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(bad))
+        assert str(err.value) == (
+            f"expression error at {path}: unexpected end of input (at position 5)"
+        )
+
+    def test_builtins_satisfy_the_schema(self):
+        for raw in BUILTIN_SCENARIOS.values():
+            jsonschema.validate(raw, SCENARIO_SCHEMA)
+
+    def test_resolving_builtins_leaves_jsonschema_unimported(self):
+        code = (
+            "import sys, crorbit.cli\n"
+            "from crorbit.scenario import BUILTIN_SCENARIOS, load_scenario\n"
+            "for name in BUILTIN_SCENARIOS:\n"
+            "    load_scenario(name)\n"
+            "print('jsonschema' in sys.modules)\n"
+        )
+        src = str(Path(crorbit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_point_dimension_checked(self, tmp_path):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
@@ -200,6 +247,23 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "'nan,0,0,0'" in err and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "command, scenario, point, expected",
+        [
+            ("analyze", "lewy", "1,2", 4),
+            ("orbit", "lewy", "0,0", 4),
+            ("analyze", "expchart", "1,2", 1),
+        ],
+        ids=["analyze-embedded", "orbit-embedded", "analyze-chart"],
+    )
+    def test_point_with_wrong_coordinate_count_exit_2(
+        self, command, scenario, point, expected, capsys
+    ):
+        code = main([command, "--scenario", scenario, "--point", point])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"point {point!r} has 2 coordinates, expected {expected}" in err
 
     def test_non_finite_scenario_point_exit_2(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
