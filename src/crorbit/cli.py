@@ -69,13 +69,20 @@ def _parse_vector(text: str, option: str) -> np.ndarray:
 
 
 def _parse_word(text: str) -> FlowWord:
+    """A JSON list of [field index, time] steps; a JSON true is not a number here."""
     try:
         steps = json.loads(text)
-        return FlowWord(tuple((int(i), float(t)) for i, t in steps))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ScenarioError(
-            f"--word must be JSON like [[1, 0.5], [2, -0.25]]: {exc}"
-        ) from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"--word must be JSON like [[1, 0.5], [2, -0.25]]: {exc}") from exc
+    if not isinstance(steps, list):
+        raise ScenarioError(f"--word {text!r} must be a JSON list of [field index, time] steps")
+    for k, step in enumerate(steps):
+        if not isinstance(step, list) or [type(v) for v in step] not in ([int, int], [int, float]):
+            raise ScenarioError(f"--word step {k} {json.dumps(step)} must be [field index, time]")
+    try:
+        return FlowWord(tuple(map(tuple, steps)))
+    except OverflowError as exc:  # an integer time beyond the float range
+        raise ScenarioError(f"--word time: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +226,15 @@ def cmd_transport(
     cfg = scenario.integrator
     eta_path: list = []
     xi_path: list = []
-    if word is not None:
-        word.validate(chart.rank)
-        base, eta, xi = x0, eta0, xi0
-        for idx, tt in word.steps:
-            fld = chart.frame[idx - 1]
-            h = horizontal_transport(chart, fld, base, eta, tt, cfg, path=eta_path)
-            d = dual_transport(chart, fld, base, xi, tt, cfg, path=xi_path)
-            base, eta, xi = h.base, h.eta, d.xi
-        fv = flow_transport(chart, word, x0, eta0, cfg=cfg)
-        h_base, h_eta, d_xi = base, eta, xi
-    else:
-        if not 1 <= field <= chart.rank:
-            raise ScenarioError(f"field index {field} outside frame of size {chart.rank}")
-        fld = chart.frame[field - 1]
-        h = horizontal_transport(chart, fld, x0, eta0, t, cfg, path=eta_path)
-        d = dual_transport(chart, fld, x0, xi0, t, cfg, path=xi_path)
-        fv = flow_transport(chart, fld, x0, eta0, t, cfg)
+    word = FlowWord.of((field, t)) if word is None else word
+    word.validate(chart.rank)
+    h_base, h_eta, d_xi = x0, eta0, xi0
+    for idx, tt in word.steps:
+        fld = chart.frame[idx - 1]
+        h = horizontal_transport(chart, fld, h_base, h_eta, tt, cfg, path=eta_path)
+        d = dual_transport(chart, fld, h_base, d_xi, tt, cfg, path=xi_path)
         h_base, h_eta, d_xi = h.base, h.eta, d.xi
+    fv = flow_transport(chart, word, x0, eta0, cfg=cfg)
 
     deviation = float(np.max(np.abs(h_eta - fv.eta), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(h_eta), initial=0.0)))

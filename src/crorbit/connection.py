@@ -222,18 +222,14 @@ def _transport_ode(
 ):
     """Shared base/fiber ODE for horizontal (sign=+1) and dual (sign=-1, transposed) transport."""
     _require_valid(c, X, x0p)
-    jet_fn = X._jet_fn
     l, m = c.l, c.m
     x = np.zeros(l + m)  # (x', 0): the base point on N
 
     def rhs(_t, y):
         x[:l] = y[:l]
-        vals, rows = jet_fn(x)
-        b = np.array(rows, dtype=float)[l:, l:]
-        out = np.empty(l + m)
-        out[:l] = vals[:l]
-        out[l:] = sign * ((b.T if transpose else b) @ y[l:])
-        return out
+        vals, jac = X.values_and_jacobian(x)
+        b = jac[l:, l:]
+        return np.concatenate((vals[:l], sign * ((b.T if transpose else b) @ y[l:])))
 
     on_step = None
     if path is not None:
@@ -327,7 +323,6 @@ def curve_transport(
     """
     if not experimental:
         raise ValueError("curve_transport is experimental; pass experimental=True")
-    jets = [f._jet_fn for f in c.frame]
     l, m = c.l, c.m
     x = np.zeros(l + m)  # (x', 0): the base point on N
 
@@ -335,13 +330,12 @@ def curve_transport(
         w = np.asarray(weights(tt), dtype=float)
         x[:l] = y[:l]
         out = np.zeros(l + m)
-        for wi, jet_fn in zip(w, jets):
+        for wi, field in zip(w, c.frame):
             if wi == 0.0:
                 continue
-            vals, rows = jet_fn(x)
-            out[:l] += wi * np.array(vals[:l])
-            if m:
-                out[l:] += wi * (np.array(rows, dtype=float)[l:, l:] @ y[l:])
+            vals, jac = field.values_and_jacobian(x)
+            out[:l] += wi * vals[:l]
+            out[l:] += wi * (jac[l:, l:] @ y[l:])
         return out
 
     y0 = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(eta0, dtype=float)))
@@ -467,12 +461,12 @@ def connection_axioms_check(
         x_full = np.concatenate((xp, np.zeros(c.m)))
         base = covariant_derivative(c, X, eta, xp)
 
-        phi_val = eval_jet(phi, x_full, order=0).value
+        phi_jet = eval_jet(phi, x_full, order=1)
+        phi_val = phi_jet.value
         scaled = covariant_derivative(c, X.scaled(phi), eta, xp)
         r_scale = float(np.max(np.abs(scaled - phi_val * base), initial=0.0))
 
         a, _ = _restricted(X, c, xp)
-        phi_jet = eval_jet(phi, x_full, order=1)
         x_phi = float(a @ phi_jet.gradient)
         eta_vals = np.array([eval_jet(ej, xp, order=0).value for ej in eta])
         leib_lhs = covariant_derivative(c, X, phi_eta, xp)

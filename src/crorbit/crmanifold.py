@@ -164,19 +164,20 @@ class EmbeddedManifold:
         return self.n - self.d
 
     @cached_property
-    def _rho_values_fn(self) -> Callable:
+    def _rho_probe(self) -> Callable:
         return compile_values(self.rho)
 
     @cached_property
-    def _rho_jet_fn(self) -> Callable:
+    def _rho_kernel(self) -> Callable:
         return compile_values_and_jacobian(self.rho, 2 * self.n)
 
     def rho_values(self, x: Sequence[float]) -> np.ndarray:
-        return np.array(self._rho_values_fn(x), dtype=float)
+        """rho(x), from a values-only probe: it is read far more often than d rho."""
+        return self._rho_probe(x)
 
     def rho_jacobian(self, x: Sequence[float]) -> np.ndarray:
-        _, rows = self._rho_jet_fn(x)
-        return np.array(rows, dtype=float)
+        """d rho(x) as a d x 2n matrix."""
+        return self._rho_kernel(x)[1]
 
     def require_on_manifold(self, x: Sequence[float]) -> None:
         resid = float(np.max(np.abs(self.rho_values(x))))
@@ -383,13 +384,12 @@ class AdaptedChart:
         return self.l + self.m
 
     @cached_property
-    def _psi_jet_fn(self) -> Callable:
+    def _psi_kernel(self) -> Callable:
         return compile_values_and_jacobian(self.psi, self.dim)
 
     def point_and_frame(self, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(psi(u), d psi(u)) with the differential as a (2n) x (l+m) matrix."""
-        vals, rows = self._psi_jet_fn(np.asarray(u, dtype=float))
-        return np.array(vals, dtype=float), np.array(rows, dtype=float)
+        return self._psi_kernel(np.asarray(u, dtype=float))
 
 
 @dataclass

@@ -9,13 +9,16 @@ defining functions, vector-field coefficients and scalar multipliers.
 * ``JetCompiler`` -- the one set of forward-mode rules for values and
   coordinate partials.  Without a point it generates straight-line Python
   source, compiled by ``compile_values`` and ``compile_values_and_jacobian``
-  for the ODE right-hand sides.  One tuple (a field's coefficients, a
-  manifold's defining functions) gets one compiled kernel; restricted
-  quantities, such as the normal block on x'' = 0, are slices of that
-  kernel's output at the restricted point.  Given a point, every variable
-  is a literal and every rule folds, so the same rules return numbers:
-  ``eval_jet`` and the smart constructors' constant folding evaluate this
-  way, with the arithmetic, operation for operation, of the compiled kernel.
+  into kernels that take a list or an ndarray and return float64 arrays,
+  values of shape (k,) and a Jacobian of shape (k, dim), which callers
+  slice and never convert.  A vector field owns one kernel,
+  x -> (a(x), Da(x)): its values, its Jacobian and every integrator
+  right-hand side read it.  Only an embedded manifold adds a values-only
+  probe, because retraction and drift tests read rho far more often than
+  d rho.  Given a point, every variable is a literal and every rule folds,
+  so the same rules return numbers: ``eval_jet`` and the smart
+  constructors' constant folding evaluate this way, with the arithmetic,
+  operation for operation, of the compiled kernel.
 
 Text is read by Python's parser (``ast.parse``, ``^`` read as ``**``) and
 one walker that maps the grammar onto the node classes.  Anything else, a
@@ -661,6 +664,8 @@ class JetCompiler:
         if isinstance(e, Pow):
             va, da = self.emit(e.base)
             n = e.exponent
+            if n == 0:  # x**0 is 1 for every x, but its factor 0.0*x**-1 fails at x = 0
+                return (1.0, (0.0,) * len(da))
             v = self._apply(f"{{}}**{n}", lambda a: a**n, va)
             if all(x == 0.0 for x in da):  # always so for a literal base in code
                 return (v, (0.0,) * len(da))
@@ -720,29 +725,34 @@ def _tuple(refs: Sequence) -> str:
     return "(" + ", ".join(map(str, refs)) + ("," if len(refs) == 1 else "") + ")"
 
 
+def _array(refs: Sequence) -> str:
+    """The code of a float64 array of ``refs``: the kernels' output format."""
+    return f"np.array({_tuple(refs)}, dtype=float)"
+
+
 def _compile_source(name: str, body: list[str], result: str) -> Callable:
     src = f"def {name}(x):\n"
     for line in body:
         src += f"    {line}\n"
     src += f"    return {result}\n"
-    namespace: dict = {"math": math}
+    namespace: dict = {"math": math, "np": np}
     exec(compile(src, f"<crorbit:{name}>", "exec"), namespace)
     return namespace[name]
 
 
-def compile_values(exprs: Sequence[ScalarExpr]) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """Compile ``x -> (e_1(x), ..., e_k(x))`` into a single function."""
+def compile_values(exprs: Sequence[ScalarExpr]) -> Callable:
+    """Compile ``x -> [e_1(x), ..., e_k(x)]``, a float64 array of shape (k,)."""
     comp = JetCompiler(0)
     vals = [comp.emit(e)[0] for e in exprs]
-    return _compile_source("field_values", comp.lines, _tuple(vals))
+    return _compile_source("field_values", comp.lines, _array(vals))
 
 
 def compile_values_and_jacobian(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
-    """Compile ``x -> (values, rows)`` where ``rows[i][k] = d e_i / d x_k``, k < ``dim``."""
+    """Compile ``x -> (values, jac)``, arrays (k,) and (k, ``dim``), jac[i, k] = d e_i/d x_k."""
     comp = JetCompiler(dim)
     vals, rows = [], []
     for e in exprs:
         v, tangents = comp.emit(e)
         vals.append(v)
         rows.append(_tuple(tangents))
-    return _compile_source("field_jet", comp.lines, f"({_tuple(vals)}, {_tuple(rows)})")
+    return _compile_source("field_jet", comp.lines, f"{_array(vals)}, {_array(rows)}")

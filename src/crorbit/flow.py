@@ -319,7 +319,7 @@ def flow(
         raise ValueError(f"initial point has shape {x0.shape}, expected ({n},)")
 
     def rhs(_t, y):
-        vals, jac = X._jet_fn(y[:n])  # compiled on first use: a zero-time flow needs none
+        vals, jac = X.values_and_jacobian(y[:n])  # a zero-time flow compiles nothing
         out = np.empty(n + n * n)
         out[:n] = vals
         np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))

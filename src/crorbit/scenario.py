@@ -184,11 +184,9 @@ class Scenario:
     name: str
     kind: str  # embedded | chart
     seed: int
-    raw: dict
     digest: str
     manifold: EmbeddedManifold | None = None
     model_chart: ChartSetup | None = None
-    aliases: list[str] | None = None
     frames: dict[str, list[VectorFieldSpec]] = field(default_factory=dict)
     charts: dict[str, ChartSetup] = field(default_factory=dict)
     adapted_charts: dict[str, tuple[AdaptedChart, list[VectorFieldSpec]]] = field(
@@ -254,9 +252,7 @@ def _resolve(raw: dict) -> Scenario:
         name=raw["name"],
         kind=man["type"],
         seed=int(raw.get("seed", 0)),
-        raw=raw,
         digest=digest,
-        aliases=list(aliases) if aliases else None,
     )
     if man["type"] == "embedded":
         n = man["complex_dim"]

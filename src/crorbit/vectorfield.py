@@ -11,7 +11,6 @@ import numpy as np
 from .expr import (
     ScalarExpr,
     add,
-    compile_values,
     compile_values_and_jacobian,
     differentiate,
     mul,
@@ -53,21 +52,16 @@ class VectorFieldSpec:
         )
 
     @cached_property
-    def _values_fn(self):
-        return compile_values(self.coefficients)
-
-    @cached_property
-    def _jet_fn(self):
+    def _kernel(self):  # x -> (a(x), Da(x)), compiled on first use
         return compile_values_and_jacobian(self.coefficients, self.dim)
 
     def values(self, x: Sequence[float]) -> np.ndarray:
         """a(x) as a length-``dim`` array."""
-        return np.array(self._values_fn(x), dtype=float)
+        return self._kernel(x)[0]
 
     def values_and_jacobian(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """(a(x), Da(x)) with Da[j, k] = da_j/dx_k, exact forward-mode values."""
-        vals, jac = self._jet_fn(x)
-        return np.array(vals, dtype=float), np.array(jac, dtype=float)
+        """(a(x), Da(x)) with Da[j, k] = da_j/dx_k, from the field's one kernel."""
+        return self._kernel(x)
 
     def scaled(self, factor: ScalarExpr) -> "VectorFieldSpec":
         """The field ``factor * X`` with symbolic coefficients."""

@@ -1,0 +1,24 @@
+"""Shared fixtures."""
+
+import sys
+
+import pytest
+
+from crorbit import expr
+
+
+@pytest.fixture
+def compilations(monkeypatch):
+    """The arguments of every kernel compilation, by compiler, from any crorbit module."""
+    calls = {"compile_values": [], "compile_values_and_jacobian": []}
+    for name, log in calls.items():
+        real = getattr(expr, name)
+
+        def counting(*args, real=real, log=log):
+            log.append(args)
+            return real(*args)
+
+        for module in list(sys.modules.values()):  # every binding in the package
+            if getattr(module, "__name__", "").startswith("crorbit") and hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls

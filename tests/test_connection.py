@@ -1,7 +1,6 @@
 """The flattened-chart partial connection and its three transport routes."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -23,9 +22,10 @@ from crorbit.connection import (
     xhat_field,
     _restricted,
 )
-from crorbit import expr
+from crorbit.crmanifold import EmbeddedManifold
 from crorbit.expr import Const, Var, add, eval_jet, mul, parse_expr
-from crorbit.flow import FlowWord, IntegratorConfig
+from crorbit.flow import FlowWord, IntegratorConfig, flow
+from crorbit.orbit import lie_hull
 from crorbit.vectorfield import VectorFieldSpec
 from crorbit.verify import random_chart, transport_corpus
 
@@ -207,26 +207,20 @@ class TestRestrictedEvaluation:
                     atol=1e-13,
                 )
 
-    def test_one_jacobian_kernel_per_field(self, monkeypatch):
-        compiled = []
-        real = expr.compile_values_and_jacobian
-
-        def counting(*args, **kwargs):
-            compiled.append(args)
-            return real(*args, **kwargs)
-
-        for module in list(sys.modules.values()):  # every binding in the package
-            if getattr(module, "__name__", "").startswith("crorbit") and hasattr(
-                module, "compile_values_and_jacobian"
-            ):
-                monkeypatch.setattr(module, "compile_values_and_jacobian", counting)
+    def test_one_jacobian_kernel_per_field(self, compilations):
         field = VectorFieldSpec.parse(["1 + 0.25*x2", "x2*(1 + 0.5*x1)"], 2)
         chart = ChartSetup(1, 1, (field,))
+        field.values([0.1, 0.0])
+        field.values_and_jacobian([0.1, 0.0])
+        flow(field, [0.1, 0.0], 0.5)
         horizontal_transport(chart, field, [0.1], [1.0], 0.5)
         dual_transport(chart, field, [0.1], [1.0], 0.5)
         flow_transport(chart, field, [0.1], [1.0], 0.5)
         xhat_field(chart, field, ([0.1], [1.0]))
-        assert len(compiled) == 1
+        line = EmbeddedManifold.parse(1, ["x2"])  # dimension 1: the field alone spans it
+        assert lie_hull(line, [field], [0.1, 0.0]).dimension == 1
+        assert compilations["compile_values_and_jacobian"] == [(field.coefficients, 2)]
+        assert compilations["compile_values"] == []
 
 
 class TestHamiltonianRestriction:

@@ -29,7 +29,7 @@ from crorbit.crmanifold import (
     validate_adapted_chart,
 )
 from crorbit.expr import parse_expr
-from crorbit.flow import FlowWord
+from crorbit.flow import FlowWord, retract
 from crorbit.vectorfield import VectorFieldSpec
 
 AL4 = ["x", "y", "u", "v"]
@@ -119,6 +119,17 @@ class TestTangentSpaces:
             tc = complex_tangent_space(LEWY, z)
             jb = np.column_stack([apply_j(tc.basis[:, k]) for k in range(tc.dim)])
             assert np.max(np.abs(jb - tc.project(jb))) <= 1e-10
+
+    def test_one_kernel_of_each_kind(self, compilations):
+        """A values-only probe of rho, and one Jacobian kernel."""
+        m = EmbeddedManifold.parse(2, ["v - x^2 - y^2"], AL4)
+        z = lewy_point(0.1, 0.2, 0.3)
+        m.rho_values(z)
+        m.rho_jacobian(z)
+        retract(m, z + [0.0, 0.0, 0.0, 1e-3], 1e-12)
+        tangent_space(m, z)
+        assert compilations["compile_values"] == [(m.rho,)]
+        assert compilations["compile_values_and_jacobian"] == [(m.rho, 4)]
 
     def test_non_generic_point_raises(self):
         line = EmbeddedManifold.parse(2, ["x1", "x2"])

@@ -1,5 +1,6 @@
 """Expression parsing, printing, jets and the finite-difference oracle."""
 
+import math
 import re
 
 import numpy as np
@@ -352,7 +353,38 @@ class TestCompiledEvaluators:
 
     def test_values_only(self):
         fn = compile_values([parse_expr("x1 + 2", 1)])
-        assert fn([1.5]) == (3.5,)
+        out = fn([1.5])
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.tolist() == [3.5]
+
+    @pytest.mark.parametrize(
+        "x", [[2.0, -3.0], [2, -3], np.array([2.0, -3.0])], ids=["list", "int-list", "ndarray"]
+    )
+    def test_kernels_return_float64_arrays(self, x):
+        trees = [parse_expr(t, 2) for t in ("x1*x2 + 1", "x2", "sin(x1)")]
+        values = compile_values(trees)(x)
+        vals, jac = compile_values_and_jacobian(trees, 2)(x)
+        for out, shape in ((values, (3,)), (vals, (3,)), (jac, (3, 2))):
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.shape == shape
+        assert values.tolist() == vals.tolist() == [-5.0, -3.0, math.sin(2.0)]
+        assert jac.tolist() == [[-3.0, 2.0], [0.0, 1.0], [math.cos(2.0), 0.0]]
+
+    def test_zeroth_power_at_zero_base(self):
+        """x^0 is 1 with derivative 0 everywhere, also at x = 0."""
+        tree = parse_expr("x1^0 + x1", 1)
+        fn = compile_values_and_jacobian([tree], 1)
+        for x in ([0.0], np.zeros(1)):
+            vals, jac = fn(x)
+            assert vals.tolist() == [1.0] and jac.tolist() == [[1.0]]
+        jet = eval_jet(tree, [0.0])
+        assert jet.value == 1.0 and jet.gradient.tolist() == [1.0]
+        # the base is still evaluated: its own domain error raises
+        undefined = parse_expr("(1/x1)^0", 1)
+        with pytest.raises(ZeroDivisionError):
+            compile_values_and_jacobian([undefined], 1)([0.0])
+        with pytest.raises(ExprDomainError):
+            eval_jet(undefined, [0.0])
 
 
 class TestNonFiniteConstants:

@@ -132,6 +132,11 @@ class TestFlow:
         with pytest.raises((FlowDomainError, FlowBlowupError)):
             flow(singular, [-0.5], -1.0)
 
+    def test_zeroth_power_coefficient_through_zero(self):
+        res = flow(VectorFieldSpec.parse(["x1^0", "0"], 2), [0.0, 0.0], 1.0)
+        assert np.allclose(res.endpoint, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(res.differential, np.eye(2), atol=1e-12)
+
     def test_condition_number_reported(self):
         res = flow(EXP_FIELD, [0.0, 1.0], 1.0)
         assert np.linalg.cond(res.differential) == pytest.approx(math.e, rel=1e-6)

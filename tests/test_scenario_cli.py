@@ -346,6 +346,27 @@ class TestExitCodes:
         assert "--eta 'inf'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--word", "{}"], "--word '{}' must be a JSON list of [field index, time] steps"),
+            (["--word", '["12"]'], '--word step 0 "12" must be [field index, time]'),
+            (["--word", "[[1, 0.5], [1.9, 0.5]]"], "--word step 1 [1.9, 0.5] must be"),
+            (["--word", "[[true, 0.5]]"], "--word step 0 [true, 0.5] must be"),
+            (["--word", '[[1, "0.5"]]'], '--word step 0 [1, "0.5"] must be'),
+            (["--word", f"[[1, 1{'0' * 400}]]"], "--word time: int too large to convert"),
+            (["--field", "2"], "field index 2 outside frame of size 1"),
+        ],
+        ids=[
+            "object", "string-step", "float-index", "bool-index", "string-time", "huge-time",
+            "field",
+        ],
+    )
+    def test_malformed_word_or_field_exit_2(self, args, named, capsys):
+        code = main(["transport", "--scenario", "expchart", *args])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "args", [["--t", "nan"], ["--word", "[[1, NaN]]"]], ids=["t", "word"]
     )
     def test_non_finite_time_exit_2(self, args, capsys):
