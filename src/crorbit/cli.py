@@ -65,7 +65,11 @@ _INPUT_ERRORS = (
 
 
 def _parse_vector(text: str, option: str) -> np.ndarray:
-    return _finite_coordinates([float(v) for v in text.split(",")], f"{option} {text!r}")
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ScenarioError(f"{option} {text!r} must be comma-separated numbers") from None
+    return _finite_coordinates(values, f"{option} {text!r}")
 
 
 def _parse_word(text: str) -> FlowWord:
@@ -227,18 +231,13 @@ def cmd_transport(
     eta_path: list = []
     xi_path: list = []
     word = FlowWord.of((field, t)) if word is None else word
-    word.validate(chart.rank)
-    h_base, h_eta, d_xi = x0, eta0, xi0
-    for idx, tt in word.steps:
-        fld = chart.frame[idx - 1]
-        h = horizontal_transport(chart, fld, h_base, h_eta, tt, cfg, path=eta_path)
-        d = dual_transport(chart, fld, h_base, d_xi, tt, cfg, path=xi_path)
-        h_base, h_eta, d_xi = h.base, h.eta, d.xi
-    fv = flow_transport(chart, word, x0, eta0, cfg=cfg)
+    h = horizontal_transport(chart, word, x0, eta0, cfg, path=eta_path)
+    d_xi = dual_transport(chart, word, x0, xi0, cfg, path=xi_path).xi
+    fv = flow_transport(chart, word, x0, eta0, cfg)
 
-    deviation = float(np.max(np.abs(h_eta - fv.eta), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(h_eta), initial=0.0)))
-    pairing_drift = abs(float(h_eta @ d_xi) - float(eta0 @ xi0))
+    deviation = float(np.max(np.abs(h.eta - fv.eta), initial=0.0))
+    scale = max(1.0, float(np.max(np.abs(h.eta), initial=0.0)))
+    pairing_drift = abs(float(h.eta @ d_xi) - float(eta0 @ xi0))
     report.results.append(
         CheckResult(
             "horizontal-vs-flow",
@@ -246,9 +245,9 @@ def cmd_transport(
             deviation / scale,
             TOL_TRANSPORT_RANDOM,
             details={
-                "horizontal": h_eta.tolist(),
+                "horizontal": h.eta.tolist(),
                 "flow": fv.eta.tolist(),
-                "endpoint": h_base.tolist(),
+                "endpoint": h.base.tolist(),
             },
         )
     )

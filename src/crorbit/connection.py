@@ -12,6 +12,11 @@ reduced mod TN.  Three equivalent transport descriptions are implemented:
 
 together with consistency checks against the restricted Hamiltonian field
 of the symbol and against the connection axioms.
+
+Each transport runs along a :class:`FlowWord` over the chart frame, one
+frame field per leg.  A transport ``path`` starts with one row at t = 0 and
+then times each accepted step by the elapsed |t| along the whole word, as a
+composed flow's trajectory does.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .expr import (
     mul,
     substitute,
 )
-from .flow import FlowWord, IntegratorConfig, composed_flow, flow, _integrate
+from .flow import FlowWord, IntegratorConfig, composed_flow, _integrate
 from .linalg import RANK_RTOL
 from .vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field, lie_bracket
 
@@ -211,17 +216,16 @@ def covariant_derivative_via_bracket(
 
 def _transport_ode(
     c: ChartSetup,
-    X: VectorFieldSpec,
+    word: FlowWord,
     x0p: Sequence[float],
     v0: Sequence[float],
-    t: float,
     cfg: IntegratorConfig,
     sign: float,
     transpose: bool,
-    path: list | None = None,
+    path: list | None,
 ):
     """Shared base/fiber ODE for horizontal (sign=+1) and dual (sign=-1, transposed) transport."""
-    _require_valid(c, X, x0p)
+    word.validate(c.rank)
     l, m = c.l, c.m
     x = np.zeros(l + m)  # (x', 0): the base point on N
 
@@ -231,73 +235,65 @@ def _transport_ode(
         b = jac[l:, l:]
         return np.concatenate((vals[:l], sign * ((b.T if transpose else b) @ y[l:])))
 
-    on_step = None
+    def on_step(tt, y):
+        path.append((t_offset + abs(tt), y[:l].copy(), y[l:].copy()))
+        return y
+
+    y = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(v0, dtype=float)))
     if path is not None:
-        path.append((0.0, np.asarray(x0p, float).copy(), np.asarray(v0, float).copy()))
-
-        def on_step(tt, y):
-            path.append((tt, y[:l].copy(), y[l:].copy()))
-            return y
-
-    y0 = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(v0, dtype=float)))
-    y = _integrate(rhs, (0.0, t), y0, cfg, on_step=on_step)
+        path.append((0.0, y[:l].copy(), y[l:].copy()))
+    t_offset = 0.0
+    for idx, t in word.steps:
+        X = c.frame[idx - 1]  # rhs reads the current leg's field
+        _require_valid(c, X, y[:l])
+        y = _integrate(rhs, (0.0, t), y, cfg, on_step=None if path is None else on_step)
+        t_offset += abs(t)
     return y[:l], y[l:]
 
 
 def horizontal_transport(
     c: ChartSetup,
-    X: VectorFieldSpec,
+    word: FlowWord,
     x0p: Sequence[float],
     eta0: Sequence[float],
-    t: float,
     cfg: IntegratorConfig = IntegratorConfig(),
     path: list | None = None,
 ) -> NormalVector:
-    """Parallel transport by integrating the horizontal-lift field on the normal bundle."""
-    base, eta = _transport_ode(c, X, x0p, eta0, t, cfg, +1.0, False, path)
+    """Parallel transport along ``word`` by integrating the horizontal-lift field."""
+    base, eta = _transport_ode(c, word, x0p, eta0, cfg, +1.0, False, path)
     return NormalVector(base, eta)
 
 
 def dual_transport(
     c: ChartSetup,
-    X: VectorFieldSpec,
+    word: FlowWord,
     x0p: Sequence[float],
     xi0: Sequence[float],
-    t: float,
     cfg: IntegratorConfig = IntegratorConfig(),
     path: list | None = None,
 ) -> ConormalCovector:
-    """Dual parallel transport on the conormal bundle (integral curves of X-hat)."""
-    base, xi = _transport_ode(c, X, x0p, xi0, t, cfg, -1.0, True, path)
+    """Dual transport along ``word`` on the conormal bundle (integral curves of X-hat)."""
+    base, xi = _transport_ode(c, word, x0p, xi0, cfg, -1.0, True, path)
     return ConormalCovector(base, xi)
 
 
 def flow_transport(
     c: ChartSetup,
-    X: VectorFieldSpec | FlowWord,
+    word: FlowWord,
     x0p: Sequence[float],
     eta0: Sequence[float],
-    t: float | None = None,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> NormalVector:
-    """Transport eta0 by the differential of the (composed) flow, reduced mod TN.
+    """Transport eta0 by the differential of the flow of ``word``, reduced mod TN.
 
     Lifts eta0 to (0, eta0), pushes it through the flow differential from
-    (x0', 0) and keeps the last m coordinates.  ``X`` may be a single field
-    with a time ``t`` or a :class:`FlowWord` over the chart frame.
+    (x0', 0) and keeps the last m coordinates.
     """
+    word.validate(c.rank)
+    for idx, _ in word.steps:
+        _require_valid(c, c.frame[idx - 1], x0p)
     x0 = np.concatenate((np.asarray(x0p, dtype=float), np.zeros(c.m)))
-    if isinstance(X, FlowWord):
-        if t is not None:
-            raise ValueError("a FlowWord carries its own times; t must be None")
-        for idx, _ in X.steps:
-            _require_valid(c, c.frame[idx - 1], x0p)
-        res = composed_flow(c.frame, X, x0, cfg)
-    else:
-        if t is None:
-            raise ValueError("a single field needs a transport time t")
-        _require_valid(c, X, x0p)
-        res = flow(X, x0, t, cfg)
+    res = composed_flow(c.frame, word, x0, cfg)
     lifted = np.concatenate((np.zeros(c.l), np.asarray(eta0, dtype=float)))
     eta_t = (res.differential @ lifted)[c.l:]
     return NormalVector(res.endpoint[: c.l], eta_t)

@@ -581,18 +581,13 @@ def theta_star_transport(
         )
     xi_chart = theta_r @ start.dpsi[:, chart.l:]
 
-    base = np.asarray(xp, dtype=float)
-    xi = np.asarray(xi_chart, dtype=float)
-    for idx, tt in word.steps:
-        out = dual_transport(k_chart, k_chart.frame[idx - 1], base, xi, tt, cfg)
-        base, xi = out.base, out.xi
-
-    end = e_fiber(m, chart, base)
+    moved = dual_transport(k_chart, word, xp, xi_chart, cfg)
+    end = e_fiber(m, chart, moved.base)
     columns = np.array(
         [theta_covector(w) @ end.dpsi[:, chart.l:] for w in end.estar_forms]
     ).T
-    coeffs, *_ = np.linalg.lstsq(columns, xi, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(columns, moved.xi, rcond=None)
     value = HolomorphicForm(
         sum(c * w.zeta for c, w in zip(coeffs, end.estar_forms))
     )
-    return ThetaStarTransportResult(start, end, base, value)
+    return ThetaStarTransportResult(start, end, moved.base, value)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .connection import ChartSetup
-from .crmanifold import AdaptedChart, EmbeddedManifold
-from .expr import ExprError, ScalarExpr, parse_expr
+from .crmanifold import AdaptedChart, EmbeddedManifold, validate_adapted_chart
+from .expr import ExprDomainError, ExprError, ScalarExpr, parse_expr
 from .flow import IntegratorConfig
 from .util import canonical_json
 from .vectorfield import VectorFieldSpec
@@ -290,7 +290,18 @@ def _resolve(raw: dict) -> Scenario:
             _expr(t, dim, None, f"{path}['psi'][{i}]") for i, t in enumerate(adecl["psi"])
         )
         frame = _frame(adecl["frame"], dim, None, f"{path}['frame']")
-        sc.adapted_charts[aname] = (AdaptedChart(adecl["l"], adecl["m"], psi), frame)
+        chart = AdaptedChart(adecl["l"], adecl["m"], psi)
+        try:
+            rep = validate_adapted_chart(sc.manifold, chart, [np.zeros(dim)])
+        except (ExprDomainError, ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"adapted chart {aname!r}: psi is undefined at 0: {exc}") from exc
+        if not rep.passed:
+            raise ScenarioError(
+                f"adapted chart {aname!r} is not an immersion into M at 0: "
+                f"|rho(psi(0))| = {rep.max_rho_residual:.3e}, rank of d psi {rep.min_rank} "
+                f"(needs {dim})"
+            )
+        sc.adapted_charts[aname] = (chart, frame)
 
     for pname, coords in raw.get("points", {}).items():
         pt = np.array(coords, dtype=float)

@@ -201,9 +201,9 @@ def _lewy_intrinsic_frame() -> list[VectorFieldSpec]:
 # ---------------------------------------------------------------------------
 
 def _check_transport_expchart() -> CheckResult:
-    chart, x_field = _expchart()
-    h = horizontal_transport(chart, x_field, [0.0], [1.0], 1.0)
-    f = flow_transport(chart, x_field, [0.0], [1.0], 1.0)
+    chart, _ = _expchart()
+    h = horizontal_transport(chart, FlowWord.of((1, 1.0)), [0.0], [1.0])
+    f = flow_transport(chart, FlowWord.of((1, 1.0)), [0.0], [1.0])
     worst = max(abs(h.eta[0] - math.e), abs(f.eta[0] - math.e))
     return CheckResult(
         "transport-equivalence-expchart",
@@ -217,8 +217,9 @@ def _check_transport_expchart() -> CheckResult:
 def _check_transport_random(seed: int) -> CheckResult:
     worst, worst_idx = 0.0, -1
     for idx, case in enumerate(transport_corpus(seed)):
-        h = horizontal_transport(case.chart, case.field, case.x0, case.eta0, case.t_equiv)
-        f = flow_transport(case.chart, case.field, case.x0, case.eta0, case.t_equiv)
+        word = FlowWord.of((1, case.t_equiv))
+        h = horizontal_transport(case.chart, word, case.x0, case.eta0)
+        f = flow_transport(case.chart, word, case.x0, case.eta0)
         dev = float(np.max(np.abs(h.eta - f.eta)))
         rel = dev / max(1.0, float(np.max(np.abs(h.eta))))
         if rel > worst:
@@ -371,16 +372,16 @@ def _check_chart_tangency(seed: int) -> CheckResult:
 
 
 def connection_suite(seed: int) -> list[CheckResult]:
-    return [
-        _check_transport_expchart(),
-        _check_transport_random(seed),
-        _check_axioms(seed + 1),
-        _check_bracket_exactness(seed + 2),
-        _check_commutator_loop(),
-        _check_flow_group_law(seed + 3),
-        _check_manifold_drift(seed + 4),
-        _check_chart_tangency(seed + 5),
-    ]
+    return _run_checks(
+        (_check_transport_expchart, None),
+        (_check_transport_random, seed),
+        (_check_axioms, seed + 1),
+        (_check_bracket_exactness, seed + 2),
+        (_check_commutator_loop, None),
+        (_check_flow_group_law, seed + 3),
+        (_check_manifold_drift, seed + 4),
+        (_check_chart_tangency, seed + 5),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +389,11 @@ def connection_suite(seed: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _check_duality_expchart() -> CheckResult:
-    chart, x_field = _expchart()
+    chart, _ = _expchart()
     worst = 0.0
     for t in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-        h = horizontal_transport(chart, x_field, [0.0], [1.0], t)
-        d = dual_transport(chart, x_field, [0.0], [1.0], t)
+        h = horizontal_transport(chart, FlowWord.of((1, t)), [0.0], [1.0])
+        d = dual_transport(chart, FlowWord.of((1, t)), [0.0], [1.0])
         worst = max(worst, abs(float(h.eta @ d.xi) - 1.0))
     return CheckResult(
         "duality-expchart", worst <= TOL_DUALITY, worst, TOL_DUALITY
@@ -402,8 +403,9 @@ def _check_duality_expchart() -> CheckResult:
 def _check_duality_random(seed: int) -> CheckResult:
     worst, worst_idx = 0.0, -1
     for idx, case in enumerate(transport_corpus(seed)):
-        h = horizontal_transport(case.chart, case.field, case.x0, case.eta0, case.t_dual)
-        d = dual_transport(case.chart, case.field, case.x0, case.xi0, case.t_dual)
+        word = FlowWord.of((1, case.t_dual))
+        h = horizontal_transport(case.chart, word, case.x0, case.eta0)
+        d = dual_transport(case.chart, word, case.x0, case.xi0)
         drift = abs(float(h.eta @ d.xi) - float(case.eta0 @ case.xi0))
         if drift > worst:
             worst, worst_idx = drift, idx
@@ -423,9 +425,10 @@ def _check_linearity(seed: int) -> CheckResult:
         zeta0 = rng.uniform(-1.0, 1.0, case.chart.m)
         alpha, beta = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
         mixed = alpha * case.eta0 + beta * zeta0
-        ha = horizontal_transport(case.chart, case.field, case.x0, case.eta0, case.t_equiv)
-        hb = horizontal_transport(case.chart, case.field, case.x0, zeta0, case.t_equiv)
-        hm = horizontal_transport(case.chart, case.field, case.x0, mixed, case.t_equiv)
+        word = FlowWord.of((1, case.t_equiv))
+        ha = horizontal_transport(case.chart, word, case.x0, case.eta0)
+        hb = horizontal_transport(case.chart, word, case.x0, zeta0)
+        hm = horizontal_transport(case.chart, word, case.x0, mixed)
         worst = max(
             worst, float(np.max(np.abs(hm.eta - alpha * ha.eta - beta * hb.eta)))
         )
@@ -437,12 +440,9 @@ def _check_linearity(seed: int) -> CheckResult:
 def _check_transport_reversibility(seed: int) -> CheckResult:
     worst = 0.0
     for case in transport_corpus(seed, 25):
-        out = horizontal_transport(
-            case.chart, case.field, case.x0, case.eta0, case.t_equiv
-        )
-        back = horizontal_transport(
-            case.chart, case.field, out.base, out.eta, -case.t_equiv
-        )
+        word = FlowWord.of((1, case.t_equiv))
+        out = horizontal_transport(case.chart, word, case.x0, case.eta0)
+        back = horizontal_transport(case.chart, word.inverse(), out.base, out.eta)
         worst = max(
             worst,
             float(np.max(np.abs(back.eta - case.eta0))),
@@ -510,13 +510,13 @@ def _check_theta_duality(seed: int) -> CheckResult:
 
 
 def duality_suite(seed: int) -> list[CheckResult]:
-    return [
-        _check_duality_expchart(),
-        _check_duality_random(seed),
-        _check_linearity(seed + 1),
-        _check_transport_reversibility(seed + 2),
-        _check_theta_duality(seed + 3),
-    ]
+    return _run_checks(
+        (_check_duality_expchart, None),
+        (_check_duality_random, seed),
+        (_check_linearity, seed + 1),
+        (_check_transport_reversibility, seed + 2),
+        (_check_theta_duality, seed + 3),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +617,11 @@ def _check_symbol_conservation(seed: int) -> CheckResult:
 
 
 def hamiltonian_suite(seed: int) -> list[CheckResult]:
-    return [
-        _check_xhat_hamiltonian(seed),
-        _check_multiplier(seed + 1),
-        _check_symbol_conservation(seed + 2),
-    ]
+    return _run_checks(
+        (_check_xhat_hamiltonian, seed),
+        (_check_multiplier, seed + 1),
+        (_check_symbol_conservation, seed + 2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +679,7 @@ def _check_theta_isomorphism(seed: int) -> CheckResult:
 
 
 def lemma21_suite(seed: int) -> list[CheckResult]:
-    return _check_lemma21(seed) + [_check_theta_isomorphism(seed + 1)]
+    return _run_checks((_check_lemma21, seed), (_check_theta_isomorphism, seed + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -829,16 +829,35 @@ def _check_cloud_pca(seed: int) -> CheckResult:
 
 
 def orbits_suite(seed: int) -> list[CheckResult]:
-    return (
-        _check_orbit_dimensions(seed)
-        + _check_certificates(seed + 1)
-        + [_check_orbit_invariants(seed + 2), _check_cloud_pca(seed + 3)]
+    return _run_checks(
+        (_check_orbit_dimensions, seed),
+        (_check_certificates, seed + 1),
+        (_check_orbit_invariants, seed + 2),
+        (_check_cloud_pca, seed + 3),
     )
 
 
 # ---------------------------------------------------------------------------
 # suite registry
 # ---------------------------------------------------------------------------
+
+def _run_checks(*checks: tuple[Callable, int | None]) -> list[CheckResult]:
+    """Run each (check, seed) pair, without a seed when it is None.
+
+    A flow or manifold fault (a pathological seed can blow up a random-corpus
+    flow) fails only its own check, as ``<check>-aborted``; the rest still run.
+    """
+    out: list[CheckResult] = []
+    for check, seed in checks:
+        try:
+            res = check() if seed is None else check(seed)
+        except (FlowError, ManifoldError) as exc:
+            name = check.__name__.removeprefix("_check_").replace("_", "-")
+            details = {"error": str(exc), "seed": seed}
+            res = CheckResult(f"{name}-aborted", False, details=details)
+        out.extend(res if isinstance(res, list) else [res])
+    return out
+
 
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
     "connection": connection_suite,
@@ -852,15 +871,4 @@ SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
 def run_suite(name: str, seed: int) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)} or 'all'")
-    try:
-        return SUITES[name](seed)
-    except (FlowError, ManifoldError) as exc:
-        # a pathological seed can blow up a random-corpus flow; report it as
-        # a failed check instead of crashing the run
-        return [
-            CheckResult(
-                f"{name}-suite-aborted",
-                False,
-                details={"error": str(exc), "seed": seed},
-            )
-        ]
+    return SUITES[name](seed)

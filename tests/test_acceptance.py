@@ -49,17 +49,17 @@ def _line(criterion: int, label: str, passed: bool, detail: str = "") -> None:
 
 class TestAcceptance:
     def test_01_transport_equivalence(self):
-        chart, x_field = _expchart()
-        h = horizontal_transport(chart, x_field, [0.0], [1.0], 1.0)
-        f = flow_transport(chart, x_field, [0.0], [1.0], 1.0)
+        chart, _ = _expchart()
+        h = horizontal_transport(chart, FlowWord.of((1, 1.0)), [0.0], [1.0])
+        f = flow_transport(chart, FlowWord.of((1, 1.0)), [0.0], [1.0])
         exp_ok = abs(h.eta[0] - math.e) <= 1e-8 and abs(f.eta[0] - math.e) <= 1e-8
 
         worst = 0.0
         for case in transport_corpus(SEED):
             hh = horizontal_transport(
-                case.chart, case.field, case.x0, case.eta0, case.t_equiv
+                case.chart, FlowWord.of((1, case.t_equiv)), case.x0, case.eta0
             )
-            ff = flow_transport(case.chart, case.field, case.x0, case.eta0, case.t_equiv)
+            ff = flow_transport(case.chart, FlowWord.of((1, case.t_equiv)), case.x0, case.eta0)
             dev = float(np.max(np.abs(hh.eta - ff.eta)))
             worst = max(worst, dev / max(1.0, float(np.max(np.abs(hh.eta)))))
         passed = exp_ok and worst <= 1e-7
@@ -74,8 +74,8 @@ class TestAcceptance:
     def test_02_duality_conservation(self):
         worst = 0.0
         for case in transport_corpus(SEED):
-            h = horizontal_transport(case.chart, case.field, case.x0, case.eta0, case.t_dual)
-            d = dual_transport(case.chart, case.field, case.x0, case.xi0, case.t_dual)
+            h = horizontal_transport(case.chart, FlowWord.of((1, case.t_dual)), case.x0, case.eta0)
+            d = dual_transport(case.chart, FlowWord.of((1, case.t_dual)), case.x0, case.xi0)
             worst = max(worst, abs(float(h.eta @ d.xi) - float(case.eta0 @ case.xi0)))
         passed = worst <= 1e-8
         _line(2, "duality conservation", passed, f"max pairing drift {worst:.2e} <= 1e-8")

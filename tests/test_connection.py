@@ -1,5 +1,6 @@
 """The flattened-chart partial connection and its three transport routes."""
 
+import importlib
 import math
 
 import numpy as np
@@ -94,68 +95,95 @@ class TestCovariantDerivative:
             covariant_derivative(EXP_CHART, EXP_FIELD, [Const(1.0), Const(2.0)], [0.0])
 
 
+def leg(t: float) -> FlowWord:
+    """The one-step word that runs the chart's first frame field for time t."""
+    return FlowWord.of((1, t))
+
+
 class TestTransports:
     def test_horizontal_closed_form(self):
-        out = horizontal_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], 1.0)
+        out = horizontal_transport(EXP_CHART, leg(1.0), [0.0], [1.0])
         assert abs(out.eta[0] - math.e) <= 1e-9
         assert abs(out.base[0] - 1.0) <= 1e-10
 
     def test_zero_section_is_horizontal(self):
-        out = horizontal_transport(EXP_CHART, EXP_FIELD, [0.0], [0.0], 0.8)
+        out = horizontal_transport(EXP_CHART, leg(0.8), [0.0], [0.0])
         assert out.eta[0] == 0.0
 
     def test_time_zero_identity(self):
-        out = horizontal_transport(EXP_CHART, EXP_FIELD, [0.3], [0.7], 0.0)
+        out = horizontal_transport(EXP_CHART, leg(0.0), [0.3], [0.7])
         assert out.base[0] == 0.3 and out.eta[0] == 0.7
 
     def test_flow_transport_matches_horizontal(self):
-        h = horizontal_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], 1.0)
-        f = flow_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], 1.0)
+        h = horizontal_transport(EXP_CHART, leg(1.0), [0.0], [1.0])
+        f = flow_transport(EXP_CHART, leg(1.0), [0.0], [1.0])
         assert abs(f.eta[0] - math.e) <= 1e-8
         assert abs(f.eta[0] - h.eta[0]) <= 1e-8
 
     def test_flow_transport_zero_vector(self):
-        f = flow_transport(EXP_CHART, EXP_FIELD, [0.0], [0.0], 0.6)
+        f = flow_transport(EXP_CHART, leg(0.6), [0.0], [0.0])
         assert f.eta[0] == 0.0
 
     def test_flow_transport_identity_word(self):
         f = flow_transport(EXP_CHART, FlowWord.empty(), [0.2], [0.9])
         assert f.eta[0] == 0.9
 
-    def test_flow_transport_word_equals_single_leg(self):
-        w = flow_transport(EXP_CHART, FlowWord.of((1, 0.8)), [0.0], [1.0])
-        s = flow_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], 0.8)
-        assert abs(w.eta[0] - s.eta[0]) <= 1e-12
+    def test_one_step_flow_transport_is_the_flow_differential(self):
+        for case in transport_corpus(21, 6):
+            c, t = case.chart, case.t_equiv
+            moved = flow_transport(c, leg(t), case.x0, case.eta0)
+            res = flow(case.field, np.concatenate((case.x0, np.zeros(c.m))), t)
+            lifted = np.concatenate((np.zeros(c.l), case.eta0))
+            assert np.array_equal(moved.eta, (res.differential @ lifted)[c.l:])
+            assert np.array_equal(moved.base, res.endpoint[: c.l])
 
     def test_flow_transport_word_uses_cfg(self):
         loose = IntegratorConfig(rtol=1e-3, atol=1e-6)
-        w = flow_transport(EXP_CHART, FlowWord.of((1, 1.0)), [0.0], [1.0], cfg=loose)
-        s = flow_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], 1.0, loose)
-        default = flow_transport(EXP_CHART, FlowWord.of((1, 1.0)), [0.0], [1.0])
-        assert w.eta[0] == s.eta[0]
+        w = flow_transport(EXP_CHART, leg(1.0), [0.0], [1.0], cfg=loose)
+        s = flow(EXP_FIELD, [0.0, 0.0], 1.0, loose).differential[1, 1]
+        default = flow_transport(EXP_CHART, leg(1.0), [0.0], [1.0])
+        assert w.eta[0] == s
         assert w.eta[0] != default.eta[0]  # the loose tolerances reach the integrator
 
-    def test_word_with_time_rejected(self):
-        with pytest.raises(ValueError, match="t must be None"):
-            flow_transport(EXP_CHART, FlowWord.of((1, 0.5)), [0.0], [1.0], t=0.5)
+    @pytest.mark.parametrize("transport", [horizontal_transport, dual_transport, flow_transport])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_index_outside_frame_raises_before_integrating(self, transport, index, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the word was validated")
+
+        for module in ("crorbit.connection", "crorbit.flow"):
+            monkeypatch.setattr(importlib.import_module(module), "_integrate", no_integration)
+        word = FlowWord.of((1, 0.5), (index, 0.25))
+        with pytest.raises(ValueError, match=f"field index {index} outside frame of size 1"):
+            transport(EXP_CHART, word, [0.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "transport, fiber", [(horizontal_transport, "eta"), (dual_transport, "xi")]
+    )
+    def test_two_legs_equal_two_chained_calls(self, transport, fiber):
+        for case in transport_corpus(34, 6):
+            first, second = leg(case.t_equiv), leg(case.t_dual)
+            both = transport(case.chart, FlowWord(first.steps + second.steps), case.x0, case.eta0)
+            mid = transport(case.chart, first, case.x0, case.eta0)
+            chained = transport(case.chart, second, mid.base, getattr(mid, fiber))
+            assert np.array_equal(both.base, chained.base)
+            assert np.array_equal(getattr(both, fiber), getattr(chained, fiber))
 
     def test_dual_closed_form_and_pairing(self):
         for t in (-1.0, 0.5, 1.0, 2.0):
-            h = horizontal_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], t)
-            d = dual_transport(EXP_CHART, EXP_FIELD, [0.0], [1.0], t)
+            h = horizontal_transport(EXP_CHART, leg(t), [0.0], [1.0])
+            d = dual_transport(EXP_CHART, leg(t), [0.0], [1.0])
             assert abs(d.xi[0] - math.exp(-t)) <= 1e-9
             assert abs(h.eta[0] * d.xi[0] - 1.0) <= 1e-8
 
     def test_dual_zero_covector(self):
-        d = dual_transport(EXP_CHART, EXP_FIELD, [0.0], [0.0], 1.3)
+        d = dual_transport(EXP_CHART, leg(1.3), [0.0], [0.0])
         assert d.xi[0] == 0.0
 
     def test_transport_equivalence_small_corpus(self):
         for case in transport_corpus(55, 15):
-            h = horizontal_transport(
-                case.chart, case.field, case.x0, case.eta0, case.t_equiv
-            )
-            f = flow_transport(case.chart, case.field, case.x0, case.eta0, case.t_equiv)
+            h = horizontal_transport(case.chart, leg(case.t_equiv), case.x0, case.eta0)
+            f = flow_transport(case.chart, leg(case.t_equiv), case.x0, case.eta0)
             scale = max(1.0, float(np.max(np.abs(h.eta))))
             assert np.max(np.abs(h.eta - f.eta)) <= 1e-7 * scale
 
@@ -213,9 +241,9 @@ class TestRestrictedEvaluation:
         field.values([0.1, 0.0])
         field.values_and_jacobian([0.1, 0.0])
         flow(field, [0.1, 0.0], 0.5)
-        horizontal_transport(chart, field, [0.1], [1.0], 0.5)
-        dual_transport(chart, field, [0.1], [1.0], 0.5)
-        flow_transport(chart, field, [0.1], [1.0], 0.5)
+        horizontal_transport(chart, leg(0.5), [0.1], [1.0])
+        dual_transport(chart, leg(0.5), [0.1], [1.0])
+        flow_transport(chart, leg(0.5), [0.1], [1.0])
         xhat_field(chart, field, ([0.1], [1.0]))
         line = EmbeddedManifold.parse(1, ["x2"])  # dimension 1: the field alone spans it
         assert lie_hull(line, [field], [0.1, 0.0]).dimension == 1

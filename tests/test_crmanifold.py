@@ -379,6 +379,16 @@ class TestThetaStarTransport:
         )
         assert np.max(np.abs(out.value.zeta - ef.estar_forms[0].zeta)) <= 1e-10
 
+    def test_index_zero_outside_frame_as_in_theta_transport(self):
+        ef = e_fiber(FLAT, FLAT_CHART, [0.0, 0.0])
+        word = FlowWord.of((0, 0.3))
+        for transport, value in (
+            (theta_transport, ef.e_basis.basis[:, 0]),
+            (theta_star_transport, ef.estar_forms[0]),
+        ):
+            with pytest.raises(ValueError, match="field index 0 outside frame of size 2"):
+                transport(FLAT, FLAT_CHART, FLAT_CHART_FRAME, word, value, [0.0, 0.0])
+
     def test_membership_enforced(self):
         with pytest.raises(ManifoldError, match="paired space"):
             theta_star_transport(

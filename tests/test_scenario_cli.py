@@ -1,5 +1,6 @@
 """Scenario schema, builtins, CLI exit codes and report determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -176,6 +177,21 @@ class TestCommands:
         )
         assert report.passed
 
+    def test_transport_word_csv_time_runs_over_the_whole_word(self, tmp_path):
+        code = main([
+            "transport", "--scenario", "expchart", "--word", "[[1, 0.5], [1, -0.25]]",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        for name in ("transport_eta.csv", "transport_xi.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+            times = [row[0] for row in rows]
+            assert times.count(0.0) == 1 and times[0] == 0.0
+            assert all(a <= b for a, b in zip(times, times[1:]))
+            assert times[-1] == 0.75
+            assert all(a != b for a, b in zip(rows, rows[1:]))  # no repeated junction row
+
     def test_orbit_lewy_with_certificate(self, tmp_path):
         report = cmd_orbit(builtin_scenario("lewy"), "origin", budget=32, seed=7, out_dir=tmp_path)
         assert report.passed
@@ -340,10 +356,37 @@ class TestExitCodes:
         report = cmd_analyze(load_scenario(str(path)), "origin")
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "psi, named",
+        [
+            (["x1", "x2", "x3", "1 + x1^2"], "|rho(psi(0))| = 1.000e+00, rank of d psi 3"),
+            (["x1", "x1", "x3", "0"], "|rho(psi(0))| = 0.000e+00, rank of d psi 2 (needs 3)"),
+            (["x1", "x2", "x3", "log(x1)"], "psi is undefined at 0: math domain error"),
+        ],
+        ids=["off-manifold", "rank-deficient", "log"],
+    )
+    def test_bad_adapted_chart_exit_2(self, psi, named, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["flat"]))
+        raw["adapted_charts"]["complex_line"]["psi"] = psi
+        path = tmp_path / "bad_chart.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "adapted chart 'complex_line'" in err and named in err
+
     def test_non_finite_eta_exit_2(self, capsys):
         code = main(["transport", "--scenario", "expchart", "--eta", "inf"])
         assert code == 2
         assert "--eta 'inf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, text", [("--eta", "abc"), ("--xi", "1,,2")], ids=["eta", "xi"]
+    )
+    def test_malformed_vector_names_its_option(self, option, text, capsys):
+        code = main(["transport", "--scenario", "expchart", option, text])
+        assert code == 2
+        assert f"{option} {text!r} must be comma-separated numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args, named",
@@ -458,19 +501,30 @@ class TestExitCodes:
         assert doc["command"] == "verify"
         assert doc["passed"] is True
 
-    def test_suite_crash_reported_as_failed_check(self, monkeypatch, capsys):
-        """A flow blow-up inside a suite becomes a failed check, not a traceback."""
+    def test_suite_crash_reported_as_failed_check(self, monkeypatch, capsys, tmp_path):
+        """A flow blow-up inside one check fails that check; the others still run."""
+        import functools
+
         import crorbit.verify as verify
         from crorbit.flow import FlowBlowupError
 
+        @functools.wraps(verify._check_linearity)
         def explode(seed):
             raise FlowBlowupError("synthetic blow-up")
 
-        monkeypatch.setitem(verify.SUITES, "duality", explode)
-        code = main(["verify", "--suite", "duality"])
+        monkeypatch.setattr(verify, "_check_linearity", explode)
+        code = main(["verify", "--suite", "duality", "--out", str(tmp_path)])
         assert code == 1
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        aborted = [r for r in results if r["check"] == "linearity-aborted"]
+        assert len(aborted) == 1 and not aborted[0]["passed"]
+        assert aborted[0]["details"] == {"error": "synthetic blow-up", "seed": 1}
         out = capsys.readouterr().out
-        assert "duality-suite-aborted" in out
+        assert "[FAIL] linearity-aborted" in out
+        for name in (
+            "duality-expchart", "duality-random", "transport-reversibility", "theta-duality"
+        ):
+            assert f"[PASS] {name}:" in out
 
 
 class TestDeterminism:
