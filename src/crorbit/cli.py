@@ -72,6 +72,17 @@ def _parse_vector(text: str, option: str) -> np.ndarray:
     return _finite_coordinates(values, f"{option} {text!r}")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return seed
+
+
 def _parse_word(text: str) -> FlowWord:
     """A JSON list of [field index, time] steps; a JSON true is not a number here."""
     try:
@@ -428,25 +439,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="genericity, tangent ranks, minimality")
     p.add_argument("--scenario", required=True, help="builtin name or JSON file")
     p.add_argument("--point", required=True, help="point name or comma-separated coords")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     common(p)
 
     p = sub.add_parser("transport", help="compare the three transport descriptions")
     p.add_argument("--scenario", required=True)
     p.add_argument("--chart", default=None, help="chart name within the scenario")
-    p.add_argument("--field", type=int, default=1, help="1-based frame field index")
+    p.add_argument("--field", type=int, default=None, help="1-based frame field index (default 1)")
     p.add_argument("--word", default=None, help="JSON list of [index, time] steps")
     p.add_argument("--point", default=None, help="base point (x' coordinates)")
     p.add_argument("--eta", default=None, help="comma-separated eta components")
     p.add_argument("--xi", default=None, help="comma-separated xi components")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=float, default=None, help="flow time of --field (default 1.0)")
     common(p)
 
     p = sub.add_parser("orbit", help="orbit dimensions, certificate search, cloud")
     p.add_argument("--scenario", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     common(p)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -455,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"one of {sorted(SUITES)} or 'all'",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     return parser
 
@@ -486,16 +497,18 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             report = cmd_analyze(scenario, args.point, args.seed)
         elif args.command == "transport":
+            if args.word and (args.field is not None or args.t is not None):
+                raise ScenarioError("--word gives the whole word and excludes --field and --t")
             scenario = load_scenario(args.scenario)
             report = cmd_transport(
                 scenario,
                 chart_name=args.chart,
-                field=args.field,
+                field=1 if args.field is None else args.field,
                 word=_parse_word(args.word) if args.word else None,
                 point_spec=args.point,
                 eta0=_parse_vector(args.eta, "--eta") if args.eta else None,
                 xi0=_parse_vector(args.xi, "--xi") if args.xi else None,
-                t=args.t,
+                t=1.0 if args.t is None else args.t,
                 out_dir=args.out,
             )
         elif args.command == "orbit":

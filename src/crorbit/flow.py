@@ -4,6 +4,9 @@ The integrator is an adaptive embedded Runge-Kutta 5(4) pair
 (Dormand-Prince) with a PI step controller.  Flow differentials solve the
 variational equation dM/dt = Da(x(t)) M, M(0) = I, integrated jointly with
 the state so endpoint and differential share the same step sequence.
+A flow runs along a word of frame fields, and a single field's flow is the
+one-step word: :func:`composed_flow` is the one leg loop, integrating each
+leg from (x, I) and composing the leg differentials by the chain rule.
 Trajectories on embedded manifolds can be retracted back to the zero set of
 the defining functions after every accepted step; the residual drift is
 monitored and reported, never silently corrected beyond tolerance.
@@ -20,7 +23,7 @@ One step does its work once:
   every stage enters ``_ERR @ k`` (a zero weight times inf is NaN too).
 - The drift at an accepted point is the residual :func:`retract` computed
   there; the defining functions are probed separately only for flows on a
-  manifold without retraction, and at the start point.
+  manifold without retraction, and once at the start of a word.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rtol", "atol", "max_step", "retract_tol", "drift_bound"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN is not positive either
                 raise ValueError(f"{name} must be positive")
 
 
@@ -307,50 +310,8 @@ def flow(
     cfg: IntegratorConfig = IntegratorConfig(),
     manifold: _DefinedByEquations | None = None,
 ) -> FlowResult:
-    """Flow ``x0`` along ``X`` for time ``t`` with the joint variational system.
-
-    Returns the endpoint, the flow differential dX_t (solution of the
-    variational equation), the sampled trajectory and the maximal
-    defining-function drift when a manifold is supplied.
-    """
-    n = X.dim
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"initial point has shape {x0.shape}, expected ({n},)")
-
-    def rhs(_t, y):
-        vals, jac = X.values_and_jacobian(y[:n])  # a zero-time flow compiles nothing
-        out = np.empty(n + n * n)
-        out[:n] = vals
-        np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
-        return out
-
-    retracting = cfg.retract and manifold is not None
-    trajectory: list[tuple[float, np.ndarray]] = [(0.0, x0.copy())]
-    drift = _drift_of(manifold, x0)
-
-    def on_step(tt, y):
-        nonlocal drift
-        x = y[:n]
-        if retracting:
-            pt, resid = retract(manifold, x, cfg.retract_tol)
-            if pt is not x:
-                y = np.concatenate((pt, y[n:]))
-        else:
-            resid = _drift_of(manifold, x)
-        trajectory.append((tt, y[:n].copy()))
-        drift = max(drift, resid)
-        return y
-
-    y0 = np.concatenate((x0, np.eye(n).ravel()))
-    y_end = _integrate(rhs, (0.0, t), y0, cfg, on_step=on_step)
-    return FlowResult(
-        endpoint=y_end[:n],
-        differential=y_end[n:].reshape(n, n),
-        trajectory=trajectory,
-        drift=drift,
-        drift_exceeded=drift > cfg.drift_bound,
-    )
+    """Flow ``x0`` along ``X`` for time ``t``: the one-step word of :func:`composed_flow`."""
+    return composed_flow((X,), FlowWord.of((1, t)), x0, cfg, manifold)
 
 
 def composed_flow(
@@ -360,26 +321,49 @@ def composed_flow(
     cfg: IntegratorConfig = IntegratorConfig(),
     manifold: _DefinedByEquations | None = None,
 ) -> FlowResult:
-    """Apply the word's steps in order; differentials compose by the chain rule."""
+    """Apply the word's steps in order; each leg integrates from (x, I).
+
+    Leg differentials compose by the chain rule.  Returns the endpoint, the
+    word's differential, the trajectory at the elapsed |t| along the word and
+    the maximal defining-function drift when a manifold is supplied.
+    """
     word.validate(len(frame))
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    total = FlowResult(
-        endpoint=x0.copy(),
-        differential=np.eye(n),
-        trajectory=[(0.0, x0.copy())],
-        drift=0.0 if word.steps else _drift_of(manifold, x0),  # a first leg probes x0
-    )
+    x = np.array(x0, dtype=float)
+    for dim in {frame[idx - 1].dim for idx, _ in word.steps}:
+        if x.shape != (dim,):
+            raise ValueError(f"initial point has shape {x.shape}, expected ({dim},)")
+    n = x.shape[0]
+
+    def rhs(_t, y):
+        vals, jac = X.values_and_jacobian(y[:n])  # a zero-time leg compiles nothing
+        out = np.empty(n + n * n)
+        out[:n] = vals
+        np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
+        return out
+
+    retracting = cfg.retract and manifold is not None
+    trajectory: list[tuple[float, np.ndarray]] = [(0.0, x.copy())]
+    drift = _drift_of(manifold, x)  # later points are probed by on_step
+
+    def on_step(tt, y):
+        nonlocal drift
+        pt = y[:n]
+        if retracting:
+            moved, resid = retract(manifold, pt, cfg.retract_tol)
+            if moved is not pt:
+                y = np.concatenate((moved, y[n:]))
+        else:
+            resid = _drift_of(manifold, pt)
+        trajectory.append((t_offset + abs(tt), y[:n].copy()))
+        drift = max(drift, resid)
+        return y
+
+    differential = np.eye(n)
     t_offset = 0.0
     for idx, t in word.steps:
-        leg = flow(frame[idx - 1], total.endpoint, t, cfg, manifold)
-        total.endpoint = leg.endpoint
-        total.differential = leg.differential @ total.differential
-        total.trajectory.extend(
-            (t_offset + abs(tt), pt) for tt, pt in leg.trajectory[1:]
-        )
-        total.drift = max(total.drift, leg.drift)
+        X = frame[idx - 1]  # rhs reads the current leg's field
+        y = _integrate(rhs, (0.0, t), np.concatenate((x, np.eye(n).ravel())), cfg, on_step)
+        x = y[:n]
+        differential = y[n:].reshape(n, n) @ differential
         t_offset += abs(t)
-    total.drift_exceeded = total.drift > cfg.drift_bound
-    return total
-
+    return FlowResult(x, differential, trajectory, drift, drift > cfg.drift_bound)

@@ -173,6 +173,21 @@ class TestComposedFlow:
         with pytest.raises(ValueError, match="outside frame"):
             composed_flow(LEWY_FRAME, FlowWord.of((3, 0.1)), np.zeros(4))
 
+    def test_start_point_is_the_only_extra_probe(self):
+        """Without retraction each accepted point is probed once, and x0 once more."""
+        counting = _CountingManifold(CIRCLE)
+        word = FlowWord.of((1, 0.4), (2, -0.3), (1, 0.2))
+        frame = [ROTATION, VectorFieldSpec.parse(["x2", "-1*x1"], 2)]
+        res = composed_flow(frame, word, [0.6, 0.8], IntegratorConfig(retract=False), counting)
+        assert counting.values == len(res.trajectory)
+        assert counting.jacobians == 0
+
+    def test_trajectory_times_are_elapsed(self):
+        """A backward flow samples its trajectory at the elapsed |t|, as words do."""
+        times = [tt for tt, _ in flow(EXP_FIELD, [0.1, 0.2], -0.5).trajectory]
+        assert times[0] == 0.0 and times[-1] == 0.5
+        assert all(a < b for a, b in zip(times, times[1:]))
+
     def test_drift_stays_below_bound_with_retraction(self):
         cfg = IntegratorConfig(retract=True)
         word = FlowWord.of((1, 0.9), (2, -0.8), (1, -0.5))
@@ -265,3 +280,7 @@ class TestIntegratorConfig:
             IntegratorConfig(rtol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(atol=-1e-12)
+        # NaN compares false both ways: a NaN drift_bound would turn every drift guard off
+        for name in ("rtol", "atol", "max_step", "retract_tol", "drift_bound"):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                IntegratorConfig(**{name: math.nan})

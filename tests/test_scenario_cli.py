@@ -398,16 +398,33 @@ class TestExitCodes:
             (["--word", '[[1, "0.5"]]'], '--word step 0 [1, "0.5"] must be'),
             (["--word", f"[[1, 1{'0' * 400}]]"], "--word time: int too large to convert"),
             (["--field", "2"], "field index 2 outside frame of size 1"),
+            (["--word", "[[1, 0.5]]", "--field", "1"], "--word gives the whole word and excludes"),
+            (["--word", "[[1, 0.5]]", "--t", "3"], "excludes --field and --t"),
         ],
         ids=[
             "object", "string-step", "float-index", "bool-index", "string-time", "huge-time",
-            "field",
+            "field", "word-field", "word-t",
         ],
     )
     def test_malformed_word_or_field_exit_2(self, args, named, capsys):
         code = main(["transport", "--scenario", "expchart", *args])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "--suite", "lemma21"],
+            ["orbit", "--scenario", "lewy", "--point", "origin"],
+            ["analyze", "--scenario", "lewy", "--point", "origin"],
+        ],
+        ids=["verify", "orbit", "analyze"],
+    )
+    def test_negative_seed_names_the_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: '-1' is not a non-negative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args", [["--t", "nan"], ["--word", "[[1, NaN]]"]], ids=["t", "word"]
