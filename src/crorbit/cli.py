@@ -26,7 +26,6 @@ from .connection import (
     validate_chart,
 )
 from .crmanifold import (
-    LEMMA21_TOL,
     THETA_SV_MIN,
     ManifoldError,
     complex_tangent_space,
@@ -50,7 +49,7 @@ from .orbit import (
 )
 from .report import CheckResult, Report
 from .scenario import Scenario, ScenarioError, _finite_coordinates, load_scenario
-from .verify import SUITES, TOL_DUALITY, TOL_TRANSPORT_RANDOM, run_suite
+from .verify import SUITES, TOL_DUALITY, TOL_LEMMA21, TOL_TRANSPORT_RANDOM, run_suite
 
 __all__ = ["main", "cmd_analyze", "cmd_transport", "cmd_orbit", "cmd_verify"]
 
@@ -122,7 +121,7 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
         report.results.append(
             CheckResult(
                 "chart-validation",
-                rep.passed,
+                rep.rank_ok,
                 rep.max_tangency_violation,
                 TANGENCY_TOL,
                 details={"rank_ok": rep.rank_ok, "l": chart.l, "m": chart.m},
@@ -166,10 +165,10 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
     for _ in range(20):
         rep = lemma21_sample(m, pt, rng)
         worst = max(worst, rep.complex_identity_residual, rep.real_convention_residual)
-    report.results.append(CheckResult("lemma21-spot", worst <= LEMMA21_TOL, worst, LEMMA21_TOL))
-    ok, sv = theta_isomorphism_check(m, pt)
+    report.results.append(CheckResult("lemma21-spot", value=worst, bound=TOL_LEMMA21))
+    sv = theta_isomorphism_check(m, pt)
     report.results.append(
-        CheckResult("theta-isomorphism", ok, sv, THETA_SV_MIN, comparator=">=")
+        CheckResult("theta-isomorphism", value=sv, bound=THETA_SV_MIN, comparator=">=")
     )
 
     hull = lie_hull(m, scenario.default_frame(), pt)
@@ -252,9 +251,8 @@ def cmd_transport(
     report.results.append(
         CheckResult(
             "horizontal-vs-flow",
-            deviation <= TOL_TRANSPORT_RANDOM * scale,
-            deviation / scale,
-            TOL_TRANSPORT_RANDOM,
+            value=deviation / scale,
+            bound=TOL_TRANSPORT_RANDOM,
             details={
                 "horizontal": h.eta.tolist(),
                 "flow": fv.eta.tolist(),
@@ -265,9 +263,8 @@ def cmd_transport(
     report.results.append(
         CheckResult(
             "duality-pairing",
-            pairing_drift <= TOL_DUALITY,
-            pairing_drift,
-            TOL_DUALITY,
+            value=pairing_drift,
+            bound=TOL_DUALITY,
             details={"xi": d_xi.tolist(), "initial_pairing": float(eta0 @ xi0)},
         )
     )
@@ -392,9 +389,8 @@ def cmd_orbit(
     report.results.append(
         CheckResult(
             "reachable-samples",
-            max_drift <= cfg.drift_bound,
-            max_drift,
-            cfg.drift_bound,
+            value=max_drift,
+            bound=cfg.drift_bound,
             details={"points": len(cloud.points), "failures": cloud.failures},
         )
     )

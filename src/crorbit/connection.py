@@ -59,9 +59,6 @@ __all__ = [
 ]
 
 TANGENCY_TOL = 1e-12
-HAMILTONIAN_TOL = 1e-12
-MULTIPLIER_TOL = 1e-10
-AXIOMS_TOL = 1e-10
 
 
 class ChartValidationError(Exception):
@@ -371,7 +368,6 @@ def restricted_hamiltonian(
 
 @dataclass
 class RestrictionReport:
-    passed: bool
     max_tangency: float
     max_mismatch: float
     max_multiplier_mismatch: float
@@ -410,17 +406,15 @@ def hamiltonian_restriction_check(
         max_tan = max(max_tan, tangency)
         max_mis = max(max_mis, mismatch)
         max_mult = max(max_mult, mult_mismatch)
-    passed = max(max_tan, max_mis) <= HAMILTONIAN_TOL and max_mult <= MULTIPLIER_TOL
-    return RestrictionReport(passed, max_tan, max_mis, max_mult, worst_sample)
+    return RestrictionReport(max_tan, max_mis, max_mult, worst_sample)
 
 
 @dataclass
 class AxiomsReport:
-    passed: bool
     max_scaling_residual: float
     max_leibniz_residual: float
     max_lifting_residual: float
-    failing_axiom: str | None = None
+    worst_axiom: str  # the axiom with the largest residual, first on ties
     worst_sample: int = 0
 
 
@@ -451,7 +445,7 @@ def connection_axioms_check(
     )
 
     max_scale = max_leib = max_lift = 0.0
-    worst, failing = 0, None
+    worst = 0
     for s_idx, xp in enumerate(samples):
         xp = np.asarray(xp, dtype=float)
         x_full = np.concatenate((xp, np.zeros(c.m)))
@@ -477,14 +471,10 @@ def connection_axioms_check(
         score = max(r_scale, r_leib, r_lift)
         if score > max(max_scale, max_leib, max_lift):
             worst = s_idx
-            failing = ("scaling", "leibniz", "lifting")[
-                int(np.argmax([r_scale, r_leib, r_lift]))
-            ]
         max_scale = max(max_scale, r_scale)
         max_leib = max(max_leib, r_leib)
         max_lift = max(max_lift, r_lift)
 
-    passed = max(max_scale, max_leib, max_lift) <= AXIOMS_TOL
-    return AxiomsReport(
-        passed, max_scale, max_leib, max_lift, None if passed else failing, worst
-    )
+    residuals = (max_scale, max_leib, max_lift)
+    worst_axiom = ("scaling", "leibniz", "lifting")[int(np.argmax(residuals))]
+    return AxiomsReport(*residuals, worst_axiom, worst)

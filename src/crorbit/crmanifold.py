@@ -62,7 +62,6 @@ __all__ = [
 ON_MANIFOLD_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9  # tangent vectors and paired forms, relative to max(1, |v|)
 CR_FRAME_TOL = 1e-10  # |d rho (X)| and |d rho (JX)| of a complex-tangent frame field
-LEMMA21_TOL = 1e-12  # residual of the Lemma 2.1 transposedness identities
 THETA_SV_MIN = 1e-8  # smallest singular value of the restricted conormal basis
 
 
@@ -292,7 +291,6 @@ def _conormal_forms(jac: np.ndarray) -> list[HolomorphicForm]:
 
 @dataclass
 class Lemma21Report:
-    passed: bool
     complex_identity_residual: float
     real_convention_residual: float
 
@@ -329,7 +327,7 @@ def _lemma21(
     rhs = 1j * pair_form(omega, x_vec)
     r1 = abs(lhs - rhs)
     r2 = abs(lhs.imag - float(theta_covector(omega) @ x_vec))
-    return Lemma21Report(max(r1, r2) <= LEMMA21_TOL, r1, r2)
+    return Lemma21Report(r1, r2)
 
 
 def lemma21_sample(
@@ -350,17 +348,17 @@ def lemma21_sample(
     return _lemma21(tangent, omega, x_vec)
 
 
-def theta_isomorphism_check(
-    m: EmbeddedManifold, z: Sequence[float]
-) -> tuple[bool, float]:
-    """Restriction of the conormal basis to TM stays independent (smallest s.v.)."""
+def theta_isomorphism_check(m: EmbeddedManifold, z: Sequence[float]) -> float:
+    """Smallest singular value of the conormal basis restricted to TM.
+
+    The restriction is an isomorphism when it reaches :data:`THETA_SV_MIN`.
+    """
     jac = _require_generic(m, z)
     tangent = _tangent_space(m, jac)
     forms = _conormal_forms(jac)
     rows = np.array([theta_covector(w) @ tangent.basis for w in forms])
     sv = np.linalg.svd(rows, compute_uv=False)
-    smallest = float(sv[-1]) if sv.size else 0.0
-    return smallest >= THETA_SV_MIN, smallest
+    return float(sv[-1]) if sv.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,7 @@ class AdaptedChart:
 
     def point_and_frame(self, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(psi(u), d psi(u)) with the differential as a (2n) x (l+m) matrix."""
-        return self._psi_kernel(np.asarray(u, dtype=float))
+        return self._psi_kernel(np.asarray(u, dtype=float).tolist())
 
 
 @dataclass

@@ -268,7 +268,9 @@ def _greedy_select(
     """Forward-greedy word selection by marginal smallest-singular-value gain.
 
     Ties break towards shorter words, then lower pool index; selection stops
-    as soon as the assembled span clears ``tau``.
+    as soon as the assembled span clears ``tau``.  Adding columns never lowers
+    the smallest singular value, so a pool that clears ``tau`` yields a
+    selection that clears it too, even through steps that gain nothing.
     """
     remaining = list(range(len(words)))
     selected: list[int] = []
@@ -282,8 +284,6 @@ def _greedy_select(
             if best is None or key < best[0]:
                 best = (key, idx, sig)
         _, idx, sig = best
-        if sig <= current + 1e-15 and current > 0.0:
-            break
         selected.append(idx)
         chosen_cols.append(col_sets[idx])
         remaining.remove(idx)

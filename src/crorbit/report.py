@@ -7,6 +7,7 @@ by dropping that key alone.
 
 from __future__ import annotations
 
+import operator
 import platform
 from dataclasses import dataclass, field
 from typing import Any
@@ -19,6 +20,8 @@ __all__ = ["CheckResult", "Report", "TOOL_VERSION", "REPORT_SCHEMA_VERSION"]
 
 TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA_VERSION = "1"
+
+_COMPARATORS = {"<=": operator.le, ">=": operator.ge}
 
 
 def _jsonable(value: Any) -> Any:
@@ -35,14 +38,29 @@ def _jsonable(value: Any) -> Any:
 
 @dataclass
 class CheckResult:
-    """One named check: a measured value against a bound."""
+    """One named check, whose verdict is decided here.
+
+    With both ``value`` and ``bound`` set, the check passes exactly when the
+    value meets the bound (``value <= bound``, or ``value >= bound`` for the
+    ``">="`` comparator) and ``passed`` holds; a NaN value never meets its
+    bound.  ``passed`` carries only the conditions other than the bound, so
+    a caller never restates the comparison.  An unknown comparator raises
+    ``ValueError``.
+    """
 
     name: str
-    passed: bool
+    passed: bool = True
     value: float | int | None = None
     bound: float | int | None = None
     comparator: str = "<="
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.comparator not in _COMPARATORS:
+            raise ValueError(f"unknown comparator {self.comparator!r}; use '<=' or '>='")
+        if self.value is not None and self.bound is not None:
+            meets = _COMPARATORS[self.comparator](self.value, self.bound)
+            self.passed = bool(self.passed and meets)
 
     def to_dict(self) -> dict:
         return {

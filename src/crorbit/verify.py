@@ -207,9 +207,8 @@ def _check_transport_expchart() -> CheckResult:
     worst = max(abs(h.eta[0] - math.e), abs(f.eta[0] - math.e))
     return CheckResult(
         "transport-equivalence-expchart",
-        worst <= TOL_TRANSPORT_EXPCHART,
-        worst,
-        TOL_TRANSPORT_EXPCHART,
+        value=worst,
+        bound=TOL_TRANSPORT_EXPCHART,
         details={"horizontal": h.eta[0], "flow": f.eta[0], "expected": math.e},
     )
 
@@ -226,9 +225,8 @@ def _check_transport_random(seed: int) -> CheckResult:
             worst, worst_idx = rel, idx
     return CheckResult(
         "transport-equivalence-random",
-        worst <= TOL_TRANSPORT_RANDOM,
-        worst,
-        TOL_TRANSPORT_RANDOM,
+        value=worst,
+        bound=TOL_TRANSPORT_RANDOM,
         details={"charts": N_RANDOM_CHARTS, "worst_case": worst_idx},
     )
 
@@ -248,19 +246,16 @@ def _check_axioms(seed: int) -> CheckResult:
             phi = _random_poly(rng, l + m, 2, 3, 1.0)
             samples = [rng.uniform(-0.4, 0.4, l)]
             rep = connection_axioms_check(chart, chart.frame[0], eta, phi, samples)
-            for axiom, resid in (
-                ("scaling", rep.max_scaling_residual),
-                ("leibniz", rep.max_leibniz_residual),
-                ("lifting", rep.max_lifting_residual),
-            ):
-                if resid > worst:
-                    worst, worst_axiom = resid, axiom
+            resid = max(
+                rep.max_scaling_residual, rep.max_leibniz_residual, rep.max_lifting_residual
+            )
+            if resid > worst:
+                worst, worst_axiom = resid, rep.worst_axiom
             instances += 1
     return CheckResult(
         "connection-axioms",
-        worst <= TOL_AXIOMS,
-        worst,
-        TOL_AXIOMS,
+        value=worst,
+        bound=TOL_AXIOMS,
         details={"instances": instances, "worst_axiom": worst_axiom},
     )
 
@@ -275,9 +270,8 @@ def _check_bracket_exactness(seed: int) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(lie_bracket(x1, x2, pt) - expected))))
     return CheckResult(
         "bracket-exactness-lewy",
-        worst <= TOL_BRACKET,
-        worst,
-        TOL_BRACKET,
+        value=worst,
+        bound=TOL_BRACKET,
         details={"points": N_BRACKET_POINTS},
     )
 
@@ -291,9 +285,8 @@ def _check_commutator_loop() -> CheckResult:
     dev = float(np.max(np.abs(res.endpoint - expected)))
     return CheckResult(
         "commutator-loop",
-        dev <= TOL_COMMUTATOR_LOOP,
-        dev,
-        TOL_COMMUTATOR_LOOP,
+        value=dev,
+        bound=TOL_COMMUTATOR_LOOP,
         details={"endpoint": res.endpoint, "expected": expected},
     )
 
@@ -321,7 +314,7 @@ def _check_flow_group_law(seed: int) -> CheckResult:
         back = flow(f, first.endpoint, -s)
         worst_rev = max(worst_rev, float(np.max(np.abs(back.endpoint - x0))))
     # report the gate nearest its bound (a failing gate first), so the check
-    # passes exactly when value <= bound
+    # fails exactly when some gate misses its bound
     value, bound = max(
         ((worst_group, TOL_GROUP_LAW), (worst_cocycle, TOL_COCYCLE),
          (worst_rev, TOL_REVERSIBILITY)),
@@ -329,9 +322,8 @@ def _check_flow_group_law(seed: int) -> CheckResult:
     )
     return CheckResult(
         "flow-group-law",
-        value <= bound,
-        value,
-        bound,
+        value=value,
+        bound=bound,
         details={
             "group_law": worst_group,
             "cocycle": worst_cocycle,
@@ -349,9 +341,7 @@ def _check_manifold_drift(seed: int) -> CheckResult:
             t = float(rng.uniform(-1.0, 1.0))
             res = flow(f, origin, t, cfg, manifold=manifold)
             worst = max(worst, res.drift)
-    return CheckResult(
-        "flow-drift-retraction", worst <= TOL_DRIFT, worst, TOL_DRIFT
-    )
+    return CheckResult("flow-drift-retraction", value=worst, bound=TOL_DRIFT)
 
 
 def _check_chart_tangency(seed: int) -> CheckResult:
@@ -366,9 +356,7 @@ def _check_chart_tangency(seed: int) -> CheckResult:
         res = flow(f, start, float(rng.uniform(-1.0, 1.0)))
         for _t, pt in res.trajectory:
             worst = max(worst, float(np.max(np.abs(pt[c.l:]), initial=0.0)))
-    return CheckResult(
-        "flow-chart-tangency", worst <= TOL_CHART_TANGENCY, worst, TOL_CHART_TANGENCY
-    )
+    return CheckResult("flow-chart-tangency", value=worst, bound=TOL_CHART_TANGENCY)
 
 
 def connection_suite(seed: int) -> list[CheckResult]:
@@ -395,9 +383,7 @@ def _check_duality_expchart() -> CheckResult:
         h = horizontal_transport(chart, FlowWord.of((1, t)), [0.0], [1.0])
         d = dual_transport(chart, FlowWord.of((1, t)), [0.0], [1.0])
         worst = max(worst, abs(float(h.eta @ d.xi) - 1.0))
-    return CheckResult(
-        "duality-expchart", worst <= TOL_DUALITY, worst, TOL_DUALITY
-    )
+    return CheckResult("duality-expchart", value=worst, bound=TOL_DUALITY)
 
 
 def _check_duality_random(seed: int) -> CheckResult:
@@ -411,9 +397,8 @@ def _check_duality_random(seed: int) -> CheckResult:
             worst, worst_idx = drift, idx
     return CheckResult(
         "duality-random",
-        worst <= TOL_DUALITY,
-        worst,
-        TOL_DUALITY,
+        value=worst,
+        bound=TOL_DUALITY,
         details={"charts": N_RANDOM_CHARTS, "worst_case": worst_idx},
     )
 
@@ -432,9 +417,7 @@ def _check_linearity(seed: int) -> CheckResult:
         worst = max(
             worst, float(np.max(np.abs(hm.eta - alpha * ha.eta - beta * hb.eta)))
         )
-    return CheckResult(
-        "transport-linearity", worst <= TOL_LINEARITY, worst, TOL_LINEARITY
-    )
+    return CheckResult("transport-linearity", value=worst, bound=TOL_LINEARITY)
 
 
 def _check_transport_reversibility(seed: int) -> CheckResult:
@@ -448,12 +431,7 @@ def _check_transport_reversibility(seed: int) -> CheckResult:
             float(np.max(np.abs(back.eta - case.eta0))),
             float(np.max(np.abs(back.base - case.x0))),
         )
-    return CheckResult(
-        "transport-reversibility",
-        worst <= TOL_REVERSIBILITY,
-        worst,
-        TOL_REVERSIBILITY,
-    )
+    return CheckResult("transport-reversibility", value=worst, bound=TOL_REVERSIBILITY)
 
 
 def _quotient_duality_cases():
@@ -504,9 +482,7 @@ def _check_theta_duality(seed: int) -> CheckResult:
             )
             worst = max(worst, drift)
             details[name] = max(details.get(name, 0.0), drift)
-    return CheckResult(
-        "theta-duality", worst <= TOL_DUALITY, worst, TOL_DUALITY, details=details
-    )
+    return CheckResult("theta-duality", value=worst, bound=TOL_DUALITY, details=details)
 
 
 def duality_suite(seed: int) -> list[CheckResult]:
@@ -549,9 +525,8 @@ def _check_xhat_hamiltonian(seed: int) -> CheckResult:
             worst = max(worst, tangency, mismatch)
     return CheckResult(
         "xhat-hamiltonian-identification",
-        worst <= TOL_HAMILTONIAN,
-        worst,
-        TOL_HAMILTONIAN,
+        value=worst,
+        bound=TOL_HAMILTONIAN,
         details={
             "charts": len(charts),
             "samples_per_chart": N_HAMILTONIAN_SAMPLES,
@@ -570,9 +545,7 @@ def _check_multiplier(seed: int) -> CheckResult:
         ]
         rep = hamiltonian_restriction_check(c, f, samples, multiplier=phi)
         worst = max(worst, rep.max_multiplier_mismatch)
-    return CheckResult(
-        "multiplier-independence", worst <= TOL_MULTIPLIER, worst, TOL_MULTIPLIER
-    )
+    return CheckResult("multiplier-independence", value=worst, bound=TOL_MULTIPLIER)
 
 
 def _check_symbol_conservation(seed: int) -> CheckResult:
@@ -608,9 +581,7 @@ def _check_symbol_conservation(seed: int) -> CheckResult:
             on_step=watch,
         )
         worst = max(worst, drift[0])
-    return CheckResult(
-        "symbol-conservation", worst <= TOL_SYMBOL_DRIFT, worst, TOL_SYMBOL_DRIFT
-    )
+    return CheckResult("symbol-conservation", value=worst, bound=TOL_SYMBOL_DRIFT)
 
 
 def hamiltonian_suite(seed: int) -> list[CheckResult]:
@@ -641,13 +612,11 @@ def _check_lemma21(seed: int) -> list[CheckResult]:
     for name in ("lewy", "tube3"):
         manifold = builtin_scenario(name).manifold
         worst_c, worst_r = _lemma_pairs(manifold, name, rng)
-        worst = max(worst_c, worst_r)
         out.append(
             CheckResult(
                 f"lemma21-{name}",
-                worst <= TOL_LEMMA21,
-                worst,
-                TOL_LEMMA21,
+                value=max(worst_c, worst_r),
+                bound=TOL_LEMMA21,
                 details={
                     "pairs": N_LEMMA_PAIRS,
                     "complex_identity": worst_c,
@@ -664,14 +633,10 @@ def _check_theta_isomorphism(seed: int) -> CheckResult:
     for name in ("lewy", "flat", "tube3"):
         manifold = builtin_scenario(name).manifold
         for _ in range(20):
-            _ok, sv = theta_isomorphism_check(manifold, _quadric_point(name, rng))
+            sv = theta_isomorphism_check(manifold, _quadric_point(name, rng))
             smallest = min(smallest, sv)
     return CheckResult(
-        "theta-isomorphism",
-        smallest >= THETA_SV_MIN,
-        smallest,
-        THETA_SV_MIN,
-        comparator=">=",
+        "theta-isomorphism", value=smallest, bound=THETA_SV_MIN, comparator=">="
     )
 
 
@@ -731,15 +696,10 @@ def _check_certificates(seed: int) -> list[CheckResult]:
         ok, sigma = verify_certificate(
             lewy.manifold, lewy.frames["cr"], lewy.points["origin"], cert, lewy.integrator
         )
-        passed = (
-            len(cert.words) <= 3
-            and cert.smallest_singular_value >= TAU_CERT
-            and ok
-        )
         out.append(
             CheckResult(
                 "lewy-certificate",
-                passed,
+                len(cert.words) <= 3 and ok,
                 cert.smallest_singular_value,
                 TAU_CERT,
                 comparator=">=",
@@ -795,9 +755,8 @@ def _check_orbit_invariants(seed: int) -> CheckResult:
         worst = max(worst, dev)
     return CheckResult(
         "orbit-invariants",
-        worst <= TOL_ORBIT_INVARIANT,
-        worst,
-        TOL_ORBIT_INVARIANT,
+        value=worst,
+        bound=TOL_ORBIT_INVARIANT,
         details=details,
     )
 

@@ -28,7 +28,13 @@ from crorbit.expr import Const, Var, add, eval_jet, mul, parse_expr
 from crorbit.flow import FlowWord, IntegratorConfig, flow
 from crorbit.orbit import lie_hull
 from crorbit.vectorfield import VectorFieldSpec
-from crorbit.verify import random_chart, transport_corpus
+from crorbit.verify import (
+    TOL_AXIOMS,
+    TOL_HAMILTONIAN,
+    TOL_MULTIPLIER,
+    random_chart,
+    transport_corpus,
+)
 
 EXP_FIELD = VectorFieldSpec.parse(["1", "x2"], 2)
 EXP_CHART = ChartSetup(l=1, m=1, frame=(EXP_FIELD,))
@@ -256,19 +262,21 @@ class TestHamiltonianRestriction:
         rng = np.random.default_rng(3)
         samples = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(100)]
         rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples)
-        assert rep.passed
-        assert rep.max_tangency <= 1e-12 and rep.max_mismatch <= 1e-12
+        assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
+        assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_multiplier_scaling(self):
         phi = add(Const(1.0), mul(Var(0), Var(0)))  # 1 + x1^2
         samples = [(np.array([0.5]), np.array([2.0]))]
         rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, multiplier=phi)
-        assert rep.passed and rep.max_multiplier_mismatch <= 1e-10
+        assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
+        assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_zero_covector_samples(self):
         samples = [(np.array([0.4]), np.array([0.0]))]
         rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples)
-        assert rep.passed
+        assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
+        assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_restricted_field_and_tangency_defect(self):
         restricted, tangency = restricted_hamiltonian(EXP_CHART, EXP_FIELD, [0.3], [0.7])
@@ -284,7 +292,8 @@ class TestConnectionAxioms:
         rep = connection_axioms_check(
             EXP_CHART, EXP_FIELD, [Const(1.0)], Const(1.0), [[0.0], [0.5]]
         )
-        assert rep.passed and rep.max_scaling_residual == 0.0
+        assert rep.max_scaling_residual == 0.0
+        assert max(rep.max_leibniz_residual, rep.max_lifting_residual) <= TOL_AXIOMS
 
     def test_scaling_example(self):
         phi = parse_expr("x1", 2)
@@ -313,4 +322,5 @@ class TestConnectionAxioms:
         rep = connection_axioms_check(
             c, case.field, eta, phi, [rng.uniform(-0.3, 0.3, c.l) for _ in range(5)]
         )
-        assert rep.passed, rep
+        worst = max(rep.max_scaling_residual, rep.max_leibniz_residual, rep.max_lifting_residual)
+        assert worst <= TOL_AXIOMS, rep

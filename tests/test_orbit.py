@@ -6,6 +6,8 @@ import pytest
 from crorbit.crmanifold import complex_tangent_space, tangent_space
 from crorbit.flow import FlowWord
 from crorbit.orbit import (
+    TAU_CERT,
+    _greedy_select,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
@@ -203,6 +205,15 @@ class TestCertificates:
         words = [FlowWord(tuple((i, t) for i, t in w)) for w in d["words"]]
         span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), words, CFG)
         assert span.singular_values[2] >= d["tau"] / 2
+
+    def test_greedy_selection_clears_tau_past_steps_that_gain_nothing(self):
+        """Adding e2 to diag(1, 1e-4, 1e-4) leaves sigma_min at 1e-4; e3 then lifts it."""
+        eye = np.eye(3)
+        col_sets = [np.diag([1.0, 1e-4, 1e-4]), eye[:, [1]], eye[:, [2]]]
+        words = [FlowWord.of((1, 0.1)) for _ in col_sets]
+        selected, sigma = _greedy_select(col_sets, words, 3, TAU_CERT)
+        assert sorted(selected) == [0, 1, 2] and selected[0] == 0
+        assert sigma >= TAU_CERT and sigma == pytest.approx(1.0)
 
 
 class TestReachableSamples:

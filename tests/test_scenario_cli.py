@@ -1,6 +1,7 @@
 """Scenario schema, builtins, CLI exit codes and report determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -203,6 +204,23 @@ class TestCommands:
         cloud_lines = (tmp_path / "orbit_cloud.csv").read_text().splitlines()
         assert cloud_lines[0].startswith("word,")
 
+    def test_orbit_certificate_below_tau_fails(self, monkeypatch):
+        """Re-verification needs only tau / 2; the certificate itself must clear tau."""
+        import crorbit.cli as cli
+
+        def below_tau(*args, real=cli.global_minimality_certificate):
+            rep = real(*args)
+            rep.certificate = dataclasses.replace(
+                rep.certificate, smallest_singular_value=0.9 * cli.TAU_CERT
+            )
+            return rep
+
+        monkeypatch.setattr(cli, "global_minimality_certificate", below_tau)
+        report = cmd_orbit(builtin_scenario("lewy"), "origin", budget=32, seed=7)
+        cert = {r.name: r for r in report.results}["global-minimality-certificate"]
+        assert cert.details["reverified_sigma"] >= cli.TAU_CERT / 2
+        assert not cert.passed and not report.passed
+
     def test_orbit_flat_no_certificate_in_band(self):
         report = cmd_orbit(builtin_scenario("flat"), "origin", budget=12, seed=7)
         assert report.passed
@@ -362,8 +380,9 @@ class TestExitCodes:
             (["x1", "x2", "x3", "1 + x1^2"], "|rho(psi(0))| = 1.000e+00, rank of d psi 3"),
             (["x1", "x1", "x3", "0"], "|rho(psi(0))| = 0.000e+00, rank of d psi 2 (needs 3)"),
             (["x1", "x2", "x3", "log(x1)"], "psi is undefined at 0: math domain error"),
+            (["x1", "x2", "x3", "1/x1"], "psi is undefined at 0: float division by zero"),
         ],
-        ids=["off-manifold", "rank-deficient", "log"],
+        ids=["off-manifold", "rank-deficient", "log", "division"],
     )
     def test_bad_adapted_chart_exit_2(self, psi, named, tmp_path, capsys):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["flat"]))
