@@ -74,6 +74,7 @@ class PushforwardSpan:
 @dataclass
 class Certificate:
     words: tuple[FlowWord, ...]
+    sources: tuple[np.ndarray, ...]  # one per word: where the word starts
     smallest_singular_value: float
     span_dimension: int
     tau: float
@@ -154,23 +155,24 @@ def _word_columns(
     word: FlowWord,
     cfg: IntegratorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(source point, unit-norm pushed T^c columns at z) for one word."""
+    """(source point, unit-norm pushed T^c columns at z) for one word.
+
+    One integration: the inverse word runs backward from z to the source.
+    By the flow group law ``D(word)(source)`` is the inverse of
+    ``D(word^-1)(z)``, so ``T^c_source`` is pushed forward by solving with
+    the backward differential instead of integrating the word again.
+    """
     back = composed_flow(frame, word.inverse(), z, cfg, manifold=m)
     if back.drift_exceeded:
         raise FlowError(
             f"backward word left the manifold: drift {back.drift:.3e} > {cfg.drift_bound:.1e}"
         )
     source = back.endpoint
-    fwd = composed_flow(frame, word, source, cfg, manifold=m)
-    if fwd.drift_exceeded:
-        raise FlowError(
-            f"forward word left the manifold: drift {fwd.drift:.3e} > {cfg.drift_bound:.1e}"
-        )
-    if float(np.max(np.abs(fwd.endpoint - z))) > 1e-6:
-        raise FlowError("word does not return to the base point within tolerance")
-    pushed = fwd.differential @ complex_tangent_space(m, source).basis
-    norms = np.linalg.norm(pushed, axis=0)
-    return source, pushed / norms
+    try:
+        pushed = np.linalg.solve(back.differential, complex_tangent_space(m, source).basis)
+    except np.linalg.LinAlgError:
+        raise FlowError(f"word {list(word.steps)} has a singular backward differential") from None
+    return source, pushed / np.linalg.norm(pushed, axis=0)
 
 
 def _assemble_span(
@@ -209,10 +211,11 @@ def pushforward_span(
 ) -> PushforwardSpan:
     """Span of flow-pushforwards of the complex-tangent distribution into T_zM.
 
-    Each word is run backward from z to find its source, the complex
-    tangent space there is pushed forward by the composed-flow differential,
-    and all unit-normalized images are assembled; singular values are taken
-    in an orthonormal basis of T_zM.
+    Each word is run backward from z to find its source, and the complex
+    tangent space there is pushed forward by the word's differential: the
+    inverse of the backward differential (flow group law), so each word is
+    integrated once.  All unit-normalized images are assembled; singular
+    values are taken in an orthonormal basis of T_zM.
     """
     z = np.asarray(z, dtype=float)
     tangent = tangent_space(m, z)
@@ -249,10 +252,7 @@ def span_words(frame_size: int, seed: int, count: int = SPAN_WORDS) -> list[Flow
     return [FlowWord.empty()] + random_words(rng, count, frame_size, 3, 0.4)
 
 
-def _sigma_min(coord_cols: list[np.ndarray], dim: int) -> float:
-    if not coord_cols:
-        return 0.0
-    a = np.hstack(coord_cols)
+def _sigma_min(a: np.ndarray, dim: int) -> float:
     if a.shape[1] < dim:
         return 0.0
     s = np.linalg.svd(a, compute_uv=False)
@@ -279,7 +279,7 @@ def _greedy_select(
     while remaining:
         best = None
         for idx in remaining:
-            sig = _sigma_min(chosen_cols + [col_sets[idx]], dim)
+            sig = _sigma_min(np.hstack(chosen_cols + [col_sets[idx]]), dim)
             key = (-sig, len(words[idx]), idx)
             if best is None or key < best[0]:
                 best = (key, idx, sig)
@@ -318,6 +318,7 @@ def global_minimality_certificate(
     )
     kept: list[tuple[FlowWord, np.ndarray, np.ndarray]] = []  # (word, source, cols)
     col_sets: list[np.ndarray] = []  # the same columns in T_zM coordinates
+    block = np.empty((dim, 0))  # col_sets side by side, one word appended at a time
     failures = 0
     found = False
     for word in pool:
@@ -328,7 +329,8 @@ def global_minimality_certificate(
             continue
         kept.append((word, source, cols))
         col_sets.append(tangent.basis.T @ cols)
-        if _sigma_min(col_sets, dim) >= TAU_CERT:
+        block = np.hstack((block, col_sets[-1]))
+        if _sigma_min(block, dim) >= TAU_CERT:
             found = True
             break
 
@@ -341,6 +343,7 @@ def global_minimality_certificate(
         all_sv = np.linalg.svd(chosen, compute_uv=False)
         local.certificate = Certificate(
             words=words,
+            sources=tuple(kept[i][1] for i in selected),
             smallest_singular_value=sigma,
             span_dimension=dim,
             tau=TAU_CERT,
@@ -363,8 +366,34 @@ def verify_certificate(
     certificate: Certificate,
     cfg: IntegratorConfig,
 ) -> tuple[bool, float]:
-    """Re-run the certificate words from scratch; sound if sigma_min >= tau / 2."""
-    span = pushforward_span(m, frame, z, list(certificate.words), cfg)
+    """Re-check a certificate forward from its recorded sources; sound if sigma_min >= tau / 2.
+
+    Each word is integrated forward from its source.  It must stay on the
+    manifold and return to z, and ``T^c_source`` is pushed forward by that
+    forward differential: the other route through the flow cocycle than the
+    search's inverse of the backward differential.
+    """
+    if len(certificate.sources) != len(certificate.words):
+        raise ValueError(
+            f"certificate has {len(certificate.words)} word(s) "
+            f"but {len(certificate.sources)} source(s)"
+        )
+    z = np.asarray(z, dtype=float)
+    evaluated = []
+    for word, source in zip(certificate.words, certificate.sources):
+        fwd = composed_flow(frame, word, source, cfg, manifold=m)
+        if fwd.drift_exceeded:
+            raise FlowError(
+                f"forward word {list(word.steps)} left the manifold: "
+                f"drift {fwd.drift:.3e} > {cfg.drift_bound:.1e}"
+            )
+        if float(np.max(np.abs(fwd.endpoint - z))) > 1e-6:
+            raise FlowError(
+                f"word {list(word.steps)} does not return to the base point within tolerance"
+            )
+        pushed = fwd.differential @ complex_tangent_space(m, source).basis
+        evaluated.append((word, source, pushed / np.linalg.norm(pushed, axis=0)))
+    span = _assemble_span(m, z, tangent_space(m, z), evaluated)
     dim = m.dim
     sigma = float(span.singular_values[dim - 1]) if span.singular_values.size >= dim else 0.0
     return sigma >= certificate.tau / 2.0, sigma

@@ -1,17 +1,23 @@
 """Lie hulls, pushforward spans, certificates and reachable clouds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import crorbit.orbit as orbit
 from crorbit.crmanifold import complex_tangent_space, tangent_space
-from crorbit.flow import FlowWord
+from crorbit.flow import FlowError, FlowWord, composed_flow
 from crorbit.orbit import (
     TAU_CERT,
+    Certificate,
     _greedy_select,
+    _word_columns,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
     reachable_samples,
+    span_words,
     verify_certificate,
     write_cloud_csv,
 )
@@ -214,6 +220,107 @@ class TestCertificates:
         selected, sigma = _greedy_select(col_sets, words, 3, TAU_CERT)
         assert sorted(selected) == [0, 1, 2] and selected[0] == 0
         assert sigma >= TAU_CERT and sigma == pytest.approx(1.0)
+
+
+def count_composed_flows(monkeypatch):
+    """Route ``orbit.composed_flow`` through a counter; returns the list of words run."""
+    words = []
+
+    def counting(frame, word, *args, **kwargs):
+        words.append(word)
+        return composed_flow(frame, word, *args, **kwargs)
+
+    monkeypatch.setattr(orbit, "composed_flow", counting)
+    return words
+
+
+class TestOnePassWords:
+    """Each word is integrated once; the forward pass lives in the certificate re-check."""
+
+    @pytest.mark.parametrize(
+        "manifold, frame, z",
+        [(FLAT, FLAT_FRAME, np.zeros(4)), (TUBE3, TUBE3_FRAME, np.zeros(6)),
+         (LEWY, LEWY_FRAME, np.zeros(4))],
+        ids=["flat", "tube3", "lewy"],
+    )
+    def test_one_pass_columns_equal_forward_pass(self, manifold, frame, z):
+        """D(word)(source) = D(word^-1)(z)^-1: solving with the backward
+        differential gives the columns a forward integration pushes."""
+        for word in span_words(len(frame), 5):
+            source, cols = _word_columns(manifold, frame, z, word, CFG)
+            fwd = composed_flow(frame, word, source, CFG, manifold=manifold)
+            pushed = fwd.differential @ complex_tangent_space(manifold, source).basis
+            assert np.max(np.abs(cols - pushed / np.linalg.norm(pushed, axis=0))) <= 1e-12
+
+    def test_search_integrates_each_pool_word_once(self, monkeypatch):
+        words = count_composed_flows(monkeypatch)
+        rep = global_minimality_certificate(FLAT, FLAT_FRAME, np.zeros(4), 16, 7, CFG)
+        assert rep.budget_exhausted
+        assert len(words) == 17  # the empty word and 16 random words
+
+    def test_verify_integrates_each_word_once(self, monkeypatch):
+        rep = global_minimality_certificate(LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG)
+        cert = rep.certificate
+        words = count_composed_flows(monkeypatch)
+        ok, _ = verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), cert, CFG)
+        assert ok
+        assert words == list(cert.words)  # forward, from the recorded sources
+
+    @staticmethod
+    def make_singular(monkeypatch, word):
+        """The backward flow of ``word`` reports a zero differential."""
+
+        def singular(frame, w, *args, **kwargs):
+            res = composed_flow(frame, w, *args, **kwargs)
+            if w == word.inverse():
+                res = dataclasses.replace(res, differential=np.zeros_like(res.differential))
+            return res
+
+        monkeypatch.setattr(orbit, "composed_flow", singular)
+
+    def test_singular_differential_names_the_word(self, monkeypatch):
+        word = FlowWord.of((1, 0.4), (2, -0.6))
+        self.make_singular(monkeypatch, word)
+        with pytest.raises(FlowError, match=r"word \[\(1, 0\.4\), \(2, -0\.6\)\].*singular"):
+            _word_columns(FLAT, FLAT_FRAME, np.zeros(4), word, CFG)
+
+    def test_singular_differential_is_a_failed_word(self, monkeypatch):
+        rng = np.random.default_rng(7)  # the search's first random pool word
+        [word] = orbit.random_words(rng, 1, 2, orbit.WORD_LENGTH_CAP, orbit.TIME_RANGE)
+        self.make_singular(monkeypatch, word)
+        rep = global_minimality_certificate(FLAT, FLAT_FRAME, np.zeros(4), 16, 7, CFG)
+        assert rep.budget_exhausted
+        assert rep.note.endswith("; 1 word(s) failed to integrate")
+        kept = [w for w, _ in rep.best_span.contributions]
+        assert len(kept) == 16 and word not in kept
+
+    def test_certificate_without_sources_raises(self):
+        cert = Certificate(
+            words=(FlowWord.empty(), FlowWord.of((1, 0.5))),
+            sources=(),
+            smallest_singular_value=1.0,
+            span_dimension=3,
+            tau=TAU_CERT,
+            seed=0,
+            singular_values=(1.0, 1.0, 1.0),
+        )
+        with pytest.raises(ValueError, match=r"2 word\(s\) but 0 source\(s\)"):
+            verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), cert, CFG)
+
+    def test_displaced_source_fails_round_trip(self):
+        rep = global_minimality_certificate(LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG)
+        cert = rep.certificate
+        k = next(i for i, word in enumerate(cert.words) if len(word))
+        source = cert.sources[k]
+        tangent = tangent_space(LEWY, source)
+        e_u = np.array([0.0, 0.0, 1.0, 0.0])  # tangent everywhere: rho does not involve u
+        step = tangent.basis @ (tangent.basis.T @ e_u)
+        assert np.linalg.norm(step - e_u) <= 1e-12
+        sources = list(cert.sources)
+        sources[k] = source + 1e-3 * step
+        displaced = dataclasses.replace(cert, sources=tuple(sources))
+        with pytest.raises(FlowError, match="does not return to the base point"):
+            verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), displaced, CFG)
 
 
 class TestReachableSamples:
