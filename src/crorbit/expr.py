@@ -11,14 +11,19 @@ defining functions, vector-field coefficients and scalar multipliers.
   source, compiled by ``compile_values`` and ``compile_values_and_jacobian``
   into kernels that take a list or an ndarray and return float64 arrays,
   values of shape (k,) and a Jacobian of shape (k, dim), which callers
-  slice and never convert.  A vector field owns one kernel,
-  x -> (a(x), Da(x)): its values, its Jacobian and every integrator
-  right-hand side read it.  Only an embedded manifold adds a values-only
-  probe, because retraction and drift tests read rho far more often than
-  d rho.  Given a point, every variable is a literal and every rule folds,
-  so the same rules return numbers: ``eval_jet`` and the smart
-  constructors' constant folding evaluate this way, with the arithmetic,
-  operation for operation, of the compiled kernel.
+  slice and never convert.  Given a point, every variable is a literal and
+  every rule folds, so the same rules return numbers, computed as the
+  kernel computes them (only a zero's sign can differ): ``eval_jet``, the
+  smart constructors' constant folding and ``eval_values_and_jacobian``,
+  the kernel's interpreted twin, evaluate this way.
+* A vector field is interpreted on first use and compiled on reuse: its
+  first evaluation is ``eval_values_and_jacobian`` at the point, and the
+  second compiles its one kernel, x -> (a(x), Da(x)), which answers every
+  later call; its values, its Jacobian and every integrator right-hand
+  side read it.  Most fields a check builds are evaluated once, and a
+  compile costs far more than one interpreted evaluation.  An embedded
+  manifold compiles at once and adds a values-only probe, because
+  retraction and drift tests read rho far more often than d rho.
 
 Text is read by Python's parser (``ast.parse``, ``^`` read as ``**``) and
 one walker that maps the grammar onto the node classes.  Anything else, a
@@ -75,6 +80,7 @@ __all__ = [
     "JetCompiler",
     "compile_values",
     "compile_values_and_jacobian",
+    "eval_values_and_jacobian",
     "FUNCTIONS",
 ]
 
@@ -523,7 +529,9 @@ class JetCompiler:
 
     Given ``point``, variable ``k`` is the literal ``point[k]``, so every
     rule folds and :meth:`emit` returns numbers, computed as the generated
-    code would compute them.  No code is emitted and nothing is memoized.
+    code would compute them.  No code is emitted and nothing is memoized:
+    this interprets an expression evaluated once, such as a vector field on
+    first use, which is compiled only on reuse.
     """
 
     def __init__(self, tangents: int, point: Sequence[float] | None = None):
@@ -747,12 +755,43 @@ def compile_values(exprs: Sequence[ScalarExpr]) -> Callable:
     return _compile_source("field_values", comp.lines, _array(vals))
 
 
-def compile_values_and_jacobian(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
-    """Compile ``x -> (values, jac)``, arrays (k,) and (k, ``dim``), jac[i, k] = d e_i/d x_k."""
+def _jet_source(exprs: Sequence[ScalarExpr], dim: int) -> tuple[list[str], str]:
+    """The Jacobian kernel's body and result; a non-finite constant raises ExprDomainError."""
     comp = JetCompiler(dim)
     vals, rows = [], []
     for e in exprs:
         v, tangents = comp.emit(e)
         vals.append(v)
         rows.append(_tuple(tangents))
-    return _compile_source("field_jet", comp.lines, f"{_array(vals)}, {_array(rows)}")
+    return comp.lines, f"{_array(vals)}, {_array(rows)}"
+
+
+def compile_values_and_jacobian(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
+    """Compile ``x -> (values, jac)``, arrays (k,) and (k, ``dim``), jac[i, k] = d e_i/d x_k."""
+    return _compile_source("field_jet", *_jet_source(exprs, dim))
+
+
+def eval_values_and_jacobian(
+    exprs: Sequence[ScalarExpr], dim: int, x: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``compile_values_and_jacobian(exprs, dim)(x)`` interpreted: the same arrays, no compile.
+
+    The rules run at the point ``x``, a list of floats, so the numbers and
+    the errors are the kernel's.  Only the sign of a zero can differ: the
+    kernel folds a product with a statically zero factor to ``0.0``.  The
+    kernel's compile-time guard still holds: a result that overflows or is
+    not finite first generates the kernel's code, so a constant
+    subexpression that is not finite raises :class:`ExprDomainError`
+    naming it.
+    """
+    comp = JetCompiler(dim, x)
+    try:
+        jets = [comp.emit(e) for e in exprs]
+    except OverflowError:
+        _jet_source(exprs, dim)
+        raise
+    vals = np.array([v for v, _ in jets], dtype=float)
+    jac = np.array([tangents for _, tangents in jets], dtype=float)
+    if not (np.isfinite(vals).all() and np.isfinite(jac).all()):
+        _jet_source(exprs, dim)
+    return vals, jac

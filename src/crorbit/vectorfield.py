@@ -13,6 +13,7 @@ from .expr import (
     add,
     compile_values_and_jacobian,
     differentiate,
+    eval_values_and_jacobian,
     mul,
     parse_expr,
     sub,
@@ -51,17 +52,28 @@ class VectorFieldSpec:
             tuple(parse_expr(t, dim, aliases) for t in texts), dim
         )
 
+    _evaluated = False  # set by the first evaluation; the second compiles _kernel
+
     @cached_property
-    def _kernel(self):  # x -> (a(x), Da(x)), compiled on first use
+    def _kernel(self):  # x -> (a(x), Da(x)), compiled on reuse
         return compile_values_and_jacobian(self.coefficients, self.dim)
 
     def values(self, x: Sequence[float]) -> np.ndarray:
         """a(x) as a length-``dim`` array."""
-        return self._kernel(x)[0]
+        return self.values_and_jacobian(x)[0]
 
     def values_and_jacobian(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """(a(x), Da(x)) with Da[j, k] = da_j/dx_k, from the field's one kernel."""
-        return self._kernel(x)
+        """(a(x), Da(x)) with Da[j, k] = da_j/dx_k.
+
+        Interpreted on first use, compiled on reuse: the first call runs the
+        forward-mode rules at ``x``, and the second compiles the field's one
+        kernel, which answers it and every later call with the same numbers.
+        """
+        x = np.asarray(x, dtype=float).tolist()
+        if self._evaluated:
+            return self._kernel(x)
+        object.__setattr__(self, "_evaluated", True)
+        return eval_values_and_jacobian(self.coefficients, self.dim, x)
 
     def scaled(self, factor: ScalarExpr) -> "VectorFieldSpec":
         """The field ``factor * X`` with symbolic coefficients."""

@@ -33,6 +33,7 @@ from crorbit.expr import (
     substitute,
     to_text,
 )
+from crorbit.vectorfield import VectorFieldSpec
 from jet_oracle import _jet_rec
 
 
@@ -351,6 +352,33 @@ class TestCompiledEvaluators:
                     assert _equal_where_finite(row, jet.gradient), (to_text(tree), x)
                 jets += 1
 
+    @pytest.mark.parametrize("as_list", [True, False], ids=["list", "ndarray"])
+    def test_interpreted_first_call_equals_kernel_exactly(self, as_list):
+        """A field's first call, interpreted, returns its kernel's arrays at the same point."""
+        rng = np.random.default_rng(10)
+        fields = 0
+        while fields < 1_000:
+            dim = int(rng.integers(1, 4))
+            trees = tuple(_random_jet_tree(rng, dim, 4) for _ in range(dim))
+            try:
+                fn = compile_values_and_jacobian(trees, dim)
+            except ExprDomainError:  # a constant subexpression that is not finite
+                continue
+            for x in rng.uniform(-1.5, 1.5, (4, dim)):
+                point = x.tolist() if as_list else x
+                try:
+                    first = VectorFieldSpec(trees, dim).values_and_jacobian(point)
+                    kernel = fn(point)
+                except (ExprDomainError, ZeroDivisionError, OverflowError, ValueError):
+                    continue
+                if not all(np.isfinite(out).all() for out in kernel):
+                    continue
+                for got, want, shape in zip(first, kernel, [(dim,), (dim, dim)]):
+                    assert got.dtype == want.dtype == np.float64
+                    assert got.shape == want.shape == shape
+                    assert np.array_equal(got, want), ([to_text(t) for t in trees], x)
+                fields += 1
+
     def test_values_only(self):
         fn = compile_values([parse_expr("x1 + 2", 1)])
         out = fn([1.5])
@@ -422,6 +450,16 @@ class TestNonFiniteConstants:
             compile_values([tree])
         with pytest.raises(ExprDomainError, match=re.escape(named)):
             compile_values_and_jacobian([tree], 1)
+        with pytest.raises(ExprDomainError, match=re.escape(named)):  # interpreted first call
+            VectorFieldSpec((tree,), 1).values_and_jacobian([1.0])
+
+    def test_constant_absorbed_into_a_finite_value_is_named_when_compiled(self):
+        """The first call returns what the rules give; the guard holds when the kernel compiles."""
+        field = VectorFieldSpec((parse_expr("x1/(1e308*10)", 1),), 1)
+        a, jac = field.values_and_jacobian([1.0])
+        assert a.tolist() == [0.0] and jac.tolist() == [[0.0]]
+        with pytest.raises(ExprDomainError, match=re.escape("1e+308*10.0")):
+            field.values_and_jacobian([1.0])
 
 
 class TestSubstitute:

@@ -132,6 +132,12 @@ class TestFlow:
         with pytest.raises((FlowDomainError, FlowBlowupError)):
             flow(singular, [-0.5], -1.0)
 
+    def test_singular_start_is_a_domain_exit(self):
+        """1/x1 at x1 = 0 raises ZeroDivisionError, never returns inf."""
+        singular = VectorFieldSpec.parse(["1/x1", "1"], 2)
+        with pytest.raises(FlowDomainError, match="division by zero"):
+            flow(singular, [0, 0], 0.1)
+
     def test_zeroth_power_coefficient_through_zero(self):
         res = flow(VectorFieldSpec.parse(["x1^0", "0"], 2), [0.0, 0.0], 1.0)
         assert np.allclose(res.endpoint, [1.0, 0.0], atol=1e-12)

@@ -1,5 +1,7 @@
 """Brackets, symbols and Hamiltonian lifts of expression vector fields."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,42 @@ class TestVectorFieldSpec:
         a, jac = f.values_and_jacobian([2.0, 3.0])
         assert np.allclose(a, [6.0, 9.0])
         assert np.allclose(jac, [[3.0, 2.0], [0.0, 6.0]])
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0], np.zeros(2)], ids=["list", "ndarray"])
+    def test_division_by_zero_raises_whatever_the_input_type(self, x):
+        """Interpreted first call and compiled kernel alike: Python float arithmetic."""
+        f = _field(["1/x1", "1"], 2)
+        for _ in range(3):
+            with pytest.raises(ZeroDivisionError):
+                f.values_and_jacobian(x)
+
+
+class TestCompileOnReuse:
+    X = [0.5, -2.0]
+
+    def test_field_evaluated_once_compiles_nothing(self, compilations):
+        a, jac = _field(["x1*x2", "sin(x1)"], 2).values_and_jacobian(self.X)
+        assert a.tolist() == [-1.0, math.sin(0.5)]
+        assert jac.tolist() == [[-2.0, 0.5], [math.cos(0.5), 0.0]]
+        assert compilations["compile_values_and_jacobian"] == []
+
+    def test_second_call_compiles_once(self, compilations):
+        f = _field(["x1*x2", "sin(x1)"], 2)
+        first = f.values_and_jacobian(self.X)
+        assert compilations["compile_values_and_jacobian"] == []
+        for _ in range(4):  # the second call compiles, later calls reuse the kernel
+            later = f.values_and_jacobian(np.array(self.X))
+            assert compilations["compile_values_and_jacobian"] == [(f.coefficients, 2)]
+            for got, want in zip(later, first):
+                assert np.array_equal(got, want)
+
+    def test_values_and_jacobian_share_one_counter(self, compilations):
+        f = _field(["x1*x2", "sin(x1)"], 2)
+        f.values(self.X)
+        f.values_and_jacobian(self.X)
+        f.values(self.X)
+        assert compilations["compile_values_and_jacobian"] == [(f.coefficients, 2)]
+        assert compilations["compile_values"] == []
 
 
 class TestLieBracket:
