@@ -17,10 +17,8 @@ from .expr import (
     ExprDomainError,
     ExprError,
     ExprSyntaxError,
-    Jet,
     ScalarExpr,
     differentiate,
-    eval_jet,
     parse_expr,
     to_text,
 )

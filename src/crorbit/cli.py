@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 check failure, 2 input
 error (schema violations, unknown points, non-finite coordinates,
-non-positive budgets, expression errors, unreadable or unwritable
-paths).  Reports are JSON; trajectories and point clouds are CSV.
+non-positive budgets, expression errors, expressions undefined at the
+point, unreadable or unwritable paths).  Reports are JSON; trajectories
+and point clouds are CSV.
 """
 
 from __future__ import annotations

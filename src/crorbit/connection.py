@@ -31,7 +31,7 @@ from .expr import (
     ScalarExpr,
     Var,
     add,
-    eval_jet,
+    eval_values_and_jacobian,
     mul,
     substitute,
 )
@@ -184,13 +184,8 @@ def covariant_derivative(
     if len(eta) != c.m:
         raise ValueError(f"section has {len(eta)} components, chart has m = {c.m}")
     a, b = _require_valid(c, X, xp)
-    xp = np.asarray(xp, dtype=float)
-    out = np.zeros(c.m)
-    eta_vals = np.zeros(c.m)
-    for j, ej in enumerate(eta):
-        jet = eval_jet(ej, xp, order=1)
-        eta_vals[j] = jet.value
-        out[j] = float(a[: c.l] @ jet.gradient)
+    eta_vals, grads = eval_values_and_jacobian(eta, c.l, np.asarray(xp, dtype=float).tolist())
+    out = np.array([float(a[: c.l] @ g) for g in grads])
     return out - b @ eta_vals
 
 
@@ -371,7 +366,6 @@ class RestrictionReport:
     max_tangency: float
     max_mismatch: float
     max_multiplier_mismatch: float
-    worst_sample: int
 
 
 def hamiltonian_restriction_check(
@@ -392,21 +386,17 @@ def hamiltonian_restriction_check(
         multiplier = add(Const(1.0), mul(Var(0), Var(0)))
     phi_x = X.scaled(multiplier)
     max_tan = max_mis = max_mult = 0.0
-    worst_sample = 0
-    for s_idx, (xp, xi) in enumerate(samples):
+    for xp, xi in samples:
         restricted, tangency = restricted_hamiltonian(c, X, xp, xi)
         mismatch = float(np.max(np.abs(restricted - xhat_field(c, X, (xp, xi)))))
-        x_full = np.concatenate((np.asarray(xp, dtype=float), np.zeros(c.m)))
-        phi_val = eval_jet(multiplier, x_full, order=0).value
+        x_full = np.concatenate((np.asarray(xp, dtype=float), np.zeros(c.m))).tolist()
+        (phi_val,), _ = eval_values_and_jacobian((multiplier,), c.dim, x_full)
         phi_restricted, _ = restricted_hamiltonian(c, phi_x, xp, xi)
         mult_mismatch = float(np.max(np.abs(phi_restricted - phi_val * restricted)))
-        score = max(tangency, mismatch, mult_mismatch)
-        if score > max(max_tan, max_mis, max_mult):
-            worst_sample = s_idx
         max_tan = max(max_tan, tangency)
         max_mis = max(max_mis, mismatch)
         max_mult = max(max_mult, mult_mismatch)
-    return RestrictionReport(max_tan, max_mis, max_mult, worst_sample)
+    return RestrictionReport(max_tan, max_mis, max_mult)
 
 
 @dataclass
@@ -415,7 +405,6 @@ class AxiomsReport:
     max_leibniz_residual: float
     max_lifting_residual: float
     worst_axiom: str  # the axiom with the largest residual, first on ties
-    worst_sample: int = 0
 
 
 def connection_axioms_check(
@@ -445,20 +434,18 @@ def connection_axioms_check(
     )
 
     max_scale = max_leib = max_lift = 0.0
-    worst = 0
-    for s_idx, xp in enumerate(samples):
+    for xp in samples:
         xp = np.asarray(xp, dtype=float)
-        x_full = np.concatenate((xp, np.zeros(c.m)))
+        x_full = np.concatenate((xp, np.zeros(c.m))).tolist()
         base = covariant_derivative(c, X, eta, xp)
 
-        phi_jet = eval_jet(phi, x_full, order=1)
-        phi_val = phi_jet.value
+        (phi_val,), (phi_grad,) = eval_values_and_jacobian((phi,), c.dim, x_full)
         scaled = covariant_derivative(c, X.scaled(phi), eta, xp)
         r_scale = float(np.max(np.abs(scaled - phi_val * base), initial=0.0))
 
         a, _ = _restricted(X, c, xp)
-        x_phi = float(a @ phi_jet.gradient)
-        eta_vals = np.array([eval_jet(ej, xp, order=0).value for ej in eta])
+        x_phi = float(a @ phi_grad)
+        eta_vals, _ = eval_values_and_jacobian(eta, c.l, xp.tolist())
         leib_lhs = covariant_derivative(c, X, phi_eta, xp)
         r_leib = float(
             np.max(np.abs(leib_lhs - (phi_val * base + x_phi * eta_vals)), initial=0.0)
@@ -468,13 +455,10 @@ def connection_axioms_check(
         b1 = covariant_derivative_via_bracket(c, X, perturbed, xp)
         r_lift = float(np.max(np.abs(b1 - b0), initial=0.0))
 
-        score = max(r_scale, r_leib, r_lift)
-        if score > max(max_scale, max_leib, max_lift):
-            worst = s_idx
         max_scale = max(max_scale, r_scale)
         max_leib = max(max_leib, r_leib)
         max_lift = max(max_lift, r_lift)
 
     residuals = (max_scale, max_leib, max_lift)
     worst_axiom = ("scaling", "leibniz", "lifting")[int(np.argmax(residuals))]
-    return AxiomsReport(*residuals, worst_axiom, worst)
+    return AxiomsReport(*residuals, worst_axiom)

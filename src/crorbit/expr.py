@@ -13,9 +13,9 @@ defining functions, vector-field coefficients and scalar multipliers.
   values of shape (k,) and a Jacobian of shape (k, dim), which callers
   slice and never convert.  Given a point, every variable is a literal and
   every rule folds, so the same rules return numbers, computed as the
-  kernel computes them (only a zero's sign can differ): ``eval_jet``, the
-  smart constructors' constant folding and ``eval_values_and_jacobian``,
-  the kernel's interpreted twin, evaluate this way.
+  kernel computes them (only a zero's sign can differ): the smart
+  constructors' constant folding and ``eval_values_and_jacobian``, the
+  kernel's interpreted twin and the only evaluator at a point, work this way.
 * A vector field is interpreted on first use and compiled on reuse: its
   first evaluation is ``eval_values_and_jacobian`` at the point, and the
   second compiles its one kernel, x -> (a(x), Da(x)), which answers every
@@ -36,6 +36,14 @@ coefficient, does so at depth 173.  A constant subexpression whose fold
 overflows raises ``ExprDomainError``.
 All derivative values come from forward-mode rules, never finite
 differences; the test suite keeps a finite-difference oracle.
+
+Where an expression is undefined at the point (a division by zero,
+``0^-n``, ``log`` of a value <= 0, an overflow), every kernel and the twin
+raise ``ExprDomainError`` with Python's message, so no caller sees
+``ZeroDivisionError``, ``ValueError`` or ``OverflowError``.  Python floats
+raise there; a kernel given an ndarray computes on numpy scalars, which
+return inf in place of all but ``log``'s error, so vector fields pass their
+kernels a list.
 """
 
 from __future__ import annotations
@@ -60,13 +68,11 @@ __all__ = [
     "Pow",
     "Neg",
     "Call",
-    "Jet",
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
     "parse_expr",
     "to_text",
-    "eval_jet",
     "differentiate",
     "const",
     "var",
@@ -99,6 +105,10 @@ class ExprSyntaxError(ExprError):
 
 class ExprDomainError(ExprError):
     """Evaluation left the expression's domain (division by zero, log <= 0)."""
+
+
+# what Python raises where an expression is undefined; evaluators raise ExprDomainError
+_UNDEFINED = (ZeroDivisionError, ValueError, OverflowError)
 
 
 class ScalarExpr:
@@ -529,7 +539,9 @@ class JetCompiler:
 
     Given ``point``, variable ``k`` is the literal ``point[k]``, so every
     rule folds and :meth:`emit` returns numbers, computed as the generated
-    code would compute them.  No code is emitted and nothing is memoized:
+    code would compute them, and raises where that code would raise, with
+    Python's error: the kernel and its interpreted twin both turn it into
+    :class:`ExprDomainError`.  No code is emitted and nothing is memoized:
     this interprets an expression evaluated once, such as a vector field on
     first use, which is compiled only on reuse.
     """
@@ -620,7 +632,8 @@ class JetCompiler:
 
         While generating code, raises :class:`ExprDomainError` naming the
         subexpression whose fold overflows or is not finite.  At a point,
-        errors are Python's, as the kernel's would be.
+        errors are Python's, as in the generated code, and the evaluators
+        turn them into :class:`ExprDomainError`.
         """
         if self.point is not None:  # a repeat costs less than the memo's structural hash
             return self._emit(e)
@@ -703,32 +716,6 @@ class JetCompiler:
         raise TypeError(f"not an expression node: {e!r}")
 
 
-@dataclass
-class Jet:
-    """Value with optional exact gradient at a point."""
-
-    value: float
-    gradient: np.ndarray | None = None
-
-
-def eval_jet(e: ScalarExpr, x: Sequence[float], order: int = 1) -> Jet:
-    """Evaluate ``e`` at ``x`` with its exact gradient when ``order`` is 1 (0|1).
-
-    The value and gradient are computed as ``e``'s compiled kernel computes
-    them at ``x``, by the same rules.
-    """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    point = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(point)):
-        raise ExprDomainError("evaluation point is not finite")
-    try:
-        v, g = JetCompiler(len(point) if order else 0, point.tolist()).emit(e)
-    except (ZeroDivisionError, ValueError) as exc:  # 1/0, 0^-n, log of x <= 0
-        raise ExprDomainError(f"undefined at the evaluation point: {exc}") from None
-    return Jet(v, np.array(g) if order else None)
-
-
 def _tuple(refs: Sequence) -> str:
     return "(" + ", ".join(map(str, refs)) + ("," if len(refs) == 1 else "") + ")"
 
@@ -739,11 +726,13 @@ def _array(refs: Sequence) -> str:
 
 
 def _compile_source(name: str, body: list[str], result: str) -> Callable:
-    src = f"def {name}(x):\n"
+    """Compile ``body`` into ``name(x)``, which raises ExprDomainError where it is undefined."""
+    src = f"def {name}(x):\n    try:\n"
     for line in body:
-        src += f"    {line}\n"
-    src += f"    return {result}\n"
-    namespace: dict = {"math": math, "np": np}
+        src += f"        {line}\n"
+    src += f"        return {result}\n"
+    src += "    except _UNDEFINED as exc:\n        raise ExprDomainError(str(exc)) from None\n"
+    namespace = dict(math=math, np=np, _UNDEFINED=_UNDEFINED, ExprDomainError=ExprDomainError)
     exec(compile(src, f"<crorbit:{name}>", "exec"), namespace)
     return namespace[name]
 
@@ -777,19 +766,20 @@ def eval_values_and_jacobian(
     """``compile_values_and_jacobian(exprs, dim)(x)`` interpreted: the same arrays, no compile.
 
     The rules run at the point ``x``, a list of floats, so the numbers and
-    the errors are the kernel's.  Only the sign of a zero can differ: the
-    kernel folds a product with a statically zero factor to ``0.0``.  The
-    kernel's compile-time guard still holds: a result that overflows or is
-    not finite first generates the kernel's code, so a constant
-    subexpression that is not finite raises :class:`ExprDomainError`
-    naming it.
+    the errors are the kernel's: where an expression is undefined at ``x``,
+    both raise :class:`ExprDomainError` with Python's message.  Only the
+    sign of a zero can differ: the kernel folds a product with a statically
+    zero factor to ``0.0``.  The kernel's compile-time guard still holds: a
+    result that is undefined, overflows or is not finite first generates
+    the kernel's code, so a constant subexpression that is not finite
+    raises :class:`ExprDomainError` naming it.
     """
     comp = JetCompiler(dim, x)
     try:
         jets = [comp.emit(e) for e in exprs]
-    except OverflowError:
+    except _UNDEFINED as exc:
         _jet_source(exprs, dim)
-        raise
+        raise ExprDomainError(str(exc)) from None
     vals = np.array([v for v, _ in jets], dtype=float)
     jac = np.array([tangents for _, tangents in jets], dtype=float)
     if not (np.isfinite(vals).all() and np.isfinite(jac).all()):

@@ -154,7 +154,7 @@ _ERR = np.array(
 
 _MAX_STEPS = 500_000
 _RETRACT_MAX_ITER = 25
-_DOMAIN_EXCS = (ExprDomainError, ZeroDivisionError, OverflowError, ValueError)
+_DOMAIN_EXCS = (ExprDomainError,)
 _MIN_STEP = 16 * np.finfo(float).eps  # relative to max(|t|, 1)
 
 

@@ -45,6 +45,8 @@ TIME_RANGE = 0.5
 TAU_CERT = 1e-3
 # orbit-dimension word sample: the empty word plus up to SPAN_WORDS short words
 SPAN_WORDS = 8
+# Lie hull: the frame's span, then bracket sweeps up to this total depth
+LIE_HULL_MAX_DEPTH = 6
 
 FRAME_SUBFAMILY_NOTE = (
     "orbit evidence is generated from composed flows of the supplied frame; "
@@ -108,16 +110,14 @@ def lie_hull(
     m: EmbeddedManifold,
     frame: Sequence[VectorFieldSpec],
     z: Sequence[float],
-    max_depth: int = 6,
 ) -> LieHullResult:
     """Span at z of the frame and its iterated brackets (frame x accumulated).
 
     Bracket fields are built symbolically, so deeper brackets reuse exact
-    derivative trees.  Iteration stops when a sweep adds no dimension, or
-    when the hull reaches dim M (it cannot grow past the tangent space).
+    derivative trees.  Iteration stops when a sweep adds no dimension, when
+    the hull reaches dim M (it cannot grow past the tangent space), or at
+    depth ``LIE_HULL_MAX_DEPTH``.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     z = np.asarray(z, dtype=float)
     cols = [f.values(z) for f in frame]
     span = SubspaceBasis.from_spanning(np.column_stack(cols), m.rank_rtol)
@@ -125,7 +125,7 @@ def lie_hull(
     seen = set(frame)
     depth = contributing_depth = 1
     stabilized = span.dim >= m.dim
-    while depth < max_depth and not stabilized:
+    while depth < LIE_HULL_MAX_DEPTH and not stabilized:
         new_level = []
         for x_field in frame:
             for g in level:

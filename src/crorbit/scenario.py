@@ -293,7 +293,7 @@ def _resolve(raw: dict) -> Scenario:
         chart = AdaptedChart(adecl["l"], adecl["m"], psi)
         try:
             rep = validate_adapted_chart(sc.manifold, chart, [np.zeros(dim)])
-        except (ExprDomainError, ZeroDivisionError, ValueError, OverflowError) as exc:
+        except (ExprDomainError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
             raise ScenarioError(f"adapted chart {aname!r}: psi is undefined at 0: {exc}") from exc
         if not rep.passed:
             raise ScenarioError(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crorbit.crmanifold import EmbeddedManifold
+from crorbit.expr import ExprDomainError
 from crorbit.flow import (
     FlowBlowupError,
     FlowDomainError,
@@ -133,7 +134,7 @@ class TestFlow:
             flow(singular, [-0.5], -1.0)
 
     def test_singular_start_is_a_domain_exit(self):
-        """1/x1 at x1 = 0 raises ZeroDivisionError, never returns inf."""
+        """1/x1 at x1 = 0 is undefined, never inf: the kernel raises ExprDomainError."""
         singular = VectorFieldSpec.parse(["1/x1", "1"], 2)
         with pytest.raises(FlowDomainError, match="division by zero"):
             flow(singular, [0, 0], 0.1)
@@ -265,7 +266,7 @@ class TestIntegratorStep:
         def rhs(_t, y):
             calls.append(y)
             if rejects_bad_input and not np.all(np.isfinite(y)):
-                raise ZeroDivisionError("division by zero")
+                raise ExprDomainError("float division by zero")
             return np.array([bad if len(calls) == 2 + stage else 1.0])
 
         with pytest.raises(FlowBlowupError, match="non-finite derivative"):
@@ -273,6 +274,20 @@ class TestIntegratorStep:
         # one finiteness test per step: the stages after the bad one still run
         # until one of them rejects its non-finite input
         assert len(calls) == (2 + min(stage + 1, 6) if rejects_bad_input else 8)
+
+    @pytest.mark.parametrize("call", [1, 3], ids=["first", "stage"])
+    def test_value_error_is_not_a_domain_exit(self, call):
+        """Only ExprDomainError leaves the domain: any other error is the RHS's own."""
+        calls = []
+
+        def rhs(_t, y):
+            calls.append(y)
+            if len(calls) == call:
+                raise ValueError("not an expression error")
+            return np.ones(1)
+
+        with pytest.raises(ValueError, match="not an expression error"):
+            _integrate(rhs, (0.0, 1.0), np.zeros(1), IntegratorConfig())
 
     @pytest.mark.parametrize("span", [(0.0, math.nan), (math.inf, 1.0)])
     def test_non_finite_time_rejected(self, span):

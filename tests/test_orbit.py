@@ -39,8 +39,9 @@ def lewy_point(rng):
 
 
 class TestLieHull:
-    def test_lewy_brackets_fill_tangent(self):
-        hull = lie_hull(LEWY, LEWY_FRAME, np.zeros(4), max_depth=2)
+    def test_lewy_brackets_fill_tangent(self, monkeypatch):
+        monkeypatch.setattr(orbit, "LIE_HULL_MAX_DEPTH", 2)
+        hull = lie_hull(LEWY, LEWY_FRAME, np.zeros(4))
         assert hull.dimension == 3
         assert hull.stabilized
         assert hull.depth_reached == 2
@@ -54,11 +55,11 @@ class TestLieHull:
         hull = lie_hull(TUBE3, TUBE3_FRAME, np.zeros(6))
         assert hull.dimension == 3 < TUBE3.dim
 
-    def test_monotone_in_depth_and_bounded(self):
-        dims = [
-            lie_hull(LEWY, LEWY_FRAME, np.zeros(4), max_depth=k).dimension
-            for k in range(1, 5)
-        ]
+    def test_monotone_in_depth_and_bounded(self, monkeypatch):
+        dims = []
+        for k in range(1, 5):
+            monkeypatch.setattr(orbit, "LIE_HULL_MAX_DEPTH", k)
+            dims.append(lie_hull(LEWY, LEWY_FRAME, np.zeros(4)).dimension)
         assert dims == sorted(dims)
         assert all(d <= LEWY.dim for d in dims)
 

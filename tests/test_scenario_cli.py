@@ -394,6 +394,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "adapted chart 'complex_line'" in err and named in err
 
+    @pytest.mark.parametrize("command", ["analyze", "orbit"])
+    def test_frame_undefined_at_point_exit_2(self, command, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        raw["frames"]["cr"][0][0] = "1/x"
+        path = tmp_path / "singular_frame.json"
+        path.write_text(json.dumps(raw))
+        code = main([command, "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: float division by zero\n"
+
+    def test_chart_frame_undefined_at_point_exit_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["expchart"]))
+        raw["manifold"]["frame"] = raw["charts"]["main"]["frame"] = [["1", "x2/x1"]]
+        path = tmp_path / "singular_chart.json"
+        path.write_text(json.dumps(raw))
+        code = main(["transport", "--scenario", str(path)])  # at x' = 0
+        assert code == 2
+        assert capsys.readouterr().err == "error: float division by zero\n"
+
     def test_non_finite_eta_exit_2(self, capsys):
         code = main(["transport", "--scenario", "expchart", "--eta", "inf"])
         assert code == 2
