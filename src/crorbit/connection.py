@@ -36,7 +36,7 @@ from .expr import (
     substitute,
 )
 from .flow import FlowWord, IntegratorConfig, composed_flow, _integrate
-from .linalg import RANK_RTOL
+from .linalg import rank
 from .vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field, lie_bracket
 
 __all__ = [
@@ -150,12 +150,10 @@ def validate_chart(
             if viol > TANGENCY_TOL and first is None:
                 first = (f_idx, s_idx)
             vecs.append(a)
-        if vecs:
-            sv = np.linalg.svd(np.column_stack(vecs), compute_uv=False)
-            if len(sv) < c.rank or (sv.size and sv[-1] <= RANK_RTOL * sv[0]):
-                rank_ok = False
-                if first is None:
-                    first = (0, s_idx)
+        if vecs and rank(np.column_stack(vecs)) < c.rank:
+            rank_ok = False
+            if first is None:
+                first = (0, s_idx)
     return ChartReport(worst <= TANGENCY_TOL and rank_ok, worst, rank_ok, first)
 
 
@@ -212,11 +210,10 @@ def _transport_ode(
     x0p: Sequence[float],
     v0: Sequence[float],
     cfg: IntegratorConfig,
-    sign: float,
-    transpose: bool,
+    dual: bool,
     path: list | None,
 ):
-    """Shared base/fiber ODE for horizontal (sign=+1) and dual (sign=-1, transposed) transport."""
+    """Shared base/fiber ODE for horizontal (b v) and dual (-b^T v) transport."""
     word.validate(c.rank)
     l, m = c.l, c.m
     x = np.zeros(l + m)  # (x', 0): the base point on N
@@ -225,7 +222,7 @@ def _transport_ode(
         x[:l] = y[:l]
         vals, jac = X.values_and_jacobian(x)
         b = jac[l:, l:]
-        return np.concatenate((vals[:l], sign * ((b.T if transpose else b) @ y[l:])))
+        return np.concatenate((vals[:l], -(b.T @ y[l:]) if dual else b @ y[l:]))
 
     def on_step(tt, y):
         path.append((t_offset + abs(tt), y[:l].copy(), y[l:].copy()))
@@ -252,7 +249,7 @@ def horizontal_transport(
     path: list | None = None,
 ) -> NormalVector:
     """Parallel transport along ``word`` by integrating the horizontal-lift field."""
-    base, eta = _transport_ode(c, word, x0p, eta0, cfg, +1.0, False, path)
+    base, eta = _transport_ode(c, word, x0p, eta0, cfg, False, path)
     return NormalVector(base, eta)
 
 
@@ -265,7 +262,7 @@ def dual_transport(
     path: list | None = None,
 ) -> ConormalCovector:
     """Dual transport along ``word`` on the conormal bundle (integral curves of X-hat)."""
-    base, xi = _transport_ode(c, word, x0p, xi0, cfg, -1.0, True, path)
+    base, xi = _transport_ode(c, word, x0p, xi0, cfg, True, path)
     return ConormalCovector(base, xi)
 
 
@@ -372,18 +369,16 @@ def hamiltonian_restriction_check(
     c: ChartSetup,
     X: VectorFieldSpec,
     samples: Sequence[tuple[Sequence[float], Sequence[float]]],
-    multiplier: ScalarExpr | None = None,
+    multiplier: ScalarExpr,
 ) -> RestrictionReport:
     """Compare the restricted Hamiltonian field of the symbol with the conormal field.
 
     At each (x', xi'') the Hamiltonian field of sigma(X), evaluated at the
     embedded cotangent point ((x', 0), (0, xi'')), must be tangent to the
     conormal bundle (x''-velocities and xi'-velocities vanish) and its
-    (x', xi'') part must equal :func:`xhat_field`.  A scalar multiplier on X
-    must rescale the restricted field by its value on the base.
+    (x', xi'') part must equal :func:`xhat_field`.  The scalar ``multiplier``
+    on X must rescale the restricted field by its value on the base.
     """
-    if multiplier is None:
-        multiplier = add(Const(1.0), mul(Var(0), Var(0)))
     phi_x = X.scaled(multiplier)
     max_tan = max_mis = max_mult = 0.0
     for xp, xi in samples:

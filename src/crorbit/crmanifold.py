@@ -23,7 +23,7 @@ import numpy as np
 from .connection import ChartSetup, dual_transport, flow_transport, validate_chart
 from .expr import ScalarExpr, compile_values, compile_values_and_jacobian, parse_expr
 from .flow import FlowWord, IntegratorConfig
-from .linalg import RANK_RTOL, SubspaceBasis, nullspace, orthonormal_columns, rank
+from .linalg import SubspaceBasis, nullspace, orthonormal_columns, rank
 from .vectorfield import VectorFieldSpec
 
 __all__ = [
@@ -132,7 +132,6 @@ class EmbeddedManifold:
 
     n: int
     rho: tuple[ScalarExpr, ...]
-    rank_rtol: float = RANK_RTOL
 
     def __post_init__(self):
         if not self.rho:
@@ -209,8 +208,8 @@ def _genericity(
     """:func:`genericity_check` and the Jacobian of rho it was computed from."""
     m.require_on_manifold(z)
     jac = m.rho_jacobian(z)
-    real_rank = rank(jac, m.rank_rtol)
-    complex_rank = rank(_complex_differentials(jac), m.rank_rtol)
+    real_rank = rank(jac)
+    complex_rank = rank(_complex_differentials(jac))
     return GenericityReport(real_rank, complex_rank, complex_rank == m.d), jac
 
 
@@ -232,20 +231,20 @@ def tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
 
 def _tangent_space(m: EmbeddedManifold, jac: np.ndarray) -> SubspaceBasis:
     """:func:`tangent_space` from the Jacobian at a point checked to be generic."""
-    return SubspaceBasis(m.ambient_dim, nullspace(jac, m.rank_rtol), m.rank_rtol)
+    return SubspaceBasis(m.ambient_dim, nullspace(jac))
 
 
 def complex_tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
     """T^c_zM = ker(d rho) intersect ker(d rho o J); dimension 2(n - d)."""
     jac = _require_generic(m, z)
     stacked = np.vstack((jac, jac @ jmat(m.n)))
-    basis = nullspace(stacked, m.rank_rtol)
+    basis = nullspace(stacked)
     if basis.shape[1] != 2 * m.cr_dim:
         raise NonGenericPointError(
             f"complex tangent space has dimension {basis.shape[1]}, "
             f"expected {2 * m.cr_dim}"
         )
-    return SubspaceBasis(m.ambient_dim, basis, m.rank_rtol)
+    return SubspaceBasis(m.ambient_dim, basis)
 
 
 def cr_frame(
@@ -408,7 +407,7 @@ def validate_adapted_chart(
     for u in samples:
         pt, dpsi = chart.point_and_frame(u)
         worst = max(worst, float(np.max(np.abs(m.rho_values(pt)))))
-        min_rank = min(min_rank, rank(dpsi, m.rank_rtol))
+        min_rank = min(min_rank, rank(dpsi))
     passed = worst <= ON_MANIFOLD_TOL and min_rank == chart.dim
     return AdaptedChartReport(passed, worst, min_rank)
 
@@ -438,9 +437,9 @@ def e_fiber(m: EmbeddedManifold, chart: AdaptedChart, xp: Sequence[float]) -> EF
     u = np.concatenate((np.asarray(xp, dtype=float), np.zeros(chart.m)))
     z, dpsi = chart.point_and_frame(u)
     tm = tangent_space(m, z)  # raises PointNotOnManifoldError off M
-    ts = orthonormal_columns(dpsi[:, : chart.l], m.rank_rtol)
+    ts = orthonormal_columns(dpsi[:, : chart.l])
     jts = np.column_stack([apply_j(ts[:, k]) for k in range(ts.shape[1])]) if ts.size else ts
-    low = SubspaceBasis.from_spanning(np.hstack((tm.basis, jts)), m.rank_rtol)
+    low = SubspaceBasis.from_spanning(np.hstack((tm.basis, jts)))
     e_basis = low.complement()
     # quotient dimension: codim - dim S + 2 CRdim; a mismatch means the chart
     # does not parameterize a CR submanifold of the expected type at this point
@@ -468,7 +467,7 @@ def e_fiber(m: EmbeddedManifold, chart: AdaptedChart, xp: Sequence[float]) -> EF
 
     rows = [im_row(tm.basis[:, k]) for k in range(tm.dim)]
     rows += [re_row(ts[:, k]) for k in range(ts.shape[1])]
-    sols = nullspace(np.array(rows), m.rank_rtol)
+    sols = nullspace(np.array(rows))
     forms = [
         HolomorphicForm(sols[0::2, k] + 1j * sols[1::2, k]) for k in range(sols.shape[1])
     ]

@@ -24,6 +24,10 @@ One step does its work once:
 - The drift at an accepted point is the residual :func:`retract` computed
   there; the defining functions are probed separately only for flows on a
   manifold without retraction, and once at the start of a word.
+
+An expression undefined along the trajectory (``ExprDomainError``) ends the
+flow with :class:`FlowDomainError`, whether the right-hand side or the step
+hook met it: the hook is where retraction and the drift probe read rho.
 """
 
 from __future__ import annotations
@@ -248,7 +252,10 @@ def _integrate(
             raise FlowBlowupError("non-finite derivative encountered")
         if err <= 1.0:
             t = t1 if abs(t1 - (t + dt)) < 1e-15 * max(abs(t1), 1.0) else t + dt
-            y = y_new if on_step is None else on_step(t, y_new)
+            try:
+                y = y_new if on_step is None else on_step(t, y_new)
+            except _DOMAIN_EXCS as exc:
+                raise _domain_error(exc) from exc
             if not np.all(np.isfinite(y)):
                 raise FlowBlowupError("non-finite state encountered")
             # PI controller (Gustafsson); err_prev only after an accepted step

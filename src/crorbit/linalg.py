@@ -1,9 +1,10 @@
 """Subspace bases with SVD rank decisions.
 
-Rank cuts use singular values with a relative threshold
-tau = rtol * sigma_max (default rtol 1e-8), so downstream code can reason
-about dimensions of tangent spaces, quotient representatives and spans
-without ad-hoc epsilons.
+Every rank cut in crorbit counts the singular values above one pinned
+relative threshold, sigma_i > RANK_RTOL * sigma_max (numerical rank; Golub &
+Van Loan, *Matrix Computations*, 2.5). No call, field or scenario sets
+another one, so the dimensions of tangent spaces, quotient representatives
+and spans are all decided the same way.
 """
 
 from __future__ import annotations
@@ -17,29 +18,29 @@ __all__ = ["SubspaceBasis", "RANK_RTOL", "nullspace", "orthonormal_columns", "ra
 RANK_RTOL = 1e-8
 
 
-def _svd_rank(s: np.ndarray, rtol: float) -> int:
+def _svd_rank(s: np.ndarray) -> int:
     if s.size == 0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    return _svd_rank(np.linalg.svd(a, compute_uv=False), rtol)
+def rank(a: np.ndarray) -> int:
+    return _svd_rank(np.linalg.svd(a, compute_uv=False))
 
 
-def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space of ``a``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     _, s, vh = np.linalg.svd(a)
-    r = _svd_rank(s, rtol)
+    r = _svd_rank(s)
     return vh[r:].T
 
 
-def orthonormal_columns(vectors: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the column span, rank-truncated by ``rtol``."""
+def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, rank-truncated at ``RANK_RTOL``."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    return u[:, : _svd_rank(s, rtol)]
+    return u[:, : _svd_rank(s)]
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class SubspaceBasis:
 
     ambient_dim: int
     basis: np.ndarray
-    rtol: float = RANK_RTOL
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -57,12 +57,12 @@ class SubspaceBasis:
         object.__setattr__(self, "basis", b)
 
     @staticmethod
-    def from_spanning(vectors: np.ndarray, rtol: float = RANK_RTOL) -> "SubspaceBasis":
+    def from_spanning(vectors: np.ndarray) -> "SubspaceBasis":
         """Build from a matrix whose columns span the subspace."""
         cols = np.asarray(vectors, dtype=float)
         if cols.ndim != 2:
             raise ValueError("matrix input must be 2-D with spanning columns")
-        return SubspaceBasis(cols.shape[0], orthonormal_columns(cols, rtol), rtol)
+        return SubspaceBasis(cols.shape[0], orthonormal_columns(cols))
 
     @property
     def dim(self) -> int:
@@ -78,5 +78,5 @@ class SubspaceBasis:
 
     def complement(self) -> "SubspaceBasis":
         """Orthogonal complement within the ambient space."""
-        comp = nullspace(self.basis.T, self.rtol) if self.dim else np.eye(self.ambient_dim)
-        return SubspaceBasis(self.ambient_dim, comp, self.rtol)
+        comp = nullspace(self.basis.T) if self.dim else np.eye(self.ambient_dim)
+        return SubspaceBasis(self.ambient_dim, comp)

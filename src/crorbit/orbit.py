@@ -120,7 +120,7 @@ def lie_hull(
     """
     z = np.asarray(z, dtype=float)
     cols = [f.values(z) for f in frame]
-    span = SubspaceBasis.from_spanning(np.column_stack(cols), m.rank_rtol)
+    span = SubspaceBasis.from_spanning(np.column_stack(cols))
     level = [f for f in frame if not _is_zero_field(f)]
     seen = set(frame)
     depth = contributing_depth = 1
@@ -136,7 +136,7 @@ def lie_hull(
                 new_level.append(br)
                 cols.append(br.values(z))
         depth += 1
-        new_span = SubspaceBasis.from_spanning(np.column_stack(cols), m.rank_rtol)
+        new_span = SubspaceBasis.from_spanning(np.column_stack(cols))
         if new_span.dim > span.dim:
             contributing_depth = depth
         stabilized = new_span.dim == span.dim or not new_level
@@ -195,8 +195,8 @@ def _assemble_span(
     stacked = np.hstack(all_cols) if all_cols else np.zeros((m.ambient_dim, 0))
     coords = tangent.basis.T @ stacked
     sv = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
-    dim = _svd_rank(sv, m.rank_rtol)
-    span = SubspaceBasis.from_spanning(stacked, m.rank_rtol) if all_cols else SubspaceBasis(
+    dim = _svd_rank(sv)
+    span = SubspaceBasis.from_spanning(stacked) if all_cols else SubspaceBasis(
         m.ambient_dim, np.zeros((m.ambient_dim, 0))
     )
     return PushforwardSpan(z, contributions, span, sv, dim, max_resid)

@@ -168,11 +168,6 @@ SCENARIO_SCHEMA: dict = {
                 "drift_bound": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"rank_rtol": {"type": "number", "exclusiveMinimum": 0}},
-        },
     },
 }
 
@@ -263,8 +258,6 @@ def _resolve(raw: dict) -> Scenario:
             _expr(t, ambient, aliases, f"manifold['rho'][{i}]") for i, t in enumerate(man["rho"])
         )
         sc.manifold = EmbeddedManifold(n, rho)
-        if "tolerances" in raw and "rank_rtol" in raw["tolerances"]:
-            sc.manifold = EmbeddedManifold(n, rho, raw["tolerances"]["rank_rtol"])
         for fname, fields in raw.get("frames", {}).items():
             sc.frames[fname] = _frame(fields, ambient, aliases, f"frames[{fname!r}]")
     else:

@@ -38,6 +38,7 @@ from crorbit.verify import (
 
 EXP_FIELD = VectorFieldSpec.parse(["1", "x2"], 2)
 EXP_CHART = ChartSetup(l=1, m=1, frame=(EXP_FIELD,))
+PHI = add(Const(1.0), mul(Var(0), Var(0)))  # 1 + x1^2
 
 
 class TestValidateChart:
@@ -60,6 +61,13 @@ class TestValidateChart:
         doubled = ChartSetup(1, 1, (EXP_FIELD, EXP_FIELD))
         rep = validate_chart(doubled, [[0.3]])
         assert not rep.rank_ok and not rep.passed
+
+    @pytest.mark.parametrize("delta, independent", [("1e-9", False), ("1e-6", True)])
+    def test_rank_cut_is_relative_to_the_largest_singular_value(self, delta, independent):
+        # columns (1, 0) and (1, delta): sigma_min / sigma_max ~ delta / 2 against RANK_RTOL 1e-8
+        frame = tuple(VectorFieldSpec.parse(f, 2) for f in (["1", "0"], ["1", delta]))
+        rep = validate_chart(ChartSetup(2, 0, frame), [[0.0, 0.0]])
+        assert rep.rank_ok is independent and rep.passed is independent
 
 
 class TestCovariantDerivative:
@@ -261,20 +269,19 @@ class TestHamiltonianRestriction:
     def test_exponential_chart_samples(self):
         rng = np.random.default_rng(3)
         samples = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(100)]
-        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples)
+        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, PHI)
         assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
         assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_multiplier_scaling(self):
-        phi = add(Const(1.0), mul(Var(0), Var(0)))  # 1 + x1^2
         samples = [(np.array([0.5]), np.array([2.0]))]
-        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, multiplier=phi)
+        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, PHI)
         assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
         assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_zero_covector_samples(self):
         samples = [(np.array([0.4]), np.array([0.0]))]
-        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples)
+        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, PHI)
         assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
         assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 

@@ -139,6 +139,14 @@ class TestFlow:
         with pytest.raises(FlowDomainError, match="division by zero"):
             flow(singular, [0, 0], 0.1)
 
+    @pytest.mark.parametrize("retract", [True, False], ids=["retraction", "drift-probe"])
+    def test_defining_function_leaving_its_domain_is_a_domain_exit(self, retract):
+        """The step hook reads rho: log(x1) past x1 = 0 ends the flow, not the caller."""
+        m = EmbeddedManifold.parse(1, ["x2 - log(x1)"])
+        leftward = VectorFieldSpec.parse(["-1", "0"], 2)
+        with pytest.raises(FlowDomainError, match="math domain error"):
+            flow(leftward, [0.5, math.log(0.5)], 1.0, IntegratorConfig(retract=retract), m)
+
     def test_zeroth_power_coefficient_through_zero(self):
         res = flow(VectorFieldSpec.parse(["x1^0", "0"], 2), [0.0, 0.0], 1.0)
         assert np.allclose(res.endpoint, [1.0, 0.0], atol=1e-12)

@@ -368,3 +368,16 @@ class TestReachableSamples:
         )
         assert cloud.failures > 0
         assert len(cloud.points) + cloud.failures == 40
+
+    def test_words_leaving_the_domain_of_rho_are_failures(self):
+        from crorbit.crmanifold import EmbeddedManifold
+        from crorbit.flow import IntegratorConfig
+        from crorbit.vectorfield import VectorFieldSpec
+
+        # rho = x2 - log(x1) is undefined past x1 = 0, which leftward words cross
+        manifold = EmbeddedManifold.parse(1, ["x2 - log(x1)"])
+        frame = [VectorFieldSpec.parse(["-1", "0"], 2)]
+        cloud = reachable_samples(manifold, frame, [0.1, np.log(0.1)], 20, IntegratorConfig(), 0)
+        assert cloud.failures > 0 and cloud.points
+        assert len(cloud.points) + cloud.failures == 20
+        assert all(p[0] > 0 for p in cloud.points)

@@ -314,9 +314,8 @@ class TestExitCodes:
         [
             ("integrator", "rtol", float("nan"), ""),
             ("integrator", "max_step", float("inf"), "omit the key"),
-            ("tolerances", "rank_rtol", float("nan"), ""),
         ],
-        ids=["rtol-nan", "max-step-inf", "rank-rtol-nan"],
+        ids=["rtol-nan", "max-step-inf"],
     )
     def test_non_finite_scenario_setting_exit_2(
         self, section, key, value, hint, tmp_path, capsys
@@ -329,6 +328,16 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{section}[{key!r}] is non-finite" in err and hint in err
+
+    def test_rank_threshold_is_not_a_scenario_setting_exit_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        raw["tolerances"] = {"rank_rtol": 1e-6}
+        path = tmp_path / "tolerances.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "schema violation at <root>" in err and "'tolerances' was unexpected" in err
 
     @pytest.mark.parametrize(
         "rho, named",
