@@ -21,7 +21,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .connection import ChartSetup, dual_transport, flow_transport, validate_chart
-from .expr import ScalarExpr, compile_values, compile_values_and_jacobian, parse_expr
+from .expr import (
+    ExprDomainError,
+    ScalarExpr,
+    compile_values,
+    compile_values_and_jacobian,
+    compile_values_rows,
+    evaluate_rows,
+    parse_expr,
+)
 from .flow import FlowWord, IntegratorConfig
 from .linalg import SubspaceBasis, nullspace, orthonormal_columns, rank
 from .vectorfield import VectorFieldSpec
@@ -169,13 +177,26 @@ class EmbeddedManifold:
     def _rho_kernel(self) -> Callable:
         return compile_values_and_jacobian(self.rho, 2 * self.n)
 
+    @cached_property
+    def _rho_rows(self) -> Callable:
+        return compile_values_rows(self.rho)
+
     def rho_values(self, x: Sequence[float]) -> np.ndarray:
-        """rho(x), from a values-only probe: it is read far more often than d rho."""
-        return self._rho_probe(x)
+        """rho(x), from a values-only probe: it is read far more often than d rho.
+
+        The probe computes on Python floats, so where rho is undefined (a
+        division by zero, log of a value <= 0) it raises ExprDomainError.
+        """
+        return self._rho_probe(np.asarray(x, dtype=float).tolist())
 
     def rho_jacobian(self, x: Sequence[float]) -> np.ndarray:
         """d rho(x) as a d x 2n matrix."""
-        return self._rho_kernel(x)[1]
+        return self._rho_kernel(np.asarray(x, dtype=float).tolist())[1]
+
+    def rho_value_rows(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]:
+        """rho at every row of ``X`` (B, 2n), the probe's bits, and the rows where undefined."""
+        (vals,), errors = evaluate_rows(self._rho_rows, self._rho_probe, X)
+        return vals, errors
 
     def require_on_manifold(self, x: Sequence[float]) -> None:
         resid = float(np.max(np.abs(self.rho_values(x))))

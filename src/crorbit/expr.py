@@ -24,6 +24,14 @@ defining functions, vector-field coefficients and scalar multipliers.
   compile costs far more than one interpreted evaluation.  An embedded
   manifold compiles at once and adds a values-only probe, because
   retraction and drift tests read rho far more often than d rho.
+* Column kernels -- ``compile_values_rows`` and
+  ``compile_values_and_jacobian_rows`` compile the same rules a second way,
+  with ``x[k]`` a float64 column of B points, for lockstep flows.  ``**``
+  is ``np.float_power`` (the libm ``pow`` Python calls) and ``math``
+  functions are mapped over the column's Python floats, so every operation
+  rounds as in the point kernel.  ``evaluate_rows`` sends each row the
+  column kernel cannot vouch for back to the point kernel, which returns
+  its numbers or raises its error.
 
 Text is read by Python's parser (``ast.parse``, ``^`` read as ``**``) and
 one walker that maps the grammar onto the node classes.  Anything else, a
@@ -87,6 +95,9 @@ __all__ = [
     "compile_values",
     "compile_values_and_jacobian",
     "eval_values_and_jacobian",
+    "compile_values_rows",
+    "compile_values_and_jacobian_rows",
+    "evaluate_rows",
     "FUNCTIONS",
 ]
 
@@ -537,6 +548,10 @@ class JetCompiler:
     of code; while generating code, a literal value has literal zero
     tangents.
 
+    With ``columns``, the same rules emit column code (see the module
+    docstring), and every operation Python can refuse binds a temp listed in
+    ``guards``.
+
     Given ``point``, variable ``k`` is the literal ``point[k]``, so every
     rule folds and :meth:`emit` returns numbers, computed as the generated
     code would compute them, and raises where that code would raise, with
@@ -546,10 +561,14 @@ class JetCompiler:
     first use, which is compiled only on reuse.
     """
 
-    def __init__(self, tangents: int, point: Sequence[float] | None = None):
+    def __init__(
+        self, tangents: int, point: Sequence[float] | None = None, columns: bool = False
+    ):
         self.tangents = tangents
         self.point = point
+        self.columns = columns
         self.lines: list[str] = []
+        self.guards: list[str] = []  # column mode: values of operations Python can refuse
         self._memo: dict[ScalarExpr, tuple[Ref, tuple[Ref, ...]]] = {}
         self._count = 0
 
@@ -585,7 +604,18 @@ class JetCompiler:
             except (ZeroDivisionError, ValueError):
                 if self.point is not None:
                     raise
-        return self._bind(template.format(a))
+        name = self._bind(template.format(a))
+        if self.columns:
+            self.guards.append(name)
+        return name
+
+    def _pow(self, n: int) -> str:
+        """The code template of ``{}**n``; a column's is the same libm ``pow`` call."""
+        return f"np.float_power({{}}, {float(n)})" if self.columns else f"{{}}**{n}"
+
+    def _call(self, func: str) -> str:
+        """The code template of ``math.func({})``, mapped over a column's Python floats."""
+        return f"_map(math.{func}, {{}})" if self.columns else f"math.{func}({{}})"
 
     def _add(self, a: Ref, b: Ref) -> Ref:
         if isinstance(a, float) and isinstance(b, float):
@@ -687,13 +717,13 @@ class JetCompiler:
             n = e.exponent
             if n == 0:  # x**0 is 1 for every x, but its factor 0.0*x**-1 fails at x = 0
                 return (1.0, (0.0,) * len(da))
-            v = self._apply(f"{{}}**{n}", lambda a: a**n, va)
+            v = self._apply(self._pow(n), lambda a: a**n, va)
             if all(x == 0.0 for x in da):  # always so for a literal base in code
                 return (v, (0.0,) * len(da))
             if n == 2:
                 dfac = self._bind(self._mul(2.0, va))
             else:
-                factor = f"{float(n)}*{{}}**{n - 1}"
+                factor = f"{float(n)}*" + self._pow(n - 1)
                 dfac = self._apply(factor, lambda a: float(n) * a ** (n - 1), va)
             return (v, tuple(self._bind(self._mul(dfac, x)) for x in da))
         if isinstance(e, Neg):
@@ -701,13 +731,13 @@ class JetCompiler:
             return (self._bind(self._neg(va)), tuple(self._bind(self._neg(x)) for x in da))
         if isinstance(e, Call):
             va, da = self.emit(e.arg)
-            v = self._apply(f"math.{e.func}({{}})", getattr(math, e.func), va)
+            v = self._apply(self._call(e.func), getattr(math, e.func), va)
             if all(x == 0.0 for x in da):  # always so for a literal argument in code
                 return (v, (0.0,) * len(da))
             if e.func == "sin":
-                dfac = self._apply("math.cos({})", math.cos, va)
+                dfac = self._apply(self._call("cos"), math.cos, va)
             elif e.func == "cos":
-                dfac = self._apply("(-math.sin({}))", lambda a: -math.sin(a), va)
+                dfac = self._apply(f"(-{self._call('sin')})", lambda a: -math.sin(a), va)
             elif e.func == "exp":
                 dfac = v
             else:  # log
@@ -744,20 +774,126 @@ def compile_values(exprs: Sequence[ScalarExpr]) -> Callable:
     return _compile_source("field_values", comp.lines, _array(vals))
 
 
-def _jet_source(exprs: Sequence[ScalarExpr], dim: int) -> tuple[list[str], str]:
-    """The Jacobian kernel's body and result; a non-finite constant raises ExprDomainError."""
-    comp = JetCompiler(dim)
-    vals, rows = [], []
+def _jets(comp: JetCompiler, exprs: Sequence[ScalarExpr]) -> tuple[list[Ref], list[Ref]]:
+    """The values of ``exprs`` and their partials, row after row, as one flat list."""
+    vals, partials = [], []
     for e in exprs:
         v, tangents = comp.emit(e)
         vals.append(v)
-        rows.append(_tuple(tangents))
-    return comp.lines, f"{_array(vals)}, {_array(rows)}"
+        partials.extend(tangents)
+    return vals, partials
+
+
+def _jet_source(exprs: Sequence[ScalarExpr], dim: int) -> tuple[list[str], str]:
+    """The Jacobian kernel's body and result; a non-finite constant raises ExprDomainError.
+
+    The Jacobian is built from one flat tuple and reshaped: the same values
+    as a nested tuple, at a lower cost per call.
+    """
+    comp = JetCompiler(dim)
+    vals, partials = _jets(comp, exprs)
+    return comp.lines, f"{_array(vals)}, {_array(partials)}.reshape({len(vals)}, {dim})"
 
 
 def compile_values_and_jacobian(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
     """Compile ``x -> (values, jac)``, arrays (k,) and (k, ``dim``), jac[i, k] = d e_i/d x_k."""
     return _compile_source("field_jet", *_jet_source(exprs, dim))
+
+
+# ---------------------------------------------------------------------------
+# column kernels: one evaluation for a batch of points
+# ---------------------------------------------------------------------------
+
+def _map(f: Callable[[float], float], a) -> np.ndarray:
+    """``f`` over a column, on Python floats: numpy's own loops round differently."""
+    if isinstance(a, float):  # a literal whose fold Python refused: f raises here
+        return f(a)
+    return np.array(list(map(f, a.tolist())))
+
+
+def _compile_rows(
+    name: str, comp: JetCompiler, outputs: Sequence[tuple[list[Ref], tuple]]
+) -> Callable:
+    """Compile ``comp``'s column lines into ``name(x)``, with ``x[k]`` the column of coordinate k.
+
+    ``x`` has shape (dim, B).  Each output ``(refs, shape)`` becomes an array
+    (B, *shape): literal entries come from a template, the others are
+    assigned column by column.  The kernel also returns the mask of rows
+    whose guarded values are finite, and an all-false mask when the batch
+    raises.  The guards are the values of every operation Python can refuse
+    (a reciprocal, a power, a ``math`` call): where Python raises, numpy
+    returns inf or NaN, and ``math`` raises inside ``_map``.  Everything
+    else, ``+ - *`` and negation, rounds alike on Python floats and float64
+    arrays, infinities and NaN included.
+    """
+    namespace = dict(math=math, np=np, _map=_map, _UNDEFINED=_UNDEFINED)
+    head, fills = [], []
+    for o, (refs, shape) in enumerate(outputs):
+        template = np.array([r if isinstance(r, float) else 0.0 for r in refs]).reshape(shape)
+        namespace[f"_template{o}"] = template
+        dims = ", ".join(map(str, shape))
+        head += [f"out{o} = np.empty((b, {dims}))", f"out{o}[:] = _template{o}"]
+        for j, ref in enumerate(refs):
+            if isinstance(ref, str):
+                index = ", ".join(map(str, np.unravel_index(j, shape)))
+                fills.append(f"out{o}[:, {index}] = {ref}")
+    checks = ["ok = np.ones(b, dtype=bool)"] + [f"ok &= np.isfinite({g})" for g in comp.guards]
+    src = f"def {name}(x):\n    b = x.shape[1]\n"
+    src += "".join(f"    {line}\n" for line in head)
+    src += "    try:\n" + "".join(f"        {line}\n" for line in comp.lines + fills + checks)
+    src += "    except _UNDEFINED:\n        ok = np.zeros(b, dtype=bool)\n"
+    src += f"    return {', '.join(f'out{o}' for o in range(len(outputs)))}, ok\n"
+    exec(compile(src, f"<crorbit:{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def compile_values_rows(exprs: Sequence[ScalarExpr]) -> Callable:
+    """The column kernel of :func:`compile_values`: ``x`` (dim, B) -> (values (B, k), ok)."""
+    comp = JetCompiler(0, columns=True)
+    vals = [comp.emit(e)[0] for e in exprs]
+    return _compile_rows("field_values_rows", comp, [(vals, (len(vals),))])
+
+
+def compile_values_and_jacobian_rows(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
+    """The column kernel of :func:`compile_values_and_jacobian`.
+
+    ``x`` (dim, B) -> (values (B, k), jac (B, k, dim), ok).
+    """
+    comp = JetCompiler(dim, columns=True)
+    vals, partials = _jets(comp, exprs)
+    return _compile_rows(
+        "field_jet_rows", comp, [(vals, (len(vals),)), (partials, (len(vals), dim))]
+    )
+
+
+def evaluate_rows(
+    rows_kernel: Callable, point_kernel: Callable, X: np.ndarray
+) -> tuple[list[np.ndarray], dict[int, ExprDomainError]]:
+    """Evaluate at every row of ``X`` (B, dim): the outputs, and the rows where undefined.
+
+    The column kernel computes every row with the point kernel's operations
+    in the point kernel's order, so where it vouches for a row (its guarded
+    values are finite) the numbers are the point kernel's, bit for bit.
+    Every other row, and every row of a batch that raised, is passed to
+    ``point_kernel`` as Python floats, which decides between its numbers
+    (an infinity included) and ``ExprDomainError`` with Python's message.
+    Raised errors are returned by row index; those rows' outputs are
+    meaningless.
+    """
+    with np.errstate(all="ignore"):
+        *outs, ok = rows_kernel(X.T)
+    errors: dict[int, ExprDomainError] = {}
+    if ok.all():
+        return outs, errors
+    for r in np.flatnonzero(~ok).tolist():
+        try:
+            res = point_kernel(X[r].tolist())
+        except ExprDomainError as exc:
+            errors[r] = exc
+            continue
+        for out, value in zip(outs, res if isinstance(res, tuple) else (res,)):
+            out[r] = value
+    return outs, errors
 
 
 def eval_values_and_jacobian(

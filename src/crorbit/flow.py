@@ -28,6 +28,37 @@ One step does its work once:
 An expression undefined along the trajectory (``ExprDomainError``) ends the
 flow with :class:`FlowDomainError`, whether the right-hand side or the step
 hook met it: the hook is where retraction and the drift probe read rho.
+
+Many words at once: :func:`composed_flows` returns one result or error per
+word.  A batch of one runs :func:`composed_flow`; two or more words (cut
+into batches of :data:`MAX_BATCH`) run one lockstep loop over a (B, n + n^2)
+state, in which every member keeps its own leg, t, h, err_prev, FSAL stage,
+step count, differential, drift and trajectory, and fails alone.  The
+choice depends on the batch size only: a lockstep step makes the same numpy
+calls whatever B is, which pays for many members and loses for one.  Each
+member gets exactly the bits :func:`composed_flow` gives for its word alone,
+because every row operation rounds as the one-word operation it replaces:
+
+- stage sums and the error estimate are ``np.matmul(_A[i], K[:, :i])`` and
+  ``np.matmul(_ERR, K)``: a stacked matmul equals ``@`` slice by slice, as
+  do the stacked ``Da M`` products and leg compositions (``np.einsum`` sums
+  in another order);
+- :func:`_rms` reduces the last axis, the same pairwise sum for one row or
+  many;
+- Python's ``**`` is ``np.float_power`` (the same libm ``pow``; an array
+  ``x**2`` squares instead), and ``max``/``min`` are :func:`_max`/:func:`_min`,
+  which keep Python's NaN order;
+- the right-hand side and the rho probe evaluate rows with column kernels
+  (:func:`~crorbit.expr.evaluate_rows`), which give each row its point
+  kernel's bits or its error;
+- one batched rho probe decides which accepted states are within
+  ``retract_tol``; only the others run :func:`retract`, so a Newton step
+  keeps its bits, and a state it moves re-evaluates its derivative;
+- a zero-time leg evaluates nothing: its differential is I.
+
+:func:`_initial_step` is written once, over rows; the one-word loop passes
+one row.  Rows are grouped by their current field with a Python set
+(``np.unique`` would import ``numpy.ma``).
 """
 
 from __future__ import annotations
@@ -51,7 +82,9 @@ __all__ = [
     "RetractionError",
     "flow",
     "composed_flow",
+    "composed_flows",
     "retract",
+    "MAX_BATCH",
 ]
 
 
@@ -139,6 +172,9 @@ class _DefinedByEquations(Protocol):
 
     def rho_jacobian(self, x: Sequence[float]) -> np.ndarray: ...
 
+    # rho at each row and the rows where undefined; only lockstep batches read it
+    def rho_value_rows(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]: ...
+
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -157,29 +193,47 @@ _ERR = np.array(
 )
 
 _MAX_STEPS = 500_000
+MAX_BATCH = 64  # lockstep members per batch: bounds the (B, 7, n + n^2) stage array
 _RETRACT_MAX_ITER = 25
 _DOMAIN_EXCS = (ExprDomainError,)
 _MIN_STEP = 16 * np.finfo(float).eps  # relative to max(|t|, 1)
 
 
-def _rms(v: np.ndarray) -> float:
-    """Root mean square; the same bits as ``np.sqrt(np.mean(v**2))``."""
-    return math.sqrt(np.add.reduce(v * v) / v.shape[0])
+def _max(a, b):
+    """Python's ``max(a, b)`` elementwise, NaN order included: ``b`` only where ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's ``min(a, b)`` elementwise: ``b`` only where ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def _rms(v: np.ndarray) -> np.ndarray:
+    """Root mean square of each row (last axis); the same bits as ``np.sqrt(np.mean(v**2))``."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])
 
 
 def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, max_step):
+    """First step sizes (Hairer-Norsett-Wanner II.4) for the rows of ``y0``, ``f0`` (B, N).
+
+    ``rhs(t, y)`` takes times (B,) and states (B, N).  Python's ``**``,
+    ``max`` and ``min`` of the one-row original are ``np.float_power``,
+    :func:`_max` and :func:`_min`, so every row gets the one-row bits.
+    """
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = rhs(t0 + h0 * direction, y1)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    step = h0 * direction
+    f1 = rhs(t0 + step, y0 + step[:, None] * f0)
     d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step)
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        _max(1e-6, h0 * 1e-3),
+        np.float_power(0.01 / _max(d1, d2), 0.2),
+    )
+    return _min(_min(100 * h0, h1), max_step)
 
 
 def _domain_error(exc: Exception) -> FlowDomainError:
@@ -224,8 +278,11 @@ def _integrate(
     # k[0] always holds f(t, y); the stages fill k[1:]
     k = np.empty((7, y.shape[0]))
     k[0] = checked_rhs(t, y)
-    h = _initial_step(checked_rhs, t, y, k[0], direction, rtol, atol, max_step)
-    h = min(h, abs(t1 - t0))
+    h = _initial_step(
+        lambda tt, yy: checked_rhs(float(tt[0]), yy[0])[None],
+        t, y[None], k[:1], direction, rtol, atol, max_step,
+    )
+    h = min(float(h[0]), abs(t1 - t0))
     err_prev = 1.0
     for _ in range(_MAX_STEPS):
         if h < _MIN_STEP * max(abs(t), 1.0):
@@ -245,7 +302,7 @@ def _integrate(
         # stage 6 is evaluated at the fifth-order solution (_A[6] is _B5 without
         # its zero last weight), so k[6] = f(t + dt, y_new)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(dt * (_ERR @ k) / scale)
+        err = float(_rms(dt * (_ERR @ k) / scale))
         # every weight of _ERR @ k multiplies its stage, so a non-finite stage
         # makes err NaN: one test per step covers all seven derivatives
         if not math.isfinite(err) and not np.all(np.isfinite(k)):
@@ -321,6 +378,18 @@ def flow(
     return composed_flow((X,), FlowWord.of((1, t)), x0, cfg, manifold)
 
 
+def _start_point(
+    frame: Sequence[VectorFieldSpec], word: FlowWord, x0: Sequence[float]
+) -> np.ndarray:
+    """``x0`` as a new float array, after checking the word's indices and the point's shape."""
+    word.validate(len(frame))
+    x = np.array(x0, dtype=float)
+    for dim in {frame[idx - 1].dim for idx, _ in word.steps}:
+        if x.shape != (dim,):
+            raise ValueError(f"initial point has shape {x.shape}, expected ({dim},)")
+    return x
+
+
 def composed_flow(
     frame: Sequence[VectorFieldSpec],
     word: FlowWord,
@@ -334,11 +403,7 @@ def composed_flow(
     word's differential, the trajectory at the elapsed |t| along the word and
     the maximal defining-function drift when a manifold is supplied.
     """
-    word.validate(len(frame))
-    x = np.array(x0, dtype=float)
-    for dim in {frame[idx - 1].dim for idx, _ in word.steps}:
-        if x.shape != (dim,):
-            raise ValueError(f"initial point has shape {x.shape}, expected ({dim},)")
+    x = _start_point(frame, word, x0)
     n = x.shape[0]
 
     def rhs(_t, y):
@@ -374,3 +439,304 @@ def composed_flow(
         differential = y[n:].reshape(n, n) @ differential
         t_offset += abs(t)
     return FlowResult(x, differential, trajectory, drift, drift > cfg.drift_bound)
+
+
+def composed_flows(
+    frame: Sequence[VectorFieldSpec],
+    words: Sequence[FlowWord],
+    x0s: Sequence[Sequence[float]],
+    cfg: IntegratorConfig = IntegratorConfig(),
+    manifold: _DefinedByEquations | None = None,
+) -> list[FlowResult | FlowError]:
+    """:func:`composed_flow` of each word from its start point: a result or the flow's error.
+
+    Words run in lockstep batches of up to :data:`MAX_BATCH` members; a
+    batch of one runs :func:`composed_flow` itself.  Every member gets
+    exactly the bits :func:`composed_flow` gives for its word alone, and a
+    failing member fails alone, with the error that call raises.  Bad input
+    (a field index outside the frame, a start point of the wrong shape, a
+    time that is not finite) raises ``ValueError`` before its batch runs.
+    """
+    words, x0s = list(words), list(x0s)
+    if len(words) != len(x0s):
+        raise ValueError(f"{len(words)} word(s) but {len(x0s)} start point(s)")
+    out: list[FlowResult | FlowError] = []
+    for lo in range(0, len(words), MAX_BATCH):
+        chunk, starts = words[lo : lo + MAX_BATCH], x0s[lo : lo + MAX_BATCH]
+        if len(chunk) > 1:
+            out += _Lockstep(frame, chunk, starts, cfg, manifold).run()
+            continue
+        try:
+            out.append(composed_flow(frame, chunk[0], starts[0], cfg, manifold))
+        except FlowError as exc:
+            out.append(exc)
+    return out
+
+
+def _caused(err: FlowError, exc: Exception) -> FlowError:
+    """``err`` as ``raise err from exc`` leaves it."""
+    err.__cause__ = exc
+    return err
+
+
+class _Lockstep:
+    """One Dormand-Prince 5(4) loop for a batch of words, one row per running member.
+
+    Each row carries its member's leg, t, h, err_prev, FSAL stage, step
+    count, differential, elapsed time, drift and trajectory, and runs
+    :func:`_integrate`'s arithmetic in its order; a member leaves the rows
+    when its word ends or fails.  The right-hand side groups the rows by
+    their current field.
+    """
+
+    _ROWS = ("ids", "leg", "field", "t", "t1", "h", "err_prev", "steps", "y", "k", "d",
+             "t_offset", "drift", "gone")
+
+    def __init__(self, frame, words, x0s, cfg, manifold):
+        xs = [_start_point(frame, word, x0) for word, x0 in zip(words, x0s)]
+        for word in words:
+            for _, t in word.steps:
+                if not math.isfinite(t):
+                    raise ValueError(f"integration time {t} is not finite")
+        if len({x.shape for x in xs}) != 1:
+            raise ValueError("start points of one batch differ in shape")
+        b, n = len(xs), xs[0].shape[0]
+        self.frame, self.words, self.cfg, self.manifold, self.n = frame, words, cfg, manifold, n
+        self.retracting = cfg.retract and manifold is not None
+        self.results: list[FlowResult | FlowError | None] = [None] * b
+        self.trajectories = [[(0.0, x.copy())] for x in xs]
+        self.ids = np.arange(b)
+        self.leg = np.zeros(b, dtype=int)
+        self.field = np.zeros(b, dtype=int)  # 0-based frame index of the current leg
+        self.t, self.t1, self.h = np.zeros(b), np.zeros(b), np.zeros(b)
+        self.err_prev = np.ones(b)
+        self.steps = np.zeros(b, dtype=int)
+        self.y = np.empty((b, n + n * n))
+        self.y[:, :n] = xs
+        self.k = np.empty((b, 7, n + n * n))
+        self.d = np.broadcast_to(np.eye(n), (b, n, n)).copy()
+        self.t_offset = np.zeros(b)
+        self.drift = np.array([_drift_of(manifold, x) for x in xs])
+        self.gone = np.zeros(b, dtype=bool)  # finished or failed, until the next _compact
+
+    @np.errstate(invalid="ignore", divide="ignore", over="ignore")
+    def run(self) -> list[FlowResult | FlowError]:
+        self._start(np.arange(len(self.ids)))
+        self._compact()
+        while len(self.ids):
+            self._step()
+        return self.results
+
+    # -- membership ---------------------------------------------------------
+
+    def _fail(self, r: int, err: FlowError) -> None:
+        if not self.gone[r]:
+            self.results[self.ids[r]] = err
+            self.gone[r] = True
+
+    def _finish(self, r: int) -> None:
+        drift = float(self.drift[r])
+        self.results[self.ids[r]] = FlowResult(
+            self.y[r, : self.n].copy(), self.d[r].copy(), self.trajectories[self.ids[r]],
+            drift, drift > self.cfg.drift_bound,
+        )
+        self.gone[r] = True
+
+    def _compact(self, *local: np.ndarray) -> list[np.ndarray]:
+        """Drop the gone rows from the state and from the row arrays ``local``."""
+        if not self.gone.any():
+            return list(local)
+        keep = ~self.gone
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[keep])
+        return [a[keep] for a in local]
+
+    # -- right-hand side ----------------------------------------------------
+
+    def _groups(self, rows) -> list[tuple[int, np.ndarray | slice]]:
+        """``rows`` by current field: (0-based field index, positions in ``rows``)."""
+        fields = self.field[rows]
+        distinct = set(fields.tolist())
+        if len(distinct) == 1:
+            return [(distinct.pop(), slice(None))]
+        return [(f, np.flatnonzero(fields == f)) for f in distinct]
+
+    def _rhs(self, groups, ys: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]:
+        """(a(x), Da(x) M) at the states ``ys``, field by field, and the rows where undefined."""
+        n, b = self.n, len(ys)
+        out = np.empty_like(ys)
+        jac = np.empty((b, n, n))
+        errors: dict[int, ExprDomainError] = {}
+        for f, sel in groups:
+            try:
+                out[sel, :n], jac[sel], errs = self.frame[f].values_and_jacobian_rows(ys[sel, :n])
+            except _DOMAIN_EXCS as exc:  # the field's code cannot be generated
+                errs = dict.fromkeys(range(len(jac[sel])), exc)
+            if errs:
+                positions = np.arange(b)[sel]
+                errors.update((int(positions[j]), exc) for j, exc in errs.items())
+        out[:, n:] = np.matmul(jac, ys[:, n:].reshape(b, n, n)).reshape(b, n * n)
+        return out, errors
+
+    def _checked_rhs(self, rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`_rhs` under ``checked_rhs``'s contract: a failing row fails its member."""
+        out, errors = self._rhs(self._groups(rows), ys)
+        for j, exc in errors.items():
+            self._fail(rows[j], _caused(_domain_error(exc), exc))
+        for j in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
+            self._fail(rows[j], FlowBlowupError("non-finite derivative encountered"))
+        return out
+
+    # -- legs ----------------------------------------------------------------
+
+    def _start(self, rows: np.ndarray) -> None:
+        """Start each row's next leg; a row past its word's last leg finishes.
+
+        A zero-time leg evaluates nothing: its differential is I.
+        """
+        n, eye = self.n, np.eye(self.n).ravel()
+        real = []
+        while len(rows):
+            zero = []
+            for r in rows.tolist():
+                steps = self.words[self.ids[r]].steps
+                if self.leg[r] == len(steps):
+                    self._finish(r)
+                    continue
+                idx, t = steps[self.leg[r]]
+                self.y[r, n:] = eye
+                self.field[r], self.t1[r] = idx - 1, t
+                (real if t != 0.0 else zero).append(r)
+            rows = np.array(zero, dtype=int)
+            self._compose(rows)
+        if real:
+            self._begin(np.array(real))
+
+    def _compose(self, rows: np.ndarray) -> None:
+        """End the current leg of ``rows``: the chain rule, the elapsed time, the next leg."""
+        n = self.n
+        self.d[rows] = np.matmul(self.y[rows, n:].reshape(-1, n, n), self.d[rows])
+        self.t_offset[rows] += np.abs(self.t1[rows])
+        self.leg[rows] += 1
+
+    def _begin(self, rows: np.ndarray) -> None:
+        """First derivative and first step size of the legs ``rows`` start at t = 0."""
+        cfg = self.cfg
+        self.t[rows], self.steps[rows], self.err_prev[rows] = 0.0, 0, 1.0
+        ys = self.y[rows]
+        f0 = self.k[rows, 0] = self._checked_rhs(rows, ys)
+        live = ~self.gone[rows]
+        rows, ys, f0 = rows[live], ys[live], f0[live]
+        if not len(rows):
+            return
+        t1 = self.t1[rows]
+        h = _initial_step(
+            lambda _t, y1: self._checked_rhs(rows, y1), 0.0, ys, f0,
+            np.where(t1 > 0, 1.0, -1.0), cfg.rtol, cfg.atol, cfg.max_step,
+        )
+        self.h[rows] = _min(h, np.abs(t1))
+
+    # -- one step of every row ----------------------------------------------
+
+    def _step(self) -> None:
+        cfg = self.cfg
+        for r in np.flatnonzero(self.steps >= _MAX_STEPS).tolist():
+            self._fail(r, FlowBlowupError("step budget exhausted"))
+        for r in np.flatnonzero(self.h < _MIN_STEP * _max(np.abs(self.t), 1.0)).tolist():
+            self._fail(r, FlowBlowupError(f"step size underflow at t = {float(self.t[r])}"))
+        self._compact()
+        if not len(self.ids):
+            return
+        self.h = _min(_min(self.h, np.abs(self.t1 - self.t)), cfg.max_step)
+        dt = np.where(self.t1 > 0, self.h, -self.h)
+        groups = self._groups(slice(None))  # the field of a row is fixed within a step
+        for i in range(1, 7):
+            ys = self.y + dt[:, None] * np.matmul(_A[i], self.k[:, :i])
+            f, errors = self._rhs(groups, ys)
+            self.k[:, i] = f
+            for r, exc in errors.items():
+                # a stage fed by a non-finite derivative is a blow-up, not a domain exit
+                if np.isfinite(self.k[r, :i]).all():
+                    self._fail(r, _caused(_domain_error(exc), exc))
+                else:
+                    blowup = FlowBlowupError("non-finite derivative encountered")
+                    self._fail(r, _caused(blowup, exc))
+            if errors:
+                dt, ys = self._compact(dt, ys)
+                groups = self._groups(slice(None))
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(self.y), np.abs(ys))
+        err = _rms(dt[:, None] * np.matmul(_ERR, self.k) / scale)
+        for r in np.flatnonzero(~np.isfinite(err)).tolist():
+            if not np.isfinite(self.k[r]).all():
+                self._fail(r, FlowBlowupError("non-finite derivative encountered"))
+        dt, ys, err = self._compact(dt, ys, err)
+        self.steps += 1
+        rejected = ~(err <= 1.0)
+        self.h[rejected] *= _max(0.2, 0.9 * np.float_power(err[rejected], -0.2))
+        a = np.flatnonzero(~rejected)
+        if len(a):
+            self._accept(a, ys[a], err[a], dt[a])
+        self._compact()
+
+    def _accept(self, a: np.ndarray, ya: np.ndarray, err: np.ndarray, dt: np.ndarray) -> None:
+        t1 = self.t1[a]
+        t = self.t[a] + dt
+        t = self.t[a] = np.where(np.abs(t1 - t) < 1e-15 * _max(np.abs(t1), 1.0), t1, t)
+        moved = self._on_step(a, ya)
+        self.y[a] = ya
+        for j in np.flatnonzero(~np.isfinite(ya).all(axis=1)).tolist():
+            self._fail(a[j], FlowBlowupError("non-finite state encountered"))
+        # PI controller (Gustafsson); err_prev only after an accepted step
+        factor = np.where(
+            err > 0,
+            0.9 * np.float_power(err, -0.7 / 5) * np.float_power(self.err_prev[a], 0.4 / 5),
+            10.0,
+        )
+        self.err_prev[a] = _max(err, 1e-10)
+        self.h[a] *= _min(10.0, _max(0.2, factor))
+        done = (t == t1) | (np.abs(t1 - t) <= 1e-15 * _max(np.abs(t1), 1.0))
+        # first same as last, unless the retraction moved the state
+        same = a[~done & ~moved]
+        self.k[same, 0] = self.k[same, 6]
+        fresh = a[~done & moved & ~self.gone[a]]
+        if len(fresh):
+            self.k[fresh, 0] = self._checked_rhs(fresh, self.y[fresh])
+        ended = a[done & ~self.gone[a]]
+        if len(ended):
+            self._compose(ended)
+            self._start(ended)
+
+    def _on_step(self, a: np.ndarray, ya: np.ndarray) -> np.ndarray:
+        """``composed_flow``'s step hook for the accepted states ``ya`` of rows ``a``.
+
+        One batched rho probe decides which states are within the retraction
+        tolerance; only the others run :func:`retract`, so a Newton step keeps
+        its bits.  Moves states in place, updates drift and trajectories, and
+        returns the mask of moved states.
+        """
+        n, cfg, m = self.n, self.cfg, self.manifold
+        moved = np.zeros(len(a), dtype=bool)
+        if m is not None:
+            rho, errors = m.rho_value_rows(ya[:, :n])
+            resid = np.max(np.abs(rho), axis=1, initial=0.0)
+            for j, exc in errors.items():
+                self._fail(a[j], _caused(_domain_error(exc), exc))
+            far = np.flatnonzero(~(resid <= cfg.retract_tol)) if self.retracting else []
+            for j in far:
+                if j in errors:
+                    continue
+                try:
+                    point, resid[j] = retract(m, ya[j, :n], cfg.retract_tol)
+                except _DOMAIN_EXCS as exc:
+                    self._fail(a[j], _caused(_domain_error(exc), exc))
+                    continue
+                except FlowError as exc:
+                    self._fail(a[j], exc)
+                    continue
+                ya[j, :n] = point
+                moved[j] = True
+            self.drift[a] = _max(self.drift[a], resid)
+        times = (self.t_offset[a] + np.abs(self.t[a])).tolist()
+        for member, time, point in zip(self.ids[a].tolist(), times, ya[:, :n].copy()):
+            self.trajectories[member].append((time, point))
+        return moved

@@ -7,6 +7,14 @@ differentials.  The pushforward construction doubles as a certificate of
 global minimality: a finite word collection whose pushed spans cover the
 full tangent space, reproducible from the recorded seed.  Failure to find a
 certificate is reported as such and is never a proof of non-minimality.
+
+Words are integrated in batches (:func:`~crorbit.flow.composed_flows`), with
+the bits of one word at a time: :func:`pushforward_span`,
+:func:`reachable_samples` and :func:`verify_certificate` make one batched
+call each, and the span and the re-check raise the first failure in word
+order.  The certificate search evaluates its pool in chunks of 1, 2, 4, ...,
+``MAX_BATCH`` words, still stops at the first word whose span reaches
+``TAU_CERT``, and discards the chunk's words past it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .crmanifold import EmbeddedManifold, complex_tangent_space, tangent_space
-from .flow import FlowError, FlowWord, IntegratorConfig, composed_flow
+from .flow import MAX_BATCH, FlowError, FlowResult, FlowWord, IntegratorConfig, composed_flows
 from .linalg import SubspaceBasis, _svd_rank
 from .vectorfield import VectorFieldSpec, lie_bracket_field
 from .expr import Const
@@ -152,26 +160,36 @@ def _word_columns(
     m: EmbeddedManifold,
     frame: Sequence[VectorFieldSpec],
     z: np.ndarray,
-    word: FlowWord,
+    words: Sequence[FlowWord],
     cfg: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(source point, unit-norm pushed T^c columns at z) for one word.
+) -> list[tuple[np.ndarray, np.ndarray] | FlowError]:
+    """(source point, unit-norm pushed T^c columns at z) for each word, or its failure.
 
-    One integration: the inverse word runs backward from z to the source.
-    By the flow group law ``D(word)(source)`` is the inverse of
-    ``D(word^-1)(z)``, so ``T^c_source`` is pushed forward by solving with
-    the backward differential instead of integrating the word again.
+    One integration per word, all in one batch: the inverse word runs
+    backward from z to the source.  By the flow group law ``D(word)(source)``
+    is the inverse of ``D(word^-1)(z)``, so ``T^c_source`` is pushed forward
+    by solving with the backward differential instead of integrating the
+    word again.
     """
-    back = composed_flow(frame, word.inverse(), z, cfg, manifold=m)
+    backs = composed_flows(frame, [w.inverse() for w in words], [z] * len(words), cfg, m)
+    return [_pushed_columns(m, word, back, cfg) for word, back in zip(words, backs)]
+
+
+def _pushed_columns(
+    m: EmbeddedManifold, word: FlowWord, back: FlowResult | FlowError, cfg: IntegratorConfig
+) -> tuple[np.ndarray, np.ndarray] | FlowError:
+    """The columns ``word`` pushes, from its backward flow ``back``, or why there are none."""
+    if isinstance(back, FlowError):
+        return back
     if back.drift_exceeded:
-        raise FlowError(
+        return FlowError(
             f"backward word left the manifold: drift {back.drift:.3e} > {cfg.drift_bound:.1e}"
         )
     source = back.endpoint
     try:
         pushed = np.linalg.solve(back.differential, complex_tangent_space(m, source).basis)
     except np.linalg.LinAlgError:
-        raise FlowError(f"word {list(word.steps)} has a singular backward differential") from None
+        return FlowError(f"word {list(word.steps)} has a singular backward differential")
     return source, pushed / np.linalg.norm(pushed, axis=0)
 
 
@@ -219,7 +237,12 @@ def pushforward_span(
     """
     z = np.asarray(z, dtype=float)
     tangent = tangent_space(m, z)
-    evaluated = [(w, *_word_columns(m, frame, z, w, cfg)) for w in words]
+    words = list(words)
+    evaluated = []
+    for word, columns in zip(words, _word_columns(m, frame, z, words, cfg)):
+        if isinstance(columns, FlowError):
+            raise columns  # the first failure in word order
+        evaluated.append((word, *columns))
     return _assemble_span(m, z, tangent, evaluated)
 
 
@@ -321,18 +344,21 @@ def global_minimality_certificate(
     block = np.empty((dim, 0))  # col_sets side by side, one word appended at a time
     failures = 0
     found = False
-    for word in pool:
-        try:
-            source, cols = _word_columns(m, frame, z, word, cfg)
-        except FlowError:
-            failures += 1
-            continue
-        kept.append((word, source, cols))
-        col_sets.append(tangent.basis.T @ cols)
-        block = np.hstack((block, col_sets[-1]))
-        if _sigma_min(block, dim) >= TAU_CERT:
-            found = True
-            break
+    lo, size = 0, 1  # chunks of 1, 2, 4, ..., MAX_BATCH words
+    while lo < len(pool) and not found:
+        chunk = pool[lo : lo + size]
+        lo, size = lo + size, min(2 * size, MAX_BATCH)
+        for word, columns in zip(chunk, _word_columns(m, frame, z, chunk, cfg)):
+            if isinstance(columns, FlowError):
+                failures += 1
+                continue
+            source, cols = columns
+            kept.append((word, source, cols))
+            col_sets.append(tangent.basis.T @ cols)
+            block = np.hstack((block, col_sets[-1]))
+            if _sigma_min(block, dim) >= TAU_CERT:
+                found = True  # the chunk's words past the hit are discarded
+                break
 
     local = MinimalityReport()
     if found:
@@ -380,8 +406,10 @@ def verify_certificate(
         )
     z = np.asarray(z, dtype=float)
     evaluated = []
-    for word, source in zip(certificate.words, certificate.sources):
-        fwd = composed_flow(frame, word, source, cfg, manifold=m)
+    fwds = composed_flows(frame, certificate.words, certificate.sources, cfg, m)
+    for word, source, fwd in zip(certificate.words, certificate.sources, fwds):
+        if isinstance(fwd, FlowError):
+            raise fwd  # the first failure in word order
         if fwd.drift_exceeded:
             raise FlowError(
                 f"forward word {list(word.steps)} left the manifold: "
@@ -424,12 +452,8 @@ def reachable_samples(
     words = random_words(rng, n_words, len(frame), word_length_cap, time_range)
 
     pts, kept, drifts, failures = [], [], [], 0
-    for word in words:
-        try:
-            res = composed_flow(frame, word, z, cfg, manifold=m)
-        except FlowError:
-            res = None
-        if res is None or res.drift_exceeded:
+    for word, res in zip(words, composed_flows(frame, words, [z] * len(words), cfg, m)):
+        if isinstance(res, FlowError) or res.drift_exceeded:
             failures += 1
             continue
         pts.append(res.endpoint)

@@ -9,11 +9,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
+    ExprDomainError,
     ScalarExpr,
     add,
     compile_values_and_jacobian,
+    compile_values_and_jacobian_rows,
     differentiate,
     eval_values_and_jacobian,
+    evaluate_rows,
     mul,
     parse_expr,
     sub,
@@ -74,6 +77,22 @@ class VectorFieldSpec:
             return self._kernel(x)
         object.__setattr__(self, "_evaluated", True)
         return eval_values_and_jacobian(self.coefficients, self.dim, x)
+
+    @cached_property
+    def _rows_kernel(self):  # the column twin of _kernel, for batches of points
+        return compile_values_and_jacobian_rows(self.coefficients, self.dim)
+
+    def values_and_jacobian_rows(
+        self, X: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, ExprDomainError]]:
+        """(a, Da) at every row of ``X`` (B, dim): arrays (B, dim) and (B, dim, dim).
+
+        Each row's numbers are those of the compiled kernel at that row, bit
+        for bit (see :func:`~crorbit.expr.evaluate_rows`); the third item
+        maps the rows where the field is undefined to their error.
+        """
+        (vals, jac), errors = evaluate_rows(self._rows_kernel, lambda x: self._kernel(x), X)
+        return vals, jac, errors
 
     def scaled(self, factor: ScalarExpr) -> "VectorFieldSpec":
         """The field ``factor * X`` with symbolic coefficients."""

@@ -29,7 +29,7 @@ from crorbit.crmanifold import (
     theta_transport,
     validate_adapted_chart,
 )
-from crorbit.expr import parse_expr
+from crorbit.expr import ExprDomainError, parse_expr
 from crorbit.flow import FlowWord, retract
 from crorbit.vectorfield import VectorFieldSpec
 from crorbit.verify import TOL_LEMMA21
@@ -136,6 +136,24 @@ class TestTangentSpaces:
         tangent_space(m, z)
         assert compilations["compile_values"] == [(m.rho,)]
         assert compilations["compile_values_and_jacobian"] == [(m.rho, 4)]
+
+    @pytest.mark.parametrize("point", [[0.0, 1.0], np.array([0.0, 1.0])], ids=["list", "ndarray"])
+    def test_rho_where_undefined_raises(self, point):
+        """The probe and d rho compute on Python floats, whatever the input's type."""
+        hyperbola = EmbeddedManifold.parse(1, ["x2 - 1/x1"])
+        for evaluate in (hyperbola.rho_values, hyperbola.rho_jacobian):
+            with pytest.raises(ExprDomainError, match="float division by zero"):
+                evaluate(point)
+        with pytest.raises(ExprDomainError, match="float division by zero"):
+            retract(hyperbola, point, 1e-12)
+
+    def test_rho_rows_equal_the_probe(self):
+        rows = np.array([[0.5, 2.0], [0.0, 1.0], [-0.25, 3.0]])
+        hyperbola = EmbeddedManifold.parse(1, ["x2 - 1/x1"])
+        values, errors = hyperbola.rho_value_rows(rows)
+        assert list(errors) == [1] and str(errors[1]) == "float division by zero"
+        for r in (0, 2):
+            assert values[r].tobytes() == hyperbola.rho_values(rows[r]).tobytes()
 
     def test_non_generic_point_raises(self):
         line = EmbeddedManifold.parse(2, ["x1", "x2"])

@@ -24,9 +24,12 @@ from crorbit.expr import (
     call,
     compile_values,
     compile_values_and_jacobian,
+    compile_values_and_jacobian_rows,
+    compile_values_rows,
     const,
     differentiate,
     eval_values_and_jacobian,
+    evaluate_rows,
     mul,
     parse_expr,
     powi,
@@ -419,6 +422,58 @@ class TestCompiledEvaluators:
             compile_values_and_jacobian([undefined], 1)([0.0])
         with pytest.raises(ExprDomainError, match="float division by zero"):
             _at(undefined, [0.0])
+
+
+class TestColumnKernels:
+    """A batch of points gives each row the point kernel's bits or its error."""
+
+    def test_rows_equal_point_kernel_exactly(self):
+        rng = np.random.default_rng(12)
+        rows = undefined = 0
+        while rows < 5_000:
+            dim = int(rng.integers(1, 4))
+            trees = tuple(_random_jet_tree(rng, dim, 4) for _ in range(dim))
+            try:
+                point = compile_values_and_jacobian(trees, dim)
+            except ExprDomainError:  # a constant subexpression that is not finite
+                continue
+            X = rng.uniform(-1.5, 1.5, (8, dim))
+            X[0, 0] = 0.0  # reciprocals and negative powers of a zero coordinate
+            jets = (compile_values_and_jacobian_rows(trees, dim), point)
+            values = (compile_values_rows(trees), compile_values(trees))
+            (vals, jac), errors = evaluate_rows(*jets, X)
+            (vals_only,), value_errors = evaluate_rows(*values, X)
+            assert value_errors.keys() <= errors.keys()
+            for r, x in enumerate(X.tolist()):
+                try:
+                    want = point(x)
+                except ExprDomainError as exc:
+                    assert str(errors[r]) == str(exc), [to_text(t) for t in trees]
+                    undefined += 1
+                    continue
+                assert r not in errors
+                for got, expected in zip((vals[r], jac[r]), want):
+                    assert got.tobytes() == expected.tobytes(), ([to_text(t) for t in trees], x)
+                if r not in value_errors:
+                    assert vals_only[r].tobytes() == want[0].tobytes()
+                rows += 1
+        assert undefined > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_where_python_refuses_go_to_the_point_kernel(self):
+        """1/(1/x) is finite in float64 at x = 0; Python raises, and so does the row."""
+        trees = [parse_expr(t, 2) for t in ("1/(1/x1)", "x2^-2", "log(x2)", "exp(x1)")]
+        X = np.array([[2.0, 4.0], [0.0, 4.0], [2.0, 0.0], [2.0, -1.0], [1000.0, 1.0]])
+        (vals, _), errors = evaluate_rows(
+            compile_values_and_jacobian_rows(trees, 2), compile_values_and_jacobian(trees, 2), X
+        )
+        assert {r: str(e) for r, e in errors.items()} == {
+            1: "float division by zero",
+            2: "0.0 cannot be raised to a negative power",
+            3: "math domain error",
+            4: "math range error",
+        }
+        assert vals[0].tolist() == [2.0, 1 / 16, math.log(4.0), math.exp(2.0)]
 
 
 class TestNonFiniteConstants:

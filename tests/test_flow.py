@@ -15,11 +15,16 @@ from crorbit.flow import (
     FlowWord,
     IntegratorConfig,
     RetractionError,
+    MAX_BATCH,
+    FlowError,
     _integrate,
     composed_flow,
+    composed_flows,
     flow,
     retract,
 )
+from crorbit.orbit import random_words
+from crorbit.scenario import builtin_scenario
 from crorbit.vectorfield import VectorFieldSpec
 
 EXP_FIELD = VectorFieldSpec.parse(["1", "x2"], 2)
@@ -301,6 +306,174 @@ class TestIntegratorStep:
     def test_non_finite_time_rejected(self, span):
         with pytest.raises(ValueError, match="integration time (nan|inf) is not finite"):
             _integrate(lambda _t, y: y, span, np.ones(1), IntegratorConfig())
+
+
+def _compiled(frame):
+    """``frame`` with every field past its interpreted first call: both paths run kernels."""
+    for field in frame:
+        for _ in range(2):
+            field.values_and_jacobian([0.1] * field.dim)
+    return frame
+
+
+def _one_word_calls(frame, words, x0s, cfg, manifold=None):
+    """composed_flow word by word: its result, or the FlowError it raises."""
+    out = []
+    for word, x0 in zip(words, x0s):
+        try:
+            out.append(composed_flow(frame, word, x0, cfg, manifold))
+        except FlowError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_same_bits(batch, alone):
+    assert len(batch) == len(alone)
+    for k, (got, want) in enumerate(zip(batch, alone)):
+        if isinstance(want, FlowError):
+            assert type(got) is type(want) and str(got) == str(want), k
+            continue
+        assert got.endpoint.tobytes() == want.endpoint.tobytes(), k
+        assert got.differential.tobytes() == want.differential.tobytes(), k
+        assert (got.drift, got.drift_exceeded) == (want.drift, want.drift_exceeded), k
+        assert len(got.trajectory) == len(want.trajectory), k
+        for (s, p), (t, q) in zip(got.trajectory, want.trajectory):
+            assert type(s) is type(t) is float and s == t, k
+            assert p.tobytes() == q.tobytes(), k
+
+
+# sin, exp, log, ^3 and ^-1 coefficients on R^3, no manifold
+CHART_FRAME = [
+    VectorFieldSpec.parse(["1", "0.5*sin(x3)", "0.1*exp(x1)*x2^3"], 3),
+    VectorFieldSpec.parse(["0.2*log(3 + x2)", "1", "(2 + x1^2)^-1"], 3),
+]
+
+
+def _builtin(name, cfg=None):
+    """(frame, manifold, integrator, origin) of a builtin scenario."""
+    sc = builtin_scenario(name)
+    return sc.default_frame(), sc.manifold, cfg or sc.integrator, np.zeros(sc.manifold.ambient_dim)
+
+
+class TestLockstep:
+    """composed_flows: a batch of words gives each word composed_flow's bits."""
+
+    @pytest.mark.parametrize(
+        "frame, m, cfg, x0",
+        [_builtin("flat"), _builtin("tube3"), _builtin("lewy"),
+         _builtin("lewy", IntegratorConfig(retract=False)),
+         ([ROTATION], CIRCLE, LOOSE, np.array([0.6, 0.8]))],
+        ids=["flat", "tube3", "lewy", "lewy-drift-probe", "circle-newton-steps"],
+    )
+    def test_batch_equals_one_word_path(self, frame, m, cfg, x0):
+        frame = _compiled(frame)
+        words = random_words(np.random.default_rng(3), MAX_BATCH, len(frame), 4, 0.5)
+        x0s = [x0] * len(words)
+        batch = composed_flows(frame, words, x0s, cfg, m)
+        assert all(not isinstance(res, FlowError) for res in batch)
+        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, cfg, m))
+
+    def test_chart_frame_with_transcendental_coefficients(self):
+        frame = _compiled(CHART_FRAME)
+        rng = np.random.default_rng(4)
+        words = random_words(rng, MAX_BATCH, 2, 4, 0.5)
+        x0s = list(rng.uniform(-0.5, 0.5, (len(words), 3)))
+        cfg = IntegratorConfig()
+        batch = composed_flows(frame, words, x0s, cfg)
+        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, cfg))
+
+    def test_batches_of_more_than_max_batch_words(self):
+        frame = _compiled(CHART_FRAME)
+        words = random_words(np.random.default_rng(5), MAX_BATCH + 1, 2, 2, 0.3)
+        x0s = [np.zeros(3)] * len(words)
+        batch = composed_flows(frame, words, x0s)
+        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, IntegratorConfig()))
+
+    def test_failing_members_fail_alone(self):
+        """Blow-ups and a log domain exit, mixed with normal, empty and zero-time words."""
+        frame = _compiled([
+            VectorFieldSpec.parse(["1", "0"], 2),
+            VectorFieldSpec.parse(["x1^2", "0"], 2),
+            VectorFieldSpec.parse(["-1", "log(x1)"], 2),
+            VectorFieldSpec.parse(["-1", "1e-9*log(x1)"], 2),  # a stage past x1 = 0
+        ])
+        words = [FlowWord.of((1, 0.3)), FlowWord.of((2, 5.0)), FlowWord.of((3, 1.0)),
+                 FlowWord.of((1, -0.8), (3, 0.1)), FlowWord.of((4, 1.0)),
+                 FlowWord.of((1, -0.2), (3, 0.1)), FlowWord.empty(), FlowWord.of((3, 0.0))]
+        x0s = [[0.5, 0.0], [1.0, 0.0]] + [[0.5, 0.0]] * 5 + [[0.0, 0.0]]
+        cfg = IntegratorConfig()
+        alone = _one_word_calls(frame, words, x0s, cfg)
+        assert [type(res).__name__ for res in alone] == [
+            "FlowResult", "FlowBlowupError", "FlowBlowupError", "FlowDomainError",
+            "FlowDomainError", "FlowResult", "FlowResult", "FlowResult",
+        ]
+        assert "step size underflow" in str(alone[2])
+        assert all("math domain error" in str(res) for res in alone[3:5])
+        _assert_same_bits(composed_flows(frame, words, x0s, cfg), alone)
+
+    @pytest.mark.parametrize("retract", [True, False], ids=["retraction", "drift-probe"])
+    def test_rho_leaving_its_domain_fails_its_member(self, retract):
+        m = EmbeddedManifold.parse(1, ["x2 - log(x1)"])
+        frame = [VectorFieldSpec.parse(["-1", "0"], 2)]
+        words = [FlowWord.of((1, t)) for t in (1.0, 0.1, -0.2)]
+        x0s = [[0.5, math.log(0.5)]] * 3
+        cfg = IntegratorConfig(retract=retract)
+        batch = composed_flows(frame, words, x0s, cfg, m)
+        assert isinstance(batch[0], FlowDomainError) and "math domain error" in str(batch[0])
+        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, cfg, m))
+
+    def test_zero_time_leg_evaluates_nothing(self):
+        """Field 1 is undefined at x1 = 0; its zero-time legs there never evaluate it."""
+        frame = [VectorFieldSpec.parse(["1/x1", "0"], 2), VectorFieldSpec.parse(["0", "1"], 2)]
+        words = [FlowWord.of((1, 0.0)), FlowWord.of((1, 0.0), (1, -0.0)),
+                 FlowWord.of((2, 0.3), (1, 0.0), (2, -0.3)), FlowWord.of((1, 0.1))]
+        x0s = [np.zeros(2)] * len(words)
+        batch = composed_flows(frame, words, x0s)
+        for res in batch[:2]:
+            assert res.endpoint.tolist() == [0.0, 0.0]
+            assert res.differential.tobytes() == np.eye(2).tobytes()
+            assert res.trajectory == [(0.0, res.trajectory[0][1])]
+        assert np.allclose(batch[2].endpoint, 0.0, atol=1e-12)
+        assert isinstance(batch[3], FlowDomainError)
+        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, IntegratorConfig()))
+
+    def test_drift_probe_meeting_a_pole_is_a_domain_exit(self):
+        """rho undefined at an accepted point fails the flow; an ndarray probe returned inf."""
+        leftward = VectorFieldSpec.parse(["-1", "0"], 2)
+        cfg = IntegratorConfig(retract=False)
+        pole = float(flow(leftward, [0.5, 2.0], 0.5, cfg).endpoint[0])  # where the last step lands
+        m = EmbeddedManifold.parse(1, [f"x2 - 1/(x1 - {pole!r})"])
+        with pytest.raises(FlowDomainError, match="float division by zero"):
+            flow(leftward, [0.5, 2.0], 0.5, cfg, m)
+        words = [FlowWord.of((1, 0.5)), FlowWord.of((1, 0.2))]
+        batch = composed_flows([leftward], words, [[0.5, 2.0]] * 2, cfg, m)
+        assert isinstance(batch[0], FlowDomainError) and not isinstance(batch[1], FlowError)
+        _assert_same_bits(batch, _one_word_calls([leftward], words, [[0.5, 2.0]] * 2, cfg, m))
+
+    def test_one_word_runs_composed_flow(self, monkeypatch):
+        flow_module = importlib.import_module("crorbit.flow")
+        calls = []
+
+        def recording(*args, real=flow_module.composed_flow):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(flow_module, "composed_flow", recording)
+        word = FlowWord.of((1, 0.4))
+        [res] = composed_flows([ROTATION], [word], [[0.6, 0.8]])
+        assert calls == [word] and res.endpoint.shape == (2,)
+        composed_flows([ROTATION], [word, word], [[0.6, 0.8]] * 2)
+        assert calls == [word]  # two words run in lockstep
+
+    def test_bad_input_raises_before_anything_runs(self):
+        with pytest.raises(ValueError, match="2 word\\(s\\) but 1 start point"):
+            composed_flows([ROTATION], [FlowWord.of((1, 0.1))] * 2, [[0.6, 0.8]])
+        with pytest.raises(ValueError, match="integration time nan is not finite"):
+            composed_flows([ROTATION], [FlowWord.of((1, 0.1)), FlowWord.of((1, math.nan))],
+                           [[0.6, 0.8]] * 2)
+        with pytest.raises(ValueError, match="outside frame"):
+            composed_flows([ROTATION], [FlowWord.of((1, 0.1)), FlowWord.of((2, 0.1))],
+                           [[0.6, 0.8]] * 2)
 
 
 class TestIntegratorConfig:

@@ -7,7 +7,7 @@ import pytest
 
 import crorbit.orbit as orbit
 from crorbit.crmanifold import complex_tangent_space, tangent_space
-from crorbit.flow import FlowError, FlowWord, composed_flow
+from crorbit.flow import FlowError, FlowWord, composed_flow, composed_flows
 from crorbit.orbit import (
     TAU_CERT,
     Certificate,
@@ -224,14 +224,14 @@ class TestCertificates:
 
 
 def count_composed_flows(monkeypatch):
-    """Route ``orbit.composed_flow`` through a counter; returns the list of words run."""
+    """Route ``orbit.composed_flows`` through a counter; returns the list of words run."""
     words = []
 
-    def counting(frame, word, *args, **kwargs):
-        words.append(word)
-        return composed_flow(frame, word, *args, **kwargs)
+    def counting(frame, batch, *args, **kwargs):
+        words.extend(batch)
+        return composed_flows(frame, batch, *args, **kwargs)
 
-    monkeypatch.setattr(orbit, "composed_flow", counting)
+    monkeypatch.setattr(orbit, "composed_flows", counting)
     return words
 
 
@@ -247,8 +247,8 @@ class TestOnePassWords:
     def test_one_pass_columns_equal_forward_pass(self, manifold, frame, z):
         """D(word)(source) = D(word^-1)(z)^-1: solving with the backward
         differential gives the columns a forward integration pushes."""
-        for word in span_words(len(frame), 5):
-            source, cols = _word_columns(manifold, frame, z, word, CFG)
+        words = span_words(len(frame), 5)
+        for word, (source, cols) in zip(words, _word_columns(manifold, frame, z, words, CFG)):
             fwd = composed_flow(frame, word, source, CFG, manifold=manifold)
             pushed = fwd.differential @ complex_tangent_space(manifold, source).basis
             assert np.max(np.abs(cols - pushed / np.linalg.norm(pushed, axis=0))) <= 1e-12
@@ -271,19 +271,21 @@ class TestOnePassWords:
     def make_singular(monkeypatch, word):
         """The backward flow of ``word`` reports a zero differential."""
 
-        def singular(frame, w, *args, **kwargs):
-            res = composed_flow(frame, w, *args, **kwargs)
-            if w == word.inverse():
-                res = dataclasses.replace(res, differential=np.zeros_like(res.differential))
-            return res
+        def singular(frame, batch, *args, **kwargs):
+            results = composed_flows(frame, batch, *args, **kwargs)
+            return [
+                dataclasses.replace(res, differential=np.zeros_like(res.differential))
+                if w == word.inverse() else res
+                for w, res in zip(batch, results)
+            ]
 
-        monkeypatch.setattr(orbit, "composed_flow", singular)
+        monkeypatch.setattr(orbit, "composed_flows", singular)
 
     def test_singular_differential_names_the_word(self, monkeypatch):
         word = FlowWord.of((1, 0.4), (2, -0.6))
         self.make_singular(monkeypatch, word)
         with pytest.raises(FlowError, match=r"word \[\(1, 0\.4\), \(2, -0\.6\)\].*singular"):
-            _word_columns(FLAT, FLAT_FRAME, np.zeros(4), word, CFG)
+            pushforward_span(FLAT, FLAT_FRAME, np.zeros(4), [word], CFG)
 
     def test_singular_differential_is_a_failed_word(self, monkeypatch):
         rng = np.random.default_rng(7)  # the search's first random pool word
@@ -294,6 +296,44 @@ class TestOnePassWords:
         assert rep.note.endswith("; 1 word(s) failed to integrate")
         kept = [w for w, _ in rep.best_span.contributions]
         assert len(kept) == 16 and word not in kept
+
+    @pytest.mark.parametrize(
+        "manifold, frame, budget",
+        [(LEWY, LEWY_FRAME, 64), (FLAT, FLAT_FRAME, 100), (TUBE3, TUBE3_FRAME, 100)],
+        ids=["lewy-found", "flat-exhausted", "tube3-exhausted"],
+    )
+    def test_chunked_search_equals_word_by_word(self, manifold, frame, budget):
+        """Chunks of 1, 2, 4, ... words keep exactly the words a one-word search keeps."""
+        z = np.zeros(manifold.ambient_dim)
+        rng = np.random.default_rng(7)
+        pool = [FlowWord.empty()] + orbit.random_words(
+            rng, budget, len(frame), orbit.WORD_LENGTH_CAP, orbit.TIME_RANGE
+        )
+        tangent = tangent_space(manifold, z)
+        kept, block = [], np.empty((tangent.dim, 0))
+        for word in pool:
+            [columns] = _word_columns(manifold, frame, z, [word], CFG)
+            if isinstance(columns, FlowError):
+                continue
+            kept.append((word, *columns))
+            block = np.hstack((block, tangent.basis.T @ columns[1]))
+            if orbit._sigma_min(block, tangent.dim) >= TAU_CERT:
+                break
+        rep = global_minimality_certificate(manifold, frame, z, budget, 7, CFG)
+        if rep.certificate is None:
+            contributions = rep.best_span.contributions
+            assert [w for w, _ in contributions] == [w for w, _, _ in kept]
+            for (_, source), (_, want, _) in zip(contributions, kept):
+                assert source.tobytes() == want.tobytes()
+            reference = orbit._assemble_span(manifold, z, tangent, kept)
+            assert rep.best_span.singular_values.tobytes() == reference.singular_values.tobytes()
+            return
+        col_sets = [tangent.basis.T @ cols for _, _, cols in kept]
+        selected, sigma = _greedy_select(col_sets, [w for w, _, _ in kept], tangent.dim, TAU_CERT)
+        cert = rep.certificate
+        assert cert.words == tuple(kept[i][0] for i in selected)
+        assert all(s.tobytes() == kept[i][1].tobytes() for s, i in zip(cert.sources, selected))
+        assert cert.smallest_singular_value == sigma
 
     def test_certificate_without_sources_raises(self):
         cert = Certificate(

@@ -102,6 +102,23 @@ class TestScenarioLoading:
         )
         assert out.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("name", ["tube3", "lewy"])
+    def test_orbit_leaves_numpy_ma_unimported(self, name):
+        """Lockstep flows group words with a set, not np.unique, which imports numpy.ma."""
+        code = (
+            "import sys\n"
+            "from crorbit.cli import cmd_orbit\n"
+            "from crorbit.scenario import builtin_scenario\n"
+            f"cmd_orbit(builtin_scenario({name!r}), 'origin', budget=8, seed=0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(crorbit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_point_dimension_checked(self, tmp_path):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
         raw["points"]["origin"] = [0.0, 0.0]
@@ -240,11 +257,11 @@ class TestCommands:
         scenario = load_scenario(path)
         seen = []
 
-        def recorder(frame, word, x0, cfg, *args, real=orbit.composed_flow, **kwargs):
+        def recorder(frame, words, x0s, cfg, *args, real=orbit.composed_flows, **kwargs):
             seen.append(cfg)
-            return real(frame, word, x0, cfg, *args, **kwargs)
+            return real(frame, words, x0s, cfg, *args, **kwargs)
 
-        monkeypatch.setattr(orbit, "composed_flow", recorder)
+        monkeypatch.setattr(orbit, "composed_flows", recorder)
         cmd_orbit(scenario, "origin", budget=8, seed=1)
         assert seen and all(cfg == scenario.integrator for cfg in seen)
 
