@@ -36,7 +36,7 @@ from .crmanifold import (
     theta_isomorphism_check,
 )
 from .expr import ExprError
-from .flow import FlowError, FlowWord
+from .flow import DRIFT_BOUND, FlowError, FlowWord
 from .orbit import (
     SPAN_WORDS,
     TAU_CERT,
@@ -391,7 +391,7 @@ def cmd_orbit(
         CheckResult(
             "reachable-samples",
             value=max_drift,
-            bound=cfg.drift_bound,
+            bound=DRIFT_BOUND,
             details={"points": len(cloud.points), "failures": cloud.failures},
         )
     )

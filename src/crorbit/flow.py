@@ -7,9 +7,10 @@ the state so endpoint and differential share the same step sequence.
 A flow runs along a word of frame fields, and a single field's flow is the
 one-step word: :func:`composed_flow` is the one leg loop, integrating each
 leg from (x, I) and composing the leg differentials by the chain rule.
-Trajectories on embedded manifolds can be retracted back to the zero set of
-the defining functions after every accepted step; the residual drift is
-monitored and reported, never silently corrected beyond tolerance.
+A flow given a manifold is retracted back to the zero set of the defining
+functions after every accepted step (to :data:`RETRACT_TOL`); the residual
+drift is monitored and reported against :data:`DRIFT_BOUND`, never silently
+corrected beyond tolerance.
 
 One step does its work once:
 
@@ -22,12 +23,12 @@ One step does its work once:
   after that a non-finite stage shows up as a NaN error estimate, because
   every stage enters ``_ERR @ k`` (a zero weight times inf is NaN too).
 - The drift at an accepted point is the residual :func:`retract` computed
-  there; the defining functions are probed separately only for flows on a
-  manifold without retraction, and once at the start of a word.
+  there; the defining functions are probed separately only once, at the
+  start of a word.
 
 An expression undefined along the trajectory (``ExprDomainError``) ends the
-flow with :class:`FlowDomainError`, whether the right-hand side or the step
-hook met it: the hook is where retraction and the drift probe read rho.
+flow with :class:`FlowDomainError`, whether the right-hand side or rho met
+it: at the start point's probe or in a step's retraction.
 
 Many words at once: :func:`composed_flows` returns one result or error per
 word.  A batch of one runs :func:`composed_flow`; two or more words (cut
@@ -52,8 +53,8 @@ because every row operation rounds as the one-word operation it replaces:
   (:func:`~crorbit.expr.evaluate_rows`), which give each row its point
   kernel's bits or its error;
 - one batched rho probe decides which accepted states are within
-  ``retract_tol``; only the others run :func:`retract`, so a Newton step
-  keeps its bits, and a state it moves re-evaluates its derivative;
+  :data:`RETRACT_TOL`; only the others run :func:`retract`, so a Newton
+  step keeps its bits, and a state it moves re-evaluates its derivative;
 - a zero-time leg evaluates nothing: its differential is I.
 
 :func:`_initial_step` is written once, over rows; the one-word loop passes
@@ -85,6 +86,7 @@ __all__ = [
     "composed_flows",
     "retract",
     "MAX_BATCH",
+    "RETRACT_TOL", "DRIFT_BOUND",
 ]
 
 
@@ -106,17 +108,16 @@ class RetractionError(FlowError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive step control and retraction settings (retraction needs a manifold)."""
+    """Error tolerances of the adaptive step control.
+
+    Retraction has no settings: see :data:`RETRACT_TOL` and :data:`DRIFT_BOUND`.
+    """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
-    retract: bool = True
-    retract_tol: float = 1e-12
-    drift_bound: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "max_step", "retract_tol", "drift_bound"):
+        for name in ("rtol", "atol"):
             if not getattr(self, name) > 0.0:  # NaN is not positive either
                 raise ValueError(f"{name} must be positive")
 
@@ -193,6 +194,8 @@ _ERR = np.array(
 )
 
 _MAX_STEPS = 500_000
+RETRACT_TOL = 1e-12  # max |rho| an accepted point may keep without a Newton step
+DRIFT_BOUND = 1e-9  # max |rho| along a flow before FlowResult.drift_exceeded is set
 MAX_BATCH = 64  # lockstep members per batch: bounds the (B, 7, n + n^2) stage array
 _RETRACT_MAX_ITER = 25
 _DOMAIN_EXCS = (ExprDomainError,)
@@ -214,7 +217,7 @@ def _rms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])
 
 
-def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, max_step):
+def _initial_step(rhs, t0, y0, f0, direction, rtol, atol):
     """First step sizes (Hairer-Norsett-Wanner II.4) for the rows of ``y0``, ``f0`` (B, N).
 
     ``rhs(t, y)`` takes times (B,) and states (B, N).  Python's ``**``,
@@ -233,7 +236,7 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, max_step):
         _max(1e-6, h0 * 1e-3),
         np.float_power(0.01 / _max(d1, d2), 0.2),
     )
-    return _min(_min(100 * h0, h1), max_step)
+    return _min(100 * h0, h1)
 
 
 def _domain_error(exc: Exception) -> FlowDomainError:
@@ -262,7 +265,7 @@ def _integrate(
     if t1 == t0:
         return y0.copy()
     direction = 1.0 if t1 > t0 else -1.0
-    atol, rtol, max_step = cfg.atol, cfg.rtol, cfg.max_step
+    atol, rtol = cfg.atol, cfg.rtol
     t = t0
     y = y0.astype(float).copy()
 
@@ -280,14 +283,14 @@ def _integrate(
     k[0] = checked_rhs(t, y)
     h = _initial_step(
         lambda tt, yy: checked_rhs(float(tt[0]), yy[0])[None],
-        t, y[None], k[:1], direction, rtol, atol, max_step,
+        t, y[None], k[:1], direction, rtol, atol,
     )
     h = min(float(h[0]), abs(t1 - t0))
     err_prev = 1.0
     for _ in range(_MAX_STEPS):
         if h < _MIN_STEP * max(abs(t), 1.0):
             raise FlowBlowupError(f"step size underflow at t = {t}")
-        h = min(h, abs(t1 - t), max_step)
+        h = min(h, abs(t1 - t))
         dt = direction * h
         for i in range(1, 7):
             y_new = y + dt * (_A[i] @ k[:i])
@@ -329,24 +332,20 @@ def _integrate(
     raise FlowBlowupError("step budget exhausted")
 
 
-def retract(
-    manifold: _DefinedByEquations,
-    x: Sequence[float],
-    tol: float,
-) -> tuple[np.ndarray, float]:
+def retract(manifold: _DefinedByEquations, x: Sequence[float]) -> tuple[np.ndarray, float]:
     """Gauss-Newton projection of ``x`` onto the zero set of the defining functions.
 
     Each update is the minimal-norm Newton step dx = -J^T (J J^T)^{-1} rho(x),
     so the displacement is minimal to first order.  Returns the point and its
-    residual max |rho|; a float array already within ``tol`` is returned
-    itself, not a copy.  Raises :class:`RetractionError` outside the
+    residual max |rho|; a float array already within :data:`RETRACT_TOL` is
+    returned itself, not a copy.  Raises :class:`RetractionError` outside the
     convergence basin.
     """
     y = np.asarray(x, dtype=float)
     for _ in range(_RETRACT_MAX_ITER):
         r = manifold.rho_values(y)
         resid = float(np.max(np.abs(r), initial=0.0))
-        if resid <= tol:
+        if resid <= RETRACT_TOL:
             return y, resid
         jac = manifold.rho_jacobian(y)
         try:
@@ -357,14 +356,18 @@ def retract(
         if not np.all(np.isfinite(y)):
             raise RetractionError("retraction diverged")
     raise RetractionError(
-        f"no convergence to |rho| <= {tol} within {_RETRACT_MAX_ITER} iterations"
+        f"no convergence to |rho| <= {RETRACT_TOL} within {_RETRACT_MAX_ITER} iterations"
     )
 
 
-def _drift_of(manifold: _DefinedByEquations | None, x: np.ndarray) -> float:
+def _start_drift(manifold: _DefinedByEquations | None, x: np.ndarray) -> float:
+    """max |rho| at a word's start point; :class:`FlowDomainError` where rho is undefined."""
     if manifold is None:
         return 0.0
-    return float(np.max(np.abs(manifold.rho_values(x)), initial=0.0))
+    try:
+        return float(np.max(np.abs(manifold.rho_values(x)), initial=0.0))
+    except _DOMAIN_EXCS as exc:
+        raise _domain_error(exc) from exc
 
 
 def flow(
@@ -413,21 +416,18 @@ def composed_flow(
         np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
         return out
 
-    retracting = cfg.retract and manifold is not None
     trajectory: list[tuple[float, np.ndarray]] = [(0.0, x.copy())]
-    drift = _drift_of(manifold, x)  # later points are probed by on_step
+    drift = _start_drift(manifold, x)  # later points are probed by their retraction
 
     def on_step(tt, y):
         nonlocal drift
-        pt = y[:n]
-        if retracting:
-            moved, resid = retract(manifold, pt, cfg.retract_tol)
+        if manifold is not None:
+            pt = y[:n]
+            moved, resid = retract(manifold, pt)
             if moved is not pt:
                 y = np.concatenate((moved, y[n:]))
-        else:
-            resid = _drift_of(manifold, pt)
+            drift = max(drift, resid)
         trajectory.append((t_offset + abs(tt), y[:n].copy()))
-        drift = max(drift, resid)
         return y
 
     differential = np.eye(n)
@@ -438,7 +438,7 @@ def composed_flow(
         x = y[:n]
         differential = y[n:].reshape(n, n) @ differential
         t_offset += abs(t)
-    return FlowResult(x, differential, trajectory, drift, drift > cfg.drift_bound)
+    return FlowResult(x, differential, trajectory, drift, drift > DRIFT_BOUND)
 
 
 def composed_flows(
@@ -502,7 +502,6 @@ class _Lockstep:
             raise ValueError("start points of one batch differ in shape")
         b, n = len(xs), xs[0].shape[0]
         self.frame, self.words, self.cfg, self.manifold, self.n = frame, words, cfg, manifold, n
-        self.retracting = cfg.retract and manifold is not None
         self.results: list[FlowResult | FlowError | None] = [None] * b
         self.trajectories = [[(0.0, x.copy())] for x in xs]
         self.ids = np.arange(b)
@@ -516,11 +515,17 @@ class _Lockstep:
         self.k = np.empty((b, 7, n + n * n))
         self.d = np.broadcast_to(np.eye(n), (b, n, n)).copy()
         self.t_offset = np.zeros(b)
-        self.drift = np.array([_drift_of(manifold, x) for x in xs])
+        self.drift = np.zeros(b)
         self.gone = np.zeros(b, dtype=bool)  # finished or failed, until the next _compact
+        for r, x in enumerate(xs):  # run() drops the members whose start point fails
+            try:
+                self.drift[r] = _start_drift(manifold, x)
+            except FlowDomainError as exc:
+                self._fail(r, exc)
 
     @np.errstate(invalid="ignore", divide="ignore", over="ignore")
     def run(self) -> list[FlowResult | FlowError]:
+        self._compact()
         self._start(np.arange(len(self.ids)))
         self._compact()
         while len(self.ids):
@@ -538,7 +543,7 @@ class _Lockstep:
         drift = float(self.drift[r])
         self.results[self.ids[r]] = FlowResult(
             self.y[r, : self.n].copy(), self.d[r].copy(), self.trajectories[self.ids[r]],
-            drift, drift > self.cfg.drift_bound,
+            drift, drift > DRIFT_BOUND,
         )
         self.gone[r] = True
 
@@ -621,7 +626,6 @@ class _Lockstep:
 
     def _begin(self, rows: np.ndarray) -> None:
         """First derivative and first step size of the legs ``rows`` start at t = 0."""
-        cfg = self.cfg
         self.t[rows], self.steps[rows], self.err_prev[rows] = 0.0, 0, 1.0
         ys = self.y[rows]
         f0 = self.k[rows, 0] = self._checked_rhs(rows, ys)
@@ -632,7 +636,7 @@ class _Lockstep:
         t1 = self.t1[rows]
         h = _initial_step(
             lambda _t, y1: self._checked_rhs(rows, y1), 0.0, ys, f0,
-            np.where(t1 > 0, 1.0, -1.0), cfg.rtol, cfg.atol, cfg.max_step,
+            np.where(t1 > 0, 1.0, -1.0), self.cfg.rtol, self.cfg.atol,
         )
         self.h[rows] = _min(h, np.abs(t1))
 
@@ -647,7 +651,7 @@ class _Lockstep:
         self._compact()
         if not len(self.ids):
             return
-        self.h = _min(_min(self.h, np.abs(self.t1 - self.t)), cfg.max_step)
+        self.h = _min(self.h, np.abs(self.t1 - self.t))
         dt = np.where(self.t1 > 0, self.h, -self.h)
         groups = self._groups(slice(None))  # the field of a row is fixed within a step
         for i in range(1, 7):
@@ -709,24 +713,23 @@ class _Lockstep:
     def _on_step(self, a: np.ndarray, ya: np.ndarray) -> np.ndarray:
         """``composed_flow``'s step hook for the accepted states ``ya`` of rows ``a``.
 
-        One batched rho probe decides which states are within the retraction
-        tolerance; only the others run :func:`retract`, so a Newton step keeps
-        its bits.  Moves states in place, updates drift and trajectories, and
-        returns the mask of moved states.
+        One batched rho probe decides which states are within
+        :data:`RETRACT_TOL`; only the others run :func:`retract`, so a Newton
+        step keeps its bits.  Moves states in place, updates drift and
+        trajectories, and returns the mask of moved states.
         """
-        n, cfg, m = self.n, self.cfg, self.manifold
+        n, m = self.n, self.manifold
         moved = np.zeros(len(a), dtype=bool)
         if m is not None:
             rho, errors = m.rho_value_rows(ya[:, :n])
             resid = np.max(np.abs(rho), axis=1, initial=0.0)
             for j, exc in errors.items():
                 self._fail(a[j], _caused(_domain_error(exc), exc))
-            far = np.flatnonzero(~(resid <= cfg.retract_tol)) if self.retracting else []
-            for j in far:
+            for j in np.flatnonzero(~(resid <= RETRACT_TOL)):
                 if j in errors:
                     continue
                 try:
-                    point, resid[j] = retract(m, ya[j, :n], cfg.retract_tol)
+                    point, resid[j] = retract(m, ya[j, :n])
                 except _DOMAIN_EXCS as exc:
                     self._fail(a[j], _caused(_domain_error(exc), exc))
                     continue

@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .crmanifold import EmbeddedManifold, complex_tangent_space, tangent_space
-from .flow import MAX_BATCH, FlowError, FlowResult, FlowWord, IntegratorConfig, composed_flows
+from .flow import (
+    DRIFT_BOUND, MAX_BATCH, FlowError, FlowResult, FlowWord, IntegratorConfig, composed_flows,
+)
 from .linalg import SubspaceBasis, _svd_rank
 from .vectorfield import VectorFieldSpec, lie_bracket_field
 from .expr import Const
@@ -172,18 +174,18 @@ def _word_columns(
     word again.
     """
     backs = composed_flows(frame, [w.inverse() for w in words], [z] * len(words), cfg, m)
-    return [_pushed_columns(m, word, back, cfg) for word, back in zip(words, backs)]
+    return [_pushed_columns(m, word, back) for word, back in zip(words, backs)]
 
 
 def _pushed_columns(
-    m: EmbeddedManifold, word: FlowWord, back: FlowResult | FlowError, cfg: IntegratorConfig
+    m: EmbeddedManifold, word: FlowWord, back: FlowResult | FlowError
 ) -> tuple[np.ndarray, np.ndarray] | FlowError:
     """The columns ``word`` pushes, from its backward flow ``back``, or why there are none."""
     if isinstance(back, FlowError):
         return back
     if back.drift_exceeded:
         return FlowError(
-            f"backward word left the manifold: drift {back.drift:.3e} > {cfg.drift_bound:.1e}"
+            f"backward word left the manifold: drift {back.drift:.3e} > {DRIFT_BOUND:.1e}"
         )
     source = back.endpoint
     try:
@@ -413,7 +415,7 @@ def verify_certificate(
         if fwd.drift_exceeded:
             raise FlowError(
                 f"forward word {list(word.steps)} left the manifold: "
-                f"drift {fwd.drift:.3e} > {cfg.drift_bound:.1e}"
+                f"drift {fwd.drift:.3e} > {DRIFT_BOUND:.1e}"
             )
         if float(np.max(np.abs(fwd.endpoint - z))) > 1e-6:
             raise FlowError(

@@ -2,7 +2,7 @@
 
 A scenario bundles everything a CLI command needs: an embedded manifold or
 a flattened chart model, named CR frames, adapted charts, named points, the
-integrator configuration and a seed.  Four scenarios ship built in (lewy,
+integrator's step tolerances and a seed.  Four scenarios ship built in (lewy,
 flat, tube3, expchart) so the verification suites need no external files.
 """
 
@@ -57,12 +57,7 @@ def _require_finite(value, path: str) -> None:
         for idx, item in enumerate(value):
             _require_finite(item, f"{path}[{idx}]")
     elif isinstance(value, float) and not math.isfinite(value):
-        hint = (
-            "; omit the key for an unbounded step"
-            if path == "integrator['max_step']" and value == math.inf
-            else ""
-        )
-        raise ScenarioError(f"{path} is non-finite ({value}){hint}")
+        raise ScenarioError(f"{path} is non-finite ({value})")
 
 
 def _expr(text: str, dim: int, aliases, path: str) -> ScalarExpr:
@@ -162,10 +157,6 @@ SCENARIO_SCHEMA: dict = {
             "properties": {
                 "rtol": {"type": "number", "exclusiveMinimum": 0},
                 "atol": {"type": "number", "exclusiveMinimum": 0},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
-                "retract": {"type": "boolean"},
-                "retract_tol": {"type": "number", "exclusiveMinimum": 0},
-                "drift_bound": {"type": "number", "exclusiveMinimum": 0},
             },
         },
     },
@@ -323,7 +314,6 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
             "cr": [["1", "0", "2*y", "2*x"], ["0", "1", "-2*x", "2*y"]],
         },
         "points": {"origin": [0.0, 0.0, 0.0, 0.0]},
-        "integrator": {"retract": True},
     },
     "flat": {
         "schema_version": SCHEMA_VERSION,
@@ -347,7 +337,6 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
             }
         },
         "points": {"origin": [0.0, 0.0, 0.0, 0.0]},
-        "integrator": {"retract": True},
     },
     "tube3": {
         "schema_version": SCHEMA_VERSION,
@@ -366,7 +355,6 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
             ],
         },
         "points": {"origin": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
-        "integrator": {"retract": True},
     },
     "expchart": {
         "schema_version": SCHEMA_VERSION,

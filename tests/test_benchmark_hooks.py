@@ -46,6 +46,16 @@ def test_integrator_takes_rhs_first():
     assert first.kind in (first.POSITIONAL_ONLY, first.POSITIONAL_OR_KEYWORD)
 
 
+def test_flow_result_fields_the_tracer_reads():
+    """``_on_flow`` counts ``trajectory`` points and ``_on_composed`` reads ``drift_exceeded``."""
+    import dataclasses
+
+    from crorbit.flow import FlowResult
+
+    names = {f.name for f in dataclasses.fields(FlowResult)}
+    assert {"trajectory", "drift_exceeded"} <= names
+
+
 def test_benchmark_calls_bind(tmp_path):
     """The calls ``perfbench/child.py`` makes into the CLI layer still bind."""
     from crorbit.cli import cmd_orbit, cmd_verify

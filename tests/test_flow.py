@@ -16,7 +16,9 @@ from crorbit.flow import (
     IntegratorConfig,
     RetractionError,
     MAX_BATCH,
+    DRIFT_BOUND,
     FlowError,
+    FlowResult,
     _integrate,
     composed_flow,
     composed_flows,
@@ -39,7 +41,7 @@ INTRINSIC_FRAME = [
 ]
 CIRCLE = EmbeddedManifold.parse(1, ["x1^2 + x2^2 - 1"])
 ROTATION = VectorFieldSpec.parse(["-1*x2", "x1"], 2)
-LOOSE = IntegratorConfig(rtol=1e-6, atol=1e-8)  # drift above retract_tol: Newton steps
+LOOSE = IntegratorConfig(rtol=1e-6, atol=1e-8)  # drift above RETRACT_TOL: Newton steps
 
 
 def _record_integrations(monkeypatch):
@@ -144,13 +146,12 @@ class TestFlow:
         with pytest.raises(FlowDomainError, match="division by zero"):
             flow(singular, [0, 0], 0.1)
 
-    @pytest.mark.parametrize("retract", [True, False], ids=["retraction", "drift-probe"])
-    def test_defining_function_leaving_its_domain_is_a_domain_exit(self, retract):
+    def test_defining_function_leaving_its_domain_is_a_domain_exit(self):
         """The step hook reads rho: log(x1) past x1 = 0 ends the flow, not the caller."""
         m = EmbeddedManifold.parse(1, ["x2 - log(x1)"])
         leftward = VectorFieldSpec.parse(["-1", "0"], 2)
         with pytest.raises(FlowDomainError, match="math domain error"):
-            flow(leftward, [0.5, math.log(0.5)], 1.0, IntegratorConfig(retract=retract), m)
+            flow(leftward, [0.5, math.log(0.5)], 1.0, IntegratorConfig(), m)
 
     def test_zeroth_power_coefficient_through_zero(self):
         res = flow(VectorFieldSpec.parse(["x1^0", "0"], 2), [0.0, 0.0], 1.0)
@@ -183,10 +184,8 @@ class TestComposedFlow:
 
     def test_word_inverse_returns_home(self):
         word = FlowWord.of((1, 0.3), (2, -0.2), (1, 0.15))
-        out = composed_flow(LEWY_FRAME, word, np.zeros(4), IntegratorConfig(retract=True), manifold=LEWY)
-        back = composed_flow(
-            LEWY_FRAME, word.inverse(), out.endpoint, IntegratorConfig(retract=True), manifold=LEWY
-        )
+        out = composed_flow(LEWY_FRAME, word, np.zeros(4), manifold=LEWY)
+        back = composed_flow(LEWY_FRAME, word.inverse(), out.endpoint, manifold=LEWY)
         assert np.max(np.abs(back.endpoint)) <= 1e-8
 
     def test_bad_index_rejected(self):
@@ -194,13 +193,17 @@ class TestComposedFlow:
             composed_flow(LEWY_FRAME, FlowWord.of((3, 0.1)), np.zeros(4))
 
     def test_start_point_is_the_only_extra_probe(self):
-        """Without retraction each accepted point is probed once, and x0 once more."""
+        """A word's start is probed once, not each leg's start.
+
+        Every accepted point is probed once per Newton iteration and once more.
+        """
         counting = _CountingManifold(CIRCLE)
         word = FlowWord.of((1, 0.4), (2, -0.3), (1, 0.2))
         frame = [ROTATION, VectorFieldSpec.parse(["x2", "-1*x1"], 2)]
-        res = composed_flow(frame, word, [0.6, 0.8], IntegratorConfig(retract=False), counting)
-        assert counting.values == len(res.trajectory)
-        assert counting.jacobians == 0
+        res = composed_flow(frame, word, [0.6, 0.8], LOOSE, counting)
+        accepted = len(res.trajectory) - 1
+        assert counting.jacobians > 0  # one per Newton iteration
+        assert counting.values == 1 + accepted + counting.jacobians
 
     def test_trajectory_times_are_elapsed(self):
         """A backward flow samples its trajectory at the elapsed |t|, as words do."""
@@ -209,23 +212,22 @@ class TestComposedFlow:
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_drift_stays_below_bound_with_retraction(self):
-        cfg = IntegratorConfig(retract=True)
         word = FlowWord.of((1, 0.9), (2, -0.8), (1, -0.5))
-        res = composed_flow(LEWY_FRAME, word, np.zeros(4), cfg, manifold=LEWY)
-        assert res.drift <= 1e-9
+        res = composed_flow(LEWY_FRAME, word, np.zeros(4), manifold=LEWY)
+        assert res.drift <= DRIFT_BOUND
         assert not res.drift_exceeded
 
 
 class TestRetraction:
     def test_on_manifold_point_unchanged(self):
         x = np.array([1.0, 2.0, 0.3, 5.0])
-        y, residual = retract(LEWY, x, 1e-12)
+        y, residual = retract(LEWY, x)
         assert y is x
         assert residual == 0.0
 
     def test_newton_projection_close_to_input(self):
         x = np.array([1.0, 0.0, 0.0, 1.0 + 1e-4])
-        y, residual = retract(LEWY, x, 1e-12)
+        y, residual = retract(LEWY, x)
         assert abs(y[3] - (y[0] ** 2 + y[1] ** 2)) <= 1e-12
         assert np.linalg.norm(y - x) <= 1e-3
         assert residual == float(np.max(np.abs(LEWY.rho_values(y))))
@@ -233,7 +235,7 @@ class TestRetraction:
     def test_no_convergence_far_from_basin(self):
         hard = EmbeddedManifold.parse(1, ["exp(x1) + 1"])  # empty zero set
         with pytest.raises(RetractionError):
-            retract(hard, np.array([0.0, 0.0]), 1e-12)
+            retract(hard, np.array([0.0, 0.0]))
 
 
 class TestIntegratorStep:
@@ -349,10 +351,10 @@ CHART_FRAME = [
 ]
 
 
-def _builtin(name, cfg=None):
+def _builtin(name):
     """(frame, manifold, integrator, origin) of a builtin scenario."""
     sc = builtin_scenario(name)
-    return sc.default_frame(), sc.manifold, cfg or sc.integrator, np.zeros(sc.manifold.ambient_dim)
+    return sc.default_frame(), sc.manifold, sc.integrator, np.zeros(sc.manifold.ambient_dim)
 
 
 class TestLockstep:
@@ -361,9 +363,8 @@ class TestLockstep:
     @pytest.mark.parametrize(
         "frame, m, cfg, x0",
         [_builtin("flat"), _builtin("tube3"), _builtin("lewy"),
-         _builtin("lewy", IntegratorConfig(retract=False)),
          ([ROTATION], CIRCLE, LOOSE, np.array([0.6, 0.8]))],
-        ids=["flat", "tube3", "lewy", "lewy-drift-probe", "circle-newton-steps"],
+        ids=["flat", "tube3", "lewy", "circle-newton-steps"],
     )
     def test_batch_equals_one_word_path(self, frame, m, cfg, x0):
         frame = _compiled(frame)
@@ -411,13 +412,12 @@ class TestLockstep:
         assert all("math domain error" in str(res) for res in alone[3:5])
         _assert_same_bits(composed_flows(frame, words, x0s, cfg), alone)
 
-    @pytest.mark.parametrize("retract", [True, False], ids=["retraction", "drift-probe"])
-    def test_rho_leaving_its_domain_fails_its_member(self, retract):
+    def test_rho_leaving_its_domain_fails_its_member(self):
         m = EmbeddedManifold.parse(1, ["x2 - log(x1)"])
         frame = [VectorFieldSpec.parse(["-1", "0"], 2)]
         words = [FlowWord.of((1, t)) for t in (1.0, 0.1, -0.2)]
         x0s = [[0.5, math.log(0.5)]] * 3
-        cfg = IntegratorConfig(retract=retract)
+        cfg = IntegratorConfig()
         batch = composed_flows(frame, words, x0s, cfg, m)
         assert isinstance(batch[0], FlowDomainError) and "math domain error" in str(batch[0])
         _assert_same_bits(batch, _one_word_calls(frame, words, x0s, cfg, m))
@@ -438,17 +438,31 @@ class TestLockstep:
         _assert_same_bits(batch, _one_word_calls(frame, words, x0s, IntegratorConfig()))
 
     def test_drift_probe_meeting_a_pole_is_a_domain_exit(self):
-        """rho undefined at an accepted point fails the flow; an ndarray probe returned inf."""
+        """rho undefined at an accepted point fails the flow; an ndarray probe returned inf.
+
+        The field is tangent to M, so no Newton step moves the trajectory off
+        the unconstrained flow's points, and the last of them is rho's pole.
+        """
         leftward = VectorFieldSpec.parse(["-1", "0"], 2)
-        cfg = IntegratorConfig(retract=False)
+        cfg = IntegratorConfig()
         pole = float(flow(leftward, [0.5, 2.0], 0.5, cfg).endpoint[0])  # where the last step lands
-        m = EmbeddedManifold.parse(1, [f"x2 - 1/(x1 - {pole!r})"])
+        m = EmbeddedManifold.parse(1, [f"(x2 - 2)/(x1 - {pole!r})"])
         with pytest.raises(FlowDomainError, match="float division by zero"):
             flow(leftward, [0.5, 2.0], 0.5, cfg, m)
         words = [FlowWord.of((1, 0.5)), FlowWord.of((1, 0.2))]
         batch = composed_flows([leftward], words, [[0.5, 2.0]] * 2, cfg, m)
         assert isinstance(batch[0], FlowDomainError) and not isinstance(batch[1], FlowError)
         _assert_same_bits(batch, _one_word_calls([leftward], words, [[0.5, 2.0]] * 2, cfg, m))
+
+    def test_start_point_outside_rho_domain_fails_its_member(self):
+        """rho = x2 - 1/x1 is undefined at the second start point: only that member fails."""
+        m = EmbeddedManifold.parse(1, ["x2 - 1/x1"])
+        frame = [VectorFieldSpec.parse(["-1", "0"], 2)]
+        words, x0s = [FlowWord.of((1, 0.1))] * 2, [[0.5, 2.0], [0.0, 1.0]]
+        batch = composed_flows(frame, words, x0s, IntegratorConfig(), m)
+        assert isinstance(batch[0], FlowResult)
+        assert isinstance(batch[1], FlowDomainError) and "float division by zero" in str(batch[1])
+        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, IntegratorConfig(), m))
 
     def test_one_word_runs_composed_flow(self, monkeypatch):
         flow_module = importlib.import_module("crorbit.flow")
@@ -482,7 +496,7 @@ class TestIntegratorConfig:
             IntegratorConfig(rtol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(atol=-1e-12)
-        # NaN compares false both ways: a NaN drift_bound would turn every drift guard off
-        for name in ("rtol", "atol", "max_step", "retract_tol", "drift_bound"):
+        # NaN compares false both ways, so "> 0" rejects it as well
+        for name in ("rtol", "atol"):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
                 IntegratorConfig(**{name: math.nan})

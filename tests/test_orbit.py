@@ -30,7 +30,7 @@ TUBE3_SC = builtin_scenario("tube3")
 LEWY, LEWY_FRAME = LEWY_SC.manifold, LEWY_SC.frames["cr"]
 FLAT, FLAT_FRAME = FLAT_SC.manifold, FLAT_SC.frames["cr"]
 TUBE3, TUBE3_FRAME = TUBE3_SC.manifold, TUBE3_SC.frames["cr"]
-CFG = LEWY_SC.integrator  # the three builtins share one integrator block
+CFG = LEWY_SC.integrator  # the three builtins use the default tolerances
 
 
 def lewy_point(rng):

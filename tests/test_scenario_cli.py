@@ -251,7 +251,7 @@ class TestCommands:
         import crorbit.orbit as orbit
 
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
-        raw["integrator"] = {"retract": True, "rtol": 1e-8}
+        raw["integrator"] = {"rtol": 1e-8}
         path = tmp_path / "lewy_rtol.json"
         path.write_text(json.dumps(raw))
         scenario = load_scenario(path)
@@ -267,7 +267,7 @@ class TestCommands:
 
     def test_orbit_without_integrator_block_matches_builtin(self, tmp_path):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
-        del raw["integrator"]  # retract defaults to true
+        raw["integrator"] = {}  # the defaults, which the builtin omits
         path = tmp_path / "lewy_default.json"
         path.write_text(json.dumps(raw))
         a = cmd_orbit(load_scenario(path), "origin", budget=8, seed=1)
@@ -327,24 +327,32 @@ class TestExitCodes:
         assert "'bad'" in err and "non-finite" in err
 
     @pytest.mark.parametrize(
-        "section, key, value, hint",
-        [
-            ("integrator", "rtol", float("nan"), ""),
-            ("integrator", "max_step", float("inf"), "omit the key"),
-        ],
-        ids=["rtol-nan", "max-step-inf"],
+        "key, value", [("rtol", float("nan")), ("atol", float("inf"))], ids=["rtol-nan", "atol-inf"]
     )
-    def test_non_finite_scenario_setting_exit_2(
-        self, section, key, value, hint, tmp_path, capsys
-    ):
+    def test_non_finite_scenario_setting_exit_2(self, key, value, tmp_path, capsys):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
-        raw.setdefault(section, {})[key] = value
+        raw["integrator"] = {key: value}
         path = tmp_path / "non_finite.json"
         path.write_text(json.dumps(raw))  # NaN / Infinity JSON extensions
         code = main(["analyze", "--scenario", str(path), "--point", "origin"])
         assert code == 2
+        assert f"integrator[{key!r}] is non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("retract", False), ("max_step", 0.1), ("retract_tol", 1e-10), ("drift_bound", 1e-6)],
+        ids=["retract", "max_step", "retract_tol", "drift_bound"],
+    )
+    def test_integrator_setting_that_is_a_constant_exit_2(self, key, value, tmp_path, capsys):
+        """Only rtol and atol are settable: retraction and its bounds are fixed."""
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
+        raw["integrator"] = {key: value}
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
         err = capsys.readouterr().err
-        assert f"{section}[{key!r}] is non-finite" in err and hint in err
+        assert "schema violation at integrator" in err and f"'{key}' was unexpected" in err
 
     def test_rank_threshold_is_not_a_scenario_setting_exit_2(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
