@@ -190,30 +190,17 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
 
 def cmd_transport(
     scenario: Scenario,
-    chart_name: str | None = None,
-    field: int = 1,
-    word: FlowWord | None = None,
+    word: FlowWord = FlowWord.of((1, 1.0)),
     point_spec: str | None = None,
     eta0: np.ndarray | None = None,
     xi0: np.ndarray | None = None,
-    t: float = 1.0,
     out_dir: Path | None = None,
 ) -> Report:
-    """Run the three transport descriptions and report pairwise deviations."""
-    if chart_name is not None:
-        if chart_name not in scenario.charts:
-            raise ScenarioError(
-                f"unknown chart {chart_name!r}; known: {sorted(scenario.charts)}"
-            )
-        chart = scenario.charts[chart_name]
-    elif scenario.kind == "chart":
-        chart = scenario.model_chart
-    elif len(scenario.charts) == 1:
-        chart = next(iter(scenario.charts.values()))
-    else:
-        raise ScenarioError("scenario has no unique chart; pass --chart")
-
-    x0 = scenario.point(point_spec, chart.l) if point_spec else np.zeros(chart.l)
+    """Compare the three transport descriptions along ``word`` on the chart model."""
+    if scenario.kind != "chart":
+        raise ScenarioError("transport needs a chart-model scenario")
+    chart = scenario.model_chart
+    x0 = scenario.point(point_spec) if point_spec else np.zeros(chart.l)
     eta0 = np.ones(chart.m) if eta0 is None else eta0
     xi0 = np.ones(chart.m) if xi0 is None else xi0
     if eta0.shape != (chart.m,) or xi0.shape != (chart.m,):
@@ -225,14 +212,7 @@ def cmd_transport(
 
     report = Report(
         "transport",
-        {
-            "chart": chart_name,
-            "field": None if word is not None else field,
-            "word": [list(s) for s in word.steps] if word is not None else None,
-            "t": None if word is not None else t,
-            "eta0": eta0.tolist(),
-            "xi0": xi0.tolist(),
-        },
+        {"word": [list(s) for s in word.steps], "eta0": eta0.tolist(), "xi0": xi0.tolist()},
         scenario.seed,
         scenario_name=scenario.name,
         scenario_digest=scenario.digest,
@@ -241,7 +221,6 @@ def cmd_transport(
     cfg = scenario.integrator
     eta_path: list = []
     xi_path: list = []
-    word = FlowWord.of((field, t)) if word is None else word
     h = horizontal_transport(chart, word, x0, eta0, cfg, path=eta_path)
     d_xi = dual_transport(chart, word, x0, xi0, cfg, path=xi_path).xi
     fv = flow_transport(chart, word, x0, eta0, cfg)
@@ -440,14 +419,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("transport", help="compare the three transport descriptions")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--chart", default=None, help="chart name within the scenario")
-    p.add_argument("--field", type=int, default=None, help="1-based frame field index (default 1)")
-    p.add_argument("--word", default=None, help="JSON list of [index, time] steps")
+    p.add_argument("--scenario", required=True, help="chart-model builtin name or JSON file")
+    p.add_argument(
+        "--word", default="[[1, 1.0]]",
+        help="JSON list of [1-based field index, time] steps (default %(default)s)",
+    )
     p.add_argument("--point", default=None, help="base point (x' coordinates)")
     p.add_argument("--eta", default=None, help="comma-separated eta components")
     p.add_argument("--xi", default=None, help="comma-separated xi components")
-    p.add_argument("--t", type=float, default=None, help="flow time of --field (default 1.0)")
     common(p)
 
     p = sub.add_parser("orbit", help="orbit dimensions, certificate search, cloud")
@@ -494,18 +473,13 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             report = cmd_analyze(scenario, args.point, args.seed)
         elif args.command == "transport":
-            if args.word and (args.field is not None or args.t is not None):
-                raise ScenarioError("--word gives the whole word and excludes --field and --t")
             scenario = load_scenario(args.scenario)
             report = cmd_transport(
                 scenario,
-                chart_name=args.chart,
-                field=1 if args.field is None else args.field,
-                word=_parse_word(args.word) if args.word else None,
+                _parse_word(args.word),
                 point_spec=args.point,
                 eta0=_parse_vector(args.eta, "--eta") if args.eta else None,
                 xi0=_parse_vector(args.xi, "--xi") if args.xi else None,
-                t=1.0 if args.t is None else args.t,
                 out_dir=args.out,
             )
         elif args.command == "orbit":

@@ -1,9 +1,10 @@
 """Scenario files: schema-validated declarations of manifolds, frames and points.
 
-A scenario bundles everything a CLI command needs: an embedded manifold or
-a flattened chart model, named CR frames, adapted charts, named points, the
-integrator's step tolerances and a seed.  Four scenarios ship built in (lewy,
-flat, tube3, expchart) so the verification suites need no external files.
+A scenario bundles everything a CLI command needs: an embedded manifold with
+named CR frames, or a flattened chart model with its one frame, plus named
+points, the integrator's step tolerances and a seed.  Four scenarios ship
+built in (lewy, flat, tube3, expchart) so the verification suites need no
+external files.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .connection import ChartSetup
-from .crmanifold import AdaptedChart, EmbeddedManifold, validate_adapted_chart
-from .expr import ExprDomainError, ExprError, ScalarExpr, parse_expr
+from .crmanifold import EmbeddedManifold
+from .expr import ExprError, ScalarExpr, parse_expr
 from .flow import IntegratorConfig
 from .util import canonical_json
 from .vectorfield import VectorFieldSpec
@@ -120,33 +121,6 @@ SCENARIO_SCHEMA: dict = {
             ]
         },
         "frames": {"type": "object", "additionalProperties": _FRAME},
-        "charts": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["l", "m", "frame"],
-                "additionalProperties": False,
-                "properties": {
-                    "l": {"type": "integer", "minimum": 1},
-                    "m": {"type": "integer", "minimum": 0},
-                    "frame": _FRAME,
-                },
-            },
-        },
-        "adapted_charts": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["l", "m", "psi", "frame"],
-                "additionalProperties": False,
-                "properties": {
-                    "l": {"type": "integer", "minimum": 1},
-                    "m": {"type": "integer", "minimum": 0},
-                    "psi": {"type": "array", "items": {"type": "string"}, "minItems": 2},
-                    "frame": _FRAME,
-                },
-            },
-        },
         "points": {
             "type": "object",
             "additionalProperties": {"type": "array", "items": {"type": "number"}},
@@ -174,10 +148,6 @@ class Scenario:
     manifold: EmbeddedManifold | None = None
     model_chart: ChartSetup | None = None
     frames: dict[str, list[VectorFieldSpec]] = field(default_factory=dict)
-    charts: dict[str, ChartSetup] = field(default_factory=dict)
-    adapted_charts: dict[str, tuple[AdaptedChart, list[VectorFieldSpec]]] = field(
-        default_factory=dict
-    )
     points: dict[str, np.ndarray] = field(default_factory=dict)
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
@@ -188,11 +158,10 @@ class Scenario:
             return self.manifold.ambient_dim
         return self.model_chart.l
 
-    def point(self, spec: str, dim: int | None = None) -> np.ndarray:
+    def point(self, spec: str) -> np.ndarray:
         """Resolve a named point or comma-separated coordinates.
 
-        The point must have ``dim`` coordinates, by default the scenario's
-        :attr:`dim`; a transport chart passes its own ``l``.
+        The point must have the scenario's :attr:`dim` coordinates.
         """
         if spec in self.points:
             coords = self.points[spec].copy()
@@ -204,16 +173,14 @@ class Scenario:
                     f"unknown point {spec!r}; known: {sorted(self.points)}"
                 ) from None
             coords = _finite_coordinates(values, f"point {spec!r}")
-        expected = self.dim if dim is None else dim
-        if coords.shape != (expected,):
+        if coords.shape != (self.dim,):
             raise ScenarioError(
-                f"point {spec!r} has {coords.shape[0]} coordinates, expected {expected}"
+                f"point {spec!r} has {coords.shape[0]} coordinates, expected {self.dim}"
             )
         return coords
 
     def default_frame(self) -> list[VectorFieldSpec]:
-        if self.kind == "chart":
-            return list(self.model_chart.frame)
+        """The embedded scenario's first frame by name."""
         if not self.frames:
             raise ScenarioError(f"scenario {self.name!r} declares no frames")
         name = sorted(self.frames)[0]
@@ -252,40 +219,11 @@ def _resolve(raw: dict) -> Scenario:
         for fname, fields in raw.get("frames", {}).items():
             sc.frames[fname] = _frame(fields, ambient, aliases, f"frames[{fname!r}]")
     else:
+        if "frames" in raw:
+            raise ScenarioError("frames need an embedded manifold; a chart model has one frame")
         l, m = man["l"], man["m"]
         frame = _frame(man["frame"], l + m, aliases, "manifold['frame']")
         sc.model_chart = ChartSetup(l, m, tuple(frame))
-
-    for cname, cdecl in raw.get("charts", {}).items():
-        dim = cdecl["l"] + cdecl["m"]
-        frame = _frame(cdecl["frame"], dim, None, f"charts[{cname!r}]['frame']")
-        sc.charts[cname] = ChartSetup(cdecl["l"], cdecl["m"], tuple(frame))
-
-    for aname, adecl in raw.get("adapted_charts", {}).items():
-        if sc.manifold is None:
-            raise ScenarioError("adapted charts need an embedded manifold")
-        dim = adecl["l"] + adecl["m"]
-        if len(adecl["psi"]) != sc.manifold.ambient_dim:
-            raise ScenarioError(
-                f"adapted chart {aname!r}: psi needs {sc.manifold.ambient_dim} components"
-            )
-        path = f"adapted_charts[{aname!r}]"
-        psi = tuple(
-            _expr(t, dim, None, f"{path}['psi'][{i}]") for i, t in enumerate(adecl["psi"])
-        )
-        frame = _frame(adecl["frame"], dim, None, f"{path}['frame']")
-        chart = AdaptedChart(adecl["l"], adecl["m"], psi)
-        try:
-            rep = validate_adapted_chart(sc.manifold, chart, [np.zeros(dim)])
-        except (ExprDomainError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
-            raise ScenarioError(f"adapted chart {aname!r}: psi is undefined at 0: {exc}") from exc
-        if not rep.passed:
-            raise ScenarioError(
-                f"adapted chart {aname!r} is not an immersion into M at 0: "
-                f"|rho(psi(0))| = {rep.max_rho_residual:.3e}, rank of d psi {rep.min_rank} "
-                f"(needs {dim})"
-            )
-        sc.adapted_charts[aname] = (chart, frame)
 
     for pname, coords in raw.get("points", {}).items():
         pt = np.array(coords, dtype=float)
@@ -328,14 +266,6 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "frames": {
             "cr": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
         },
-        "adapted_charts": {
-            "complex_line": {
-                "l": 2,
-                "m": 1,
-                "psi": ["x1", "x2", "x3", "0"],
-                "frame": [["1", "0", "0"], ["0", "1", "0"]],
-            }
-        },
         "points": {"origin": [0.0, 0.0, 0.0, 0.0]},
     },
     "tube3": {
@@ -366,7 +296,6 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
             "m": 1,
             "frame": [["1", "x2"]],
         },
-        "charts": {"main": {"l": 1, "m": 1, "frame": [["1", "x2"]]}},
         "points": {"origin": [0.0]},
     },
 }

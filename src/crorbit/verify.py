@@ -437,8 +437,10 @@ def _check_transport_reversibility(seed: int) -> CheckResult:
 def _quotient_duality_cases():
     """Adapted-chart fixtures: the flat complex line and a twisted manifold
     containing it, whose quotient-bundle transport has genuine holonomy."""
-    flat_sc = builtin_scenario("flat")
-    flat_chart, flat_frame = flat_sc.adapted_charts["complex_line"]
+    flat_chart = AdaptedChart(
+        l=2, m=1, psi=tuple(parse_expr(t, 3) for t in ["x1", "x2", "x3", "0"])
+    )
+    flat_frame = [VectorFieldSpec.parse(t, 3) for t in (["1", "0", "0"], ["0", "1", "0"])]
     twisted = EmbeddedManifold.parse(
         2, ["v - u*(x^2 + y^2)"], ["x", "y", "u", "v"]
     )
@@ -454,7 +456,7 @@ def _quotient_duality_cases():
         VectorFieldSpec.parse(["0", "1", f"-(2*x3*(x1 + {r2}*x2)/{den})"], 3),
     ]
     return [
-        ("flat", flat_sc.manifold, flat_chart, flat_frame, np.zeros(2)),
+        ("flat", builtin_scenario("flat").manifold, flat_chart, flat_frame, np.zeros(2)),
         ("twisted", twisted, tw_chart, tw_frame, np.array([0.0, 1.0])),
     ]
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import crorbit
-from crorbit.cli import cmd_analyze, cmd_orbit, cmd_transport, cmd_verify, main
+from crorbit.cli import _build_parser, cmd_analyze, cmd_orbit, cmd_transport, cmd_verify, main
 from crorbit.expr import MAX_DEPTH
 from crorbit.scenario import (
     BUILTIN_SCENARIOS,
@@ -175,7 +176,6 @@ class TestCommands:
             builtin_scenario("expchart"),
             eta0=np.array([1.0]),
             xi0=np.array([1.0]),
-            t=1.0,
             out_dir=tmp_path,
         )
         assert report.passed
@@ -365,6 +365,34 @@ class TestExitCodes:
         assert "schema violation at <root>" in err and "'tolerances' was unexpected" in err
 
     @pytest.mark.parametrize(
+        "builtin, key, value",
+        [
+            ("expchart", "charts", {"main": {"l": 1, "m": 1, "frame": [["1", "x2"]]}}),
+            (
+                "flat",
+                "adapted_charts",
+                {
+                    "complex_line": {
+                        "l": 2, "m": 1, "psi": ["x1", "x2", "x3", "0"],
+                        "frame": [["1", "0", "0"], ["0", "1", "0"]],
+                    }
+                },
+            ),
+        ],
+        ids=["charts", "adapted_charts"],
+    )
+    def test_removed_chart_key_exit_2(self, builtin, key, value, tmp_path, capsys):
+        """The chart model is the one chart; no scenario key is parsed and left unread."""
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS[builtin]))
+        raw[key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "schema violation at <root>" in err and f"'{key}' was unexpected" in err
+
+    @pytest.mark.parametrize(
         "rho, named",
         [
             ("v - 1e400*x^2", "number literal '1e400' is not finite"),
@@ -408,26 +436,6 @@ class TestExitCodes:
         report = cmd_analyze(load_scenario(str(path)), "origin")
         assert report.passed
 
-    @pytest.mark.parametrize(
-        "psi, named",
-        [
-            (["x1", "x2", "x3", "1 + x1^2"], "|rho(psi(0))| = 1.000e+00, rank of d psi 3"),
-            (["x1", "x1", "x3", "0"], "|rho(psi(0))| = 0.000e+00, rank of d psi 2 (needs 3)"),
-            (["x1", "x2", "x3", "log(x1)"], "psi is undefined at 0: math domain error"),
-            (["x1", "x2", "x3", "1/x1"], "psi is undefined at 0: float division by zero"),
-        ],
-        ids=["off-manifold", "rank-deficient", "log", "division"],
-    )
-    def test_bad_adapted_chart_exit_2(self, psi, named, tmp_path, capsys):
-        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["flat"]))
-        raw["adapted_charts"]["complex_line"]["psi"] = psi
-        path = tmp_path / "bad_chart.json"
-        path.write_text(json.dumps(raw))
-        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "adapted chart 'complex_line'" in err and named in err
-
     @pytest.mark.parametrize("command", ["analyze", "orbit"])
     def test_frame_undefined_at_point_exit_2(self, command, tmp_path, capsys):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["lewy"]))
@@ -440,7 +448,7 @@ class TestExitCodes:
 
     def test_chart_frame_undefined_at_point_exit_2(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BUILTIN_SCENARIOS["expchart"]))
-        raw["manifold"]["frame"] = raw["charts"]["main"]["frame"] = [["1", "x2/x1"]]
+        raw["manifold"]["frame"] = [["1", "x2/x1"]]
         path = tmp_path / "singular_chart.json"
         path.write_text(json.dumps(raw))
         code = main(["transport", "--scenario", str(path)])  # at x' = 0
@@ -469,19 +477,48 @@ class TestExitCodes:
             (["--word", "[[true, 0.5]]"], "--word step 0 [true, 0.5] must be"),
             (["--word", '[[1, "0.5"]]'], '--word step 0 [1, "0.5"] must be'),
             (["--word", f"[[1, 1{'0' * 400}]]"], "--word time: int too large to convert"),
-            (["--field", "2"], "field index 2 outside frame of size 1"),
-            (["--word", "[[1, 0.5]]", "--field", "1"], "--word gives the whole word and excludes"),
-            (["--word", "[[1, 0.5]]", "--t", "3"], "excludes --field and --t"),
+            (["--word", "[[2, 1.0]]"], "field index 2 outside frame of size 1"),
         ],
         ids=[
             "object", "string-step", "float-index", "bool-index", "string-time", "huge-time",
-            "field", "word-field", "word-t",
+            "field",
         ],
     )
     def test_malformed_word_or_field_exit_2(self, args, named, capsys):
         code = main(["transport", "--scenario", "expchart", *args])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_frames_of_chart_model_exit_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS["expchart"]))
+        raw["frames"] = {"cr": [["1", "x2"]]}
+        path = tmp_path / "chart_frames.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        assert "frames need an embedded manifold" in capsys.readouterr().err
+
+    def test_transport_on_embedded_scenario_exit_2(self, capsys):
+        code = main(["transport", "--scenario", "lewy"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: transport needs a chart-model scenario\n"
+
+    @pytest.mark.parametrize(
+        "args", [["--field", "1"], ["--t", "1"], ["--chart", "main"]], ids=["field", "t", "chart"]
+    )
+    def test_removed_transport_option_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["transport", "--scenario", "expchart", *args])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+
+    def test_transport_default_word_is_field_one_for_time_one(self, capsys):
+        reports = []
+        for extra in ([], ["--word", "[[1, 1]]"]):
+            assert main(["transport", "--scenario", "expchart", "--format", "json", *extra]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["arguments"] == {"word": [[1, 1.0]], "eta0": [1.0], "xi0": [1.0]}
+        assert reports[0]["results"] == reports[1]["results"]
 
     @pytest.mark.parametrize(
         "command",
@@ -498,9 +535,7 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert "argument --seed: '-1' is not a non-negative integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "args", [["--t", "nan"], ["--word", "[[1, NaN]]"]], ids=["t", "word"]
-    )
+    @pytest.mark.parametrize("args", [["--word", "[[1, NaN]]"]], ids=["word"])
     def test_non_finite_time_exit_2(self, args, capsys):
         code = main(["transport", "--scenario", "expchart", *args])
         assert code == 2
@@ -614,6 +649,19 @@ class TestExitCodes:
             "duality-expchart", "duality-random", "transport-reversibility", "theta-duality"
         ):
             assert f"[PASS] {name}:" in out
+
+
+def _readme_commands():
+    """The argument lists of the README lines that start with ``crorbit``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0] for line in readme.read_text().splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("crorbit ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_example_parses(argv):
+    """Every documented invocation uses options the parser still has (parsing only)."""
+    _build_parser().parse_args(argv)
 
 
 class TestDeterminism:
