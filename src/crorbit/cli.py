@@ -31,7 +31,7 @@ from .crmanifold import (
     ManifoldError,
     complex_tangent_space,
     genericity_check,
-    lemma21_sample,
+    lemma21_residuals,
     tangent_space,
     theta_isomorphism_check,
 )
@@ -91,6 +91,8 @@ def _parse_word(text: str) -> FlowWord:
         raise ScenarioError(f"--word must be JSON like [[1, 0.5], [2, -0.25]]: {exc}") from exc
     if not isinstance(steps, list):
         raise ScenarioError(f"--word {text!r} must be a JSON list of [field index, time] steps")
+    if not steps:
+        raise ScenarioError("--word [] has no steps: a word takes at least one [field index, time]")
     for k, step in enumerate(steps):
         if not isinstance(step, list) or [type(v) for v in step] not in ([int, int], [int, float]):
             raise ScenarioError(f"--word step {k} {json.dumps(step)} must be [field index, time]")
@@ -162,10 +164,9 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
     )
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(20):
-        rep = lemma21_sample(m, pt, rng)
-        worst = max(worst, rep.complex_identity_residual, rep.real_convention_residual)
+    draws = [(rng.uniform(-1.0, 1.0, m.d), rng.uniform(-1.0, 1.0, m.dim)) for _ in range(20)]
+    weights, coeffs = (np.array(v) for v in zip(*draws))
+    worst = max(0.0, *(float(np.max(r)) for r in lemma21_residuals(m, pt, weights, coeffs)))
     report.results.append(CheckResult("lemma21-spot", value=worst, bound=TOL_LEMMA21))
     sv = theta_isomorphism_check(m, pt)
     report.results.append(

@@ -31,13 +31,15 @@ from .expr import (
     ScalarExpr,
     Var,
     add,
+    compile_values_rows,
     eval_values_and_jacobian,
+    evaluate_rows,
     mul,
     substitute,
 )
 from .flow import FlowWord, IntegratorConfig, composed_flow, _integrate
 from .linalg import rank
-from .vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field, lie_bracket
+from .vectorfield import VectorFieldSpec, lie_bracket
 
 __all__ = [
     "ChartSetup",
@@ -328,34 +330,56 @@ def curve_transport(
     return NormalVector(y[:l], y[l:])
 
 
+def _on_n(X: VectorFieldSpec, c: ChartSetup, p) -> tuple[np.ndarray, ...]:
+    """xi'' and (a, Da) at (x', 0) for p = (x', xi''), with a leading batch axis.
+
+    One point, (l,) and (m,), is a batch of one from ``X.values_and_jacobian``;
+    rows (B, l) and (B, m) make one ``X.values_and_jacobian_rows`` call.
+    """
+    xp, xi = (np.asarray(v, dtype=float) for v in p)
+    if xp.ndim > 2 or (xp.shape, xi.shape) != (xp.shape[:-1] + (c.l,), xp.shape[:-1] + (c.m,)):
+        raise ValueError("point components do not match chart dimensions")
+    x = np.concatenate((xp, np.zeros(xp.shape[:-1] + (c.m,))), axis=-1)
+    if x.ndim == 1:
+        a, jac = X.values_and_jacobian(x)
+        return xi[None], a[None], jac[None]
+    a, jac, errors = X.values_and_jacobian_rows(x)
+    if errors:
+        raise errors[min(errors)]
+    return xi, a, jac
+
+
 def xhat_field(
     c: ChartSetup, X: VectorFieldSpec, p: tuple[Sequence[float], Sequence[float]]
 ) -> np.ndarray:
-    """Evaluate the conormal transport field at (x', xi''): (a'(x',0), -B^T xi'')."""
-    xp, xi = (np.asarray(v, dtype=float) for v in p)
-    if xp.shape != (c.l,) or xi.shape != (c.m,):
-        raise ValueError("point components do not match chart dimensions")
-    a, b = _restricted(X, c, xp)
-    return np.concatenate((a[: c.l], -(b.T @ xi)))
+    """Evaluate the conormal transport field at (x', xi''): (a'(x',0), -B^T xi'').
+
+    ``p`` is one point, (l,) and (m,), or B samples, rows (B, l) and (B, m),
+    giving (l + m,) or (l + m, B): components on axis 0, so ``out[c.l:]``
+    is the xi''-velocity of every sample.
+    """
+    xi, a, jac = _on_n(X, c, p)
+    xidot = -(np.swapaxes(jac[:, c.l:, c.l:], 1, 2) @ xi[..., None])[..., 0]
+    out = np.concatenate((a[:, : c.l], xidot), axis=1)
+    return out.T if np.ndim(p[0]) == 2 else out[0]
 
 
 def restricted_hamiltonian(
     c: ChartSetup, X: VectorFieldSpec, xp: Sequence[float], xi: Sequence[float]
-) -> tuple[np.ndarray, float]:
+):
     """Hamiltonian field of sigma(X) at ((x', 0), (0, xi'')), read in (x', xi'').
 
     Returns the (x', xi'') velocities and the tangency defect: the largest
     x''- or xi'-velocity, which vanishes when the field is tangent to the
-    conormal bundle.
+    conormal bundle.  Rows x' (B, l) and xi'' (B, m) give velocities laid
+    out as in :func:`xhat_field` and B defects.
     """
-    x_full = np.concatenate((np.asarray(xp, dtype=float), np.zeros(c.m)))
-    xi_full = np.concatenate((np.zeros(c.l), np.asarray(xi, dtype=float)))
-    xdot, xidot = hamiltonian_field(X, CotangentPoint(x_full, xi_full))
-    tangency = max(
-        float(np.max(np.abs(xdot[c.l:]), initial=0.0)),
-        float(np.max(np.abs(xidot[: c.l]), initial=0.0)),
-    )
-    return np.concatenate((xdot[: c.l], xidot[c.l:])), tangency
+    xi, a, jac = _on_n(X, c, (xp, xi))
+    xi_full = np.concatenate((np.zeros((len(xi), c.l)), xi), axis=1)
+    xidot = -(np.swapaxes(jac, 1, 2) @ xi_full[..., None])[..., 0]
+    tangency = np.max(np.abs(np.concatenate((a[:, c.l:], xidot[:, : c.l]), axis=1)), axis=1)
+    out = np.concatenate((a[:, : c.l], xidot[:, c.l:]), axis=1)
+    return (out.T, tangency) if np.ndim(xp) == 2 else (out[0], tangency[0])
 
 
 @dataclass
@@ -379,19 +403,20 @@ def hamiltonian_restriction_check(
     (x', xi'') part must equal :func:`xhat_field`.  The scalar ``multiplier``
     on X must rescale the restricted field by its value on the base.
     """
-    phi_x = X.scaled(multiplier)
-    max_tan = max_mis = max_mult = 0.0
-    for xp, xi in samples:
-        restricted, tangency = restricted_hamiltonian(c, X, xp, xi)
-        mismatch = float(np.max(np.abs(restricted - xhat_field(c, X, (xp, xi)))))
-        x_full = np.concatenate((np.asarray(xp, dtype=float), np.zeros(c.m))).tolist()
-        (phi_val,), _ = eval_values_and_jacobian((multiplier,), c.dim, x_full)
-        phi_restricted, _ = restricted_hamiltonian(c, phi_x, xp, xi)
-        mult_mismatch = float(np.max(np.abs(phi_restricted - phi_val * restricted)))
-        max_tan = max(max_tan, tangency)
-        max_mis = max(max_mis, mismatch)
-        max_mult = max(max_mult, mult_mismatch)
-    return RestrictionReport(max_tan, max_mis, max_mult)
+    xp, xi = (np.array([s[k] for s in samples], dtype=float) for k in (0, 1))
+    restricted, tangency = restricted_hamiltonian(c, X, xp, xi)
+    mismatch = np.abs(restricted - xhat_field(c, X, (xp, xi)))
+    x_full = np.concatenate((xp, np.zeros((len(xp), c.m))), axis=1)
+    phi = (multiplier,)
+    (phi_val,), errors = evaluate_rows(
+        compile_values_rows(phi), lambda x: eval_values_and_jacobian(phi, c.dim, x)[0], x_full
+    )
+    if errors:
+        raise errors[min(errors)]
+    phi_restricted, _ = restricted_hamiltonian(c, X.scaled(multiplier), xp, xi)
+    mult_mismatch = np.abs(phi_restricted - phi_val[:, 0] * restricted)
+    worst = (float(np.max(v, initial=0.0)) for v in (tangency, mismatch, mult_mismatch))
+    return RestrictionReport(*worst)
 
 
 @dataclass

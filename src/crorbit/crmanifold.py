@@ -26,12 +26,13 @@ from .expr import (
     ScalarExpr,
     compile_values,
     compile_values_and_jacobian,
+    compile_values_and_jacobian_rows,
     compile_values_rows,
     evaluate_rows,
     parse_expr,
 )
 from .flow import FlowWord, IntegratorConfig
-from .linalg import SubspaceBasis, nullspace, orthonormal_columns, rank
+from .linalg import SubspaceBasis, _svd_rank, nullspace, orthonormal_columns, rank
 from .vectorfield import VectorFieldSpec
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "cr_frame",
     "conormal_fiber",
     "lemma21_check",
+    "lemma21_residuals",
     "lemma21_sample",
     "Lemma21Report",
     "theta_isomorphism_check",
@@ -95,16 +97,18 @@ def jmat(n: int) -> np.ndarray:
 
 
 def apply_j(v: np.ndarray) -> np.ndarray:
+    """J v, for vectors along the last axis."""
     v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
     return out
 
 
 def to_complex(v: np.ndarray) -> np.ndarray:
+    """(x_k + i y_k)_k, for vectors along the last axis."""
     v = np.asarray(v, dtype=float)
-    return v[0::2] + 1j * v[1::2]
+    return v[..., 0::2] + 1j * v[..., 1::2]
 
 
 @dataclass(frozen=True)
@@ -127,10 +131,10 @@ def pair_form(omega: HolomorphicForm, v: np.ndarray) -> complex:
 
 
 def theta_covector(omega: HolomorphicForm) -> np.ndarray:
-    """Real covector r with r . v = Re<omega, v> for all real v."""
-    r = np.empty(2 * omega.n)
-    r[0::2] = omega.zeta.real
-    r[1::2] = -omega.zeta.imag
+    """Real covector r with r . v = Re<omega, v> for all real v; stacked forms stack r."""
+    r = np.empty(omega.zeta.shape[:-1] + (2 * omega.zeta.shape[-1],))
+    r[..., 0::2] = omega.zeta.real
+    r[..., 1::2] = -omega.zeta.imag
     return r
 
 
@@ -181,6 +185,10 @@ class EmbeddedManifold:
     def _rho_rows(self) -> Callable:
         return compile_values_rows(self.rho)
 
+    @cached_property
+    def _rho_jacobian_rows(self) -> Callable:
+        return compile_values_and_jacobian_rows(self.rho, 2 * self.n)
+
     def rho_values(self, x: Sequence[float]) -> np.ndarray:
         """rho(x), from a values-only probe: it is read far more often than d rho.
 
@@ -198,6 +206,11 @@ class EmbeddedManifold:
         (vals,), errors = evaluate_rows(self._rho_rows, self._rho_probe, X)
         return vals, errors
 
+    def rho_jacobian_rows(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]:
+        """d rho at every row of ``X`` (B, 2n), the kernel's bits, and the rows where undefined."""
+        (_, jac), errors = evaluate_rows(self._rho_jacobian_rows, lambda x: self._rho_kernel(x), X)
+        return jac, errors
+
     def require_on_manifold(self, x: Sequence[float]) -> None:
         resid = float(np.max(np.abs(self.rho_values(x))))
         if not resid <= ON_MANIFOLD_TOL:  # also true for a NaN residual
@@ -207,8 +220,8 @@ class EmbeddedManifold:
 
 
 def _complex_differentials(jac: np.ndarray) -> np.ndarray:
-    """The d x n complex matrix (d rho_i / d z_j) = 0.5 (d/dx_j - i d/dy_j) rho_i."""
-    return 0.5 * (jac[:, 0::2] - 1j * jac[:, 1::2])
+    """The d x n complex matrices (d rho_i / d z_j) = 0.5 (d/dx_j - i d/dy_j) rho_i (..., d, n)."""
+    return 0.5 * (jac[..., 0::2] - 1j * jac[..., 1::2])
 
 
 @dataclass
@@ -245,14 +258,38 @@ def _require_generic(m: EmbeddedManifold, z: Sequence[float]) -> np.ndarray:
     return jac
 
 
+def _conormal_geometry(m: EmbeddedManifold, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """T_zM bases (B, 2n, dim) and forms i d rho_k (B, d, n) at one point z (2n,) or rows z (B, 2n).
+
+    One point is a batch of one.  A row where the batch finds rho undefined, z off M or z not
+    generic is checked again by the point path; the errors hold, by row, what it raises.
+    Stacked SVDs give each row the bits of one SVD per point.
+    """
+    if z.ndim == 1:
+        m.require_on_manifold(z)
+        jac, suspect = m.rho_jacobian(z)[None], set()
+    else:
+        vals, undefined = m.rho_value_rows(z)
+        jac, jac_undefined = m.rho_jacobian_rows(z)
+        off = np.flatnonzero(~(np.max(np.abs(vals), axis=1) <= ON_MANIFOLD_TOL)).tolist()
+        suspect = {*undefined, *jac_undefined, *off}
+        jac[list(suspect)] = 0.0  # keeps the SVDs of the other rows finite
+    _, s, vh = np.linalg.svd(jac)
+    complex_diff = _complex_differentials(jac)
+    complex_rank = _svd_rank(np.linalg.svd(complex_diff, compute_uv=False))
+    suspect.update(np.flatnonzero((_svd_rank(s) != m.d) | (complex_rank != m.d)).tolist())
+    errors = {}
+    for k in sorted(suspect):
+        try:
+            _require_generic(m, z.reshape(-1, m.ambient_dim)[k])
+        except (ManifoldError, ExprDomainError) as exc:
+            errors[k] = exc
+    return np.swapaxes(vh[:, m.d:], 1, 2), 1j * complex_diff, errors
+
+
 def tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
     """T_zM = ker(d rho) as an orthonormal-column basis."""
-    return _tangent_space(m, _require_generic(m, z))
-
-
-def _tangent_space(m: EmbeddedManifold, jac: np.ndarray) -> SubspaceBasis:
-    """:func:`tangent_space` from the Jacobian at a point checked to be generic."""
-    return SubspaceBasis(m.ambient_dim, nullspace(jac))
+    return SubspaceBasis(m.ambient_dim, nullspace(_require_generic(m, z)))
 
 
 def complex_tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
@@ -301,12 +338,7 @@ def cr_frame(
 
 def conormal_fiber(m: EmbeddedManifold, z: Sequence[float]) -> list[HolomorphicForm]:
     """Basis i * d rho_k of the holomorphic forms with Im<omega, TM> = 0."""
-    return _conormal_forms(_require_generic(m, z))
-
-
-def _conormal_forms(jac: np.ndarray) -> list[HolomorphicForm]:
-    """:func:`conormal_fiber` from the Jacobian at a point checked to be generic."""
-    return [HolomorphicForm(1j * row) for row in _complex_differentials(jac)]
+    return [HolomorphicForm(1j * row) for row in _complex_differentials(_require_generic(m, z))]
 
 
 @dataclass
@@ -326,28 +358,48 @@ def lemma21_check(
     Checks <omega, JX> = i <omega, X> exactly and, under the Re-pairing
     convention for real forms, Im<omega, JX> = theta(omega) . X.
     """
-    return _lemma21(tangent_space(m, z), omega, x_vec)
+    basis, _, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
+    r1, r2 = _lemma21_rows(basis, omega.zeta[None], np.asarray(x_vec, dtype=float)[None], errors)
+    return Lemma21Report(float(r1[0]), float(r2[0]))
 
 
-def _lemma21(
-    tangent: SubspaceBasis, omega: HolomorphicForm, x_vec: Sequence[float]
-) -> Lemma21Report:
-    """:func:`lemma21_check` against an already computed T_zM basis."""
-    x_vec = np.asarray(x_vec, dtype=float)
-    if tangent.residual(x_vec) > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(x_vec))):
-        raise ManifoldError("vector is not tangent to M at z")
-    im_on_tm = max(
-        abs(pair_form(omega, tangent.basis[:, k]).imag) for k in range(tangent.dim)
-    )
-    if im_on_tm > MEMBERSHIP_TOL:
-        raise ManifoldError(
-            f"form fails the conormal membership test: max |Im<omega, TM>| = {im_on_tm:.3e}"
-        )
-    lhs = pair_form(omega, apply_j(x_vec))
-    rhs = 1j * pair_form(omega, x_vec)
-    r1 = abs(lhs - rhs)
-    r2 = abs(lhs.imag - float(theta_covector(omega) @ x_vec))
-    return Lemma21Report(r1, r2)
+def _lemma21_rows(basis: np.ndarray, zeta: np.ndarray, x_vec: np.ndarray, errors: dict) -> tuple:
+    """:func:`lemma21_check` for forms ``zeta`` (B, n) and vectors ``x_vec`` (B, 2n).
+
+    ``basis`` and ``errors`` come from :func:`_conormal_geometry`.  A vector off T_zM, then a
+    form off the conormal fiber, fails its row; the first failing row raises.
+    """
+    x_col = x_vec[..., None]
+    off_tm = np.linalg.norm((x_col - basis @ (np.swapaxes(basis, 1, 2) @ x_col))[..., 0], axis=1)
+    scale = np.maximum(1.0, np.linalg.norm(x_vec, axis=1))
+    for k in np.flatnonzero(off_tm > MEMBERSHIP_TOL * scale).tolist():
+        errors.setdefault(k, ManifoldError("vector is not tangent to M at z"))
+    im_tm = (to_complex(np.swapaxes(basis, 1, 2)) @ zeta[..., None]).imag
+    im_on_tm = np.max(np.abs(im_tm), axis=(1, 2))
+    for k in np.flatnonzero(im_on_tm > MEMBERSHIP_TOL).tolist():
+        msg = f"form fails the conormal membership test: max |Im<omega, TM>| = {im_on_tm[k]:.3e}"
+        errors.setdefault(k, ManifoldError(msg))
+    if errors:
+        raise errors[min(errors)]
+    pairs = (zeta[:, None, :] @ to_complex(v)[..., None] for v in (apply_j(x_vec), x_vec))
+    lhs, rhs = (p[:, 0, 0] for p in pairs)
+    theta_x = (theta_covector(HolomorphicForm(zeta))[:, None, :] @ x_col)[:, 0, 0]
+    return np.abs(lhs - 1j * rhs), np.abs(lhs.imag - theta_x)
+
+
+def lemma21_residuals(
+    m: EmbeddedManifold, z: Sequence[float], weights: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lemma21_check` at B samples, at one point z (2n,) or at rows z (B, 2n).
+
+    Sample k weights the :func:`conormal_fiber` basis by ``weights[k]`` and
+    the orthonormal T_zM basis by ``coeffs[k]``.  Returns both residuals,
+    (B,) each; the first failing sample raises what one point raises.
+    """
+    basis, forms, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
+    zeta = sum(weights[:, k, None] * forms[:, k] for k in range(m.d))
+    x_vec = (basis @ coeffs[..., None])[..., 0]
+    return _lemma21_rows(basis, zeta, x_vec, errors)
 
 
 def lemma21_sample(
@@ -359,26 +411,26 @@ def lemma21_sample(
     from U[-1, 1]; the vector then gets U[-1, 1] coefficients on the
     orthonormal tangent basis.
     """
-    jac = _require_generic(m, z)  # one check and one Jacobian for both draws
-    tangent = _tangent_space(m, jac)
-    forms = _conormal_forms(jac)
-    weights = rng.uniform(-1.0, 1.0, len(forms))
-    omega = HolomorphicForm(sum(w * f.zeta for w, f in zip(weights, forms)))
-    x_vec = tangent.basis @ rng.uniform(-1.0, 1.0, tangent.dim)
-    return _lemma21(tangent, omega, x_vec)
+    weights = rng.uniform(-1.0, 1.0, (1, m.d))
+    r1, r2 = lemma21_residuals(m, z, weights, rng.uniform(-1.0, 1.0, (1, m.dim)))
+    return Lemma21Report(float(r1[0]), float(r2[0]))
 
 
-def theta_isomorphism_check(m: EmbeddedManifold, z: Sequence[float]) -> float:
+def theta_isomorphism_check(m: EmbeddedManifold, z: Sequence[float]):
     """Smallest singular value of the conormal basis restricted to TM.
 
     The restriction is an isomorphism when it reaches :data:`THETA_SV_MIN`.
+    One point z (2n,) gives a float, rows z (B, 2n) an array (B,).
     """
-    jac = _require_generic(m, z)
-    tangent = _tangent_space(m, jac)
-    forms = _conormal_forms(jac)
-    rows = np.array([theta_covector(w) @ tangent.basis for w in forms])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    return float(sv[-1]) if sv.size else 0.0
+    z = np.asarray(z, dtype=float)
+    basis, forms, errors = _conormal_geometry(m, z)
+    if errors:
+        raise errors[min(errors)]
+    theta = theta_covector(HolomorphicForm(forms))
+    # one vector-matrix product per form: a matrix product rounds differently
+    rows = np.concatenate([theta[:, k : k + 1] @ basis for k in range(m.d)], axis=1)
+    sv = np.linalg.svd(rows, compute_uv=False)[:, -1]
+    return float(sv[0]) if z.ndim == 1 else sv
 
 
 # ---------------------------------------------------------------------------

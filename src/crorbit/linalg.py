@@ -18,14 +18,13 @@ __all__ = ["SubspaceBasis", "RANK_RTOL", "nullspace", "orthonormal_columns", "ra
 RANK_RTOL = 1e-8
 
 
-def _svd_rank(s: np.ndarray) -> int:
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+def _svd_rank(s: np.ndarray) -> np.ndarray:
+    """The rank of each matrix of a stack from its singular values ``s`` (..., k), descending."""
+    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
 def rank(a: np.ndarray) -> int:
-    return _svd_rank(np.linalg.svd(a, compute_uv=False))
+    return int(_svd_rank(np.linalg.svd(a, compute_uv=False)))
 
 
 def nullspace(a: np.ndarray) -> np.ndarray:

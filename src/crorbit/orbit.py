@@ -215,7 +215,7 @@ def _assemble_span(
     stacked = np.hstack(all_cols) if all_cols else np.zeros((m.ambient_dim, 0))
     coords = tangent.basis.T @ stacked
     sv = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
-    dim = _svd_rank(sv)
+    dim = int(_svd_rank(sv))
     span = SubspaceBasis.from_spanning(stacked) if all_cols else SubspaceBasis(
         m.ambient_dim, np.zeros((m.ambient_dim, 0))
     )

@@ -31,7 +31,7 @@ from .crmanifold import (
     EmbeddedManifold,
     ManifoldError,
     e_fiber,
-    lemma21_sample,
+    lemma21_residuals,
     pair_e_estar,
     tangent_space,
     theta_isomorphism_check,
@@ -180,13 +180,24 @@ def _canonical_trio():
     ]
 
 
-def _quadric_point(name: str, rng: np.random.Generator) -> np.ndarray:
-    """Random point of the builtin quadric ``name``, free coordinates in U[-0.7, 0.7]."""
+def _uniform_draws(rng: np.random.Generator, count: int, *parts) -> list[np.ndarray]:
+    """``count`` samples of one ``rng.uniform(low, high, size)`` per part: arrays (count, size).
+
+    One ``rng.random`` call draws the same bits: uniform is low + (high - low) * random().
+    """
+    sizes = [size for _, _, size in parts]
+    u = np.split(rng.random((count, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    return [low + (high - low) * col for (low, high, _), col in zip(parts, u)]
+
+
+def _quadric_points(name: str, rng: np.random.Generator, count: int, *parts) -> list:
+    """``count`` points of the builtin quadric ``name``, free coordinates in U[-0.7, 0.7],
+    each drawn before its own ``parts`` (see :func:`_uniform_draws`)."""
+    free, *rest = _uniform_draws(rng, count, (-0.7, 0.7, 4 if name == "tube3" else 3), *parts)
+    x, y, u, *u2 = free.T
     if name == "tube3":
-        x, y, u1, u2 = rng.uniform(-0.7, 0.7, 4)
-        return np.array([x, y, u1, x * x + y * y, u2, 0.0])
-    x, y, u = rng.uniform(-0.7, 0.7, 3)
-    return np.array([x, y, u, x * x + y * y if name == "lewy" else 0.0])
+        return [np.column_stack((x, y, u, x * x + y * y, u2[0], np.zeros(count))), *rest]
+    return [np.column_stack((x, y, u, x * x + y * y if name == "lewy" else np.zeros(count))), *rest]
 
 
 def _lewy_intrinsic_frame() -> list[VectorFieldSpec]:
@@ -519,12 +530,10 @@ def _check_xhat_hamiltonian(seed: int) -> CheckResult:
     charts = _hamiltonian_charts(seed + 1, N_HAMILTONIAN_CHARTS)
     worst = 0.0
     for c, f in charts:
-        for _ in range(N_HAMILTONIAN_SAMPLES):
-            xp = rng.uniform(-0.5, 0.5, c.l)
-            xi = rng.uniform(-1.0, 1.0, c.m)
-            restricted, tangency = restricted_hamiltonian(c, f, xp, xi)
-            mismatch = float(np.max(np.abs(restricted - xhat_field(c, f, (xp, xi)))))
-            worst = max(worst, tangency, mismatch)
+        xp, xi = _uniform_draws(rng, N_HAMILTONIAN_SAMPLES, (-0.5, 0.5, c.l), (-1.0, 1.0, c.m))
+        restricted, tangency = restricted_hamiltonian(c, f, xp, xi)
+        mismatch = np.abs(restricted - xhat_field(c, f, (xp, xi)))
+        worst = max(worst, float(np.max(tangency)), float(np.max(mismatch)))
     return CheckResult(
         "xhat-hamiltonian-identification",
         value=worst,
@@ -541,10 +550,7 @@ def _check_multiplier(seed: int) -> CheckResult:
     worst = 0.0
     for c, f in _hamiltonian_charts(seed + 1, 4):
         phi = _random_poly(rng, c.dim, 2, 3, 1.0)
-        samples = [
-            (rng.uniform(-0.5, 0.5, c.l), rng.uniform(-1.0, 1.0, c.m))
-            for _ in range(50)
-        ]
+        samples = list(zip(*_uniform_draws(rng, 50, (-0.5, 0.5, c.l), (-1.0, 1.0, c.m))))
         rep = hamiltonian_restriction_check(c, f, samples, multiplier=phi)
         worst = max(worst, rep.max_multiplier_mismatch)
     return CheckResult("multiplier-independence", value=worst, bound=TOL_MULTIPLIER)
@@ -600,11 +606,9 @@ def hamiltonian_suite(seed: int) -> list[CheckResult]:
 
 def _lemma_pairs(manifold: EmbeddedManifold, name: str, rng) -> tuple[float, float]:
     """Max residuals of the two identities over random conormal/tangent pairs."""
-    worst_c = worst_r = 0.0
-    for _ in range(N_LEMMA_PAIRS):
-        rep = lemma21_sample(manifold, _quadric_point(name, rng), rng)
-        worst_c = max(worst_c, rep.complex_identity_residual)
-        worst_r = max(worst_r, rep.real_convention_residual)
+    parts = (-1.0, 1.0, manifold.d), (-1.0, 1.0, manifold.dim)
+    residuals = lemma21_residuals(manifold, *_quadric_points(name, rng, N_LEMMA_PAIRS, *parts))
+    worst_c, worst_r = (float(np.max(r, initial=0.0)) for r in residuals)
     return worst_c, worst_r
 
 
@@ -634,9 +638,8 @@ def _check_theta_isomorphism(seed: int) -> CheckResult:
     smallest = math.inf
     for name in ("lewy", "flat", "tube3"):
         manifold = builtin_scenario(name).manifold
-        for _ in range(20):
-            sv = theta_isomorphism_check(manifold, _quadric_point(name, rng))
-            smallest = min(smallest, sv)
+        (points,) = _quadric_points(name, rng, 20)
+        smallest = min(smallest, float(np.min(theta_isomorphism_check(manifold, points))))
     return CheckResult(
         "theta-isomorphism", value=smallest, bound=THETA_SV_MIN, comparator=">="
     )

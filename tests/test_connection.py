@@ -24,7 +24,15 @@ from crorbit.connection import (
     _restricted,
 )
 from crorbit.crmanifold import EmbeddedManifold
-from crorbit.expr import Const, Var, add, eval_values_and_jacobian, mul, parse_expr
+from crorbit.expr import (
+    Const,
+    ExprDomainError,
+    Var,
+    add,
+    eval_values_and_jacobian,
+    mul,
+    parse_expr,
+)
 from crorbit.flow import FlowWord, IntegratorConfig, flow
 from crorbit.orbit import lie_hull
 from crorbit.vectorfield import VectorFieldSpec
@@ -263,6 +271,57 @@ class TestRestrictedEvaluation:
         assert lie_hull(line, [field], [0.1, 0.0]).dimension == 1
         assert compilations["compile_values_and_jacobian"] == [(field.coefficients, 2)]
         assert compilations["compile_values"] == []
+
+
+def _unsigned(a) -> bytes:
+    """The bytes of ``a`` with every zero made +0.0: a field's first, interpreted
+    evaluation can differ from its compiled kernel only in the sign of a zero."""
+    return (np.asarray(a, dtype=float) + 0.0).tobytes()
+
+
+class TestHamiltonianBatches:
+    @pytest.mark.parametrize("batch", [1, 1000])
+    def test_batch_is_the_point_path_bit_for_bit(self, batch):
+        rng = np.random.default_rng(21)
+        for l, m in ((1, 1), (2, 1), (1, 3), (3, 2), (2, 3)):
+            c = random_chart(rng, l, m)
+            field = c.frame[0]
+            xp = rng.uniform(-0.5, 0.5, (batch, l))
+            xi = rng.uniform(-1.0, 1.0, (batch, m))
+            restricted, tangency = restricted_hamiltonian(c, field, xp, xi)
+            xhat = xhat_field(c, field, (xp, xi))
+            assert restricted.shape == xhat.shape == (l + m, batch)
+            assert tangency.shape == (batch,)
+            for k in range(batch):
+                point, point_tangency = restricted_hamiltonian(c, field, xp[k], xi[k])
+                assert _unsigned(restricted[:, k]) == _unsigned(point)
+                assert tangency[k] == point_tangency
+                assert _unsigned(xhat[:, k]) == _unsigned(xhat_field(c, field, (xp[k], xi[k])))
+
+    def test_normal_block_of_every_sample_is_axis_0_tail(self):
+        xp, xi = np.array([[0.1], [0.7]]), np.array([[1.0], [2.0]])
+        out = xhat_field(EXP_CHART, EXP_FIELD, (xp, xi))
+        assert np.allclose(out[EXP_CHART.l:], [[-1.0, -2.0]])
+
+    @pytest.mark.parametrize("check", ["xhat", "hamiltonian"])
+    def test_undefined_row_raises_the_point_error(self, check):
+        field = VectorFieldSpec.parse(["1 + x2/x1", "x2"], 2)
+        xp, xi = np.array([[0.5], [0.2], [0.0], [0.0]]), np.ones((4, 1))
+        if check == "xhat":
+            def call(p, q):
+                return xhat_field(EXP_CHART, field, (p, q))
+        else:
+            def call(p, q):
+                return restricted_hamiltonian(EXP_CHART, field, p, q)
+        with pytest.raises(ExprDomainError) as point:
+            call(xp[2], xi[2])
+        with pytest.raises(ExprDomainError) as batch:
+            call(xp, xi)
+        assert str(batch.value) == str(point.value) == "float division by zero"
+
+    def test_sample_dimensions_are_checked(self):
+        with pytest.raises(ValueError, match="chart dimensions"):
+            xhat_field(EXP_CHART, EXP_FIELD, (np.zeros((3, 1)), np.zeros((2, 1))))
 
 
 class TestHamiltonianRestriction:

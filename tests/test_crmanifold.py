@@ -19,6 +19,7 @@ from crorbit.crmanifold import (
     genericity_check,
     jmat,
     lemma21_check,
+    lemma21_residuals,
     lemma21_sample,
     pair_e_estar,
     pair_form,
@@ -243,18 +244,22 @@ class TestLemma21:
                 assert lemma21_residual(rep) <= TOL_LEMMA21
 
     def test_sample_builds_tangent_space_once(self, monkeypatch):
-        import crorbit.crmanifold as crm
+        """One tangent basis per point: d rho gets one full SVD, for one sample or 20."""
+        full_svds = []
+        real = np.linalg.svd
 
-        calls = []
+        def counted(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                full_svds.append(np.shape(a))
+            return real(a, *args, **kwargs)
 
-        def counted(m, jac, real=crm._tangent_space):
-            calls.append(jac)
-            return real(m, jac)
-
-        monkeypatch.setattr(crm, "_tangent_space", counted)
-        rep = lemma21_sample(LEWY, lewy_point(0.3, -0.2, 0.5), np.random.default_rng(2))
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        z = lewy_point(0.3, -0.2, 0.5)
+        rep = lemma21_sample(LEWY, z, np.random.default_rng(2))
         assert lemma21_residual(rep) <= TOL_LEMMA21
-        assert len(calls) == 1
+        assert full_svds == [(1, 1, 4)]
+        lemma21_residuals(LEWY, z, np.ones((20, 1)), np.ones((20, 3)))
+        assert full_svds == [(1, 1, 4)] * 2
 
     @pytest.mark.parametrize(
         "call",
@@ -278,6 +283,104 @@ class TestLemma21:
         monkeypatch.setattr(EmbeddedManifold, "rho_jacobian", counted)
         call(TUBE3, tube3_point(-0.4, 0.1, 0.2, 0.6))
         assert len(calls) == 1
+
+
+def _draws(rng, m, points):
+    """Each sample's weights and coefficients, drawn as :func:`lemma21_sample` draws them."""
+    return [(rng.uniform(-1.0, 1.0, m.d), rng.uniform(-1.0, 1.0, m.dim)) for _ in points]
+
+
+# a curve where rho is undefined at x1 = 2 and d rho vanishes at the origin
+CROSS = EmbeddedManifold.parse(1, ["(x2^2 - x1^2)*(1 + 1/(x1 - 2))"])
+CROSS_ROWS = {  # a failing row and what the point path raises there
+    "off-manifold": ([0.3, 0.4], PointNotOnManifoldError),
+    "undefined": ([2.0, 2.0], ExprDomainError),
+    "non-generic": ([0.0, 0.0], NonGenericPointError),
+}
+
+
+class TestLemma21Batches:
+    @pytest.mark.parametrize("m, point, free", [(LEWY, lewy_point, 3), (TUBE3, tube3_point, 4)])
+    def test_rows_are_lemma21_sample_bit_for_bit(self, m, point, free):
+        rng = np.random.default_rng(21)
+        points = [point(*rng.uniform(-0.7, 0.7, free)) for _ in range(200)]
+        state = rng.bit_generator.state
+        weights, coeffs = (np.array(v) for v in zip(*_draws(rng, m, points)))
+        complex_res, real_res = lemma21_residuals(m, np.array(points), weights, coeffs)
+        rng.bit_generator.state = state
+        for k, z in enumerate(points):
+            rep = lemma21_sample(m, z, rng)
+            assert complex_res[k].hex() == rep.complex_identity_residual.hex()
+            assert real_res[k].hex() == rep.real_convention_residual.hex()
+
+    def test_samples_at_one_point_share_one_jacobian(self, monkeypatch):
+        z = tube3_point(-0.4, 0.1, 0.2, 0.6)
+        rng = np.random.default_rng(8)
+        weights, coeffs = (np.array(v) for v in zip(*_draws(rng, TUBE3, range(20))))
+        calls = []
+        real = EmbeddedManifold.rho_jacobian
+
+        def counted(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian", counted)
+        complex_res, real_res = lemma21_residuals(TUBE3, z, weights, coeffs)
+        assert len(calls) == 1
+        rng = np.random.default_rng(8)
+        for k in range(20):
+            rep = lemma21_sample(TUBE3, z, rng)
+            assert (complex_res[k], real_res[k]) == (
+                rep.complex_identity_residual, rep.real_convention_residual
+            )
+
+    def test_theta_isomorphism_rows_are_the_point_values(self):
+        rng = np.random.default_rng(3)
+        points = np.array([tube3_point(*rng.uniform(-0.7, 0.7, 4)) for _ in range(50)])
+        rows = theta_isomorphism_check(TUBE3, points)
+        assert [v.hex() for v in rows] == [theta_isomorphism_check(TUBE3, z).hex() for z in points]
+
+    def test_rho_jacobian_rows_are_the_point_kernel(self):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-2.0, 2.0, (30, 6))
+        jac, errors = TUBE3.rho_jacobian_rows(points)
+        assert errors == {}
+        for k, z in enumerate(points):
+            assert jac[k].tobytes() == TUBE3.rho_jacobian(z).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(CROSS_ROWS))
+    @pytest.mark.parametrize("check", ["lemma21", "theta"])
+    def test_failing_row_raises_the_point_error(self, kind, check):
+        bad, error = CROSS_ROWS[kind]
+        rows = np.array([[0.5, 0.5], [-0.3, -0.3], [0.7, -0.7], bad, [0.2, 0.2]])
+        weights, coeffs = np.ones((5, 1)), np.ones((5, 1))
+        if check == "lemma21":
+            def run_rows():
+                return lemma21_residuals(CROSS, rows, weights, coeffs)
+
+            def run_point():
+                return lemma21_sample(CROSS, rows[3], np.random.default_rng(0))
+        else:
+            def run_rows():
+                return theta_isomorphism_check(CROSS, rows)
+
+            def run_point():
+                return theta_isomorphism_check(CROSS, rows[3])
+        with pytest.raises(error) as point:
+            run_point()
+        with pytest.raises(error) as batch:
+            run_rows()
+        assert type(batch.value) is type(point.value)
+        assert str(batch.value) == str(point.value)
+
+    @pytest.mark.parametrize(
+        "order", [("non-generic", "undefined"), ("undefined", "off-manifold")]
+    )
+    def test_first_failing_row_wins(self, order):
+        first, second = (CROSS_ROWS[kind] for kind in order)
+        rows = np.array([[0.5, 0.5], first[0], second[0]])
+        with pytest.raises(first[1]):
+            theta_isomorphism_check(CROSS, rows)
 
 
 FLAT_CHART = AdaptedChart(

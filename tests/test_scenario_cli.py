@@ -472,6 +472,7 @@ class TestExitCodes:
         "args, named",
         [
             (["--word", "{}"], "--word '{}' must be a JSON list of [field index, time] steps"),
+            (["--word", "[]"], "--word [] has no steps"),
             (["--word", '["12"]'], '--word step 0 "12" must be [field index, time]'),
             (["--word", "[[1, 0.5], [1.9, 0.5]]"], "--word step 1 [1.9, 0.5] must be"),
             (["--word", "[[true, 0.5]]"], "--word step 0 [true, 0.5] must be"),
@@ -480,7 +481,7 @@ class TestExitCodes:
             (["--word", "[[2, 1.0]]"], "field index 2 outside frame of size 1"),
         ],
         ids=[
-            "object", "string-step", "float-index", "bool-index", "string-time", "huge-time",
+            "object", "empty", "string-step", "float-index", "bool-index", "string-time", "huge-time",
             "field",
         ],
     )
