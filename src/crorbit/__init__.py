@@ -39,7 +39,6 @@ from .flow import (
     IntegratorConfig,
     RetractionError,
     composed_flow,
-    flow,
     retract,
 )
 from .connection import (

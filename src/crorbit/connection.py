@@ -28,12 +28,11 @@ import numpy as np
 
 from .expr import (
     Const,
+    Jet,
     ScalarExpr,
     Var,
     add,
-    compile_values_rows,
     eval_values_and_jacobian,
-    evaluate_rows,
     mul,
     substitute,
 )
@@ -407,10 +406,7 @@ def hamiltonian_restriction_check(
     restricted, tangency = restricted_hamiltonian(c, X, xp, xi)
     mismatch = np.abs(restricted - xhat_field(c, X, (xp, xi)))
     x_full = np.concatenate((xp, np.zeros((len(xp), c.m))), axis=1)
-    phi = (multiplier,)
-    (phi_val,), errors = evaluate_rows(
-        compile_values_rows(phi), lambda x: eval_values_and_jacobian(phi, c.dim, x)[0], x_full
-    )
+    phi_val, errors = Jet((multiplier,), c.dim, partials=False).rows(x_full)
     if errors:
         raise errors[min(errors)]
     phi_restricted, _ = restricted_hamiltonian(c, X.scaled(multiplier), xp, xi)

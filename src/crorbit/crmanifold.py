@@ -16,21 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .connection import ChartSetup, dual_transport, flow_transport, validate_chart
-from .expr import (
-    ExprDomainError,
-    ScalarExpr,
-    compile_values,
-    compile_values_and_jacobian,
-    compile_values_and_jacobian_rows,
-    compile_values_rows,
-    evaluate_rows,
-    parse_expr,
-)
+from .expr import ExprDomainError, Jet, ScalarExpr, parse_expr
 from .flow import FlowWord, IntegratorConfig
 from .linalg import SubspaceBasis, _svd_rank, nullspace, orthonormal_columns, rank
 from .vectorfield import VectorFieldSpec
@@ -55,7 +46,6 @@ __all__ = [
     "conormal_fiber",
     "lemma21_check",
     "lemma21_residuals",
-    "lemma21_sample",
     "Lemma21Report",
     "theta_isomorphism_check",
     "validate_adapted_chart",
@@ -174,41 +164,28 @@ class EmbeddedManifold:
         return self.n - self.d
 
     @cached_property
-    def _rho_probe(self) -> Callable:
-        return compile_values(self.rho)
+    def _rho_probe(self) -> Jet:  # values only: retraction and drift read rho more than d rho
+        return Jet(self.rho, 2 * self.n, partials=False)
 
     @cached_property
-    def _rho_kernel(self) -> Callable:
-        return compile_values_and_jacobian(self.rho, 2 * self.n)
-
-    @cached_property
-    def _rho_rows(self) -> Callable:
-        return compile_values_rows(self.rho)
-
-    @cached_property
-    def _rho_jacobian_rows(self) -> Callable:
-        return compile_values_and_jacobian_rows(self.rho, 2 * self.n)
+    def _rho_jet(self) -> Jet:
+        return Jet(self.rho, 2 * self.n)
 
     def rho_values(self, x: Sequence[float]) -> np.ndarray:
-        """rho(x), from a values-only probe: it is read far more often than d rho.
-
-        The probe computes on Python floats, so where rho is undefined (a
-        division by zero, log of a value <= 0) it raises ExprDomainError.
-        """
-        return self._rho_probe(np.asarray(x, dtype=float).tolist())
+        """rho(x), or ExprDomainError where rho is undefined (a division by zero, log <= 0)."""
+        return self._rho_probe.at(x)
 
     def rho_jacobian(self, x: Sequence[float]) -> np.ndarray:
         """d rho(x) as a d x 2n matrix."""
-        return self._rho_kernel(np.asarray(x, dtype=float).tolist())[1]
+        return self._rho_jet.at(x)[1]
 
     def rho_value_rows(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]:
-        """rho at every row of ``X`` (B, 2n), the probe's bits, and the rows where undefined."""
-        (vals,), errors = evaluate_rows(self._rho_rows, self._rho_probe, X)
-        return vals, errors
+        """rho at every row of ``X`` (B, 2n), each row one point's bits, and where undefined."""
+        return self._rho_probe.rows(X)
 
     def rho_jacobian_rows(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]:
-        """d rho at every row of ``X`` (B, 2n), the kernel's bits, and the rows where undefined."""
-        (_, jac), errors = evaluate_rows(self._rho_jacobian_rows, lambda x: self._rho_kernel(x), X)
+        """d rho at every row of ``X`` (B, 2n), each row one point's bits, and where undefined."""
+        (_, jac), errors = self._rho_jet.rows(X)
         return jac, errors
 
     def require_on_manifold(self, x: Sequence[float]) -> None:
@@ -402,20 +379,6 @@ def lemma21_residuals(
     return _lemma21_rows(basis, zeta, x_vec, errors)
 
 
-def lemma21_sample(
-    m: EmbeddedManifold, z: Sequence[float], rng: np.random.Generator
-) -> Lemma21Report:
-    """:func:`lemma21_check` for a random conormal form and tangent vector at z.
-
-    The form combines the :func:`conormal_fiber` basis with weights drawn
-    from U[-1, 1]; the vector then gets U[-1, 1] coefficients on the
-    orthonormal tangent basis.
-    """
-    weights = rng.uniform(-1.0, 1.0, (1, m.d))
-    r1, r2 = lemma21_residuals(m, z, weights, rng.uniform(-1.0, 1.0, (1, m.dim)))
-    return Lemma21Report(float(r1[0]), float(r2[0]))
-
-
 def theta_isomorphism_check(m: EmbeddedManifold, z: Sequence[float]):
     """Smallest singular value of the conormal basis restricted to TM.
 
@@ -454,12 +417,12 @@ class AdaptedChart:
         return self.l + self.m
 
     @cached_property
-    def _psi_kernel(self) -> Callable:
-        return compile_values_and_jacobian(self.psi, self.dim)
+    def _psi(self) -> Jet:
+        return Jet(self.psi, self.dim)
 
     def point_and_frame(self, u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(psi(u), d psi(u)) with the differential as a (2n) x (l+m) matrix."""
-        return self._psi_kernel(np.asarray(u, dtype=float).tolist())
+        return self._psi.at(u)
 
 
 @dataclass

@@ -11,26 +11,27 @@ defining functions, vector-field coefficients and scalar multipliers.
   source, compiled by ``compile_values`` and ``compile_values_and_jacobian``
   into kernels that take a list or an ndarray and return float64 arrays,
   values of shape (k,) and a Jacobian of shape (k, dim), which callers
-  slice and never convert.  Given a point, every variable is a literal and
-  every rule folds, so the same rules return numbers, computed as the
-  kernel computes them (only a zero's sign can differ): the smart
-  constructors' constant folding and ``eval_values_and_jacobian``, the
-  kernel's interpreted twin and the only evaluator at a point, work this way.
-* A vector field is interpreted on first use and compiled on reuse: its
-  first evaluation is ``eval_values_and_jacobian`` at the point, and the
-  second compiles its one kernel, x -> (a(x), Da(x)), which answers every
-  later call; its values, its Jacobian and every integrator right-hand
-  side read it.  Most fields a check builds are evaluated once, and a
-  compile costs far more than one interpreted evaluation.  An embedded
-  manifold compiles at once and adds a values-only probe, because
-  retraction and drift tests read rho far more often than d rho.
+  slice and never convert.  Given a point, the same rules return numbers,
+  under one folding rule: only constants and folds of constants are
+  literals, and a value computed from the point never is, so a rule folds
+  exactly what the generated code folds and computes the rest as that code
+  does.  ``eval_values_and_jacobian``, the kernel's interpreted twin, thus
+  returns the kernel's bits, and the smart constructors fold constants
+  with the same rules.
+* ``Jet`` -- the one evaluation policy, which every field, defining
+  function, chart and multiplier uses: interpreted on first use, compiled
+  on reuse.  Its first ``at`` is ``eval_values_and_jacobian`` at the
+  point, and the second compiles the one kernel, which answers every later
+  call.  Most tuples a check builds are evaluated once, and a compile costs
+  far more than one interpreted evaluation.  ``partials=False`` evaluates
+  the values only (``compile_values``), for rho's probe and multipliers.
 * Column kernels -- ``compile_values_rows`` and
   ``compile_values_and_jacobian_rows`` compile the same rules a second way,
-  with ``x[k]`` a float64 column of B points, for lockstep flows.  ``**``
+  with ``x[k]`` a float64 column of B points, for ``Jet.rows``.  ``**``
   is ``np.float_power`` (the libm ``pow`` Python calls) and ``math``
   functions are mapped over the column's Python floats, so every operation
   rounds as in the point kernel.  ``evaluate_rows`` sends each row the
-  column kernel cannot vouch for back to the point kernel, which returns
+  column kernel cannot vouch for back to the point path, which returns
   its numbers or raises its error.
 
 Text is read by Python's parser (``ast.parse``, ``^`` read as ``**``) and
@@ -50,7 +51,7 @@ Where an expression is undefined at the point (a division by zero,
 raise ``ExprDomainError`` with Python's message, so no caller sees
 ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``.  Python floats
 raise there; a kernel given an ndarray computes on numpy scalars, which
-return inf in place of all but ``log``'s error, so vector fields pass their
+return inf in place of all but ``log``'s error, so ``Jet`` passes its
 kernels a list.
 """
 
@@ -59,6 +60,7 @@ from __future__ import annotations
 import ast
 import keyword
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -98,6 +100,7 @@ __all__ = [
     "compile_values_rows",
     "compile_values_and_jacobian_rows",
     "evaluate_rows",
+    "Jet",
     "FUNCTIONS",
 ]
 
@@ -204,13 +207,7 @@ def _fold(node: ScalarExpr) -> Const:
     A fold that overflows or is not finite raises :class:`ExprDomainError`
     naming the subexpression, instead of leaving an infinity in the tree.
     """
-    try:
-        value = JetCompiler(0, ()).emit(node)[0]  # reads no coordinate
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ExprDomainError(f"constant subexpression {to_text(node)} is not finite")
-    return Const(value)
+    return Const(JetCompiler(0, ()).emit(node)[0])  # reads no coordinate
 
 
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
@@ -536,6 +533,12 @@ def substitute(e: ScalarExpr, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
 Ref = float | str  # a literal, or the code of a value (a name or an expression)
 
 
+class _Computed(float):
+    """A value computed from the point: never a literal, as the code of a value is not."""
+
+    __slots__ = ()
+
+
 class JetCompiler:
     """Emit straight-line Python for values and coordinate partial derivatives.
 
@@ -544,21 +547,22 @@ class JetCompiler:
     generation time, so the emitted code does exactly the arithmetic the
     chain and product rules require.  Variable ``k`` reads ``x[k]``; its
     tangents are the first ``tangents`` coordinate axes (none when only
-    values are compiled).  A reference is a ``float`` literal or a ``str``
-    of code; while generating code, a literal value has literal zero
-    tangents.
+    values are compiled).  A reference is a literal, a ``float`` that is a
+    constant or a fold of constants, or the code of a value, a ``str``; a
+    literal value has literal zero tangents.  A fold of literals that is not
+    finite is an overflow, and :meth:`emit` names its subexpression.
 
     With ``columns``, the same rules emit column code (see the module
     docstring), and every operation Python can refuse binds a temp listed in
     ``guards``.
 
-    Given ``point``, variable ``k`` is the literal ``point[k]``, so every
-    rule folds and :meth:`emit` returns numbers, computed as the generated
-    code would compute them, and raises where that code would raise, with
-    Python's error: the kernel and its interpreted twin both turn it into
-    :class:`ExprDomainError`.  No code is emitted and nothing is memoized:
-    this interprets an expression evaluated once, such as a vector field on
-    first use, which is compiled only on reuse.
+    Given ``point``, variable ``k`` is ``point[k]`` as a computed value, a
+    ``float`` subclass that never counts as a literal, so every rule folds
+    exactly what the generated code folds, and computes the rest as that
+    code would: :meth:`emit` returns the kernel's numbers and raises
+    :class:`ExprDomainError` where the kernel raises, with its message.  No
+    code is emitted and nothing is memoized: this interprets an expression
+    evaluated once, such as a vector field on first use.
     """
 
     def __init__(
@@ -581,30 +585,38 @@ class JetCompiler:
         return name
 
     def _bind(self, code: Ref) -> Ref:
-        """Bind composite code to a temp; pass through bare names/literals."""
+        """Bind composite code to a temp; pass through bare names and numbers."""
         if isinstance(code, float) or code.isidentifier():
             return code
         return self._tmp(code)
 
     def _literal(self, value: float) -> float:
-        """A fold; while generating code, one that is not finite is an overflow."""
-        if self.point is None and not math.isfinite(value):
+        """A fold of literals; one that is not finite is an overflow."""
+        if not math.isfinite(value):
             raise OverflowError
         return value
+
+    def _code(self, template: str, fn: Callable, *args: Ref) -> Ref:
+        """The code ``template`` of ``args``, or at a point ``fn(*args)`` as a computed value."""
+        if self.point is None:
+            return template.format(*args)
+        try:
+            return _Computed(fn(*args))
+        except _UNDEFINED as exc:  # where the kernel raises, with its message
+            raise ExprDomainError(str(exc)) from None
 
     def _apply(self, template: str, fn: Callable[[float], float], a: Ref) -> Ref:
         """``fn(a)`` folded for a literal ``a``, else the code ``template`` of ``a``.
 
-        While generating code, a fold Python refuses (``1.0/0.0``,
-        ``math.log(-1.0)``) is emitted, so the kernel raises when it runs.
+        A fold Python refuses (``1.0/0.0``, ``math.log(-1.0)``) is not folded,
+        so the kernel raises when it runs, and so does the rule at a point.
         """
-        if isinstance(a, float):
+        if type(a) is float:
             try:
                 return self._literal(fn(a))
             except (ZeroDivisionError, ValueError):
-                if self.point is not None:
-                    raise
-        name = self._bind(template.format(a))
+                pass
+        name = self._bind(self._code(template, fn, a))
         if self.columns:
             self.guards.append(name)
         return name
@@ -618,65 +630,69 @@ class JetCompiler:
         return f"_map(math.{func}, {{}})" if self.columns else f"math.{func}({{}})"
 
     def _add(self, a: Ref, b: Ref) -> Ref:
-        if isinstance(a, float) and isinstance(b, float):
-            return self._literal(a + b)
-        if a == 0.0:
-            return b
-        if b == 0.0:
+        if type(a) is float:
+            if type(b) is float:
+                return self._literal(a + b)
+            if a == 0.0:
+                return b
+        elif type(b) is float and b == 0.0:
             return a
-        return f"({a} + {b})"
+        return self._code("({} + {})", operator.add, a, b)
 
     def _sub(self, a: Ref, b: Ref) -> Ref:
-        if isinstance(a, float) and isinstance(b, float):
-            return self._literal(a - b)
-        if b == 0.0:
+        if type(a) is float:
+            if type(b) is float:
+                return self._literal(a - b)
+            if a == 0.0:
+                return self._neg(b)
+        elif type(b) is float and b == 0.0:
             return a
-        if a == 0.0:
-            return self._neg(b)
-        return f"({a} - {b})"
+        return self._code("({} - {})", operator.sub, a, b)
 
     def _mul(self, a: Ref, b: Ref) -> Ref:
-        if isinstance(a, float) and isinstance(b, float):
-            return self._literal(a * b)
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        if a == 1.0:
-            return b
-        if b == 1.0:
-            return a
-        if a == -1.0:
-            return self._neg(b)
-        if b == -1.0:
-            return self._neg(a)
-        return f"{a}*{b}"
+        if type(a) is float:
+            if type(b) is float:
+                return self._literal(a * b)
+            if a == 0.0:
+                return 0.0
+            if a == 1.0:
+                return b
+            if a == -1.0:
+                return self._neg(b)
+        elif type(b) is float:
+            if b == 0.0:
+                return 0.0
+            if b == 1.0:
+                return a
+            if b == -1.0:
+                return self._neg(a)
+        return self._code("{}*{}", operator.mul, a, b)
 
     def _neg(self, a: Ref) -> Ref:
-        if isinstance(a, float):
+        if type(a) is float:
             return -a
-        return f"(-{a})"
+        return self._code("(-{})", operator.neg, a)
 
     # -- node emission ----------------------------------------------------
 
     def emit(self, e: ScalarExpr) -> tuple[Ref, tuple[Ref, ...]]:
         """Return (value_ref, tangent_refs) for node ``e``.
 
-        While generating code, raises :class:`ExprDomainError` naming the
-        subexpression whose fold overflows or is not finite.  At a point,
-        errors are Python's, as in the generated code, and the evaluators
-        turn them into :class:`ExprDomainError`.
+        Raises :class:`ExprDomainError` naming the subexpression whose fold
+        of literals overflows or is not finite.
         """
-        if self.point is not None:  # a repeat costs less than the memo's structural hash
-            return self._emit(e)
-        hit = self._memo.get(e)
-        if hit is not None:
-            return hit
+        if self.point is None:  # at a point, a repeat costs less than the memo's hash
+            hit = self._memo.get(e)
+            if hit is not None:
+                return hit
         try:
             out = self._emit(e)
         except OverflowError:  # a literal fold of this node, not of a child
             raise ExprDomainError(
                 f"constant subexpression {to_text(e)} is not finite"
             ) from None
-        self._memo[e] = out
+        if self.point is None:
+            self._memo[e] = out
         return out
 
     def _emit(self, e: ScalarExpr) -> tuple[Ref, tuple[Ref, ...]]:
@@ -685,7 +701,7 @@ class JetCompiler:
         if isinstance(e, Var):
             axes = tuple(1.0 if k == e.index else 0.0 for k in range(self.tangents))
             if self.point is not None:
-                return (float(self.point[e.index]), axes)
+                return (_Computed(self.point[e.index]), axes)
             return (f"x[{e.index}]", axes)
         if isinstance(e, (Add, Sub)):
             va, da = self.emit(e.left)
@@ -718,7 +734,7 @@ class JetCompiler:
             if n == 0:  # x**0 is 1 for every x, but its factor 0.0*x**-1 fails at x = 0
                 return (1.0, (0.0,) * len(da))
             v = self._apply(self._pow(n), lambda a: a**n, va)
-            if all(x == 0.0 for x in da):  # always so for a literal base in code
+            if all(type(x) is float and x == 0.0 for x in da):  # so for a literal base
                 return (v, (0.0,) * len(da))
             if n == 2:
                 dfac = self._bind(self._mul(2.0, va))
@@ -732,7 +748,7 @@ class JetCompiler:
         if isinstance(e, Call):
             va, da = self.emit(e.arg)
             v = self._apply(self._call(e.func), getattr(math, e.func), va)
-            if all(x == 0.0 for x in da):  # always so for a literal argument in code
+            if all(type(x) is float and x == 0.0 for x in da):  # so for a literal argument
                 return (v, (0.0,) * len(da))
             if e.func == "sin":
                 dfac = self._apply(self._call("cos"), math.cos, va)
@@ -784,20 +800,16 @@ def _jets(comp: JetCompiler, exprs: Sequence[ScalarExpr]) -> tuple[list[Ref], li
     return vals, partials
 
 
-def _jet_source(exprs: Sequence[ScalarExpr], dim: int) -> tuple[list[str], str]:
-    """The Jacobian kernel's body and result; a non-finite constant raises ExprDomainError.
+def compile_values_and_jacobian(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
+    """Compile ``x -> (values, jac)``, arrays (k,) and (k, ``dim``), jac[i, k] = d e_i/d x_k.
 
     The Jacobian is built from one flat tuple and reshaped: the same values
     as a nested tuple, at a lower cost per call.
     """
     comp = JetCompiler(dim)
     vals, partials = _jets(comp, exprs)
-    return comp.lines, f"{_array(vals)}, {_array(partials)}.reshape({len(vals)}, {dim})"
-
-
-def compile_values_and_jacobian(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
-    """Compile ``x -> (values, jac)``, arrays (k,) and (k, ``dim``), jac[i, k] = d e_i/d x_k."""
-    return _compile_source("field_jet", *_jet_source(exprs, dim))
+    result = f"{_array(vals)}, {_array(partials)}.reshape({len(vals)}, {dim})"
+    return _compile_source("field_jet", comp.lines, result)
 
 
 # ---------------------------------------------------------------------------
@@ -902,22 +914,75 @@ def eval_values_and_jacobian(
     """``compile_values_and_jacobian(exprs, dim)(x)`` interpreted: the same arrays, no compile.
 
     The rules run at the point ``x``, a list of floats, so the numbers and
-    the errors are the kernel's: where an expression is undefined at ``x``,
-    both raise :class:`ExprDomainError` with Python's message.  Only the
-    sign of a zero can differ: the kernel folds a product with a statically
-    zero factor to ``0.0``.  The kernel's compile-time guard still holds: a
-    result that is undefined, overflows or is not finite first generates
-    the kernel's code, so a constant subexpression that is not finite
-    raises :class:`ExprDomainError` naming it.
+    the errors are the kernel's, bit for bit: where an expression is
+    undefined at ``x``, both raise :class:`ExprDomainError` with Python's
+    message, and a constant subexpression that is not finite raises
+    :class:`ExprDomainError` naming it.  With ``dim`` 0 this interprets
+    :func:`compile_values`, and the Jacobian has no columns.
     """
     comp = JetCompiler(dim, x)
     try:
         jets = [comp.emit(e) for e in exprs]
-    except _UNDEFINED as exc:
-        _jet_source(exprs, dim)
-        raise ExprDomainError(str(exc)) from None
+    except ExprDomainError:  # the kernel fails to compile first if a later constant is not finite
+        _jets(JetCompiler(dim), exprs)
+        raise
     vals = np.array([v for v, _ in jets], dtype=float)
-    jac = np.array([tangents for _, tangents in jets], dtype=float)
-    if not (np.isfinite(vals).all() and np.isfinite(jac).all()):
-        _jet_source(exprs, dim)
-    return vals, jac
+    return vals, np.array([tangents for _, tangents in jets], dtype=float)
+
+
+class Jet:
+    """The values of ``exprs`` over ``dim`` coordinates and, with ``partials``, their Jacobian.
+
+    The one evaluation policy for an expression tuple: interpreted on first
+    use, compiled on reuse.  The first :meth:`at` runs
+    :func:`eval_values_and_jacobian`, and the second compiles the kernel
+    (:func:`compile_values_and_jacobian`, or :func:`compile_values` without
+    ``partials``), which answers it and every later call with the same
+    bits.  Most tuples a check builds are evaluated once, and a compile
+    costs far more than one interpreted evaluation.  :meth:`rows` evaluates
+    a batch with the column kernel, compiled on its first use.
+    """
+
+    __slots__ = ("exprs", "dim", "partials", "_kernel", "_used", "_rows")
+
+    def __init__(self, exprs: Sequence[ScalarExpr], dim: int, partials: bool = True):
+        self.exprs, self.dim, self.partials = tuple(exprs), dim, partials
+        self._kernel: Callable | None = None
+        self._used = False
+        self._rows: Callable | None = None
+
+    def at(self, x: Sequence[float]):
+        """``(values, jac)`` at ``x``, arrays (k,) and (k, ``dim``); the values without partials.
+
+        The kernel computes on the Python floats of ``x``, so where an
+        expression is undefined it raises :class:`ExprDomainError`.
+        """
+        x = np.asarray(x, dtype=float).tolist()
+        if self._kernel is None:
+            if not self._used:
+                self._used = True
+                tangents = self.dim if self.partials else 0
+                vals, jac = eval_values_and_jacobian(self.exprs, tangents, x)
+                return (vals, jac) if self.partials else vals
+            self._kernel = (
+                compile_values_and_jacobian(self.exprs, self.dim)
+                if self.partials
+                else compile_values(self.exprs)
+            )
+        return self._kernel(x)
+
+    def rows(self, X: np.ndarray) -> tuple:
+        """:meth:`at` at every row of ``X`` (B, ``dim``), stacked, and the rows where undefined.
+
+        Each row has the bits :meth:`at` gives it (see :func:`evaluate_rows`);
+        the second item maps the rows where an expression is undefined to
+        :meth:`at`'s error there, and those rows' outputs are meaningless.
+        """
+        if self._rows is None:
+            self._rows = (
+                compile_values_and_jacobian_rows(self.exprs, self.dim)
+                if self.partials
+                else compile_values_rows(self.exprs)
+            )
+        outs, errors = evaluate_rows(self._rows, self.at, X)
+        return (tuple(outs) if self.partials else outs[0]), errors

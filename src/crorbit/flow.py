@@ -31,14 +31,14 @@ flow with :class:`FlowDomainError`, whether the right-hand side or rho met
 it: at the start point's probe or in a step's retraction.
 
 Many words at once: :func:`composed_flows` returns one result or error per
-word.  A batch of one runs :func:`composed_flow`; two or more words (cut
-into batches of :data:`MAX_BATCH`) run one lockstep loop over a (B, n + n^2)
-state, in which every member keeps its own leg, t, h, err_prev, FSAL stage,
-step count, differential, drift and trajectory, and fails alone.  The
-choice depends on the batch size only: a lockstep step makes the same numpy
-calls whatever B is, which pays for many members and loses for one.  Each
-member gets exactly the bits :func:`composed_flow` gives for its word alone,
-because every row operation rounds as the one-word operation it replaces:
+word.  The words (cut into batches of :data:`MAX_BATCH`) run one lockstep
+loop over a (B, n + n^2) state, in which every member keeps its own leg, t,
+h, err_prev, FSAL stage, step count, differential, drift and trajectory,
+and fails alone.  A lockstep step makes the same numpy calls whatever B is,
+which pays for many members; the orbit searches that call it flow many
+words at once.  Each member gets exactly the bits :func:`composed_flow`
+gives for its word alone, because every row operation rounds as the
+one-word operation it replaces:
 
 - stage sums and the error estimate are ``np.matmul(_A[i], K[:, :i])`` and
   ``np.matmul(_ERR, K)``: a stacked matmul equals ``@`` slice by slice, as
@@ -450,10 +450,10 @@ def composed_flows(
 ) -> list[FlowResult | FlowError]:
     """:func:`composed_flow` of each word from its start point: a result or the flow's error.
 
-    Words run in lockstep batches of up to :data:`MAX_BATCH` members; a
-    batch of one runs :func:`composed_flow` itself.  Every member gets
-    exactly the bits :func:`composed_flow` gives for its word alone, and a
-    failing member fails alone, with the error that call raises.  Bad input
+    Words run in lockstep batches of up to :data:`MAX_BATCH` members, a
+    batch of one included.  Every member gets exactly the bits
+    :func:`composed_flow` gives for its word alone, and a failing member
+    fails alone, with the error that call raises.  Bad input
     (a field index outside the frame, a start point of the wrong shape, a
     time that is not finite) raises ``ValueError`` before its batch runs.
     """
@@ -463,13 +463,7 @@ def composed_flows(
     out: list[FlowResult | FlowError] = []
     for lo in range(0, len(words), MAX_BATCH):
         chunk, starts = words[lo : lo + MAX_BATCH], x0s[lo : lo + MAX_BATCH]
-        if len(chunk) > 1:
-            out += _Lockstep(frame, chunk, starts, cfg, manifold).run()
-            continue
-        try:
-            out.append(composed_flow(frame, chunk[0], starts[0], cfg, manifold))
-        except FlowError as exc:
-            out.append(exc)
+        out += _Lockstep(frame, chunk, starts, cfg, manifold).run()
     return out
 
 

@@ -8,19 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import (
-    ExprDomainError,
-    ScalarExpr,
-    add,
-    compile_values_and_jacobian,
-    compile_values_and_jacobian_rows,
-    differentiate,
-    eval_values_and_jacobian,
-    evaluate_rows,
-    mul,
-    parse_expr,
-    sub,
-)
+from .expr import ExprDomainError, Jet, ScalarExpr, add, differentiate, mul, parse_expr, sub
 
 __all__ = [
     "VectorFieldSpec",
@@ -55,11 +43,9 @@ class VectorFieldSpec:
             tuple(parse_expr(t, dim, aliases) for t in texts), dim
         )
 
-    _evaluated = False  # set by the first evaluation; the second compiles _kernel
-
     @cached_property
-    def _kernel(self):  # x -> (a(x), Da(x)), compiled on reuse
-        return compile_values_and_jacobian(self.coefficients, self.dim)
+    def _jet(self) -> Jet:
+        return Jet(self.coefficients, self.dim)
 
     def values(self, x: Sequence[float]) -> np.ndarray:
         """a(x) as a length-``dim`` array."""
@@ -68,30 +54,21 @@ class VectorFieldSpec:
     def values_and_jacobian(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(a(x), Da(x)) with Da[j, k] = da_j/dx_k.
 
-        Interpreted on first use, compiled on reuse: the first call runs the
-        forward-mode rules at ``x``, and the second compiles the field's one
-        kernel, which answers it and every later call with the same numbers.
+        Interpreted on first use, compiled on reuse (:class:`~crorbit.expr.Jet`):
+        every call returns the field's one kernel's bits.
         """
-        x = np.asarray(x, dtype=float).tolist()
-        if self._evaluated:
-            return self._kernel(x)
-        object.__setattr__(self, "_evaluated", True)
-        return eval_values_and_jacobian(self.coefficients, self.dim, x)
-
-    @cached_property
-    def _rows_kernel(self):  # the column twin of _kernel, for batches of points
-        return compile_values_and_jacobian_rows(self.coefficients, self.dim)
+        return self._jet.at(x)
 
     def values_and_jacobian_rows(
         self, X: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict[int, ExprDomainError]]:
         """(a, Da) at every row of ``X`` (B, dim): arrays (B, dim) and (B, dim, dim).
 
-        Each row's numbers are those of the compiled kernel at that row, bit
-        for bit (see :func:`~crorbit.expr.evaluate_rows`); the third item
-        maps the rows where the field is undefined to their error.
+        Each row's numbers are those of :meth:`values_and_jacobian` at that
+        row, bit for bit; the third item maps the rows where the field is
+        undefined to their error.
         """
-        (vals, jac), errors = evaluate_rows(self._rows_kernel, lambda x: self._kernel(x), X)
+        (vals, jac), errors = self._jet.rows(X)
         return vals, jac, errors
 
     def scaled(self, factor: ScalarExpr) -> "VectorFieldSpec":

@@ -10,7 +10,11 @@ from crorbit import expr
 @pytest.fixture
 def compilations(monkeypatch):
     """The arguments of every kernel compilation, by compiler, from any crorbit module."""
-    calls = {"compile_values": [], "compile_values_and_jacobian": []}
+    calls = {
+        name: []
+        for name in ("compile_values", "compile_values_and_jacobian",
+                     "compile_values_rows", "compile_values_and_jacobian_rows")
+    }
     for name, log in calls.items():
         real = getattr(expr, name)
 

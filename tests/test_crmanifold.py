@@ -8,6 +8,7 @@ from crorbit.crmanifold import (
     AdaptedChart,
     EmbeddedManifold,
     HolomorphicForm,
+    Lemma21Report,
     ManifoldError,
     NonGenericPointError,
     PointNotOnManifoldError,
@@ -20,7 +21,6 @@ from crorbit.crmanifold import (
     jmat,
     lemma21_check,
     lemma21_residuals,
-    lemma21_sample,
     pair_e_estar,
     pair_form,
     tangent_space,
@@ -56,6 +56,17 @@ def tube3_point(x, y, u1, u2):
 
 def lemma21_residual(rep):
     return max(rep.complex_identity_residual, rep.real_convention_residual)
+
+
+def lemma21_sample(m, z, rng):
+    """One Lemma 2.1 sample at z: ``lemma21_residuals`` with B = 1.
+
+    U[-1, 1] weights on the conormal basis are drawn first, then U[-1, 1]
+    coefficients on the orthonormal tangent basis.
+    """
+    weights = rng.uniform(-1.0, 1.0, (1, m.d))
+    r1, r2 = lemma21_residuals(m, z, weights, rng.uniform(-1.0, 1.0, (1, m.dim)))
+    return Lemma21Report(float(r1[0]), float(r2[0]))
 
 
 class TestComplexStructure:

@@ -15,6 +15,7 @@ from crorbit.expr import (
     Div,
     ExprDomainError,
     ExprSyntaxError,
+    Jet,
     Mul,
     Neg,
     Pow,
@@ -317,12 +318,6 @@ def _random_jet_tree(rng, dim, depth):
     return (Add, Sub, Mul, Div)[kind](a, _random_jet_tree(rng, dim, depth - 1))
 
 
-def _equal_where_finite(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    both = np.isfinite(a) & np.isfinite(b)
-    return np.array_equal(a[both], b[both])
-
-
 class TestCompiledEvaluators:
     def test_matches_interpreted_path(self):
         """Kernels and their interpreted twin agree with the reference interpreter to rounding."""
@@ -343,7 +338,7 @@ class TestCompiledEvaluators:
                     assert np.allclose(g, gradient, atol=1e-13, rtol=1e-13)
 
     def test_one_shot_evaluation_equals_kernel_exactly(self):
-        """The interpreted twin runs the kernel's rules: equal bits wherever both are finite."""
+        """The interpreted twin runs the kernel's rules: equal bits, infinities and NaN included."""
         rng = np.random.default_rng(9)
         jets = 0
         while jets < 10_000:
@@ -357,8 +352,8 @@ class TestCompiledEvaluators:
                 except ExprDomainError:
                     continue
                 for (value,), (row,) in kernels:
-                    assert _equal_where_finite(value, one_value), (to_text(tree), x)
-                    assert _equal_where_finite(row, one_gradient), (to_text(tree), x)
+                    assert value.tobytes() == np.float64(one_value).tobytes(), (to_text(tree), x)
+                    assert row.tobytes() == one_gradient.tobytes(), (to_text(tree), x)
                 jets += 1
 
     @pytest.mark.parametrize("as_list", [True, False], ids=["list", "ndarray"])
@@ -385,7 +380,7 @@ class TestCompiledEvaluators:
                 for got, want, shape in zip(first, kernel, [(dim,), (dim, dim)]):
                     assert got.dtype == want.dtype == np.float64
                     assert got.shape == want.shape == shape
-                    assert np.array_equal(got, want), ([to_text(t) for t in trees], x)
+                    assert got.tobytes() == want.tobytes(), ([to_text(t) for t in trees], x)
                 fields += 1
 
     def test_values_only(self):
@@ -476,6 +471,66 @@ class TestColumnKernels:
         assert vals[0].tolist() == [2.0, 1 / 16, math.log(4.0), math.exp(2.0)]
 
 
+def _bits(call) -> tuple | str:
+    """The bytes of the arrays ``call()`` returns, or the message of its ExprDomainError."""
+    try:
+        out = call()
+    except ExprDomainError as exc:
+        return str(exc)
+    return tuple(a.tobytes() for a in (out if isinstance(out, tuple) else (out,)))
+
+
+class TestJet:
+    """One evaluation policy: interpreted once, compiled on reuse, rows by column kernel."""
+
+    def test_every_path_returns_the_kernel_bits(self):
+        """A first call, a compiled call and each row: the same bytes, or the same error."""
+        rng = np.random.default_rng(10)
+        fields = undefined = 0
+        while fields < 2_000:
+            dim = int(rng.integers(1, 4))
+            trees = tuple(_random_jet_tree(rng, dim, 4) for _ in range(dim))
+            X = rng.uniform(-1.5, 1.5, (4, dim))
+            X[0, 0] = 0.0  # reciprocals and negative powers of a zero coordinate
+            returned = False
+            for partials in (True, False):
+                first = [_bits(lambda: Jet(trees, dim, partials).at(x)) for x in X]
+                jet = Jet(trees, dim, partials)
+                _bits(lambda: jet.at(X[0]))  # its one interpreted call
+                kernel = [_bits(lambda: jet.at(x)) for x in X]
+                assert first == kernel, [to_text(t) for t in trees]
+                try:
+                    outs, errors = jet.rows(X)
+                except ExprDomainError as exc:  # a constant subexpression that is not finite
+                    assert kernel == [str(exc)] * len(X)
+                    continue
+                outs = outs if partials else (outs,)
+                for r, want in enumerate(kernel):
+                    got = str(errors[r]) if r in errors else tuple(o[r].tobytes() for o in outs)
+                    assert got == want, ([to_text(t) for t in trees], X[r])
+                undefined += len(errors)
+                returned |= len(errors) < len(X)
+            fields += returned
+        assert undefined > 0
+
+    @pytest.mark.parametrize("partials", [True, False], ids=["jacobian", "values"])
+    def test_compiles_on_reuse_and_rows_once(self, partials, compilations):
+        trees = (parse_expr("x1*x2", 2), parse_expr("sin(x1)/x2", 2))
+        jet = Jet(trees, 2, partials)
+        once = _bits(lambda: jet.at([0.5, 0.25]))
+        assert all(log == [] for log in compilations.values())
+        for _ in range(3):
+            assert _bits(lambda: jet.at(np.array([0.5, 0.25]))) == once
+        for _ in range(2):
+            outs, errors = jet.rows(np.array([[0.5, 0.25], [1.0, 0.0]]))
+        assert list(errors) == [1] and str(errors[1]) == "float division by zero"
+        assert tuple(o[0].tobytes() for o in (outs if partials else (outs,))) == once
+        suffix = "compile_values_and_jacobian" if partials else "compile_values"
+        assert {name: len(log) for name, log in compilations.items() if log} == {
+            suffix: 1, f"{suffix}_rows": 1
+        }
+
+
 class TestNonFiniteConstants:
     def test_literal_rejected_at_its_position(self):
         with pytest.raises(ExprSyntaxError, match="'1e400' is not finite") as info:
@@ -515,12 +570,11 @@ class TestNonFiniteConstants:
             VectorFieldSpec((tree,), 1).values_and_jacobian([1.0])
 
     def test_constant_absorbed_into_a_finite_value_is_named_when_compiled(self):
-        """The first call returns what the rules give; the guard holds when the kernel compiles."""
+        """x1/inf would be 0: the first call raises what compiling the kernel raises."""
         field = VectorFieldSpec((parse_expr("x1/(1e308*10)", 1),), 1)
-        a, jac = field.values_and_jacobian([1.0])
-        assert a.tolist() == [0.0] and jac.tolist() == [[0.0]]
-        with pytest.raises(ExprDomainError, match=re.escape("1e+308*10.0")):
-            field.values_and_jacobian([1.0])
+        for _ in range(2):  # interpreted, then compiled
+            with pytest.raises(ExprDomainError, match=re.escape("1e+308*10.0")):
+                field.values_and_jacobian([1.0])
 
 
 class TestSubstitute:

@@ -464,20 +464,14 @@ class TestLockstep:
         assert isinstance(batch[1], FlowDomainError) and "float division by zero" in str(batch[1])
         _assert_same_bits(batch, _one_word_calls(frame, words, x0s, IntegratorConfig(), m))
 
-    def test_one_word_runs_composed_flow(self, monkeypatch):
+    @pytest.mark.parametrize("word", [FlowWord.of((1, 0.4), (1, -0.1)), FlowWord.empty()],
+                             ids=["word", "empty"])
+    def test_one_word_runs_in_lockstep(self, word, monkeypatch):
         flow_module = importlib.import_module("crorbit.flow")
-        calls = []
-
-        def recording(*args, real=flow_module.composed_flow):
-            calls.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(flow_module, "composed_flow", recording)
-        word = FlowWord.of((1, 0.4))
-        [res] = composed_flows([ROTATION], [word], [[0.6, 0.8]])
-        assert calls == [word] and res.endpoint.shape == (2,)
-        composed_flows([ROTATION], [word, word], [[0.6, 0.8]] * 2)
-        assert calls == [word]  # two words run in lockstep
+        alone = _one_word_calls([ROTATION], [word], [[0.6, 0.8]], LOOSE, CIRCLE)
+        monkeypatch.setattr(flow_module, "composed_flow", None)
+        batch = composed_flows([ROTATION], [word], [[0.6, 0.8]], LOOSE, CIRCLE)
+        _assert_same_bits(batch, alone)
 
     def test_bad_input_raises_before_anything_runs(self):
         with pytest.raises(ValueError, match="2 word\\(s\\) but 1 start point"):
@@ -500,3 +494,12 @@ class TestIntegratorConfig:
         for name in ("rtol", "atol"):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
                 IntegratorConfig(**{name: math.nan})
+
+
+def test_package_root_leaves_the_flow_module_reachable():
+    """The root re-exports no function named ``flow``, so ``crorbit.flow`` is the module."""
+    import crorbit
+    import crorbit.flow as flow_module
+
+    assert flow_module is crorbit.flow is importlib.import_module("crorbit.flow")
+    assert (crorbit.flow.RETRACT_TOL, crorbit.flow.DRIFT_BOUND) == (1e-12, 1e-9)
