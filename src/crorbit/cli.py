@@ -133,7 +133,6 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
         return report
 
     m = scenario.manifold
-    m.require_on_manifold(pt)
     gen = genericity_check(m, pt)
     report.results.append(
         CheckResult(
@@ -201,7 +200,7 @@ def cmd_transport(
     if scenario.kind != "chart":
         raise ScenarioError("transport needs a chart-model scenario")
     chart = scenario.model_chart
-    x0 = scenario.point(point_spec) if point_spec else np.zeros(chart.l)
+    x0 = np.zeros(chart.l) if point_spec is None else scenario.point(point_spec)
     eta0 = np.ones(chart.m) if eta0 is None else eta0
     xi0 = np.ones(chart.m) if xi0 is None else xi0
     if eta0.shape != (chart.m,) or xi0.shape != (chart.m,):
@@ -479,8 +478,8 @@ def main(argv=None) -> int:
                 scenario,
                 _parse_word(args.word),
                 point_spec=args.point,
-                eta0=_parse_vector(args.eta, "--eta") if args.eta else None,
-                xi0=_parse_vector(args.xi, "--xi") if args.xi else None,
+                eta0=None if args.eta is None else _parse_vector(args.eta, "--eta"),
+                xi0=None if args.xi is None else _parse_vector(args.xi, "--xi"),
                 out_dir=args.out,
             )
         elif args.command == "orbit":

@@ -10,6 +10,12 @@ vectors by the real 1-form Re<omega, .>; with this choice the
 transposedness identity between the restriction map and the
 complex-structure isomorphism holds exactly and the image annihilates the
 complex tangent space.
+
+Every object built at a point presupposes that M is generic there (the
+d rho_i / dz are C-independent).  One pass, :func:`_conormal_geometry`,
+decides it, for one point or a batch of rows, from the two SVDs that also
+give T_zM and T^c_zM; the tangent, complex-tangent and conormal spaces,
+the genericity report and the Lemma 2.1 checks all read that pass.
 """
 
 from __future__ import annotations
@@ -128,6 +134,12 @@ def theta_covector(omega: HolomorphicForm) -> np.ndarray:
     return r
 
 
+def _off_manifold(resid: float, x: Sequence[float]) -> PointNotOnManifoldError:
+    return PointNotOnManifoldError(
+        f"|rho| = {resid:.3e} exceeds {ON_MANIFOLD_TOL:.1e} at {np.asarray(x)}"
+    )
+
+
 @dataclass(frozen=True)
 class EmbeddedManifold:
     """M = {rho_1 = ... = rho_d = 0} in C^n, given by real defining functions."""
@@ -191,9 +203,7 @@ class EmbeddedManifold:
     def require_on_manifold(self, x: Sequence[float]) -> None:
         resid = float(np.max(np.abs(self.rho_values(x))))
         if not resid <= ON_MANIFOLD_TOL:  # also true for a NaN residual
-            raise PointNotOnManifoldError(
-                f"|rho| = {resid:.3e} exceeds {ON_MANIFOLD_TOL:.1e} at {np.asarray(x)}"
-            )
+            raise _off_manifold(resid, x)
 
 
 def _complex_differentials(jac: np.ndarray) -> np.ndarray:
@@ -208,78 +218,72 @@ class GenericityReport:
     generic: bool
 
 
-def genericity_check(m: EmbeddedManifold, z: Sequence[float]) -> GenericityReport:
-    """Rank report at a point of M; generic iff the d rho_i are C-independent."""
-    return _genericity(m, z)[0]
+def _conormal_geometry(m: EmbeddedManifold, z: np.ndarray) -> tuple:
+    """Everything crorbit builds at one point z (2n,) or at rows z (B, 2n), and where it fails.
 
+    Returns T_zM bases (B, 2n, dim), T^c_zM bases (B, 2n, 2 cr_dim), the
+    forms i d rho_k (B, d, n), the real and complex ranks of d rho (B,) each,
+    and the errors: by row, what the point path raises there, checked in
+    this order: rho undefined, z off M, d rho undefined, z not generic.  One
+    point is a batch of one, whose first three errors raise at once.
 
-def _genericity(
-    m: EmbeddedManifold, z: Sequence[float]
-) -> tuple[GenericityReport, np.ndarray]:
-    """:func:`genericity_check` and the Jacobian of rho it was computed from."""
-    m.require_on_manifold(z)
-    jac = m.rho_jacobian(z)
-    real_rank = rank(jac)
-    complex_rank = rank(_complex_differentials(jac))
-    return GenericityReport(real_rank, complex_rank, complex_rank == m.d), jac
-
-
-def _require_generic(m: EmbeddedManifold, z: Sequence[float]) -> np.ndarray:
-    """Raise unless z is a generic point of M; returns the Jacobian of rho at z."""
-    rep, jac = _genericity(m, z)
-    if not rep.generic or rep.real_rank != m.d:
-        raise NonGenericPointError(
-            f"point is not generic: real rank {rep.real_rank}, "
-            f"complex rank {rep.complex_rank}, codimension {m.d}"
-        )
-    return jac
-
-
-def _conormal_geometry(m: EmbeddedManifold, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """T_zM bases (B, 2n, dim) and forms i d rho_k (B, d, n) at one point z (2n,) or rows z (B, 2n).
-
-    One point is a batch of one.  A row where the batch finds rho undefined, z off M or z not
-    generic is checked again by the point path; the errors hold, by row, what it raises.
-    Stacked SVDs give each row the bits of one SVD per point.
+    This is the one place genericity is decided.  One SVD of d rho gives
+    T_zM and the real rank; one SVD of the stack [d rho; d rho o J] gives
+    T^c_zM = TM cap J TM.  The stack is the realification of the complex
+    d x n matrix 2 d rho / dz, so its singular values are that matrix's,
+    each twice, and half its rank is the complex rank.  Stacked SVDs give
+    each row the bits of one SVD per point.
     """
     if z.ndim == 1:
         m.require_on_manifold(z)
-        jac, suspect = m.rho_jacobian(z)[None], set()
+        jac, errors = m.rho_jacobian(z)[None], {}
     else:
-        vals, undefined = m.rho_value_rows(z)
+        vals, errors = m.rho_value_rows(z)
+        resid = np.max(np.abs(vals), axis=1)
+        for k in np.flatnonzero(~(resid <= ON_MANIFOLD_TOL)).tolist():
+            errors.setdefault(k, _off_manifold(resid[k], z[k]))
         jac, jac_undefined = m.rho_jacobian_rows(z)
-        off = np.flatnonzero(~(np.max(np.abs(vals), axis=1) <= ON_MANIFOLD_TOL)).tolist()
-        suspect = {*undefined, *jac_undefined, *off}
-        jac[list(suspect)] = 0.0  # keeps the SVDs of the other rows finite
+        for k, exc in jac_undefined.items():
+            errors.setdefault(k, exc)
+        jac[list(errors)] = 0.0  # keeps the SVDs of the other rows finite
     _, s, vh = np.linalg.svd(jac)
-    complex_diff = _complex_differentials(jac)
-    complex_rank = _svd_rank(np.linalg.svd(complex_diff, compute_uv=False))
-    suspect.update(np.flatnonzero((_svd_rank(s) != m.d) | (complex_rank != m.d)).tolist())
-    errors = {}
-    for k in sorted(suspect):
-        try:
-            _require_generic(m, z.reshape(-1, m.ambient_dim)[k])
-        except (ManifoldError, ExprDomainError) as exc:
-            errors[k] = exc
-    return np.swapaxes(vh[:, m.d:], 1, 2), 1j * complex_diff, errors
+    _, s_c, vh_c = np.linalg.svd(np.concatenate((jac, jac @ jmat(m.n)), axis=1))
+    real_rank, complex_rank = _svd_rank(s), _svd_rank(s_c) // 2
+    for k in np.flatnonzero((real_rank != m.d) | (complex_rank != m.d)).tolist():
+        msg = (
+            f"point is not generic: real rank {real_rank[k]}, "
+            f"complex rank {complex_rank[k]}, codimension {m.d}"
+        )
+        errors.setdefault(k, NonGenericPointError(msg))
+    tangent = np.swapaxes(vh[:, m.d:], 1, 2)
+    complex_tangent = np.swapaxes(vh_c[:, 2 * m.d:], 1, 2)
+    forms = 1j * _complex_differentials(jac)
+    return tangent, complex_tangent, forms, real_rank, complex_rank, errors
+
+
+def _generic_point(m: EmbeddedManifold, z: Sequence[float]) -> tuple:
+    """Row 0 of :func:`_conormal_geometry` at the point z; raises unless z is generic."""
+    *geometry, errors = _conormal_geometry(m, np.asarray(z))
+    if errors:
+        raise errors[0]
+    return tuple(a[0] for a in geometry)
+
+
+def genericity_check(m: EmbeddedManifold, z: Sequence[float]) -> GenericityReport:
+    """Rank report at a point of M; generic iff the d rho_i are C-independent."""
+    *_, real_rank, complex_rank, _ = _conormal_geometry(m, np.asarray(z))
+    real, complex_ = int(real_rank[0]), int(complex_rank[0])
+    return GenericityReport(real, complex_, complex_ == m.d)
 
 
 def tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
     """T_zM = ker(d rho) as an orthonormal-column basis."""
-    return SubspaceBasis(m.ambient_dim, nullspace(_require_generic(m, z)))
+    return SubspaceBasis(m.ambient_dim, _generic_point(m, z)[0])
 
 
 def complex_tangent_space(m: EmbeddedManifold, z: Sequence[float]) -> SubspaceBasis:
     """T^c_zM = ker(d rho) intersect ker(d rho o J); dimension 2(n - d)."""
-    jac = _require_generic(m, z)
-    stacked = np.vstack((jac, jac @ jmat(m.n)))
-    basis = nullspace(stacked)
-    if basis.shape[1] != 2 * m.cr_dim:
-        raise NonGenericPointError(
-            f"complex tangent space has dimension {basis.shape[1]}, "
-            f"expected {2 * m.cr_dim}"
-        )
-    return SubspaceBasis(m.ambient_dim, basis)
+    return SubspaceBasis(m.ambient_dim, _generic_point(m, z)[1])
 
 
 def cr_frame(
@@ -315,7 +319,7 @@ def cr_frame(
 
 def conormal_fiber(m: EmbeddedManifold, z: Sequence[float]) -> list[HolomorphicForm]:
     """Basis i * d rho_k of the holomorphic forms with Im<omega, TM> = 0."""
-    return [HolomorphicForm(1j * row) for row in _complex_differentials(_require_generic(m, z))]
+    return [HolomorphicForm(row) for row in _generic_point(m, z)[2]]
 
 
 @dataclass
@@ -335,7 +339,7 @@ def lemma21_check(
     Checks <omega, JX> = i <omega, X> exactly and, under the Re-pairing
     convention for real forms, Im<omega, JX> = theta(omega) . X.
     """
-    basis, _, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
+    basis, *_, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
     r1, r2 = _lemma21_rows(basis, omega.zeta[None], np.asarray(x_vec, dtype=float)[None], errors)
     return Lemma21Report(float(r1[0]), float(r2[0]))
 
@@ -373,7 +377,7 @@ def lemma21_residuals(
     the orthonormal T_zM basis by ``coeffs[k]``.  Returns both residuals,
     (B,) each; the first failing sample raises what one point raises.
     """
-    basis, forms, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
+    basis, _, forms, *_, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
     zeta = sum(weights[:, k, None] * forms[:, k] for k in range(m.d))
     x_vec = (basis @ coeffs[..., None])[..., 0]
     return _lemma21_rows(basis, zeta, x_vec, errors)
@@ -386,7 +390,7 @@ def theta_isomorphism_check(m: EmbeddedManifold, z: Sequence[float]):
     One point z (2n,) gives a float, rows z (B, 2n) an array (B,).
     """
     z = np.asarray(z, dtype=float)
-    basis, forms, errors = _conormal_geometry(m, z)
+    basis, _, forms, *_, errors = _conormal_geometry(m, z)
     if errors:
         raise errors[min(errors)]
     theta = theta_covector(HolomorphicForm(forms))

@@ -390,17 +390,14 @@ class _Reader:
         return Var(idx)
 
 
-def parse_expr(
-    text: str, dim: int, aliases: Mapping[str, int] | Sequence[str] | None = None
-) -> ScalarExpr:
+def parse_expr(text: str, dim: int, aliases: Sequence[str] | None = None) -> ScalarExpr:
     """Parse ``text`` into an expression tree over x1..x{dim}.
 
-    ``aliases`` maps user names to 0-based variable indices; a plain
-    sequence of names is interpreted positionally.  Raises
-    :class:`ExprSyntaxError` with the offending position on bad input.
+    ``aliases`` names the variables in order: ``aliases[i]`` reads as
+    x{i+1}.  Raises :class:`ExprSyntaxError` with the offending position on
+    bad input.
     """
-    if not isinstance(aliases, Mapping):
-        aliases = {name: i for i, name in enumerate(aliases or ())}
+    aliases = {name: i for i, name in enumerate(aliases or ())}
     for name in aliases:
         if name in FUNCTIONS or keyword.iskeyword(name):
             raise ValueError(f"alias {name!r} shadows a builtin function or keyword")

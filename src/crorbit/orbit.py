@@ -66,7 +66,6 @@ FRAME_SUBFAMILY_NOTE = (
 
 @dataclass
 class LieHullResult:
-    base_point: np.ndarray
     depth_reached: int
     basis: SubspaceBasis
     dimension: int
@@ -75,7 +74,6 @@ class LieHullResult:
 
 @dataclass
 class PushforwardSpan:
-    base_point: np.ndarray
     contributions: list[tuple[FlowWord, np.ndarray]]  # (word, source point)
     span: SubspaceBasis
     singular_values: np.ndarray
@@ -155,7 +153,7 @@ def lie_hull(
         if span.dim >= m.dim:
             stabilized = True
     depth_reached = contributing_depth if stabilized else depth
-    return LieHullResult(z, depth_reached, span, span.dim, stabilized)
+    return LieHullResult(depth_reached, span, span.dim, stabilized)
 
 
 def _word_columns(
@@ -197,7 +195,6 @@ def _pushed_columns(
 
 def _assemble_span(
     m: EmbeddedManifold,
-    z: np.ndarray,
     tangent: SubspaceBasis,
     evaluated: Sequence[tuple[FlowWord, np.ndarray, np.ndarray]],
 ) -> PushforwardSpan:
@@ -219,7 +216,7 @@ def _assemble_span(
     span = SubspaceBasis.from_spanning(stacked) if all_cols else SubspaceBasis(
         m.ambient_dim, np.zeros((m.ambient_dim, 0))
     )
-    return PushforwardSpan(z, contributions, span, sv, dim, max_resid)
+    return PushforwardSpan(contributions, span, sv, dim, max_resid)
 
 
 def pushforward_span(
@@ -245,7 +242,7 @@ def pushforward_span(
         if isinstance(columns, FlowError):
             raise columns  # the first failure in word order
         evaluated.append((word, *columns))
-    return _assemble_span(m, z, tangent, evaluated)
+    return _assemble_span(m, tangent, evaluated)
 
 
 def random_words(
@@ -378,10 +375,10 @@ def global_minimality_certificate(
             seed=seed,
             singular_values=tuple(float(s) for s in all_sv),
         )
-        local.best_span = _assemble_span(m, z, tangent, [kept[i] for i in selected])
+        local.best_span = _assemble_span(m, tangent, [kept[i] for i in selected])
     else:
         local.budget_exhausted = True
-        local.best_span = _assemble_span(m, z, tangent, kept)
+        local.best_span = _assemble_span(m, tangent, kept)
         if failures:
             local.note = f"{FRAME_SUBFAMILY_NOTE}; {failures} word(s) failed to integrate"
     return local
@@ -423,7 +420,7 @@ def verify_certificate(
             )
         pushed = fwd.differential @ complex_tangent_space(m, source).basis
         evaluated.append((word, source, pushed / np.linalg.norm(pushed, axis=0)))
-    span = _assemble_span(m, z, tangent_space(m, z), evaluated)
+    span = _assemble_span(m, tangent_space(m, z), evaluated)
     dim = m.dim
     sigma = float(span.singular_values[dim - 1]) if span.singular_values.size >= dim else 0.0
     return sigma >= certificate.tau / 2.0, sigma
@@ -433,7 +430,6 @@ def verify_certificate(
 class SampleCloud:
     base_point: np.ndarray
     points: list[np.ndarray]
-    words: list[FlowWord]
     drifts: list[float]
     failures: int
 
@@ -453,15 +449,14 @@ def reachable_samples(
     rng = np.random.default_rng(seed)
     words = random_words(rng, n_words, len(frame), word_length_cap, time_range)
 
-    pts, kept, drifts, failures = [], [], [], 0
-    for word, res in zip(words, composed_flows(frame, words, [z] * len(words), cfg, m)):
+    pts, drifts, failures = [], [], 0
+    for res in composed_flows(frame, words, [z] * len(words), cfg, m):
         if isinstance(res, FlowError) or res.drift_exceeded:
             failures += 1
             continue
         pts.append(res.endpoint)
-        kept.append(word)
         drifts.append(res.drift)
-    return SampleCloud(z, pts, kept, drifts, failures)
+    return SampleCloud(z, pts, drifts, failures)
 
 
 def write_cloud_csv(path: str, cloud: SampleCloud) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class VectorFieldSpec:
     def parse(
         texts: Sequence[str],
         dim: int,
-        aliases: Mapping[str, int] | Sequence[str] | None = None,
+        aliases: Sequence[str] | None = None,
     ) -> "VectorFieldSpec":
         return VectorFieldSpec(
             tuple(parse_expr(t, dim, aliases) for t in texts), dim

@@ -45,6 +45,7 @@ from .orbit import (
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
+    random_words,
     reachable_samples,
     span_words,
     verify_certificate,
@@ -481,12 +482,7 @@ def _check_theta_duality(seed: int) -> CheckResult:
         fib = e_fiber(manifold, chart, xp)
         eta0 = fib.e_basis.basis[:, 0]
         omega0 = fib.estar_forms[0]
-        for _ in range(5):
-            steps = tuple(
-                (int(rng.integers(1, 3)), float(rng.uniform(-0.6, 0.6)))
-                for _ in range(int(rng.integers(1, 4)))
-            )
-            word = FlowWord(steps)
+        for word in random_words(rng, 5, 2, 3, 0.6):
             moved_eta = theta_transport(manifold, chart, frame, word, eta0, xp)
             moved_omega = theta_star_transport(manifold, chart, frame, word, omega0, xp)
             drift = abs(

@@ -149,6 +149,26 @@ class TestTangentSpaces:
         assert compilations["compile_values"] == [(m.rho,)]
         assert compilations["compile_values_and_jacobian"] == [(m.rho, 4)]
 
+    @pytest.mark.parametrize("space", [tangent_space, complex_tangent_space])
+    def test_space_takes_two_svds_and_one_jacobian(self, space, monkeypatch):
+        """One SVD of d rho and one of [d rho; d rho o J] decide genericity and give the basis."""
+        svds, jacobians = [], []
+        real_svd, real_jacobian = np.linalg.svd, EmbeddedManifold.rho_jacobian
+
+        def counted_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        def counted_jacobian(self, x):
+            jacobians.append(x)
+            return real_jacobian(self, x)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian", counted_jacobian)
+        space(TUBE3, tube3_point(-0.4, 0.1, 0.2, 0.6))
+        assert svds == [(1, 2, 6), (1, 4, 6)]
+        assert len(jacobians) == 1
+
     @pytest.mark.parametrize("point", [[0.0, 1.0], np.array([0.0, 1.0])], ids=["list", "ndarray"])
     def test_rho_where_undefined_raises(self, point):
         """The probe and d rho compute on Python floats, whatever the input's type."""
@@ -255,22 +275,22 @@ class TestLemma21:
                 assert lemma21_residual(rep) <= TOL_LEMMA21
 
     def test_sample_builds_tangent_space_once(self, monkeypatch):
-        """One tangent basis per point: d rho gets one full SVD, for one sample or 20."""
-        full_svds = []
+        """One tangent basis per point: d rho (1 x 4) gets one SVD, for one sample or 20."""
+        jacobian_svds = []
         real = np.linalg.svd
 
         def counted(a, *args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                full_svds.append(np.shape(a))
+            if np.shape(a)[-2:] == (LEWY.d, LEWY.ambient_dim):
+                jacobian_svds.append(np.shape(a))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         z = lewy_point(0.3, -0.2, 0.5)
         rep = lemma21_sample(LEWY, z, np.random.default_rng(2))
         assert lemma21_residual(rep) <= TOL_LEMMA21
-        assert full_svds == [(1, 1, 4)]
+        assert jacobian_svds == [(1, 1, 4)]
         lemma21_residuals(LEWY, z, np.ones((20, 1)), np.ones((20, 3)))
-        assert full_svds == [(1, 1, 4)] * 2
+        assert jacobian_svds == [(1, 1, 4)] * 2
 
     @pytest.mark.parametrize(
         "call",
@@ -304,9 +324,21 @@ def _draws(rng, m, points):
 # a curve where rho is undefined at x1 = 2 and d rho vanishes at the origin
 CROSS = EmbeddedManifold.parse(1, ["(x2^2 - x1^2)*(1 + 1/(x1 - 2))"])
 CROSS_ROWS = {  # a failing row and what the point path raises there
-    "off-manifold": ([0.3, 0.4], PointNotOnManifoldError),
-    "undefined": ([2.0, 2.0], ExprDomainError),
-    "non-generic": ([0.0, 0.0], NonGenericPointError),
+    "off-manifold": (
+        [0.3, 0.4], PointNotOnManifoldError, "|rho| = 2.882e-02 exceeds 1.0e-09 at [0.3 0.4]"
+    ),
+    "undefined": ([2.0, 2.0], ExprDomainError, "float division by zero"),
+    "non-generic": (
+        [0.0, 0.0],
+        NonGenericPointError,
+        "point is not generic: real rank 0, complex rank 0, codimension 1",
+    ),
+}
+POINT_VIEWS = {
+    "tangent": tangent_space,
+    "complex-tangent": complex_tangent_space,
+    "conormal": conormal_fiber,
+    "genericity": genericity_check,
 }
 
 
@@ -362,7 +394,7 @@ class TestLemma21Batches:
     @pytest.mark.parametrize("kind", sorted(CROSS_ROWS))
     @pytest.mark.parametrize("check", ["lemma21", "theta"])
     def test_failing_row_raises_the_point_error(self, kind, check):
-        bad, error = CROSS_ROWS[kind]
+        bad, error, _ = CROSS_ROWS[kind]
         rows = np.array([[0.5, 0.5], [-0.3, -0.3], [0.7, -0.7], bad, [0.2, 0.2]])
         weights, coeffs = np.ones((5, 1)), np.ones((5, 1))
         if check == "lemma21":
@@ -383,6 +415,18 @@ class TestLemma21Batches:
             run_rows()
         assert type(batch.value) is type(point.value)
         assert str(batch.value) == str(point.value)
+
+    @pytest.mark.parametrize("kind", sorted(CROSS_ROWS))
+    @pytest.mark.parametrize("view", sorted(POINT_VIEWS))
+    def test_point_view_raises_the_point_error(self, kind, view):
+        bad, error, message = CROSS_ROWS[kind]
+        if view == "genericity" and error is NonGenericPointError:
+            rep = genericity_check(CROSS, bad)  # reports instead of raising
+            assert (rep.real_rank, rep.complex_rank, rep.generic) == (0, 0, False)
+            return
+        with pytest.raises(error) as raised:
+            POINT_VIEWS[view](CROSS, bad)
+        assert type(raised.value) is error and str(raised.value) == message
 
     @pytest.mark.parametrize(
         "order", [("non-generic", "undefined"), ("undefined", "off-manifold")]

@@ -94,7 +94,7 @@ class TestParser:
 
     def test_alias_shadows_function_rejected(self):
         with pytest.raises(ValueError, match="shadows"):
-            parse_expr("sin(x1)", 1, aliases={"sin": 0})
+            parse_expr("sin(x1)", 1, aliases=["sin"])
         with pytest.raises(ValueError, match="shadows"):  # Python could not read it as a name
             parse_expr("lambda + 1", 1, aliases=["lambda"])
 

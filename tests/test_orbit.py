@@ -325,7 +325,7 @@ class TestOnePassWords:
             assert [w for w, _ in contributions] == [w for w, _, _ in kept]
             for (_, source), (_, want, _) in zip(contributions, kept):
                 assert source.tobytes() == want.tobytes()
-            reference = orbit._assemble_span(manifold, z, tangent, kept)
+            reference = orbit._assemble_span(manifold, tangent, kept)
             assert rep.best_span.singular_values.tobytes() == reference.singular_values.tobytes()
             return
         col_sets = [tangent.basis.T @ cols for _, _, cols in kept]

@@ -300,6 +300,17 @@ class TestExitCodes:
         assert "'nan,0,0,0'" in err and "non-finite" in err
 
     @pytest.mark.parametrize(
+        "option, named",
+        [("eta", "--eta ''"), ("xi", "--xi ''"), ("point", "point ''")],
+        ids=["eta", "xi", "point"],
+    )
+    def test_empty_vector_option_exit_2(self, option, named, capsys):
+        """An empty value is given, not absent: it is rejected, not read as the default."""
+        code = main(["transport", "--scenario", "expchart", f"--{option}", ""])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, scenario, point, expected",
         [
             ("analyze", "lewy", "1,2", 4),
