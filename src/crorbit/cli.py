@@ -336,7 +336,6 @@ def cmd_orbit(
             )
             report.outputs["certificate.json"] = str(cert_path)
     else:
-        best = cert_rep.best_span
         report.results.append(
             CheckResult(
                 "global-minimality-certificate",
@@ -344,7 +343,7 @@ def cmd_orbit(
                 details={
                     "found": False,
                     "budget_exhausted": cert_rep.budget_exhausted,
-                    "best_span_dimension": best.dimension if best else None,
+                    "best_span_dimension": cert_rep.best_span.dimension,
                     "note": cert_rep.note,
                 },
             )

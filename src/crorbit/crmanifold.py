@@ -516,8 +516,6 @@ def e_fiber(m: EmbeddedManifold, chart: AdaptedChart, xp: Sequence[float]) -> EF
 
 @dataclass
 class ThetaTransportResult:
-    start: EFiber
-    end: EFiber
     endpoint_parameters: np.ndarray
     value: np.ndarray  # E-representative at the endpoint
 
@@ -570,13 +568,11 @@ def theta_transport(
     end = e_fiber(m, chart, moved.base)
     y_end = end.dpsi @ np.concatenate((np.zeros(chart.l), moved.eta))
     value = end.e_basis.project(apply_j(y_end))
-    return ThetaTransportResult(start, end, moved.base, value)
+    return ThetaTransportResult(moved.base, value)
 
 
 @dataclass
 class ThetaStarTransportResult:
-    start: EFiber
-    end: EFiber
     endpoint_parameters: np.ndarray
     value: HolomorphicForm
 
@@ -627,4 +623,4 @@ def theta_star_transport(
     value = HolomorphicForm(
         sum(c * w.zeta for c, w in zip(coeffs, end.estar_forms))
     )
-    return ThetaStarTransportResult(start, end, moved.base, value)
+    return ThetaStarTransportResult(moved.base, value)

@@ -8,6 +8,14 @@ global minimality: a finite word collection whose pushed spans cover the
 full tangent space, reproducible from the recorded seed.  Failure to find a
 certificate is reported as such and is never a proof of non-minimality.
 
+A span is the (dim M x k) block of its unit-normalized pushed columns in an
+orthonormal basis of T_zM.  One SVD of that block gives its singular
+values, its numerical rank and its sigma_dim (``_span``), for
+:func:`pushforward_span`, for every step of the search and for
+:func:`verify_certificate`; a found certificate's sigma_min, singular values
+and best span come from one SVD of its selection, and an exhausted search
+reports the span of the block it already built.
+
 Words are integrated in batches (:func:`~crorbit.flow.composed_flows`), with
 the bits of one word at a time: :func:`pushforward_span`,
 :func:`reachable_samples` and :func:`verify_certificate` make one batched
@@ -74,11 +82,15 @@ class LieHullResult:
 
 @dataclass
 class PushforwardSpan:
-    contributions: list[tuple[FlowWord, np.ndarray]]  # (word, source point)
-    span: SubspaceBasis
+    """The span of pushed T^c columns, read off their T_zM coordinates.
+
+    ``singular_values`` are those of the (dim M x k) coordinate block, in
+    descending order (none for no columns); ``dimension`` is its numerical
+    rank at ``linalg.RANK_RTOL``.
+    """
+
     singular_values: np.ndarray
     dimension: int
-    max_tangent_residual: float
 
 
 @dataclass
@@ -104,8 +116,8 @@ class Certificate:
 
 @dataclass
 class MinimalityReport:
+    best_span: PushforwardSpan  # the certificate's span, or every kept word's
     certificate: Certificate | None = None
-    best_span: PushforwardSpan | None = None
     budget_exhausted: bool = False
     note: str = FRAME_SUBFAMILY_NOTE
 
@@ -193,30 +205,15 @@ def _pushed_columns(
     return source, pushed / np.linalg.norm(pushed, axis=0)
 
 
-def _assemble_span(
-    m: EmbeddedManifold,
-    tangent: SubspaceBasis,
-    evaluated: Sequence[tuple[FlowWord, np.ndarray, np.ndarray]],
-) -> PushforwardSpan:
-    """Span of already-evaluated ``(word, source, pushed columns)`` triples.
+def _span(coords: np.ndarray) -> tuple[PushforwardSpan, float]:
+    """The span of a (dim M x k) block of T_zM coordinates and its sigma_dim, from one SVD.
 
-    Singular values are taken in the orthonormal basis ``tangent`` of T_zM;
-    the tangent residual of every pushed column is recorded.
+    sigma_dim is 0.0 below dim M columns; the empty block spans dimension 0.
     """
-    contributions = [(word, source) for word, source, _ in evaluated]
-    all_cols = [cols for _, _, cols in evaluated]
-    max_resid = 0.0
-    for cols in all_cols:
-        for k in range(cols.shape[1]):
-            max_resid = max(max_resid, tangent.residual(cols[:, k]))
-    stacked = np.hstack(all_cols) if all_cols else np.zeros((m.ambient_dim, 0))
-    coords = tangent.basis.T @ stacked
     sv = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
-    dim = int(_svd_rank(sv))
-    span = SubspaceBasis.from_spanning(stacked) if all_cols else SubspaceBasis(
-        m.ambient_dim, np.zeros((m.ambient_dim, 0))
-    )
-    return PushforwardSpan(contributions, span, sv, dim, max_resid)
+    dim = coords.shape[0]
+    sigma = float(sv[dim - 1]) if sv.size >= dim else 0.0
+    return PushforwardSpan(sv, int(_svd_rank(sv))), sigma
 
 
 def pushforward_span(
@@ -231,18 +228,17 @@ def pushforward_span(
     Each word is run backward from z to find its source, and the complex
     tangent space there is pushed forward by the word's differential: the
     inverse of the backward differential (flow group law), so each word is
-    integrated once.  All unit-normalized images are assembled; singular
-    values are taken in an orthonormal basis of T_zM.
+    integrated once.  The unit-normalized images are taken in an orthonormal
+    basis of T_zM, and the span is read off those coordinates.
     """
     z = np.asarray(z, dtype=float)
-    tangent = tangent_space(m, z)
-    words = list(words)
-    evaluated = []
-    for word, columns in zip(words, _word_columns(m, frame, z, words, cfg)):
+    basis_t = tangent_space(m, z).basis.T
+    coords = [np.empty((m.dim, 0))]
+    for columns in _word_columns(m, frame, z, list(words), cfg):
         if isinstance(columns, FlowError):
             raise columns  # the first failure in word order
-        evaluated.append((word, *columns))
-    return _assemble_span(m, tangent, evaluated)
+        coords.append(basis_t @ columns[1])
+    return _span(np.hstack(coords))[0]
 
 
 def random_words(
@@ -274,45 +270,36 @@ def span_words(frame_size: int, seed: int, count: int = SPAN_WORDS) -> list[Flow
     return [FlowWord.empty()] + random_words(rng, count, frame_size, 3, 0.4)
 
 
-def _sigma_min(a: np.ndarray, dim: int) -> float:
-    if a.shape[1] < dim:
-        return 0.0
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[dim - 1])
-
-
 def _greedy_select(
     col_sets: list[np.ndarray],
     words: list[FlowWord],
-    dim: int,
     tau: float,
-) -> tuple[list[int], float]:
+) -> tuple[list[int], PushforwardSpan, float]:
     """Forward-greedy word selection by marginal smallest-singular-value gain.
 
     Ties break towards shorter words, then lower pool index; selection stops
     as soon as the assembled span clears ``tau``.  Adding columns never lowers
     the smallest singular value, so a pool that clears ``tau`` yields a
     selection that clears it too, even through steps that gain nothing.
+    Returns the selection with its span and sigma_dim.
     """
     remaining = list(range(len(words)))
     selected: list[int] = []
     chosen_cols: list[np.ndarray] = []
-    current = 0.0
     while remaining:
         best = None
         for idx in remaining:
-            sig = _sigma_min(np.hstack(chosen_cols + [col_sets[idx]]), dim)
+            span, sig = _span(np.hstack(chosen_cols + [col_sets[idx]]))
             key = (-sig, len(words[idx]), idx)
             if best is None or key < best[0]:
-                best = (key, idx, sig)
-        _, idx, sig = best
+                best = (key, idx, span, sig)
+        _, idx, span, sig = best
         selected.append(idx)
         chosen_cols.append(col_sets[idx])
         remaining.remove(idx)
-        current = sig
-        if current >= tau:
+        if sig >= tau:
             break
-    return selected, current
+    return selected, span, sig
 
 
 def global_minimality_certificate(
@@ -328,60 +315,52 @@ def global_minimality_certificate(
     The word pool starts with the empty word and grows by ``budget`` random
     words drawn from ``seed``.  Success requires the smallest singular value
     of the assembled span to reach :data:`TAU_CERT`; the returned certificate
-    is the greedy-pruned minimal subcollection.  On failure the best span
-    reached is reported; this is explicitly not a proof of non-minimality.
+    is the greedy-pruned minimal subcollection, and its span is the best
+    span.  On failure the span of every kept word is reported; this is
+    explicitly not a proof of non-minimality.
     """
     z = np.asarray(z, dtype=float)
-    tangent = tangent_space(m, z)
-    dim = tangent.dim
+    basis_t = tangent_space(m, z).basis.T
     rng = np.random.default_rng(seed)
     pool = [FlowWord.empty()] + random_words(
         rng, budget, len(frame), WORD_LENGTH_CAP, TIME_RANGE
     )
-    kept: list[tuple[FlowWord, np.ndarray, np.ndarray]] = []  # (word, source, cols)
-    col_sets: list[np.ndarray] = []  # the same columns in T_zM coordinates
-    block = np.empty((dim, 0))  # col_sets side by side, one word appended at a time
+    kept: list[tuple[FlowWord, np.ndarray]] = []  # (word, source)
+    col_sets: list[np.ndarray] = []  # each kept word's columns in T_zM coordinates
+    block = np.empty((m.dim, 0))  # col_sets side by side, one word appended at a time
+    span, sigma = _span(block)
     failures = 0
-    found = False
     lo, size = 0, 1  # chunks of 1, 2, 4, ..., MAX_BATCH words
-    while lo < len(pool) and not found:
+    while lo < len(pool) and sigma < TAU_CERT:
         chunk = pool[lo : lo + size]
         lo, size = lo + size, min(2 * size, MAX_BATCH)
         for word, columns in zip(chunk, _word_columns(m, frame, z, chunk, cfg)):
             if isinstance(columns, FlowError):
                 failures += 1
                 continue
-            source, cols = columns
-            kept.append((word, source, cols))
-            col_sets.append(tangent.basis.T @ cols)
+            kept.append((word, columns[0]))
+            col_sets.append(basis_t @ columns[1])
             block = np.hstack((block, col_sets[-1]))
-            if _sigma_min(block, dim) >= TAU_CERT:
-                found = True  # the chunk's words past the hit are discarded
-                break
+            span, sigma = _span(block)
+            if sigma >= TAU_CERT:
+                break  # the chunk's words past the hit are discarded
 
-    local = MinimalityReport()
-    if found:
-        kept_words = [word for word, _, _ in kept]
-        selected, sigma = _greedy_select(col_sets, kept_words, dim, TAU_CERT)
-        words = tuple(kept_words[i] for i in selected)
-        chosen = np.hstack([col_sets[i] for i in selected])
-        all_sv = np.linalg.svd(chosen, compute_uv=False)
-        local.certificate = Certificate(
-            words=words,
-            sources=tuple(kept[i][1] for i in selected),
-            smallest_singular_value=sigma,
-            span_dimension=dim,
-            tau=TAU_CERT,
-            seed=seed,
-            singular_values=tuple(float(s) for s in all_sv),
-        )
-        local.best_span = _assemble_span(m, tangent, [kept[i] for i in selected])
-    else:
-        local.budget_exhausted = True
-        local.best_span = _assemble_span(m, tangent, kept)
+    if sigma < TAU_CERT:
+        note = FRAME_SUBFAMILY_NOTE
         if failures:
-            local.note = f"{FRAME_SUBFAMILY_NOTE}; {failures} word(s) failed to integrate"
-    return local
+            note = f"{note}; {failures} word(s) failed to integrate"
+        return MinimalityReport(span, budget_exhausted=True, note=note)
+    selected, span, sigma = _greedy_select(col_sets, [word for word, _ in kept], TAU_CERT)
+    certificate = Certificate(
+        words=tuple(kept[i][0] for i in selected),
+        sources=tuple(kept[i][1] for i in selected),
+        smallest_singular_value=sigma,
+        span_dimension=m.dim,
+        tau=TAU_CERT,
+        seed=seed,
+        singular_values=tuple(float(s) for s in span.singular_values),
+    )
+    return MinimalityReport(span, certificate)
 
 
 def verify_certificate(
@@ -404,7 +383,8 @@ def verify_certificate(
             f"but {len(certificate.sources)} source(s)"
         )
     z = np.asarray(z, dtype=float)
-    evaluated = []
+    basis_t = tangent_space(m, z).basis.T
+    coords = [np.empty((m.dim, 0))]
     fwds = composed_flows(frame, certificate.words, certificate.sources, cfg, m)
     for word, source, fwd in zip(certificate.words, certificate.sources, fwds):
         if isinstance(fwd, FlowError):
@@ -419,10 +399,8 @@ def verify_certificate(
                 f"word {list(word.steps)} does not return to the base point within tolerance"
             )
         pushed = fwd.differential @ complex_tangent_space(m, source).basis
-        evaluated.append((word, source, pushed / np.linalg.norm(pushed, axis=0)))
-    span = _assemble_span(m, tangent_space(m, z), evaluated)
-    dim = m.dim
-    sigma = float(span.singular_values[dim - 1]) if span.singular_values.size >= dim else 0.0
+        coords.append(basis_t @ (pushed / np.linalg.norm(pushed, axis=0)))
+    _, sigma = _span(np.hstack(coords))
     return sigma >= certificate.tau / 2.0, sigma
 
 

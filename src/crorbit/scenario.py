@@ -70,14 +70,14 @@ def _expr(text: str, dim: int, aliases, path: str) -> ScalarExpr:
 
 
 def _frame(fields, dim: int, aliases, path: str) -> list[VectorFieldSpec]:
-    """The frame declared at ``path``: one field per list of coefficient expressions."""
-    return [
-        VectorFieldSpec(
-            tuple(_expr(t, dim, aliases, f"{path}[{j}][{i}]") for i, t in enumerate(coeffs)),
-            dim,
-        )
-        for j, coeffs in enumerate(fields)
-    ]
+    """The frame declared at ``path``: one field per list of ``dim`` coefficient expressions."""
+    frame = []
+    for j, coeffs in enumerate(fields):
+        if len(coeffs) != dim:
+            raise ScenarioError(f"{path}[{j}] has {len(coeffs)} coefficients for dimension {dim}")
+        exprs = tuple(_expr(t, dim, aliases, f"{path}[{j}][{i}]") for i, t in enumerate(coeffs))
+        frame.append(VectorFieldSpec(exprs, dim))
+    return frame
 
 
 _FIELD = {"type": "array", "items": {"type": "string"}, "minItems": 1}

@@ -723,7 +723,6 @@ def _check_certificates(seed: int) -> list[CheckResult]:
     passed_flat = (
         repf.certificate is None
         and repf.budget_exhausted
-        and repf.best_span is not None
         and repf.best_span.dimension == 2
     )
     out.append(
@@ -732,9 +731,7 @@ def _check_certificates(seed: int) -> list[CheckResult]:
             passed_flat,
             details={
                 "budget_exhausted": repf.budget_exhausted,
-                "best_span_dimension": (
-                    repf.best_span.dimension if repf.best_span else None
-                ),
+                "best_span_dimension": repf.best_span.dimension,
             },
         )
     )

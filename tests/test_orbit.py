@@ -8,6 +8,7 @@ import pytest
 import crorbit.orbit as orbit
 from crorbit.crmanifold import complex_tangent_space, tangent_space
 from crorbit.flow import FlowError, FlowWord, composed_flow, composed_flows
+from crorbit.linalg import SubspaceBasis
 from crorbit.orbit import (
     TAU_CERT,
     Certificate,
@@ -31,6 +32,13 @@ LEWY, LEWY_FRAME = LEWY_SC.manifold, LEWY_SC.frames["cr"]
 FLAT, FLAT_FRAME = FLAT_SC.manifold, FLAT_SC.frames["cr"]
 TUBE3, TUBE3_FRAME = TUBE3_SC.manifold, TUBE3_SC.frames["cr"]
 CFG = LEWY_SC.integrator  # the three builtins use the default tolerances
+
+# float.hex of span values at the origin (seed 7), as computed when the search
+# took three SVDs of a certificate's selection and one of its ambient columns;
+# a change that moves a bit fails here
+LEWY_SEED7_SIGMA = "0x1.7d07b7ffd6e19p-1"  # budget 64: sigma_min, and its re-check
+LEWY_SEED7_SINGULAR_VALUES = ["0x1.6a09e667f3bcep+0", "0x1.33db6c2c993c1p+0", LEWY_SEED7_SIGMA]
+FLAT_SEED7_BEST_SPAN = ["0x1.07e0f66afed07p+2", "0x1.07e0f66afed07p+2", "0x0.0p+0"]  # budget 16
 
 
 def lewy_point(rng):
@@ -88,17 +96,29 @@ class TestIsMinimal:
 
 class TestPushforwardSpan:
     def test_empty_word_gives_complex_tangent(self):
-        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), [FlowWord.empty()], CFG)
+        z = np.zeros(4)
+        span = pushforward_span(LEWY, LEWY_FRAME, z, [FlowWord.empty()], CFG)
         assert span.dimension == 2
-        tc = complex_tangent_space(LEWY, np.zeros(4))
+        [(source, cols)] = _word_columns(LEWY, LEWY_FRAME, z, [FlowWord.empty()], CFG)
+        assert np.array_equal(source, z)
+        pushed = SubspaceBasis.from_spanning(cols)
+        tc = complex_tangent_space(LEWY, z)
         for k in range(2):
-            assert span.span.residual(tc.basis[:, k]) <= 1e-9
+            assert pushed.residual(tc.basis[:, k]) <= 1e-9
 
     def test_lewy_one_word_fills_tangent(self):
+        z = np.zeros(4)
         words = [FlowWord.empty(), FlowWord.of((1, 0.5))]
-        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), words, CFG)
+        span = pushforward_span(LEWY, LEWY_FRAME, z, words, CFG)
         assert span.dimension == 3
-        assert span.max_tangent_residual <= 1e-8
+        tangent = tangent_space(LEWY, z)
+        for _, cols in _word_columns(LEWY, LEWY_FRAME, z, words, CFG):
+            assert max(tangent.residual(col) for col in cols.T) <= 1e-8
+
+    def test_no_words_span_nothing(self):
+        span = pushforward_span(LEWY, LEWY_FRAME, np.zeros(4), [], CFG)
+        assert span.dimension == 0
+        assert span.singular_values.size == 0
 
     def test_flat_stays_two_dimensional(self):
         words = [FlowWord.empty(), FlowWord.of((1, 0.4), (2, -0.6))]
@@ -163,24 +183,34 @@ class TestCertificates:
         [(FLAT, FLAT_FRAME, 16), (LEWY, LEWY_FRAME, 64)],
         ids=["flat-exhausted", "lewy-certificate"],
     )
-    def test_best_span_equals_fresh_pushforward(self, manifold, frame, budget):
+    def test_best_span_equals_fresh_pushforward(self, manifold, frame, budget, monkeypatch):
         """The best span reuses the search's flows: re-running its words changes nothing."""
         z = np.zeros(4)
+        run = count_composed_flows(monkeypatch)
         rep = global_minimality_certificate(manifold, frame, z, budget, 7, CFG)
         best = rep.best_span
-        words = [word for word, _ in best.contributions]
         if rep.certificate is not None:
-            assert tuple(words) == rep.certificate.words
+            words = list(rep.certificate.words)
+            fresh_sources = [s for s, _ in _word_columns(manifold, frame, z, words, CFG)]
+            for source, fresh_source in zip(rep.certificate.sources, fresh_sources):
+                assert np.array_equal(source, fresh_source)
+            assert best.singular_values.tolist() == list(rep.certificate.singular_values)
         else:
+            words = [w.inverse() for w in run]  # the search runs each word backward
             assert len(words) == budget + 1
         fresh = pushforward_span(manifold, frame, z, words, CFG)
-        assert [word for word, _ in fresh.contributions] == words
-        for (_, source), (_, fresh_source) in zip(best.contributions, fresh.contributions):
-            assert np.array_equal(source, fresh_source)
         assert best.dimension == fresh.dimension
         assert np.array_equal(best.singular_values, fresh.singular_values)
-        assert np.array_equal(best.span.basis, fresh.span.basis)
-        assert best.max_tangent_residual == fresh.max_tangent_residual
+
+    def test_span_values_at_seed_7(self):
+        z = np.zeros(4)
+        cert = global_minimality_certificate(LEWY, LEWY_FRAME, z, 64, 7, CFG).certificate
+        _, sigma = verify_certificate(LEWY, LEWY_FRAME, z, cert, CFG)
+        assert cert.smallest_singular_value.hex() == LEWY_SEED7_SIGMA
+        assert [s.hex() for s in cert.singular_values] == LEWY_SEED7_SINGULAR_VALUES
+        assert sigma.hex() == LEWY_SEED7_SIGMA
+        best = global_minimality_certificate(FLAT, FLAT_FRAME, z, 16, 7, CFG).best_span
+        assert [float(s).hex() for s in best.singular_values] == FLAT_SEED7_BEST_SPAN
 
     def test_search_computes_no_lie_hull(self, monkeypatch):
         """The search stands on its own flows; the Lie hull is left to the caller."""
@@ -218,9 +248,10 @@ class TestCertificates:
         eye = np.eye(3)
         col_sets = [np.diag([1.0, 1e-4, 1e-4]), eye[:, [1]], eye[:, [2]]]
         words = [FlowWord.of((1, 0.1)) for _ in col_sets]
-        selected, sigma = _greedy_select(col_sets, words, 3, TAU_CERT)
+        selected, span, sigma = _greedy_select(col_sets, words, TAU_CERT)
         assert sorted(selected) == [0, 1, 2] and selected[0] == 0
         assert sigma >= TAU_CERT and sigma == pytest.approx(1.0)
+        assert span.dimension == 3 and span.singular_values[2] == sigma
 
 
 def count_composed_flows(monkeypatch):
@@ -294,8 +325,13 @@ class TestOnePassWords:
         rep = global_minimality_certificate(FLAT, FLAT_FRAME, np.zeros(4), 16, 7, CFG)
         assert rep.budget_exhausted
         assert rep.note.endswith("; 1 word(s) failed to integrate")
-        kept = [w for w, _ in rep.best_span.contributions]
-        assert len(kept) == 16 and word not in kept
+        pool = [FlowWord.empty()] + orbit.random_words(
+            np.random.default_rng(7), 16, 2, orbit.WORD_LENGTH_CAP, orbit.TIME_RANGE
+        )
+        kept = [w for w in pool if w != word]
+        assert len(kept) == 16
+        fresh = pushforward_span(FLAT, FLAT_FRAME, np.zeros(4), kept, CFG)
+        assert rep.best_span.singular_values.tobytes() == fresh.singular_values.tobytes()
 
     @pytest.mark.parametrize(
         "manifold, frame, budget",
@@ -317,23 +353,24 @@ class TestOnePassWords:
                 continue
             kept.append((word, *columns))
             block = np.hstack((block, tangent.basis.T @ columns[1]))
-            if orbit._sigma_min(block, tangent.dim) >= TAU_CERT:
+            sv = np.linalg.svd(block, compute_uv=False)
+            if sv.size == tangent.dim and sv[-1] >= TAU_CERT:
                 break
         rep = global_minimality_certificate(manifold, frame, z, budget, 7, CFG)
         if rep.certificate is None:
-            contributions = rep.best_span.contributions
-            assert [w for w, _ in contributions] == [w for w, _, _ in kept]
-            for (_, source), (_, want, _) in zip(contributions, kept):
-                assert source.tobytes() == want.tobytes()
-            reference = orbit._assemble_span(manifold, tangent, kept)
-            assert rep.best_span.singular_values.tobytes() == reference.singular_values.tobytes()
+            failed = len(pool) - len(kept)
+            assert rep.note.endswith(f"; {failed} word(s) failed to integrate") if failed else (
+                rep.note == orbit.FRAME_SUBFAMILY_NOTE
+            )
+            assert rep.best_span.singular_values.tobytes() == sv.tobytes()
             return
         col_sets = [tangent.basis.T @ cols for _, _, cols in kept]
-        selected, sigma = _greedy_select(col_sets, [w for w, _, _ in kept], tangent.dim, TAU_CERT)
+        selected, span, sigma = _greedy_select(col_sets, [w for w, _, _ in kept], TAU_CERT)
         cert = rep.certificate
         assert cert.words == tuple(kept[i][0] for i in selected)
         assert all(s.tobytes() == kept[i][1].tobytes() for s, i in zip(cert.sources, selected))
         assert cert.smallest_singular_value == sigma
+        assert rep.best_span.singular_values.tobytes() == span.singular_values.tobytes()
 
     def test_certificate_without_sources_raises(self):
         cert = Certificate(
@@ -347,6 +384,18 @@ class TestOnePassWords:
         )
         with pytest.raises(ValueError, match=r"2 word\(s\) but 0 source\(s\)"):
             verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), cert, CFG)
+
+    def test_certificate_without_words_spans_nothing(self):
+        cert = Certificate(
+            words=(),
+            sources=(),
+            smallest_singular_value=1.0,
+            span_dimension=3,
+            tau=TAU_CERT,
+            seed=0,
+            singular_values=(1.0, 1.0, 1.0),
+        )
+        assert verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), cert, CFG) == (False, 0.0)
 
     def test_displaced_source_fails_round_trip(self):
         rep = global_minimality_certificate(LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG)

@@ -510,6 +510,26 @@ class TestExitCodes:
         assert code == 2
         assert "frames need an embedded manifold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "builtin, section, named",
+        [
+            ("lewy", ("frames", "cr"), "frames['cr'][0] has 3 coefficients for dimension 4"),
+            ("expchart", ("manifold", "frame"), "manifold['frame'][0] has 1 coefficients for"),
+        ],
+        ids=["frames", "chart-frame"],
+    )
+    def test_frame_with_wrong_coefficient_count_exit_2(
+        self, builtin, section, named, tmp_path, capsys
+    ):
+        raw = json.loads(json.dumps(BUILTIN_SCENARIOS[builtin]))
+        fields = raw[section[0]][section[1]]
+        fields[0] = fields[0][:-1]
+        path = tmp_path / "short_field.json"
+        path.write_text(json.dumps(raw))
+        code = main(["analyze", "--scenario", str(path), "--point", "origin"])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_transport_on_embedded_scenario_exit_2(self, capsys):
         code = main(["transport", "--scenario", "lewy"])
         assert code == 2
@@ -663,10 +683,12 @@ class TestExitCodes:
             assert f"[PASS] {name}:" in out
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands():
     """The argument lists of the README lines that start with ``crorbit``."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [line.split("#")[0] for line in readme.read_text().splitlines()]
+    lines = [line.split("#")[0] for line in README.read_text().splitlines()]
     return [shlex.split(line)[1:] for line in lines if line.startswith("crorbit ")]
 
 
@@ -674,6 +696,14 @@ def _readme_commands():
 def test_readme_cli_example_parses(argv):
     """Every documented invocation uses options the parser still has (parsing only)."""
     _build_parser().parse_args(argv)
+
+
+def test_readme_library_imports_resolve():
+    """The README's "Library entry points" import block runs: each name it lists exists."""
+    section = README.read_text().split("## Library entry points", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("from crorbit import (")
+    exec(compile(block, "README.md", "exec"), {})
 
 
 class TestDeterminism:
