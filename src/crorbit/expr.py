@@ -32,7 +32,8 @@ defining functions, vector-field coefficients and scalar multipliers.
   functions are mapped over the column's Python floats, so every operation
   rounds as in the point kernel.  ``evaluate_rows`` sends each row the
   column kernel cannot vouch for back to the point path, which returns
-  its numbers or raises its error.
+  its numbers or raises its error.  ``Jet.rows`` of one row is ``Jet.at``,
+  which costs less than a column kernel's call.
 
 Text is read by Python's parser (``ast.parse``, ``^`` read as ``**``) and
 one walker that maps the grammar onto the node classes.  Anything else, a
@@ -974,7 +975,17 @@ class Jet:
         Each row has the bits :meth:`at` gives it (see :func:`evaluate_rows`);
         the second item maps the rows where an expression is undefined to
         :meth:`at`'s error there, and those rows' outputs are meaningless.
+        One row is :meth:`at` itself, which costs less than a column kernel's
+        call.
         """
+        if len(X) == 1:
+            try:
+                res = self.at(X[0])
+            except ExprDomainError as exc:
+                vals = np.full((1, len(self.exprs)), np.nan)
+                jac = np.full((1, len(self.exprs), self.dim), np.nan)
+                return ((vals, jac) if self.partials else vals), {0: exc}
+            return ((res[0][None], res[1][None]) if self.partials else res[None]), {}
         if self._rows is None:
             self._rows = (
                 compile_values_and_jacobian_rows(self.exprs, self.dim)

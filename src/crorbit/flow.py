@@ -34,11 +34,13 @@ Many words at once: :func:`composed_flows` returns one result or error per
 word.  The words (cut into batches of :data:`MAX_BATCH`) run one lockstep
 loop over a (B, n + n^2) state, in which every member keeps its own leg, t,
 h, err_prev, FSAL stage, step count, differential, drift and trajectory,
-and fails alone.  A lockstep step makes the same numpy calls whatever B is,
-which pays for many members; the orbit searches that call it flow many
-words at once.  Each member gets exactly the bits :func:`composed_flow`
-gives for its word alone, because every row operation rounds as the
-one-word operation it replaces:
+and fails alone.  A step's arithmetic is stacked over the members, a fixed
+number of numpy calls that each grow a little with B; each member's step
+control is a few Python float operations.  So a batch of one costs little
+more than :func:`composed_flow`, and the orbit searches, which flow many
+words at once, share the stacked calls.  Each member gets exactly the bits
+:func:`composed_flow` gives for its word alone, because every row operation
+rounds as the one-word operation it replaces:
 
 - stage sums and the error estimate are ``np.matmul(_A[i], K[:, :i])`` and
   ``np.matmul(_ERR, K)``: a stacked matmul equals ``@`` slice by slice, as
@@ -46,26 +48,31 @@ one-word operation it replaces:
   in another order);
 - :func:`_rms` reduces the last axis, the same pairwise sum for one row or
   many;
-- Python's ``**`` is ``np.float_power`` (the same libm ``pow``; an array
-  ``x**2`` squares instead), and ``max``/``min`` are :func:`_max`/:func:`_min`,
-  which keep Python's NaN order;
+- the step control is :func:`_integrate`'s own Python float arithmetic,
+  run member by member;
 - the right-hand side and the rho probe evaluate rows with column kernels
   (:func:`~crorbit.expr.evaluate_rows`), which give each row its point
-  kernel's bits or its error;
+  kernel's bits or its error; a field that one member flows, and a probe
+  of one state, call the point kernel itself (:meth:`~crorbit.expr.Jet.rows`);
 - one batched rho probe decides which accepted states are within
-  :data:`RETRACT_TOL`; only the others run :func:`retract`, so a Newton
-  step keeps its bits, and a state it moves re-evaluates its derivative;
+  :data:`RETRACT_TOL`; only the others take :func:`retract`'s Newton steps,
+  from that probe, so a Newton step keeps its bits, and a state it moves
+  re-evaluates its derivative;
 - a zero-time leg evaluates nothing: its differential is I.
 
 :func:`_initial_step` is written once, over rows; the one-word loop passes
-one row.  Rows are grouped by their current field with a Python set
-(``np.unique`` would import ``numpy.ma``).
+one row.  It spells a one-row original's Python ``**``, ``max`` and ``min``
+as ``np.float_power`` (the same libm ``pow``; an array ``x**2`` squares
+instead), :func:`_max` and :func:`_min`, which keep Python's NaN order.
+The lockstep keeps its rows sorted by current field, so each field's rows
+are one slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -342,8 +349,16 @@ def retract(manifold: _DefinedByEquations, x: Sequence[float]) -> tuple[np.ndarr
     convergence basin.
     """
     y = np.asarray(x, dtype=float)
-    for _ in range(_RETRACT_MAX_ITER):
-        r = manifold.rho_values(y)
+    return _newton(manifold, y, manifold.rho_values(y))
+
+
+def _newton(
+    manifold: _DefinedByEquations, y: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """:func:`retract` from ``y``, a float array whose rho ``r`` the caller has already probed."""
+    for i in range(_RETRACT_MAX_ITER):
+        if i:
+            r = manifold.rho_values(y)
         resid = float(np.max(np.abs(r), initial=0.0))
         if resid <= RETRACT_TOL:
             return y, resid
@@ -476,15 +491,19 @@ def _caused(err: FlowError, exc: Exception) -> FlowError:
 class _Lockstep:
     """One Dormand-Prince 5(4) loop for a batch of words, one row per running member.
 
-    Each row carries its member's leg, t, h, err_prev, FSAL stage, step
-    count, differential, elapsed time, drift and trajectory, and runs
-    :func:`_integrate`'s arithmetic in its order; a member leaves the rows
-    when its word ends or fails.  The right-hand side groups the rows by
-    their current field.
+    The numerics are stacked: the states ``y`` (B, n + n^2), the stages ``k``
+    (B, 7, n + n^2) and the differentials ``d`` (B, n, n) hold one row per
+    running member, in the order of ``rows`` (member indices).  The step
+    control is Python floats per member, indexed by member: leg, field, t,
+    t1, h, err_prev, the step count at which the leg began, elapsed time,
+    drift and trajectory.  Each member runs :func:`_integrate`'s scalar
+    arithmetic in its order, so control costs a few Python operations per
+    member and no numpy call, and a step where nothing fails, is rejected
+    or is retracted pays one Python test per member for those branches.
+    A member leaves the rows when its word ends or fails.  The rows are
+    kept in the order of their current field, so the right-hand side
+    evaluates each field's rows as one slice.
     """
-
-    _ROWS = ("ids", "leg", "field", "t", "t1", "h", "err_prev", "steps", "y", "k", "d",
-             "t_offset", "drift", "gone")
 
     def __init__(self, frame, words, x0s, cfg, manifold):
         xs = [_start_point(frame, word, x0) for word, x0 in zip(words, x0s)]
@@ -498,242 +517,301 @@ class _Lockstep:
         self.frame, self.words, self.cfg, self.manifold, self.n = frame, words, cfg, manifold, n
         self.results: list[FlowResult | FlowError | None] = [None] * b
         self.trajectories = [[(0.0, x.copy())] for x in xs]
-        self.ids = np.arange(b)
-        self.leg = np.zeros(b, dtype=int)
-        self.field = np.zeros(b, dtype=int)  # 0-based frame index of the current leg
-        self.t, self.t1, self.h = np.zeros(b), np.zeros(b), np.zeros(b)
-        self.err_prev = np.ones(b)
-        self.steps = np.zeros(b, dtype=int)
+        self.rows = list(range(b))  # the running members, one per array row
+        self.leg, self.field, self.begun = [0] * b, [0] * b, [0] * b
+        self.t, self.t1, self.h, self.err_prev = [0.0] * b, [0.0] * b, [0.0] * b, [1.0] * b
+        self.direction, self.t_tol = [1.0] * b, [0.0] * b  # sign of t1; where t reaches t1
+        self.t_offset, self.drift = [0.0] * b, [0.0] * b
+        self.count = 0  # steps taken by the loop; a member's leg has taken count - begun
         self.y = np.empty((b, n + n * n))
         self.y[:, :n] = xs
         self.k = np.empty((b, 7, n + n * n))
         self.d = np.broadcast_to(np.eye(n), (b, n, n)).copy()
-        self.t_offset = np.zeros(b)
-        self.drift = np.zeros(b)
-        self.gone = np.zeros(b, dtype=bool)  # finished or failed, until the next _compact
-        for r, x in enumerate(xs):  # run() drops the members whose start point fails
-            try:
-                self.drift[r] = _start_drift(manifold, x)
-            except FlowDomainError as exc:
-                self._fail(r, exc)
+        self.gone = False  # a member finished or failed since the last _compact
+        self.arranged = False  # the rows are in field order, and groups holds their runs
+        self.groups: list[tuple[int, slice]] = []
+        if manifold is not None:  # one probe of the start points, like _start_drift's
+            rho, errors = manifold.rho_value_rows(self.y[:, :n])
+            self.drift = np.abs(rho).max(axis=1, initial=0.0).tolist()
+            for r, exc in errors.items():  # run() drops these members
+                self._fail(r, _caused(_domain_error(exc), exc))
 
     @np.errstate(invalid="ignore", divide="ignore", over="ignore")
     def run(self) -> list[FlowResult | FlowError]:
         self._compact()
-        self._start(np.arange(len(self.ids)))
+        self._start(list(range(len(self.rows))))
         self._compact()
-        while len(self.ids):
+        while self.rows:
             self._step()
         return self.results
 
     # -- membership ---------------------------------------------------------
 
     def _fail(self, r: int, err: FlowError) -> None:
-        if not self.gone[r]:
-            self.results[self.ids[r]] = err
-            self.gone[r] = True
+        """Member ``r`` ends with ``err``, unless it already failed."""
+        if self.results[r] is None:
+            self.results[r] = err
+            self.gone = True
 
-    def _finish(self, r: int) -> None:
-        drift = float(self.drift[r])
-        self.results[self.ids[r]] = FlowResult(
-            self.y[r, : self.n].copy(), self.d[r].copy(), self.trajectories[self.ids[r]],
+    def _finish(self, j: int) -> None:
+        r, drift = self.rows[j], self.drift[self.rows[j]]
+        self.results[r] = FlowResult(
+            self.y[j, : self.n].copy(), self.d[j].copy(), self.trajectories[r],
             drift, drift > DRIFT_BOUND,
         )
-        self.gone[r] = True
+        self.gone = True
 
     def _compact(self, *local: np.ndarray) -> list[np.ndarray]:
-        """Drop the gone rows from the state and from the row arrays ``local``."""
-        if not self.gone.any():
+        """Drop the gone members' rows, and keep the rows in field order.
+
+        The arrays and the row arrays ``local`` are permuted alike, and
+        :attr:`groups` is set to each field's contiguous rows.
+        """
+        if not self.gone and self.arranged:
             return list(local)
-        keep = ~self.gone
-        for name in self._ROWS:
-            setattr(self, name, getattr(self, name)[keep])
+        fields = self.field
+        keep = sorted((j for j, r in enumerate(self.rows) if self.results[r] is None),
+                      key=lambda j: fields[self.rows[j]])
+        self.rows = [self.rows[j] for j in keep]
+        self.y, self.k, self.d = self.y[keep], self.k[keep], self.d[keep]
+        self.gone, self.arranged = False, True
+        self.groups = self._groups(range(len(keep)))
         return [a[keep] for a in local]
 
     # -- right-hand side ----------------------------------------------------
 
-    def _groups(self, rows) -> list[tuple[int, np.ndarray | slice]]:
-        """``rows`` by current field: (0-based field index, positions in ``rows``)."""
-        fields = self.field[rows]
-        distinct = set(fields.tolist())
-        if len(distinct) == 1:
-            return [(distinct.pop(), slice(None))]
-        return [(f, np.flatnonzero(fields == f)) for f in distinct]
+    def _groups(self, positions) -> list[tuple[int, slice]]:
+        """``positions`` in runs of one current field: (0-based field index, slice of them).
 
-    def _rhs(self, groups, ys: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]:
-        """(a(x), Da(x) M) at the states ``ys``, field by field, and the rows where undefined."""
-        n, b = self.n, len(ys)
-        out = np.empty_like(ys)
-        jac = np.empty((b, n, n))
+        Rows in field order make one run per field.
+        """
+        fields = [self.field[self.rows[j]] for j in positions]
+        runs, lo = [], 0
+        for i in range(1, len(fields) + 1):
+            if i == len(fields) or fields[i] != fields[lo]:
+                runs.append((fields[lo], slice(lo, i)))
+                lo = i
+        return runs
+
+    def _rhs(self, groups, ys: np.ndarray, out: np.ndarray) -> dict[int, ExprDomainError]:
+        """(a(x), Da(x) M) at the states ``ys`` into ``out``, run by run; the rows where undefined.
+
+        A run of one row is its field's point-kernel call (:meth:`~crorbit.expr.Jet.rows`).
+        """
+        n = self.n
         errors: dict[int, ExprDomainError] = {}
-        for f, sel in groups:
+        for f, run in groups:
+            x = ys[run]
             try:
-                out[sel, :n], jac[sel], errs = self.frame[f].values_and_jacobian_rows(ys[sel, :n])
+                vals, jac, errs = self.frame[f].values_and_jacobian_rows(x[:, :n])
             except _DOMAIN_EXCS as exc:  # the field's code cannot be generated
-                errs = dict.fromkeys(range(len(jac[sel])), exc)
+                errs = dict.fromkeys(range(len(x)), exc)
+            else:
+                out[run, :n] = vals
+                out[run, n:] = np.matmul(jac, x[:, n:].reshape(-1, n, n)).reshape(-1, n * n)
             if errs:
-                positions = np.arange(b)[sel]
-                errors.update((int(positions[j]), exc) for j, exc in errs.items())
-        out[:, n:] = np.matmul(jac, ys[:, n:].reshape(b, n, n)).reshape(b, n * n)
-        return out, errors
+                errors.update((run.start + i, exc) for i, exc in errs.items())
+        return errors
 
-    def _checked_rhs(self, rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _checked_rhs(self, positions: list[int], ys: np.ndarray) -> np.ndarray:
         """:meth:`_rhs` under ``checked_rhs``'s contract: a failing row fails its member."""
-        out, errors = self._rhs(self._groups(rows), ys)
-        for j, exc in errors.items():
-            self._fail(rows[j], _caused(_domain_error(exc), exc))
-        for j in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
-            self._fail(rows[j], FlowBlowupError("non-finite derivative encountered"))
+        out = np.empty_like(ys)
+        errors = self._rhs(self._groups(positions), ys, out)
+        for i, exc in errors.items():
+            self._fail(self.rows[positions[i]], _caused(_domain_error(exc), exc))
+        if not np.isfinite(out).all():
+            for i in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
+                blowup = FlowBlowupError("non-finite derivative encountered")
+                self._fail(self.rows[positions[i]], blowup)
         return out
 
     # -- legs ----------------------------------------------------------------
 
-    def _start(self, rows: np.ndarray) -> None:
-        """Start each row's next leg; a row past its word's last leg finishes.
+    def _start(self, positions: list[int]) -> None:
+        """Start the next leg of the rows ``positions``; a row past its word's last leg finishes.
 
         A zero-time leg evaluates nothing: its differential is I.
         """
         n, eye = self.n, np.eye(self.n).ravel()
         real = []
-        while len(rows):
+        while positions:
             zero = []
-            for r in rows.tolist():
-                steps = self.words[self.ids[r]].steps
+            for j in positions:
+                r = self.rows[j]
+                steps = self.words[r].steps
                 if self.leg[r] == len(steps):
-                    self._finish(r)
+                    self._finish(j)
                     continue
                 idx, t = steps[self.leg[r]]
-                self.y[r, n:] = eye
+                self.y[j, n:] = eye
                 self.field[r], self.t1[r] = idx - 1, t
-                (real if t != 0.0 else zero).append(r)
-            rows = np.array(zero, dtype=int)
-            self._compose(rows)
+                self.arranged = False
+                (real if t != 0.0 else zero).append(j)
+            positions = zero
+            self._compose(zero)
         if real:
-            self._begin(np.array(real))
+            self._begin(real)
 
-    def _compose(self, rows: np.ndarray) -> None:
-        """End the current leg of ``rows``: the chain rule, the elapsed time, the next leg."""
-        n = self.n
-        self.d[rows] = np.matmul(self.y[rows, n:].reshape(-1, n, n), self.d[rows])
-        self.t_offset[rows] += np.abs(self.t1[rows])
-        self.leg[rows] += 1
-
-    def _begin(self, rows: np.ndarray) -> None:
-        """First derivative and first step size of the legs ``rows`` start at t = 0."""
-        self.t[rows], self.steps[rows], self.err_prev[rows] = 0.0, 0, 1.0
-        ys = self.y[rows]
-        f0 = self.k[rows, 0] = self._checked_rhs(rows, ys)
-        live = ~self.gone[rows]
-        rows, ys, f0 = rows[live], ys[live], f0[live]
-        if not len(rows):
+    def _compose(self, positions: list[int]) -> None:
+        """End the current leg of ``positions``: the chain rule, the elapsed time, the next leg."""
+        if not positions:
             return
-        t1 = self.t1[rows]
+        n = self.n
+        self.d[positions] = np.matmul(self.y[positions, n:].reshape(-1, n, n), self.d[positions])
+        for j in positions:
+            r = self.rows[j]
+            self.t_offset[r] += abs(self.t1[r])
+            self.leg[r] += 1
+
+    def _begin(self, positions: list[int]) -> None:
+        """First derivative and first step size of the legs ``positions`` start at t = 0."""
+        positions = sorted(positions, key=lambda j: self.field[self.rows[j]])  # groups are runs
+        for j in positions:
+            r = self.rows[j]
+            t1 = self.t1[r]
+            self.t[r], self.err_prev[r], self.begun[r] = 0.0, 1.0, self.count
+            self.direction[r] = 1.0 if t1 > 0 else -1.0
+            self.t_tol[r] = 1e-15 * max(abs(t1), 1.0)
+        ys = self.y[positions]
+        f0 = self.k[positions, 0] = self._checked_rhs(positions, ys)
+        live = [i for i, j in enumerate(positions) if self.results[self.rows[j]] is None]
+        if len(live) < len(positions):
+            positions, ys, f0 = [positions[i] for i in live], ys[live], f0[live]
+        if not positions:
+            return
+        members = [self.rows[j] for j in positions]
         h = _initial_step(
-            lambda _t, y1: self._checked_rhs(rows, y1), 0.0, ys, f0,
-            np.where(t1 > 0, 1.0, -1.0), self.cfg.rtol, self.cfg.atol,
+            lambda _t, y1: self._checked_rhs(positions, y1), 0.0, ys, f0,
+            np.array([self.direction[r] for r in members]), self.cfg.rtol, self.cfg.atol,
         )
-        self.h[rows] = _min(h, np.abs(t1))
+        for r, h0 in zip(members, h.tolist()):
+            self.h[r] = min(h0, abs(self.t1[r]))
 
     # -- one step of every row ----------------------------------------------
 
     def _step(self) -> None:
-        cfg = self.cfg
-        for r in np.flatnonzero(self.steps >= _MAX_STEPS).tolist():
-            self._fail(r, FlowBlowupError("step budget exhausted"))
-        for r in np.flatnonzero(self.h < _MIN_STEP * _max(np.abs(self.t), 1.0)).tolist():
-            self._fail(r, FlowBlowupError(f"step size underflow at t = {float(self.t[r])}"))
-        self._compact()
-        if not len(self.ids):
+        cfg, rows, t_, h_ = self.cfg, self.rows, self.t, self.h
+        if self.count >= _MAX_STEPS:
+            for r in rows:
+                if self.count - self.begun[r] >= _MAX_STEPS:
+                    self._fail(r, FlowBlowupError("step budget exhausted"))
+        dts = []
+        for r in rows:
+            t, h = t_[r], h_[r]
+            if h < _MIN_STEP * max(abs(t), 1.0):
+                self._fail(r, FlowBlowupError(f"step size underflow at t = {t}"))
+            h = h_[r] = min(h, abs(self.t1[r] - t))
+            dts.append(self.direction[r] * h)
+        (dt,) = self._compact(np.array(dts)[:, None])
+        if not self.rows:
             return
-        self.h = _min(self.h, np.abs(self.t1 - self.t))
-        dt = np.where(self.t1 > 0, self.h, -self.h)
-        groups = self._groups(slice(None))  # the field of a row is fixed within a step
+        self.count += 1
         for i in range(1, 7):
-            ys = self.y + dt[:, None] * np.matmul(_A[i], self.k[:, :i])
-            f, errors = self._rhs(groups, ys)
-            self.k[:, i] = f
-            for r, exc in errors.items():
+            ys = self.y + dt * np.matmul(_A[i], self.k[:, :i])
+            errors = self._rhs(self.groups, ys, self.k[:, i])
+            if not errors:
+                continue
+            for j, exc in errors.items():
                 # a stage fed by a non-finite derivative is a blow-up, not a domain exit
-                if np.isfinite(self.k[r, :i]).all():
-                    self._fail(r, _caused(_domain_error(exc), exc))
+                if np.isfinite(self.k[j, :i]).all():
+                    self._fail(self.rows[j], _caused(_domain_error(exc), exc))
                 else:
                     blowup = FlowBlowupError("non-finite derivative encountered")
-                    self._fail(r, _caused(blowup, exc))
-            if errors:
-                dt, ys = self._compact(dt, ys)
-                groups = self._groups(slice(None))
+                    self._fail(self.rows[j], _caused(blowup, exc))
+            dt, ys = self._compact(dt, ys)
+            if not self.rows:
+                return
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(self.y), np.abs(ys))
-        err = _rms(dt[:, None] * np.matmul(_ERR, self.k) / scale)
-        for r in np.flatnonzero(~np.isfinite(err)).tolist():
-            if not np.isfinite(self.k[r]).all():
+        err = _rms(dt * np.matmul(_ERR, self.k) / scale).tolist()
+        t1_, tol_, err_prev = self.t1, self.t_tol, self.err_prev
+        accepted, members = [], []
+        for j, (r, e) in enumerate(zip(self.rows, err)):
+            if e <= 1.0:
+                accepted.append(j)
+                members.append(r)
+                t, t1 = t_[r] + self.direction[r] * h_[r], t1_[r]  # t + dt
+                t_[r] = t1 if abs(t1 - t) < tol_[r] else t
+                # PI controller (Gustafsson); err_prev only after an accepted step
+                factor = 0.9 * e ** (-0.7 / 5) * err_prev[r] ** (0.4 / 5) if e > 0 else 10.0
+                err_prev[r] = max(e, 1e-10)
+                h_[r] *= min(10.0, max(0.2, factor))
+            elif not math.isfinite(e) and not np.isfinite(self.k[j]).all():
                 self._fail(r, FlowBlowupError("non-finite derivative encountered"))
-        dt, ys, err = self._compact(dt, ys, err)
-        self.steps += 1
-        rejected = ~(err <= 1.0)
-        self.h[rejected] *= _max(0.2, 0.9 * np.float_power(err[rejected], -0.2))
-        a = np.flatnonzero(~rejected)
-        if len(a):
-            self._accept(a, ys[a], err[a], dt[a])
+            else:
+                h_[r] *= max(0.2, 0.9 * e ** (-0.2))
+        if accepted:
+            self._accept(accepted, members, ys)
         self._compact()
 
-    def _accept(self, a: np.ndarray, ya: np.ndarray, err: np.ndarray, dt: np.ndarray) -> None:
-        t1 = self.t1[a]
-        t = self.t[a] + dt
-        t = self.t[a] = np.where(np.abs(t1 - t) < 1e-15 * _max(np.abs(t1), 1.0), t1, t)
-        moved = self._on_step(a, ya)
-        self.y[a] = ya
-        for j in np.flatnonzero(~np.isfinite(ya).all(axis=1)).tolist():
-            self._fail(a[j], FlowBlowupError("non-finite state encountered"))
-        # PI controller (Gustafsson); err_prev only after an accepted step
-        factor = np.where(
-            err > 0,
-            0.9 * np.float_power(err, -0.7 / 5) * np.float_power(self.err_prev[a], 0.4 / 5),
-            10.0,
-        )
-        self.err_prev[a] = _max(err, 1e-10)
-        self.h[a] *= _min(10.0, _max(0.2, factor))
-        done = (t == t1) | (np.abs(t1 - t) <= 1e-15 * _max(np.abs(t1), 1.0))
-        # first same as last, unless the retraction moved the state
-        same = a[~done & ~moved]
-        self.k[same, 0] = self.k[same, 6]
-        fresh = a[~done & moved & ~self.gone[a]]
-        if len(fresh):
+    def _accept(self, a: list[int], members: list[int], ys: np.ndarray) -> None:
+        """Finish the step of the accepted rows ``a`` (of ``members``), whose t and h are set.
+
+        Their new states are those rows of ``ys``: the step hook, trajectory
+        and drift, then the first-same-as-last stage, a fresh derivative or
+        the next leg.
+        """
+        rows, t_, t1_, tol_ = self.rows, self.t, self.t1, self.t_tol
+        every = len(a) == len(rows)
+        ya = ys if every else ys[a]
+        moved, resid = self._on_step(members, ya)
+        if every:
+            self.y = ya
+        else:
+            self.y[a] = ya
+        if not np.isfinite(ya).all():
+            for i in np.flatnonzero(~np.isfinite(ya).all(axis=1)).tolist():
+                self._fail(members[i], FlowBlowupError("non-finite state encountered"))
+        same, fresh, ended = [], [], []
+        drift, results = self.drift, self.results
+        points = ya[:, : self.n].copy()
+        for j, r, point, m, res in zip(a, members, points, moved, resid):
+            t, t1 = t_[r], t1_[r]
+            self.trajectories[r].append((self.t_offset[r] + abs(t), point))
+            drift[r] = max(drift[r], res)
+            if t == t1 or abs(t1 - t) <= tol_[r]:
+                if results[r] is None:
+                    ended.append(j)
+            elif not m:
+                same.append(j)  # first same as last
+            elif results[r] is None:
+                fresh.append(j)  # the retraction moved the state
+        if len(same) == len(rows):
+            self.k[:, 0] = self.k[:, 6]
+        elif same:
+            self.k[same, 0] = self.k[same, 6]
+        if fresh:
             self.k[fresh, 0] = self._checked_rhs(fresh, self.y[fresh])
-        ended = a[done & ~self.gone[a]]
-        if len(ended):
+        if ended:
             self._compose(ended)
             self._start(ended)
 
-    def _on_step(self, a: np.ndarray, ya: np.ndarray) -> np.ndarray:
-        """``composed_flow``'s step hook for the accepted states ``ya`` of rows ``a``.
+    def _on_step(self, members: list[int], ya: np.ndarray):
+        """``composed_flow``'s step hook for the accepted states ``ya`` of ``members``.
 
-        One batched rho probe decides which states are within
-        :data:`RETRACT_TOL`; only the others run :func:`retract`, so a Newton
-        step keeps its bits.  Moves states in place, updates drift and
-        trajectories, and returns the mask of moved states.
+        One rho probe of the rows decides which states are within
+        :data:`RETRACT_TOL`; only the others take :func:`retract`'s Newton
+        steps, from that probe, so a Newton step keeps its bits and no point
+        is probed twice.  Moves states in place and returns which moved
+        and the residual max |rho| of each (0.0 without a manifold).
         """
         n, m = self.n, self.manifold
-        moved = np.zeros(len(a), dtype=bool)
-        if m is not None:
-            rho, errors = m.rho_value_rows(ya[:, :n])
-            resid = np.max(np.abs(rho), axis=1, initial=0.0)
-            for j, exc in errors.items():
-                self._fail(a[j], _caused(_domain_error(exc), exc))
-            for j in np.flatnonzero(~(resid <= RETRACT_TOL)):
-                if j in errors:
-                    continue
+        if m is None:
+            return repeat(False), repeat(0.0)
+        moved = [False] * len(members)
+        rho, errors = m.rho_value_rows(ya[:, :n])
+        resid = np.abs(rho).max(axis=1, initial=0.0).tolist()
+        for i, r in enumerate(members):
+            if i in errors:
+                self._fail(r, _caused(_domain_error(errors[i]), errors[i]))
+            elif not resid[i] <= RETRACT_TOL:
                 try:
-                    point, resid[j] = retract(m, ya[j, :n])
+                    point, resid[i] = _newton(m, ya[i, :n], rho[i])
                 except _DOMAIN_EXCS as exc:
-                    self._fail(a[j], _caused(_domain_error(exc), exc))
+                    self._fail(r, _caused(_domain_error(exc), exc))
                     continue
                 except FlowError as exc:
-                    self._fail(a[j], exc)
+                    self._fail(r, exc)
                     continue
-                ya[j, :n] = point
-                moved[j] = True
-            self.drift[a] = _max(self.drift[a], resid)
-        times = (self.t_offset[a] + np.abs(self.t[a])).tolist()
-        for member, time, point in zip(self.ids[a].tolist(), times, ya[:, :n].copy()):
-            self.trajectories[member].append((time, point))
-        return moved
+                ya[i, :n] = point
+                moved[i] = True
+        return moved, resid

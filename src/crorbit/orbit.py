@@ -32,7 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .crmanifold import EmbeddedManifold, complex_tangent_space, tangent_space
+from .crmanifold import (
+    EmbeddedManifold, _conormal_geometry, complex_tangent_space, tangent_space,
+)
 from .flow import (
     DRIFT_BOUND, MAX_BATCH, FlowError, FlowResult, FlowWord, IntegratorConfig, composed_flows,
 )
@@ -118,8 +120,12 @@ class Certificate:
 class MinimalityReport:
     best_span: PushforwardSpan  # the certificate's span, or every kept word's
     certificate: Certificate | None = None
-    budget_exhausted: bool = False
     note: str = FRAME_SUBFAMILY_NOTE
+
+    @property
+    def budget_exhausted(self) -> bool:
+        """The search drew its whole pool without a certificate."""
+        return self.certificate is None
 
 
 def _is_zero_field(f: VectorFieldSpec) -> bool:
@@ -181,28 +187,43 @@ def _word_columns(
     backward from z to the source.  By the flow group law ``D(word)(source)``
     is the inverse of ``D(word^-1)(z)``, so ``T^c_source`` is pushed forward
     by solving with the backward differential instead of integrating the
-    word again.
+    word again.  T^c at every source comes from one rows pass of
+    :func:`~crorbit.crmanifold._conormal_geometry`, and the first source in
+    word order where :func:`~crorbit.crmanifold.complex_tangent_space`
+    would fail raises its error.
     """
     backs = composed_flows(frame, [w.inverse() for w in words], [z] * len(words), cfg, m)
-    return [_pushed_columns(m, word, back) for word, back in zip(words, backs)]
+    columns: list = [_landed(back) for back in backs]
+    landed = [k for k, back in enumerate(columns) if isinstance(back, FlowResult)]
+    if landed:
+        _, complex_tangent, *_, errors = _conormal_geometry(
+            m, np.array([backs[k].endpoint for k in landed])
+        )
+        for row, k in enumerate(landed):
+            if row in errors:
+                raise errors[row]
+            columns[k] = _pushed_columns(words[k], backs[k], complex_tangent[row])
+    return columns
 
 
-def _pushed_columns(
-    m: EmbeddedManifold, word: FlowWord, back: FlowResult | FlowError
-) -> tuple[np.ndarray, np.ndarray] | FlowError:
-    """The columns ``word`` pushes, from its backward flow ``back``, or why there are none."""
-    if isinstance(back, FlowError):
-        return back
-    if back.drift_exceeded:
+def _landed(back: FlowResult | FlowError) -> FlowResult | FlowError:
+    """The backward flow ``back``, or why its endpoint is no source."""
+    if isinstance(back, FlowResult) and back.drift_exceeded:
         return FlowError(
             f"backward word left the manifold: drift {back.drift:.3e} > {DRIFT_BOUND:.1e}"
         )
-    source = back.endpoint
+    return back
+
+
+def _pushed_columns(
+    word: FlowWord, back: FlowResult, complex_tangent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | FlowError:
+    """The columns ``word`` pushes from T^c at its source, by its backward flow ``back``."""
     try:
-        pushed = np.linalg.solve(back.differential, complex_tangent_space(m, source).basis)
+        pushed = np.linalg.solve(back.differential, complex_tangent)
     except np.linalg.LinAlgError:
         return FlowError(f"word {list(word.steps)} has a singular backward differential")
-    return source, pushed / np.linalg.norm(pushed, axis=0)
+    return back.endpoint, pushed / np.linalg.norm(pushed, axis=0)
 
 
 def _span(coords: np.ndarray) -> tuple[PushforwardSpan, float]:
@@ -349,7 +370,7 @@ def global_minimality_certificate(
         note = FRAME_SUBFAMILY_NOTE
         if failures:
             note = f"{note}; {failures} word(s) failed to integrate"
-        return MinimalityReport(span, budget_exhausted=True, note=note)
+        return MinimalityReport(span, note=note)
     selected, span, sigma = _greedy_select(col_sets, [word for word, _ in kept], TAU_CERT)
     certificate = Certificate(
         words=tuple(kept[i][0] for i in selected),

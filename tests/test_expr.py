@@ -531,6 +531,22 @@ class TestJet:
         }
 
 
+    @pytest.mark.parametrize("partials", [True, False], ids=["jacobian", "values"])
+    def test_one_row_is_the_point_call(self, partials, compilations):
+        """Rows of one row are :meth:`Jet.at`'s bits or error, without a column kernel."""
+        trees = (parse_expr("x1*x2", 2), parse_expr("sin(x1)/x2", 2))
+        jet = Jet(trees, 2, partials)
+        for x in ([0.5, 0.25], [1.0, 0.0], [0.5, 0.25], [0.3, 0.5]):
+            want = _bits(lambda: Jet(trees, 2, partials).at(x))
+            outs, errors = jet.rows(np.array([x]))
+            outs = outs if partials else (outs,)
+            assert [o.shape for o in outs] == [(1, 2), (1, 2, 2)][: len(outs)]
+            got = str(errors[0]) if errors else tuple(o[0].tobytes() for o in outs)
+            assert got == want and list(errors) == ([0] if isinstance(want, str) else [])
+        assert compilations["compile_values_rows"] == []
+        assert compilations["compile_values_and_jacobian_rows"] == []
+
+
 class TestNonFiniteConstants:
     def test_literal_rejected_at_its_position(self):
         with pytest.raises(ExprSyntaxError, match="'1e400' is not finite") as info:

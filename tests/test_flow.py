@@ -94,6 +94,25 @@ class _CountingManifold:
         self.jacobians += 1
         return self.manifold.rho_jacobian(x)
 
+    def rho_value_rows(self, X):
+        self.values += len(X)
+        return self.manifold.rho_value_rows(X)
+
+
+class _CountingField:
+    """A frame field whose evaluated points are counted in ``log``, one per row."""
+
+    def __init__(self, field, log):
+        self.field, self.dim, self.log = field, field.dim, log
+
+    def values_and_jacobian(self, x):
+        self.log["rhs"] += 1
+        return self.field.values_and_jacobian(x)
+
+    def values_and_jacobian_rows(self, X):
+        self.log["rhs"] += len(X)
+        return self.field.values_and_jacobian_rows(X)
+
 
 class TestFlow:
     def test_closed_form_endpoint_and_differential(self):
@@ -329,19 +348,21 @@ def _one_word_calls(frame, words, x0s, cfg, manifold=None):
     return out
 
 
-def _assert_same_bits(batch, alone):
+def _assert_same_bits(batch, alone, size=None):
+    """Each result of ``batch`` is its ``alone`` result, bit for bit (``size`` labels failures)."""
     assert len(batch) == len(alone)
     for k, (got, want) in enumerate(zip(batch, alone)):
+        where = (size, k)
         if isinstance(want, FlowError):
-            assert type(got) is type(want) and str(got) == str(want), k
+            assert type(got) is type(want) and str(got) == str(want), where
             continue
-        assert got.endpoint.tobytes() == want.endpoint.tobytes(), k
-        assert got.differential.tobytes() == want.differential.tobytes(), k
-        assert (got.drift, got.drift_exceeded) == (want.drift, want.drift_exceeded), k
-        assert len(got.trajectory) == len(want.trajectory), k
+        assert got.endpoint.tobytes() == want.endpoint.tobytes(), where
+        assert got.differential.tobytes() == want.differential.tobytes(), where
+        assert (got.drift, got.drift_exceeded) == (want.drift, want.drift_exceeded), where
+        assert len(got.trajectory) == len(want.trajectory), where
         for (s, p), (t, q) in zip(got.trajectory, want.trajectory):
-            assert type(s) is type(t) is float and s == t, k
-            assert p.tobytes() == q.tobytes(), k
+            assert type(s) is type(t) is float and s == t, where
+            assert p.tobytes() == q.tobytes(), where
 
 
 # sin, exp, log, ^3 and ^-1 coefficients on R^3, no manifold
@@ -357,6 +378,23 @@ def _builtin(name):
     return sc.default_frame(), sc.manifold, sc.integrator, np.zeros(sc.manifold.ambient_dim)
 
 
+def _batched(size, frame, words, x0s, cfg, manifold=None):
+    """composed_flows over consecutive batches of ``size`` words (``None``: one batch)."""
+    size = size or len(words)
+    out = []
+    for lo in range(0, len(words), size):
+        out += composed_flows(frame, words[lo : lo + size], x0s[lo : lo + size], cfg, manifold)
+    return out
+
+
+def _assert_every_batch_size(alone, frame, words, x0s, cfg, manifold=None):
+    """Batches of 1, 2 and 3 words and one batch of all give ``alone``'s bits; returns the last."""
+    for size in (1, 2, 3, None):
+        batch = _batched(size, frame, words, x0s, cfg, manifold)
+        _assert_same_bits(batch, alone, size)
+    return batch
+
+
 class TestLockstep:
     """composed_flows: a batch of words gives each word composed_flow's bits."""
 
@@ -370,9 +408,9 @@ class TestLockstep:
         frame = _compiled(frame)
         words = random_words(np.random.default_rng(3), MAX_BATCH, len(frame), 4, 0.5)
         x0s = [x0] * len(words)
-        batch = composed_flows(frame, words, x0s, cfg, m)
+        alone = _one_word_calls(frame, words, x0s, cfg, m)
+        batch = _assert_every_batch_size(alone, frame, words, x0s, cfg, m)
         assert all(not isinstance(res, FlowError) for res in batch)
-        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, cfg, m))
 
     def test_chart_frame_with_transcendental_coefficients(self):
         frame = _compiled(CHART_FRAME)
@@ -380,8 +418,25 @@ class TestLockstep:
         words = random_words(rng, MAX_BATCH, 2, 4, 0.5)
         x0s = list(rng.uniform(-0.5, 0.5, (len(words), 3)))
         cfg = IntegratorConfig()
-        batch = composed_flows(frame, words, x0s, cfg)
-        _assert_same_bits(batch, _one_word_calls(frame, words, x0s, cfg))
+        _assert_every_batch_size(_one_word_calls(frame, words, x0s, cfg), frame, words, x0s, cfg)
+
+    @pytest.mark.parametrize(
+        "frame, m, cfg, x0",
+        [_builtin("lewy"), ([ROTATION], CIRCLE, LOOSE, np.array([0.6, 0.8]))],
+        ids=["lewy", "circle-newton-steps"],
+    )
+    def test_one_member_does_one_word_work(self, frame, m, cfg, x0):
+        """A batch of one evaluates as many right-hand-side and rho rows as composed_flow."""
+        words = random_words(np.random.default_rng(6), 12, len(frame), 4, 0.5)
+        for word in words:
+            counts = []
+            for run in (composed_flow, lambda *a: composed_flows(a[0], [a[1]], [a[2]], *a[3:])):
+                log = {"rhs": 0}
+                counting = _CountingManifold(m)
+                run([_CountingField(f, log) for f in frame], word, x0, cfg, counting)
+                counts.append((log["rhs"], counting.values, counting.jacobians))
+            assert counts[0] == counts[1], word
+        assert counts[0][0] > 0 and counts[0][1] > 1
 
     def test_batches_of_more_than_max_batch_words(self):
         frame = _compiled(CHART_FRAME)
@@ -410,7 +465,19 @@ class TestLockstep:
         ]
         assert "step size underflow" in str(alone[2])
         assert all("math domain error" in str(res) for res in alone[3:5])
-        _assert_same_bits(composed_flows(frame, words, x0s, cfg), alone)
+        _assert_every_batch_size(alone, frame, words, x0s, cfg)
+
+    def test_step_budget_is_per_leg_and_fails_its_member_alone(self, monkeypatch):
+        """With a budget of 12 steps a leg, a 17-step word of two legs still ends."""
+        monkeypatch.setattr(importlib.import_module("crorbit.flow"), "_MAX_STEPS", 12)
+        words = [FlowWord.of((1, 0.01)), FlowWord.of((1, 0.3)), FlowWord.of((1, 0.05), (1, 0.1)),
+                 FlowWord.of((1, 0.01), (1, 0.3))]
+        x0s, cfg = [[0.6, 0.8]] * len(words), IntegratorConfig()
+        alone = _one_word_calls([ROTATION], words, x0s, cfg)
+        assert [str(res) if isinstance(res, FlowError) else len(res.trajectory) for res in alone] == [
+            3, "step budget exhausted", 18, "step budget exhausted",
+        ]
+        _assert_every_batch_size(alone, [ROTATION], words, x0s, cfg)
 
     def test_rho_leaving_its_domain_fails_its_member(self):
         m = EmbeddedManifold.parse(1, ["x2 - log(x1)"])
@@ -482,6 +549,63 @@ class TestLockstep:
         with pytest.raises(ValueError, match="outside frame"):
             composed_flows([ROTATION], [FlowWord.of((1, 0.1)), FlowWord.of((2, 0.1))],
                            [[0.6, 0.8]] * 2)
+
+
+# X = Az and Y = Bz on R^4 = C^2: A, B skew with A^2 = B^2 = -I and AB != BA, so
+# exp(tA) = cos t I + sin t A, and a word's flow is the product of its legs' exponentials
+SKEW_FRAME = [
+    VectorFieldSpec.parse(["x3", "-x4", "-x1", "x2"], 4),
+    VectorFieldSpec.parse(["x4", "x3", "-x2", "-x1"], 4),
+]
+SPHERE = EmbeddedManifold.parse(2, ["x1^2 + x2^2 + x3^2 + x4^2 - 1"])
+
+
+def _skew_matrix(field):
+    return np.array([field.values(e) for e in np.eye(4)]).T
+
+
+def _exact_word(word, reverse=False):
+    """The product of exp(t A_i) over the word's legs, the first leg rightmost."""
+    legs = [np.cos(t) * np.eye(4) + np.sin(t) * _skew_matrix(SKEW_FRAME[i - 1])
+            for i, t in word.steps]
+    product = np.eye(4)
+    for leg in reversed(legs) if reverse else legs:
+        product = leg @ product
+    return product
+
+
+class TestExactMultiLegFlows:
+    """Endpoints and differentials of composed words against exact rotations."""
+
+    def test_frame_is_two_anticommuting_complex_structures(self):
+        a, b = (_skew_matrix(f) for f in SKEW_FRAME)
+        for mat in (a, b):
+            assert np.array_equal(mat.T, -mat) and np.array_equal(mat @ mat, -np.eye(4))
+        assert np.max(np.abs(a @ b - b @ a)) > 1.0
+
+    @pytest.mark.parametrize("manifold", [None, SPHERE], ids=["free", "sphere"])
+    @pytest.mark.parametrize("size", [0, 1, 2, MAX_BATCH], ids=["one-word", "1", "2", "64"])
+    def test_word_order_matches_the_exact_product(self, manifold, size):
+        rng = np.random.default_rng(8)
+        words = []
+        for _ in range(MAX_BATCH):
+            first = int(rng.integers(1, 3))
+            steps = [(1 + (first + k) % 2, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.6)))
+                     for k in range(int(rng.integers(2, 5)))]
+            words.append(FlowWord(tuple(steps)))
+        x0 = rng.normal(size=4)
+        x0 /= np.linalg.norm(x0)
+        x0s, cfg = [x0] * len(words), IntegratorConfig()
+        if size:
+            results = _batched(size, SKEW_FRAME, words, x0s, cfg, manifold)
+        else:
+            results = _one_word_calls(SKEW_FRAME, words, x0s, cfg, manifold)
+        for word, res in zip(words, results):
+            exact, reversed_ = _exact_word(word), _exact_word(word, reverse=True)
+            assert np.max(np.abs(res.differential - exact)) <= 1e-8, word
+            assert np.max(np.abs(res.endpoint - exact @ x0)) <= 1e-8, word
+            assert np.max(np.abs(res.differential - reversed_)) > 1e-3, word
+            assert np.max(np.abs(res.endpoint - reversed_ @ x0)) > 1e-4, word
 
 
 class TestIntegratorConfig:

@@ -157,7 +157,7 @@ class TestCertificates:
             LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG
         )
         cert = rep.certificate
-        assert cert is not None
+        assert cert is not None and not rep.budget_exhausted
         assert len(cert.words) <= 3
         assert cert.smallest_singular_value >= 1e-3
         ok, sigma = verify_certificate(LEWY, LEWY_FRAME, np.zeros(4), cert, CFG)
@@ -177,6 +177,8 @@ class TestCertificates:
         assert rep.certificate is None
         assert rep.budget_exhausted
         assert rep.best_span.dimension == 2
+        # one spelling: the property reads the certificate, no field stores it
+        assert "budget_exhausted" not in {f.name for f in dataclasses.fields(rep)}
 
     @pytest.mark.parametrize(
         "manifold, frame, budget",
@@ -283,6 +285,43 @@ class TestOnePassWords:
             fwd = composed_flow(frame, word, source, CFG, manifold=manifold)
             pushed = fwd.differential @ complex_tangent_space(manifold, source).basis
             assert np.max(np.abs(cols - pushed / np.linalg.norm(pushed, axis=0))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "manifold, frame, z",
+        [(FLAT, FLAT_FRAME, np.zeros(4)), (TUBE3, TUBE3_FRAME, np.zeros(6)),
+         (LEWY, LEWY_FRAME, np.zeros(4))],
+        ids=["flat", "tube3", "lewy"],
+    )
+    def test_chunk_columns_are_the_point_path_bits(self, manifold, frame, z):
+        """T^c of a chunk's sources from one rows pass: each word's bits from complex_tangent_space."""
+        words = span_words(len(frame), 5)
+        backs = composed_flows(frame, [w.inverse() for w in words], [z] * len(words), CFG, manifold)
+        for back, (source, cols) in zip(backs, _word_columns(manifold, frame, z, words, CFG)):
+            pushed = np.linalg.solve(
+                back.differential, complex_tangent_space(manifold, back.endpoint).basis
+            )
+            assert source.tobytes() == back.endpoint.tobytes()
+            assert cols.tobytes() == (pushed / np.linalg.norm(pushed, axis=0)).tobytes()
+
+    def test_first_bad_source_raises_its_point_error(self, monkeypatch):
+        """Sources off M: the first in word order raises complex_tangent_space's error there."""
+        words = span_words(2, 5)[1:5]
+        bad = {words[1].inverse(): np.array([0.0, 0.0, 0.0, 0.5]),
+               words[3].inverse(): np.array([0.0, 0.0, 0.0, 0.7])}
+
+        def displaced(frame, batch, *args, **kwargs):
+            results = composed_flows(frame, batch, *args, **kwargs)
+            return [dataclasses.replace(res, endpoint=bad[w]) if w in bad else res
+                    for w, res in zip(batch, results)]
+
+        with pytest.raises(Exception) as point:
+            complex_tangent_space(LEWY, bad[words[1].inverse()])
+        monkeypatch.setattr(orbit, "composed_flows", displaced)
+        with pytest.raises(Exception) as chunk:
+            _word_columns(LEWY, LEWY_FRAME, np.zeros(4), words, CFG)
+        assert type(chunk.value) is type(point.value)
+        assert str(chunk.value) == str(point.value)
+        assert "exceeds" in str(point.value)
 
     def test_search_integrates_each_pool_word_once(self, monkeypatch):
         words = count_composed_flows(monkeypatch)
