@@ -40,12 +40,13 @@ from .flow import DRIFT_BOUND, FlowError, FlowWord
 from .orbit import (
     SPAN_WORDS,
     TAU_CERT,
+    certificate_plan,
+    cloud_plan,
     global_minimality_certificate,
     lie_hull,
-    pushforward_span,
-    reachable_samples,
+    run_plans,
+    span_plan,
     span_words,
-    verify_certificate,
     write_cloud_csv,
 )
 from .report import CheckResult, Report
@@ -312,18 +313,24 @@ def cmd_orbit(
     )
 
     cert_rep = global_minimality_certificate(m, frame, pt, budget, seed, cfg)
-    if cert_rep.certificate is not None:
-        ok, sigma = verify_certificate(m, frame, pt, cert_rep.certificate, cfg)
+    cert = cert_rep.certificate
+    # the re-check, the span words and the cloud words flow in one batch
+    words = span_words(len(frame), seed, min(budget, SPAN_WORDS))
+    plans = [] if cert is None else [certificate_plan(m, pt, cert)]
+    plans += [span_plan(m, pt, words), cloud_plan(pt, min(budget, 60), len(frame), seed)]
+    *verdict, span, cloud = run_plans(m, frame, cfg, plans)
+    if cert is not None:
+        [(ok, sigma)] = verdict
         report.results.append(
             CheckResult(
                 "global-minimality-certificate",
                 ok,
-                cert_rep.certificate.smallest_singular_value,
+                cert.smallest_singular_value,
                 TAU_CERT,
                 comparator=">=",
                 details={
                     "found": True,
-                    "words": len(cert_rep.certificate.words),
+                    "words": len(cert.words),
                     "reverified_sigma": sigma,
                 },
             )
@@ -331,9 +338,7 @@ def cmd_orbit(
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             cert_path = out_dir / "certificate.json"
-            cert_path.write_text(
-                json.dumps(cert_rep.certificate.to_dict(), indent=2, sort_keys=True)
-            )
+            cert_path.write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
             report.outputs["certificate.json"] = str(cert_path)
     else:
         report.results.append(
@@ -349,8 +354,6 @@ def cmd_orbit(
             )
         )
 
-    words = span_words(len(frame), seed, min(budget, SPAN_WORDS))
-    span = pushforward_span(m, frame, pt, words, cfg)
     report.results.append(
         CheckResult(
             "pushforward-span",
@@ -363,7 +366,6 @@ def cmd_orbit(
         )
     )
 
-    cloud = reachable_samples(m, frame, pt, min(budget, 60), cfg, seed)
     max_drift = max(cloud.drifts, default=0.0)
     report.results.append(
         CheckResult(

@@ -834,7 +834,8 @@ def _compile_rows(
     (a reciprocal, a power, a ``math`` call): where Python raises, numpy
     returns inf or NaN, and ``math`` raises inside ``_map``.  Everything
     else, ``+ - *`` and negation, rounds alike on Python floats and float64
-    arrays, infinities and NaN included.
+    arrays, infinities and NaN included, and never raises: a kernel without
+    guards returns ``None`` for its mask, since every row is its own.
     """
     namespace = dict(math=math, np=np, _map=_map, _UNDEFINED=_UNDEFINED)
     head, fills = [], []
@@ -847,18 +848,25 @@ def _compile_rows(
             if isinstance(ref, str):
                 index = ", ".join(map(str, np.unravel_index(j, shape)))
                 fills.append(f"out{o}[:, {index}] = {ref}")
-    checks = ["ok = np.ones(b, dtype=bool)"] + [f"ok &= np.isfinite({g})" for g in comp.guards]
     src = f"def {name}(x):\n    b = x.shape[1]\n"
     src += "".join(f"    {line}\n" for line in head)
-    src += "    try:\n" + "".join(f"        {line}\n" for line in comp.lines + fills + checks)
-    src += "    except _UNDEFINED:\n        ok = np.zeros(b, dtype=bool)\n"
+    if comp.guards:
+        checks = ["ok = np.ones(b, dtype=bool)"] + [f"ok &= np.isfinite({g})" for g in comp.guards]
+        src += "    try:\n" + "".join(f"        {line}\n" for line in comp.lines + fills + checks)
+        src += "    except _UNDEFINED:\n        ok = np.zeros(b, dtype=bool)\n"
+    else:  # nothing can fail a row
+        src += "".join(f"    {line}\n" for line in comp.lines + fills)
+        src += "    ok = None\n"
     src += f"    return {', '.join(f'out{o}' for o in range(len(outputs)))}, ok\n"
     exec(compile(src, f"<crorbit:{name}>", "exec"), namespace)
     return namespace[name]
 
 
 def compile_values_rows(exprs: Sequence[ScalarExpr]) -> Callable:
-    """The column kernel of :func:`compile_values`: ``x`` (dim, B) -> (values (B, k), ok)."""
+    """The column kernel of :func:`compile_values`.
+
+    ``x`` (dim, B) -> (values (B, k), ok or None).
+    """
     comp = JetCompiler(0, columns=True)
     vals = [comp.emit(e)[0] for e in exprs]
     return _compile_rows("field_values_rows", comp, [(vals, (len(vals),))])
@@ -867,7 +875,7 @@ def compile_values_rows(exprs: Sequence[ScalarExpr]) -> Callable:
 def compile_values_and_jacobian_rows(exprs: Sequence[ScalarExpr], dim: int) -> Callable:
     """The column kernel of :func:`compile_values_and_jacobian`.
 
-    ``x`` (dim, B) -> (values (B, k), jac (B, k, dim), ok).
+    ``x`` (dim, B) -> (values (B, k), jac (B, k, dim), ok or None).
     """
     comp = JetCompiler(dim, columns=True)
     vals, partials = _jets(comp, exprs)
@@ -883,7 +891,8 @@ def evaluate_rows(
 
     The column kernel computes every row with the point kernel's operations
     in the point kernel's order, so where it vouches for a row (its guarded
-    values are finite) the numbers are the point kernel's, bit for bit.
+    values are finite, or it has no guards) the numbers are the point
+    kernel's, bit for bit.
     Every other row, and every row of a batch that raised, is passed to
     ``point_kernel`` as Python floats, which decides between its numbers
     (an infinity included) and ``ExprDomainError`` with Python's message.
@@ -893,7 +902,7 @@ def evaluate_rows(
     with np.errstate(all="ignore"):
         *outs, ok = rows_kernel(X.T)
     errors: dict[int, ExprDomainError] = {}
-    if ok.all():
+    if ok is None or ok.all():
         return outs, errors
     for r in np.flatnonzero(~ok).tolist():
         try:

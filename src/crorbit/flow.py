@@ -61,9 +61,8 @@ rounds as the one-word operation it replaces:
 - a zero-time leg evaluates nothing: its differential is I.
 
 :func:`_initial_step` is written once, over rows; the one-word loop passes
-one row.  It spells a one-row original's Python ``**``, ``max`` and ``min``
-as ``np.float_power`` (the same libm ``pow``; an array ``x**2`` squares
-instead), :func:`_max` and :func:`_min`, which keep Python's NaN order.
+one row.  Its norms are stacked :func:`_rms` reductions, and the rest is
+each row's Python float arithmetic.
 The lockstep keeps its rows sorted by current field, so each field's rows
 are one slice.
 """
@@ -203,20 +202,12 @@ _ERR = np.array(
 _MAX_STEPS = 500_000
 RETRACT_TOL = 1e-12  # max |rho| an accepted point may keep without a Newton step
 DRIFT_BOUND = 1e-9  # max |rho| along a flow before FlowResult.drift_exceeded is set
-MAX_BATCH = 64  # lockstep members per batch: bounds the (B, 7, n + n^2) stage array
+# lockstep members per batch: bounds the (B, 7, n + n^2) stage array (301 KB at dim 6),
+# and holds an orbit run's post-search words, a certificate's few, 9 span and 60 cloud words
+MAX_BATCH = 128
 _RETRACT_MAX_ITER = 25
 _DOMAIN_EXCS = (ExprDomainError,)
 _MIN_STEP = 16 * np.finfo(float).eps  # relative to max(|t|, 1)
-
-
-def _max(a, b):
-    """Python's ``max(a, b)`` elementwise, NaN order included: ``b`` only where ``b > a``."""
-    return np.where(b > a, b, a)
-
-
-def _min(a, b):
-    """Python's ``min(a, b)`` elementwise: ``b`` only where ``b < a``."""
-    return np.where(b < a, b, a)
 
 
 def _rms(v: np.ndarray) -> np.ndarray:
@@ -224,26 +215,34 @@ def _rms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])
 
 
-def _initial_step(rhs, t0, y0, f0, direction, rtol, atol):
+def _initial_step(rhs, t0, y0, f0, directions, rtol, atol) -> list[float]:
     """First step sizes (Hairer-Norsett-Wanner II.4) for the rows of ``y0``, ``f0`` (B, N).
 
-    ``rhs(t, y)`` takes times (B,) and states (B, N).  Python's ``**``,
-    ``max`` and ``min`` of the one-row original are ``np.float_power``,
-    :func:`_max` and :func:`_min`, so every row gets the one-row bits.
+    ``rhs(t, y)`` takes times (B,) and states (B, N); ``directions`` holds
+    each row's sign of time.  The norms are stacked :func:`_rms` reductions;
+    the rest is each row's Python float arithmetic, with only the chosen
+    branch evaluated, so a row gets the bits of one row alone.  Its power
+    is ``np.float_power``, the libm ``pow`` (an array ``x**2`` squares
+    instead).
     """
     scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    step = h0 * direction
+    d0s, d1s = _rms(y0 / scale).tolist(), _rms(f0 / scale).tolist()
+    h0s = [1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1 for d0, d1 in zip(d0s, d1s)]
+    step = np.multiply(h0s, directions)
     f1 = rhs(t0 + step, y0 + step[:, None] * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    h1 = np.where(
-        (d1 <= 1e-15) & (d2 <= 1e-15),
-        _max(1e-6, h0 * 1e-3),
-        np.float_power(0.01 / _max(d1, d2), 0.2),
-    )
-    return _min(100 * h0, h1)
+    out, powered, quotients = [], [], []
+    for h0, d1, r in zip(h0s, d1s, _rms((f1 - f0) / scale).tolist()):
+        d2 = r / h0 if h0 else (math.inf if r > 0 else math.nan)  # numpy's r / 0.0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            out.append(min(100 * h0, max(1e-6, h0 * 1e-3)))
+            continue
+        d = max(d1, d2)  # d1 if d2 is NaN, so d may be 0.0: numpy's quotient is inf
+        powered.append(len(out))
+        quotients.append(0.01 / d if d else math.copysign(math.inf, d))
+        out.append(100 * h0)
+    for i, h1 in zip(powered, np.float_power(quotients, 0.2).tolist()):
+        out[i] = min(out[i], h1)
+    return out
 
 
 def _domain_error(exc: Exception) -> FlowDomainError:
@@ -288,11 +287,11 @@ def _integrate(
     # k[0] always holds f(t, y); the stages fill k[1:]
     k = np.empty((7, y.shape[0]))
     k[0] = checked_rhs(t, y)
-    h = _initial_step(
+    [h] = _initial_step(
         lambda tt, yy: checked_rhs(float(tt[0]), yy[0])[None],
-        t, y[None], k[:1], direction, rtol, atol,
+        t, y[None], k[:1], [direction], rtol, atol,
     )
-    h = min(float(h[0]), abs(t1 - t0))
+    h = min(h, abs(t1 - t0))
     err_prev = 1.0
     for _ in range(_MAX_STEPS):
         if h < _MIN_STEP * max(abs(t), 1.0):
@@ -682,9 +681,9 @@ class _Lockstep:
         members = [self.rows[j] for j in positions]
         h = _initial_step(
             lambda _t, y1: self._checked_rhs(positions, y1), 0.0, ys, f0,
-            np.array([self.direction[r] for r in members]), self.cfg.rtol, self.cfg.atol,
+            [self.direction[r] for r in members], self.cfg.rtol, self.cfg.atol,
         )
-        for r, h0 in zip(members, h.tolist()):
+        for r, h0 in zip(members, h):
             self.h[r] = min(h0, abs(self.t1[r]))
 
     # -- one step of every row ----------------------------------------------

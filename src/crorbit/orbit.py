@@ -17,9 +17,13 @@ and best span come from one SVD of its selection, and an exhausted search
 reports the span of the block it already built.
 
 Words are integrated in batches (:func:`~crorbit.flow.composed_flows`), with
-the bits of one word at a time: :func:`pushforward_span`,
-:func:`reachable_samples` and :func:`verify_certificate` make one batched
-call each, and the span and the re-check raise the first failure in word
+the bits of one word at a time.  :func:`verify_certificate`,
+:func:`pushforward_span` and :func:`reachable_samples` are each a
+:class:`FlowPlan` (:func:`certificate_plan`, :func:`span_plan`,
+:func:`cloud_plan`): the words to flow and the assembly of their results.
+:func:`run_plans` flows the words of several plans in one call and runs
+their assemblies in order, so an orbit run's post-search words share one
+lockstep batch; the span and the re-check raise the first failure in word
 order.  The certificate search evaluates its pool in chunks of 1, 2, 4, ...,
 ``MAX_BATCH`` words, still stops at the first word whose span reaches
 ``TAU_CERT``, and discards the chunk's words past it.
@@ -28,13 +32,12 @@ order.  The certificate search evaluates its pool in chunks of 1, 2, 4, ...,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .crmanifold import (
-    EmbeddedManifold, _conormal_geometry, complex_tangent_space, tangent_space,
-)
+from .crmanifold import EmbeddedManifold, _conormal_geometry, tangent_space
 from .flow import (
     DRIFT_BOUND, MAX_BATCH, FlowError, FlowResult, FlowWord, IntegratorConfig, composed_flows,
 )
@@ -48,6 +51,7 @@ __all__ = [
     "Certificate",
     "MinimalityReport",
     "SampleCloud",
+    "FlowPlan",
     "lie_hull",
     "pushforward_span",
     "global_minimality_certificate",
@@ -56,6 +60,10 @@ __all__ = [
     "random_words",
     "span_words",
     "write_cloud_csv",
+    "certificate_plan",
+    "span_plan",
+    "cloud_plan",
+    "run_plans",
 ]
 
 # randomized word search: lengths in [1, cap], times in [-T, T]
@@ -184,15 +192,25 @@ def _word_columns(
     """(source point, unit-norm pushed T^c columns at z) for each word, or its failure.
 
     One integration per word, all in one batch: the inverse word runs
-    backward from z to the source.  By the flow group law ``D(word)(source)``
-    is the inverse of ``D(word^-1)(z)``, so ``T^c_source`` is pushed forward
-    by solving with the backward differential instead of integrating the
-    word again.  T^c at every source comes from one rows pass of
+    backward from z to the source (see :func:`_columns`).
+    """
+    backs = composed_flows(frame, [w.inverse() for w in words], [z] * len(words), cfg, m)
+    return _columns(m, words, backs)
+
+
+def _columns(
+    m: EmbeddedManifold, words: Sequence[FlowWord], backs: Sequence[FlowResult | FlowError]
+) -> list[tuple[np.ndarray, np.ndarray] | FlowError]:
+    """:func:`_word_columns` of ``words`` from their backward flows ``backs``.
+
+    By the flow group law ``D(word)(source)`` is the inverse of
+    ``D(word^-1)(z)``, so ``T^c_source`` is pushed forward by solving with
+    the backward differential instead of integrating the word again.  T^c
+    at every source comes from one rows pass of
     :func:`~crorbit.crmanifold._conormal_geometry`, and the first source in
     word order where :func:`~crorbit.crmanifold.complex_tangent_space`
     would fail raises its error.
     """
-    backs = composed_flows(frame, [w.inverse() for w in words], [z] * len(words), cfg, m)
     columns: list = [_landed(back) for back in backs]
     landed = [k for k, back in enumerate(columns) if isinstance(back, FlowResult)]
     if landed:
@@ -237,6 +255,71 @@ def _span(coords: np.ndarray) -> tuple[PushforwardSpan, float]:
     return PushforwardSpan(sv, int(_svd_rank(sv))), sigma
 
 
+@dataclass(frozen=True)
+class FlowPlan:
+    """A check's words, each with its start point, and what the check makes of their flows.
+
+    ``assemble`` takes the words' results in word order, as
+    :func:`~crorbit.flow.composed_flows` returns them, and returns the
+    check's outcome or raises its error.
+    """
+
+    words: list[FlowWord]
+    starts: list[np.ndarray]
+    assemble: Callable[[list[FlowResult | FlowError]], Any]
+
+
+def run_plans(
+    m: EmbeddedManifold,
+    frame: Sequence[VectorFieldSpec],
+    cfg: IntegratorConfig,
+    plans: Sequence[FlowPlan],
+) -> list:
+    """Each plan's outcome, in order, from one ``composed_flows`` call for all their words.
+
+    Every word gets the bits of a call of its own, so a plan's outcome does
+    not depend on its company; the first assembly that raises ends the run
+    before a later plan's results are read.
+    """
+    results = composed_flows(
+        frame,
+        [word for plan in plans for word in plan.words],
+        [start for plan in plans for start in plan.starts],
+        cfg,
+        m,
+    )
+    outcomes, lo = [], 0
+    for plan in plans:
+        outcomes.append(plan.assemble(results[lo : lo + len(plan.words)]))
+        lo += len(plan.words)
+    return outcomes
+
+
+def span_plan(m: EmbeddedManifold, z: Sequence[float], words: Sequence[FlowWord]) -> FlowPlan:
+    """:func:`pushforward_span`'s flows, the inverse words from z, and its assembly."""
+    z = np.asarray(z, dtype=float)
+    words = list(words)
+    basis_t = tangent_space(m, z).basis.T
+    return FlowPlan(
+        [w.inverse() for w in words], [z] * len(words), partial(_span_of, m, basis_t, words)
+    )
+
+
+def _span_of(
+    m: EmbeddedManifold,
+    basis_t: np.ndarray,
+    words: list[FlowWord],
+    backs: Sequence[FlowResult | FlowError],
+) -> PushforwardSpan:
+    """:func:`pushforward_span` from the backward flows ``backs`` of ``words``."""
+    coords = [np.empty((m.dim, 0))]
+    for columns in _columns(m, words, backs):
+        if isinstance(columns, FlowError):
+            raise columns  # the first failure in word order
+        coords.append(basis_t @ columns[1])
+    return _span(np.hstack(coords))[0]
+
+
 def pushforward_span(
     m: EmbeddedManifold,
     frame: Sequence[VectorFieldSpec],
@@ -252,14 +335,8 @@ def pushforward_span(
     integrated once.  The unit-normalized images are taken in an orthonormal
     basis of T_zM, and the span is read off those coordinates.
     """
-    z = np.asarray(z, dtype=float)
-    basis_t = tangent_space(m, z).basis.T
-    coords = [np.empty((m.dim, 0))]
-    for columns in _word_columns(m, frame, z, list(words), cfg):
-        if isinstance(columns, FlowError):
-            raise columns  # the first failure in word order
-        coords.append(basis_t @ columns[1])
-    return _span(np.hstack(coords))[0]
+    [span] = run_plans(m, frame, cfg, [span_plan(m, z, words)])
+    return span
 
 
 def random_words(
@@ -384,6 +461,63 @@ def global_minimality_certificate(
     return MinimalityReport(span, certificate)
 
 
+def certificate_plan(
+    m: EmbeddedManifold, z: Sequence[float], certificate: Certificate
+) -> FlowPlan:
+    """:func:`verify_certificate`'s flows, each word from its source, and its assembly."""
+    if len(certificate.sources) != len(certificate.words):
+        raise ValueError(
+            f"certificate has {len(certificate.words)} word(s) "
+            f"but {len(certificate.sources)} source(s)"
+        )
+    z = np.asarray(z, dtype=float)
+    basis_t = tangent_space(m, z).basis.T
+    return FlowPlan(
+        list(certificate.words),
+        list(certificate.sources),
+        partial(_reverified, m, z, basis_t, certificate),
+    )
+
+
+def _reverified(
+    m: EmbeddedManifold,
+    z: np.ndarray,
+    basis_t: np.ndarray,
+    certificate: Certificate,
+    fwds: Sequence[FlowResult | FlowError],
+) -> tuple[bool, float]:
+    """The re-check's verdict and sigma from the forward flows ``fwds``.
+
+    T^c at every source comes from one rows pass of
+    :func:`~crorbit.crmanifold._conormal_geometry`; word by word, a failed
+    flow, a drift, a missed return and then a source where
+    :func:`~crorbit.crmanifold.complex_tangent_space` would fail raise
+    in that order.
+    """
+    errors: dict = {}
+    if certificate.sources:
+        _, complex_tangent, *_, errors = _conormal_geometry(m, np.array(certificate.sources))
+    coords = [np.empty((m.dim, 0))]
+    for k, (word, fwd) in enumerate(zip(certificate.words, fwds)):
+        if isinstance(fwd, FlowError):
+            raise fwd  # the first failure in word order
+        if fwd.drift_exceeded:
+            raise FlowError(
+                f"forward word {list(word.steps)} left the manifold: "
+                f"drift {fwd.drift:.3e} > {DRIFT_BOUND:.1e}"
+            )
+        if float(np.max(np.abs(fwd.endpoint - z))) > 1e-6:
+            raise FlowError(
+                f"word {list(word.steps)} does not return to the base point within tolerance"
+            )
+        if k in errors:
+            raise errors[k]
+        pushed = fwd.differential @ complex_tangent[k]
+        coords.append(basis_t @ (pushed / np.linalg.norm(pushed, axis=0)))
+    _, sigma = _span(np.hstack(coords))
+    return sigma >= certificate.tau / 2.0, sigma
+
+
 def verify_certificate(
     m: EmbeddedManifold,
     frame: Sequence[VectorFieldSpec],
@@ -398,31 +532,8 @@ def verify_certificate(
     forward differential: the other route through the flow cocycle than the
     search's inverse of the backward differential.
     """
-    if len(certificate.sources) != len(certificate.words):
-        raise ValueError(
-            f"certificate has {len(certificate.words)} word(s) "
-            f"but {len(certificate.sources)} source(s)"
-        )
-    z = np.asarray(z, dtype=float)
-    basis_t = tangent_space(m, z).basis.T
-    coords = [np.empty((m.dim, 0))]
-    fwds = composed_flows(frame, certificate.words, certificate.sources, cfg, m)
-    for word, source, fwd in zip(certificate.words, certificate.sources, fwds):
-        if isinstance(fwd, FlowError):
-            raise fwd  # the first failure in word order
-        if fwd.drift_exceeded:
-            raise FlowError(
-                f"forward word {list(word.steps)} left the manifold: "
-                f"drift {fwd.drift:.3e} > {DRIFT_BOUND:.1e}"
-            )
-        if float(np.max(np.abs(fwd.endpoint - z))) > 1e-6:
-            raise FlowError(
-                f"word {list(word.steps)} does not return to the base point within tolerance"
-            )
-        pushed = fwd.differential @ complex_tangent_space(m, source).basis
-        coords.append(basis_t @ (pushed / np.linalg.norm(pushed, axis=0)))
-    _, sigma = _span(np.hstack(coords))
-    return sigma >= certificate.tau / 2.0, sigma
+    [verdict] = run_plans(m, frame, cfg, [certificate_plan(m, z, certificate)])
+    return verdict
 
 
 @dataclass
@@ -431,6 +542,33 @@ class SampleCloud:
     points: list[np.ndarray]
     drifts: list[float]
     failures: int
+
+
+def cloud_plan(
+    z: Sequence[float],
+    n_words: int,
+    frame_size: int,
+    seed: int,
+    word_length_cap: int = WORD_LENGTH_CAP,
+    time_range: float = TIME_RANGE,
+) -> FlowPlan:
+    """:func:`reachable_samples`' flows, seeded random words from z, and its assembly."""
+    z = np.asarray(z, dtype=float)
+    rng = np.random.default_rng(seed)
+    words = random_words(rng, n_words, frame_size, word_length_cap, time_range)
+    return FlowPlan(words, [z] * len(words), partial(_cloud_of, z))
+
+
+def _cloud_of(z: np.ndarray, results: Sequence[FlowResult | FlowError]) -> SampleCloud:
+    """:func:`reachable_samples` from the flows ``results`` of its words from z."""
+    pts, drifts, failures = [], [], 0
+    for res in results:
+        if isinstance(res, FlowError) or res.drift_exceeded:
+            failures += 1
+            continue
+        pts.append(res.endpoint)
+        drifts.append(res.drift)
+    return SampleCloud(z, pts, drifts, failures)
 
 
 def reachable_samples(
@@ -444,18 +582,9 @@ def reachable_samples(
     time_range: float = TIME_RANGE,
 ) -> SampleCloud:
     """Endpoints of seeded random words from z; failed flows are skipped and counted."""
-    z = np.asarray(z, dtype=float)
-    rng = np.random.default_rng(seed)
-    words = random_words(rng, n_words, len(frame), word_length_cap, time_range)
-
-    pts, drifts, failures = [], [], 0
-    for res in composed_flows(frame, words, [z] * len(words), cfg, m):
-        if isinstance(res, FlowError) or res.drift_exceeded:
-            failures += 1
-            continue
-        pts.append(res.endpoint)
-        drifts.append(res.drift)
-    return SampleCloud(z, pts, drifts, failures)
+    plan = cloud_plan(z, n_words, len(frame), seed, word_length_cap, time_range)
+    [cloud] = run_plans(m, frame, cfg, [plan])
+    return cloud
 
 
 def write_cloud_csv(path: str, cloud: SampleCloud) -> None:

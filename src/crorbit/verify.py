@@ -138,12 +138,15 @@ class TransportCase:
         return self.chart.frame[0]
 
 
-@lru_cache(maxsize=8)
 def transport_corpus(seed: int, count: int = N_RANDOM_CHARTS) -> tuple[TransportCase, ...]:
-    """Seeded corpus of random polynomial charts with transport data (cached)."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    for _ in range(count):
+    """The first ``count`` cases of the seed's one corpus of random polynomial charts.
+
+    Cases are drawn from the seed's generator as far as they are asked for
+    and cached, so a prefix is the same chart objects, with the same
+    compiled fields, as the longer corpus.
+    """
+    rng, cases = _corpus(seed)
+    while len(cases) < count:
         l = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         chart = random_chart(rng, l, m)
@@ -163,7 +166,13 @@ def transport_corpus(seed: int, count: int = N_RANDOM_CHARTS) -> tuple[Transport
                 float(rng.uniform(-2.0, 2.0)),
             )
         )
-    return tuple(cases)
+    return tuple(cases[:count])
+
+
+@lru_cache(maxsize=8)
+def _corpus(seed: int) -> tuple[np.random.Generator, list[TransportCase]]:
+    """A seed's generator and the cases drawn from it so far."""
+    return np.random.default_rng(seed), []
 
 
 def _expchart() -> tuple[ChartSetup, VectorFieldSpec]:

@@ -471,6 +471,29 @@ class TestColumnKernels:
         assert vals[0].tolist() == [2.0, 1 / 16, math.log(4.0), math.exp(2.0)]
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_without_guards_returns_no_mask(self):
+        """+ - * and negation cannot fail a row: no mask, and every row is the point kernel's."""
+        trees = [parse_expr(t, 3) for t in ("x1*x2 - 3*x3*x3", "-(x1 + 2)*x2*x2*x2", "x3")]
+        X = np.array([[0.5, -1.0, 2.0], [1e200, 1e200, 0.0], [math.inf, 0.0, 1.0],
+                      [math.nan, 1.0, 1.0], [-0.0, 0.0, -0.0]])
+        point = compile_values_and_jacobian(trees, 3)
+        for kernel, count in ((compile_values_and_jacobian_rows(trees, 3), 2),
+                              (compile_values_rows(trees), 1)):
+            with np.errstate(all="ignore"):
+                *outs, ok = kernel(X.T)
+            assert ok is None and len(outs) == count
+            rows, errors = evaluate_rows(kernel, point, X)
+            assert errors == {}
+            for r, x in enumerate(X.tolist()):
+                for got, want in zip(rows, point(x)):
+                    assert got[r].tobytes() == want.tobytes(), x
+        # a reciprocal is guarded: its kernel still returns a mask
+        with np.errstate(all="ignore"):
+            *_, ok = compile_values_rows([parse_expr("1/x1", 1)])(np.array([[0.0, 2.0]]))
+        assert ok.tolist() == [False, True]
+
+
 def _bits(call) -> tuple | str:
     """The bytes of the arrays ``call()`` returns, or the message of its ExprDomainError."""
     try:

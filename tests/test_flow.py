@@ -19,7 +19,9 @@ from crorbit.flow import (
     DRIFT_BOUND,
     FlowError,
     FlowResult,
+    _initial_step,
     _integrate,
+    _rms,
     composed_flow,
     composed_flows,
     flow,
@@ -42,6 +44,7 @@ INTRINSIC_FRAME = [
 CIRCLE = EmbeddedManifold.parse(1, ["x1^2 + x2^2 - 1"])
 ROTATION = VectorFieldSpec.parse(["-1*x2", "x1"], 2)
 LOOSE = IntegratorConfig(rtol=1e-6, atol=1e-8)  # drift above RETRACT_TOL: Newton steps
+WORDS = 64  # words per lockstep comparison; one test runs MAX_BATCH + 1
 
 
 def _record_integrations(monkeypatch):
@@ -329,6 +332,72 @@ class TestIntegratorStep:
             _integrate(lambda _t, y: y, span, np.ones(1), IntegratorConfig())
 
 
+def _stacked_initial_step(rhs, t0, y0, f0, direction, rtol, atol):
+    """The reference: first step sizes as arrays, every branch on every row.
+
+    ``np.where`` picks each row's branch, and ``_max`` and ``_min`` are
+    Python's ``max`` and ``min`` with their NaN order.
+    """
+
+    def _max(a, b):
+        return np.where(b > a, b, a)
+
+    def _min(a, b):
+        return np.where(b < a, b, a)
+
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    step = h0 * direction
+    f1 = rhs(t0 + step, y0 + step[:, None] * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        _max(1e-6, h0 * 1e-3),
+        np.float_power(0.01 / _max(d1, d2), 0.2),
+    )
+    return _min(100 * h0, h1)
+
+
+class TestInitialStep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_the_stacked_arrays(self, seed):
+        """Each row's Python floats give the bits of the all-branch array arithmetic."""
+        rng = np.random.default_rng(seed)
+        b, n = 40, 5
+        y0 = rng.normal(size=(b, n)) * 10.0 ** rng.integers(-20, 3, (b, 1))
+        f0 = rng.normal(size=(b, n)) * 10.0 ** rng.integers(-20, 3, (b, 1))
+        directions = rng.choice([-1.0, 1.0], b)
+        f0[0] = 0.0  # d1 = d2 = 0: the 1e-6 branch of h1
+        y0[1] = 1e-30  # d0 < 1e-5
+        f0[2] = 1e-30  # d1 < 1e-5
+        f0[3] = 0.0  # d1 = 0 and a NaN d2: 0.01 / max(d1, d2) divides by zero
+        y0[4, 0], f0[5, 1], f0[6, 2] = math.inf, math.nan, math.inf  # h0 = 0 in row 6
+        y0[7, 3] = math.nan
+        same, nan = [0], [3, 8]
+
+        def rhs(t, y):
+            f1 = np.cos(y) - 0.5 * y + t[:, None]
+            f1[same] = f0[same]
+            f1[nan] = math.nan
+            return f1
+
+        with np.errstate(all="ignore"):
+            want = _stacked_initial_step(rhs, 0.0, y0, f0, directions, 1e-10, 1e-12)
+            got = _initial_step(rhs, 0.0, y0, f0, list(directions), 1e-10, 1e-12)
+            alone = [
+                _initial_step(lambda t, y: rhs(np.full(b, t[0]), np.repeat(y, b, 0))[[r]],
+                              0.0, y0[[r]], f0[[r]], [directions[r]], 1e-10, 1e-12)[0]
+                for r in range(b)
+            ]
+        assert np.array(got).tobytes() == want.tobytes()
+        assert np.array(alone).tobytes() == want.tobytes()
+        assert np.isnan(want[[4, 5, 7]]).all() and want[6] == 0.0
+        assert want[3] == 100 * 1e-6  # h1 = 0.01 / 0.0 = inf
+        assert (directions < 0).any() and np.isfinite(want[8:]).sum() >= 20
+
+
 def _compiled(frame):
     """``frame`` with every field past its interpreted first call: both paths run kernels."""
     for field in frame:
@@ -406,7 +475,7 @@ class TestLockstep:
     )
     def test_batch_equals_one_word_path(self, frame, m, cfg, x0):
         frame = _compiled(frame)
-        words = random_words(np.random.default_rng(3), MAX_BATCH, len(frame), 4, 0.5)
+        words = random_words(np.random.default_rng(3), WORDS, len(frame), 4, 0.5)
         x0s = [x0] * len(words)
         alone = _one_word_calls(frame, words, x0s, cfg, m)
         batch = _assert_every_batch_size(alone, frame, words, x0s, cfg, m)
@@ -415,7 +484,7 @@ class TestLockstep:
     def test_chart_frame_with_transcendental_coefficients(self):
         frame = _compiled(CHART_FRAME)
         rng = np.random.default_rng(4)
-        words = random_words(rng, MAX_BATCH, 2, 4, 0.5)
+        words = random_words(rng, WORDS, 2, 4, 0.5)
         x0s = list(rng.uniform(-0.5, 0.5, (len(words), 3)))
         cfg = IntegratorConfig()
         _assert_every_batch_size(_one_word_calls(frame, words, x0s, cfg), frame, words, x0s, cfg)
@@ -438,11 +507,22 @@ class TestLockstep:
             assert counts[0] == counts[1], word
         assert counts[0][0] > 0 and counts[0][1] > 1
 
-    def test_batches_of_more_than_max_batch_words(self):
+    def test_batches_of_more_than_max_batch_words(self, monkeypatch):
+        """A full batch of MAX_BATCH words, then a batch of one."""
+        flow_module = importlib.import_module("crorbit.flow")
+        sizes = []
+
+        class Recording(flow_module._Lockstep):
+            def __init__(self, frame, words, *args):
+                sizes.append(len(words))
+                super().__init__(frame, words, *args)
+
+        monkeypatch.setattr(flow_module, "_Lockstep", Recording)
         frame = _compiled(CHART_FRAME)
         words = random_words(np.random.default_rng(5), MAX_BATCH + 1, 2, 2, 0.3)
         x0s = [np.zeros(3)] * len(words)
         batch = composed_flows(frame, words, x0s)
+        assert sizes == [MAX_BATCH, 1]
         _assert_same_bits(batch, _one_word_calls(frame, words, x0s, IntegratorConfig()))
 
     def test_failing_members_fail_alone(self):
@@ -584,11 +664,11 @@ class TestExactMultiLegFlows:
         assert np.max(np.abs(a @ b - b @ a)) > 1.0
 
     @pytest.mark.parametrize("manifold", [None, SPHERE], ids=["free", "sphere"])
-    @pytest.mark.parametrize("size", [0, 1, 2, MAX_BATCH], ids=["one-word", "1", "2", "64"])
+    @pytest.mark.parametrize("size", [0, 1, 2, WORDS], ids=["one-word", "1", "2", str(WORDS)])
     def test_word_order_matches_the_exact_product(self, manifold, size):
         rng = np.random.default_rng(8)
         words = []
-        for _ in range(MAX_BATCH):
+        for _ in range(WORDS):
             first = int(rng.integers(1, 3))
             steps = [(1 + (first + k) % 2, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.6)))
                      for k in range(int(rng.integers(2, 5)))]

@@ -1,12 +1,14 @@
 """Lie hulls, pushforward spans, certificates and reachable clouds."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import crorbit.orbit as orbit
-from crorbit.crmanifold import complex_tangent_space, tangent_space
+from crorbit.cli import cmd_orbit
+from crorbit.crmanifold import EmbeddedManifold, complex_tangent_space, tangent_space
 from crorbit.flow import FlowError, FlowWord, composed_flow, composed_flows
 from crorbit.linalg import SubspaceBasis
 from crorbit.orbit import (
@@ -14,15 +16,20 @@ from crorbit.orbit import (
     Certificate,
     _greedy_select,
     _word_columns,
+    certificate_plan,
+    cloud_plan,
     global_minimality_certificate,
     lie_hull,
     pushforward_span,
     reachable_samples,
+    run_plans,
+    span_plan,
     span_words,
     verify_certificate,
     write_cloud_csv,
 )
 from crorbit.scenario import builtin_scenario
+from crorbit.vectorfield import VectorFieldSpec
 
 LEWY_SC = builtin_scenario("lewy")
 FLAT_SC = builtin_scenario("flat")
@@ -32,6 +39,12 @@ LEWY, LEWY_FRAME = LEWY_SC.manifold, LEWY_SC.frames["cr"]
 FLAT, FLAT_FRAME = FLAT_SC.manifold, FLAT_SC.frames["cr"]
 TUBE3, TUBE3_FRAME = TUBE3_SC.manifold, TUBE3_SC.frames["cr"]
 CFG = LEWY_SC.integrator  # the three builtins use the default tolerances
+# the x-velocity blows up at x = 1 (time 1/3 from the origin): long positive words fail
+BLOWUP = EmbeddedManifold.parse(2, ["v"], ["x", "y", "u", "v"])
+BLOWUP_FRAME = [
+    VectorFieldSpec.parse(["1/(1 - x)^2", "0", "0", "0"], 4, ["x", "y", "u", "v"]),
+    VectorFieldSpec.parse(["0", "1", "0", "0"], 4, ["x", "y", "u", "v"]),
+]
 
 # float.hex of span values at the origin (seed 7), as computed when the search
 # took three SVDs of a certificate's selection and one of its ambient columns;
@@ -482,25 +495,14 @@ class TestReachableSamples:
         assert len(lines) == len(cloud.points) + 1
 
     def test_flow_failures_skipped_and_counted(self):
-        from crorbit.crmanifold import EmbeddedManifold
-        from crorbit.vectorfield import VectorFieldSpec
-
-        # the x-velocity blows up near x = 1; long positive words fail
-        manifold = EmbeddedManifold.parse(2, ["v"], ["x", "y", "u", "v"])
-        frame = [
-            VectorFieldSpec.parse(["1/(1 - x)^2", "0", "0", "0"], 4, ["x", "y", "u", "v"]),
-            VectorFieldSpec.parse(["0", "1", "0", "0"], 4, ["x", "y", "u", "v"]),
-        ]
         cloud = reachable_samples(
-            manifold, frame, np.zeros(4), 40, CFG, 2, word_length_cap=4, time_range=0.9
+            BLOWUP, BLOWUP_FRAME, np.zeros(4), 40, CFG, 2, word_length_cap=4, time_range=0.9
         )
         assert cloud.failures > 0
         assert len(cloud.points) + cloud.failures == 40
 
     def test_words_leaving_the_domain_of_rho_are_failures(self):
-        from crorbit.crmanifold import EmbeddedManifold
         from crorbit.flow import IntegratorConfig
-        from crorbit.vectorfield import VectorFieldSpec
 
         # rho = x2 - log(x1) is undefined past x1 = 0, which leftward words cross
         manifold = EmbeddedManifold.parse(1, ["x2 - log(x1)"])
@@ -509,3 +511,152 @@ class TestReachableSamples:
         assert cloud.failures > 0 and cloud.points
         assert len(cloud.points) + cloud.failures == 20
         assert all(p[0] > 0 for p in cloud.points)
+
+
+
+def _assert_same_outcomes(fused, separate):
+    """Verdicts, spans and clouds of ``run_plans`` equal the public calls' bits."""
+    assert len(fused) == len(separate)
+    for a, b in zip(fused, separate):
+        if isinstance(a, tuple):  # verify_certificate's (ok, sigma)
+            assert a[0] == b[0] and a[1].hex() == b[1].hex()
+        elif hasattr(a, "singular_values"):
+            assert a.dimension == b.dimension
+            assert a.singular_values.tobytes() == b.singular_values.tobytes()
+        else:
+            assert a.failures == b.failures and a.drifts == b.drifts
+            assert [p.tobytes() for p in a.points] == [p.tobytes() for p in b.points]
+
+
+class TestFlowPlans:
+    """An orbit run's post-search words flow in one batch, with each check's bits."""
+
+    @pytest.mark.parametrize(
+        "name, budget", [("lewy", 64), ("flat", 16)], ids=["lewy-found", "flat-exhausted"]
+    )
+    def test_cmd_orbit_flows_once_after_the_search(self, name, budget, monkeypatch):
+        import crorbit.cli as cli
+
+        calls = []
+        searched = []
+
+        def counting(frame, words, *args, **kwargs):
+            calls.append(list(words))
+            return composed_flows(frame, words, *args, **kwargs)
+
+        def search(*args, **kwargs):
+            rep = global_minimality_certificate(*args, **kwargs)
+            searched.append((len(calls), rep))
+            return rep
+
+        monkeypatch.setattr(orbit, "composed_flows", counting)
+        monkeypatch.setattr(cli, "global_minimality_certificate", search)
+        scenario = builtin_scenario(name)
+        cmd_orbit(scenario, "origin", budget=budget, seed=7)
+        [(before, rep)] = searched
+        assert len(calls) == before + 1
+        cert_words = list(rep.certificate.words) if rep.certificate else []
+        assert (name == "lewy") == bool(cert_words)
+        frame_size = len(scenario.default_frame())
+        span = [w.inverse() for w in span_words(frame_size, 7)]
+        cloud = orbit.random_words(
+            np.random.default_rng(7), min(budget, 60), frame_size,
+            orbit.WORD_LENGTH_CAP, orbit.TIME_RANGE,
+        )
+        assert calls[-1] == cert_words + span + cloud
+
+    @pytest.mark.parametrize(
+        "manifold, frame, budget", [(LEWY, LEWY_FRAME, 64), (FLAT, FLAT_FRAME, 16)],
+        ids=["lewy-found", "flat-exhausted"],
+    )
+    def test_fused_outcomes_equal_separate_calls(self, manifold, frame, budget):
+        z = np.zeros(4)
+        cert = global_minimality_certificate(manifold, frame, z, budget, 7, CFG).certificate
+        words = span_words(len(frame), 7)
+        plans = [span_plan(manifold, z, words), cloud_plan(z, 60, len(frame), 7)]
+        separate = [
+            pushforward_span(manifold, frame, z, words, CFG),
+            reachable_samples(manifold, frame, z, 60, CFG, 7),
+        ]
+        if cert is not None:
+            plans.insert(0, certificate_plan(manifold, z, cert))
+            separate.insert(0, verify_certificate(manifold, frame, z, cert, CFG))
+        _assert_same_outcomes(run_plans(manifold, frame, CFG, plans), separate)
+        assert (cert is not None) == (manifold is LEWY)
+
+    def test_failing_words_fail_alone_in_the_fused_batch(self):
+        """Cloud words that blow up are counted; a span word that does raises its error."""
+        z = np.zeros(4)
+        words = span_words(2, 3)
+        cloud = reachable_samples(BLOWUP, BLOWUP_FRAME, z, 12, CFG, 1, time_range=0.9)
+        assert cloud.failures > 0 and cloud.points
+        fused = run_plans(BLOWUP, BLOWUP_FRAME, CFG, [
+            span_plan(BLOWUP, z, words), cloud_plan(z, 12, 2, 1, time_range=0.9),
+        ])
+        span = pushforward_span(BLOWUP, BLOWUP_FRAME, z, words, CFG)
+        _assert_same_outcomes(fused, [span, cloud])
+        failing = words + [FlowWord.of((1, -0.5))]  # its inverse runs into x = 1
+        with pytest.raises(FlowError) as alone:
+            pushforward_span(BLOWUP, BLOWUP_FRAME, z, failing, CFG)
+        with pytest.raises(FlowError) as together:
+            run_plans(BLOWUP, BLOWUP_FRAME, CFG, [
+                span_plan(BLOWUP, z, failing), cloud_plan(z, 12, 2, 1, time_range=0.9),
+            ])
+        assert type(together.value) is type(alone.value)
+        assert str(together.value) == str(alone.value)
+
+    def test_failing_certificate_word_raises_before_span_and_cloud(self, monkeypatch):
+        import crorbit.cli as cli
+
+        rep = global_minimality_certificate(LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG)
+        cert = rep.certificate
+        k = next(i for i, word in enumerate(cert.words) if len(word))
+        sources = list(cert.sources)
+        sources[k] = sources[k] + np.array([0.0, 0.0, 1e-3, 0.0])  # u is tangent everywhere
+        displaced = dataclasses.replace(cert, sources=tuple(sources))
+
+        def unread(*args):
+            raise AssertionError("a span or cloud result was read")
+
+        monkeypatch.setattr(cli, "global_minimality_certificate",
+                            lambda *a: dataclasses.replace(rep, certificate=displaced))
+        monkeypatch.setattr(orbit, "_span_of", unread)
+        monkeypatch.setattr(orbit, "_cloud_of", unread)
+        message = (f"word {list(cert.words[k].steps)} "
+                   "does not return to the base point within tolerance")
+        with pytest.raises(FlowError, match=re.escape(message)):
+            cmd_orbit(builtin_scenario("lewy"), "origin", budget=64, seed=7)
+
+    def test_reverified_sigma_is_the_point_path_bits(self):
+        """T^c at the sources from one rows pass: the sigma of complex_tangent_space per word."""
+        z = np.zeros(4)
+        for seed in (3, 7):
+            cert = global_minimality_certificate(LEWY, LEWY_FRAME, z, 64, seed, CFG).certificate
+            basis_t = tangent_space(LEWY, z).basis.T
+            coords = [np.empty((3, 0))]
+            for word, source in zip(cert.words, cert.sources):
+                fwd = composed_flow(LEWY_FRAME, word, source, CFG, LEWY)
+                pushed = fwd.differential @ complex_tangent_space(LEWY, source).basis
+                coords.append(basis_t @ (pushed / np.linalg.norm(pushed, axis=0)))
+            sigma = float(np.linalg.svd(np.hstack(coords), compute_uv=False)[2])
+            assert verify_certificate(LEWY, LEWY_FRAME, z, cert, CFG) == (True, sigma)
+            assert verify_certificate(LEWY, LEWY_FRAME, z, cert, CFG)[1].hex() == sigma.hex()
+
+    def test_first_bad_source_raises_its_point_error(self, monkeypatch):
+        """Sources off M whose words return to z: the first in word order raises its T^c error."""
+        z = np.zeros(4)
+        words = tuple(span_words(2, 5)[1:5])
+        sources = [z, np.array([0.0, 0.0, 0.0, 0.5]), z, np.array([0.0, 0.0, 0.0, 0.7])]
+        cert = Certificate(words, tuple(sources), 1.0, 3, TAU_CERT, 0, (1.0, 1.0, 1.0))
+
+        def returning(frame, batch, starts, *args, **kwargs):
+            return [composed_flow(frame, FlowWord.empty(), z) for _ in batch]
+
+        with pytest.raises(Exception) as point:
+            complex_tangent_space(LEWY, sources[1])
+        monkeypatch.setattr(orbit, "composed_flows", returning)
+        with pytest.raises(Exception) as checked:
+            verify_certificate(LEWY, LEWY_FRAME, z, cert, CFG)
+        assert type(checked.value) is type(point.value)
+        assert str(checked.value) == str(point.value)
+        assert "exceeds" in str(point.value)

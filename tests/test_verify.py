@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from crorbit.verify import _quadric_points, _uniform_draws, run_suite
+from crorbit.verify import (
+    N_RANDOM_CHARTS, _corpus, _quadric_points, _uniform_draws, run_suite, transport_corpus,
+)
 
 # float.hex of each check's value at seed 0, as computed one sample at a time
 # before the checks were batched; a batched change that moves a bit fails here
@@ -46,3 +48,18 @@ def test_quadric_points_are_the_one_point_draws(name):
     for z, w in zip(points, weights):
         assert z.tobytes() == _quadric_point(name, rng).tobytes()
         assert w.tobytes() == rng.uniform(-1.0, 1.0, 2).tobytes()
+
+
+def test_every_count_reads_one_corpus_per_seed():
+    """A short corpus is the prefix of the long one: the same cases, drawn once."""
+    _corpus.cache_clear()
+    short = transport_corpus(11, 25)
+    full = transport_corpus(11)
+    assert len(short) == 25 and len(full) == N_RANDOM_CHARTS
+    assert all(a is b for a, b in zip(short, full))
+    _corpus.cache_clear()
+    for a, b in zip(full, transport_corpus(11)):  # drawn in one pass
+        assert a is not b and a.chart == b.chart
+        assert (a.t_equiv, a.t_dual) == (b.t_equiv, b.t_dual)
+        for x, y in ((a.x0, b.x0), (a.eta0, b.eta0), (a.xi0, b.xi0)):
+            assert x.tobytes() == y.tobytes()
