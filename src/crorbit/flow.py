@@ -4,43 +4,23 @@ The integrator is an adaptive embedded Runge-Kutta 5(4) pair
 (Dormand-Prince) with a PI step controller.  Flow differentials solve the
 variational equation dM/dt = Da(x(t)) M, M(0) = I, integrated jointly with
 the state so endpoint and differential share the same step sequence.
-A flow runs along a word of frame fields, and a single field's flow is the
-one-step word: :func:`composed_flow` is the one leg loop, integrating each
-leg from (x, I) and composing the leg differentials by the chain rule.
-A flow given a manifold is retracted back to the zero set of the defining
-functions after every accepted step (to :data:`RETRACT_TOL`); the residual
-drift is monitored and reported against :data:`DRIFT_BOUND`, never silently
-corrected beyond tolerance.
+A flow runs along a word of frame fields, each leg from (x, I), and the leg
+differentials compose by the chain rule.  A flow given a manifold is
+retracted back to the zero set of the defining functions after every
+accepted step (to :data:`RETRACT_TOL`); the residual drift is monitored and
+reported against :data:`DRIFT_BOUND`, never silently corrected beyond
+tolerance.
 
-One step does its work once:
-
-- First same as last (Dormand & Prince 1980; Hairer-Norsett-Wanner,
-  *Solving ODEs I*, II.4-5): the seventh stage is evaluated at the
-  fifth-order solution, so after an accepted step it is the next step's
-  first derivative.  Only a step hook that moves the state (a retraction
-  Newton step) costs a fresh evaluation.
-- Finiteness is tested once per step: the first derivative is checked, and
-  after that a non-finite stage shows up as a NaN error estimate, because
-  every stage enters ``_ERR @ k`` (a zero weight times inf is NaN too).
-- The drift at an accepted point is the residual :func:`retract` computed
-  there; the defining functions are probed separately only once, at the
-  start of a word.
-
-An expression undefined along the trajectory (``ExprDomainError``) ends the
-flow with :class:`FlowDomainError`, whether the right-hand side or rho met
-it: at the start point's probe or in a step's retraction.
-
-Many words at once: :func:`composed_flows` returns one result or error per
-word.  The words (cut into batches of :data:`MAX_BATCH`) run one lockstep
-loop over a (B, n + n^2) state, in which every member keeps its own leg, t,
-h, err_prev, FSAL stage, step count, differential, drift and trajectory,
-and fails alone.  A step's arithmetic is stacked over the members, a fixed
-number of numpy calls that each grow a little with B; each member's step
-control is a few Python float operations.  So a batch of one costs little
-more than :func:`composed_flow`, and the orbit searches, which flow many
-words at once, share the stacked calls.  Each member gets exactly the bits
-:func:`composed_flow` gives for its word alone, because every row operation
-rounds as the one-word operation it replaces:
+Every flow of frame fields runs in one loop, :class:`_Lockstep`:
+:func:`composed_flows` cuts its words into batches of :data:`MAX_BATCH`,
+:func:`composed_flow` is a batch of one word and :func:`flow` the one-step
+word.  The loop runs over a (B, n + n^2) state, in which every member keeps
+its own leg, t, h, err_prev, FSAL stage, step count, differential, drift and
+trajectory, and fails alone.  A step's arithmetic is stacked over the
+members, a fixed number of numpy calls that each grow a little with B; each
+member's step control is a few Python float operations.  A member gets the
+same bits in a batch of any size, because every row operation rounds as the
+operation on that row alone:
 
 - stage sums and the error estimate are ``np.matmul(_A[i], K[:, :i])`` and
   ``np.matmul(_ERR, K)``: a stacked matmul equals ``@`` slice by slice, as
@@ -48,19 +28,39 @@ rounds as the one-word operation it replaces:
   in another order);
 - :func:`_rms` reduces the last axis, the same pairwise sum for one row or
   many;
-- the step control is :func:`_integrate`'s own Python float arithmetic,
-  run member by member;
+- the step control is :func:`_integrate`'s Python float arithmetic, run
+  member by member;
 - the right-hand side and the rho probe evaluate rows with column kernels
   (:func:`~crorbit.expr.evaluate_rows`), which give each row its point
   kernel's bits or its error; a field that one member flows, and a probe
   of one state, call the point kernel itself (:meth:`~crorbit.expr.Jet.rows`);
 - one batched rho probe decides which accepted states are within
   :data:`RETRACT_TOL`; only the others take :func:`retract`'s Newton steps,
-  from that probe, so a Newton step keeps its bits, and a state it moves
-  re-evaluates its derivative;
+  from that probe, so a Newton step keeps its bits;
 - a zero-time leg evaluates nothing: its differential is I.
 
-:func:`_initial_step` is written once, over rows; the one-word loop passes
+One step does its work once:
+
+- First same as last (Dormand & Prince 1980; Hairer-Norsett-Wanner,
+  *Solving ODEs I*, II.4-5): the seventh stage is evaluated at the
+  fifth-order solution, so after an accepted step it is the next step's
+  first derivative.  Only a state moved by a retraction's Newton steps
+  costs a fresh evaluation.
+- Finiteness is tested once per step: the first derivative is checked, and
+  after that a non-finite stage shows up as a NaN error estimate, because
+  every stage enters ``_ERR @ k`` (a zero weight times inf is NaN too).
+- The drift at an accepted point is the residual of its retraction; the
+  defining functions are probed separately only once, at the start of a
+  word.
+
+An expression undefined along the trajectory (``ExprDomainError``) ends the
+flow with :class:`FlowDomainError`, whether the right-hand side or rho met
+it: at the start point's probe or in a step's retraction.
+
+:func:`_integrate` is the same step for one state without a manifold, whose
+step hook only observes; it integrates the transport ODEs of
+:mod:`crorbit.connection` and the symbol check of :mod:`crorbit.verify`.
+:func:`_initial_step` is written once, over rows; :func:`_integrate` passes
 one row.  Its norms are stacked :func:`_rms` reductions, and the rest is
 each row's Python float arithmetic.
 The lockstep keeps its rows sorted by current field, so each field's rows
@@ -179,7 +179,7 @@ class _DefinedByEquations(Protocol):
 
     def rho_jacobian(self, x: Sequence[float]) -> np.ndarray: ...
 
-    # rho at each row and the rows where undefined; only lockstep batches read it
+    # rho at each row and the rows where undefined: a flow's start and step probes
     def rho_value_rows(self, X: np.ndarray) -> tuple[np.ndarray, dict[int, ExprDomainError]]: ...
 
 
@@ -256,13 +256,12 @@ def _integrate(
     t_span: tuple[float, float],
     y0: np.ndarray,
     cfg: IntegratorConfig,
-    on_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
+    on_step: Callable[[float, np.ndarray], object] | None = None,
 ) -> np.ndarray:
     """Adaptive RK5(4) from t_span[0] to t_span[1]; returns the final state.
 
-    ``on_step(t, y)`` sees every accepted state and returns the state to
-    continue from: the same array when it leaves the state alone, which lets
-    the next step reuse the last stage's derivative.
+    ``on_step(t, y)`` sees every accepted state and leaves it alone: the next
+    step reuses the last stage's derivative there.
     """
     t0, t1 = t_span
     for bound in (t0, t1):
@@ -318,10 +317,9 @@ def _integrate(
             raise FlowBlowupError("non-finite derivative encountered")
         if err <= 1.0:
             t = t1 if abs(t1 - (t + dt)) < 1e-15 * max(abs(t1), 1.0) else t + dt
-            try:
-                y = y_new if on_step is None else on_step(t, y_new)
-            except _DOMAIN_EXCS as exc:
-                raise _domain_error(exc) from exc
+            y = y_new
+            if on_step is not None:
+                on_step(t, y)
             if not np.all(np.isfinite(y)):
                 raise FlowBlowupError("non-finite state encountered")
             # PI controller (Gustafsson); err_prev only after an accepted step
@@ -330,9 +328,7 @@ def _integrate(
             h *= min(10.0, max(0.2, factor))
             if t == t1 or abs(t1 - t) <= 1e-15 * max(abs(t1), 1.0):
                 return y
-            # first same as last: t is t + dt exactly here, so k[6] = f(t, y)
-            # unless the hook moved the state
-            k[0] = k[6] if y is y_new else checked_rhs(t, y)
+            k[0] = k[6]  # first same as last: t is t + dt exactly here, so k[6] = f(t, y)
         else:
             h *= max(0.2, 0.9 * err ** (-0.2))
     raise FlowBlowupError("step budget exhausted")
@@ -374,16 +370,6 @@ def _newton(
     )
 
 
-def _start_drift(manifold: _DefinedByEquations | None, x: np.ndarray) -> float:
-    """max |rho| at a word's start point; :class:`FlowDomainError` where rho is undefined."""
-    if manifold is None:
-        return 0.0
-    try:
-        return float(np.max(np.abs(manifold.rho_values(x)), initial=0.0))
-    except _DOMAIN_EXCS as exc:
-        raise _domain_error(exc) from exc
-
-
 def flow(
     X: VectorFieldSpec,
     x0: Sequence[float],
@@ -398,10 +384,13 @@ def flow(
 def _start_point(
     frame: Sequence[VectorFieldSpec], word: FlowWord, x0: Sequence[float]
 ) -> np.ndarray:
-    """``x0`` as a new float array, after checking the word's indices and the point's shape."""
+    """``x0`` as a new float array, after checking the word's indices and the point's shape.
+
+    The shape is checked against every frame field, also for the empty word.
+    """
     word.validate(len(frame))
     x = np.array(x0, dtype=float)
-    for dim in {frame[idx - 1].dim for idx, _ in word.steps}:
+    for dim in {field.dim for field in frame}:
         if x.shape != (dim,):
             raise ValueError(f"initial point has shape {x.shape}, expected ({dim},)")
     return x
@@ -414,45 +403,18 @@ def composed_flow(
     cfg: IntegratorConfig = IntegratorConfig(),
     manifold: _DefinedByEquations | None = None,
 ) -> FlowResult:
-    """Apply the word's steps in order; each leg integrates from (x, I).
+    """Apply the word's steps in order: a lockstep batch of this one word.
 
-    Leg differentials compose by the chain rule.  Returns the endpoint, the
-    word's differential, the trajectory at the elapsed |t| along the word and
-    the maximal defining-function drift when a manifold is supplied.
+    Each leg integrates from (x, I), and the leg differentials compose by the
+    chain rule.  Returns the endpoint, the word's differential, the
+    trajectory at the elapsed |t| along the word and the maximal
+    defining-function drift when a manifold is supplied; raises the
+    :class:`FlowError` that ends the flow.
     """
-    x = _start_point(frame, word, x0)
-    n = x.shape[0]
-
-    def rhs(_t, y):
-        vals, jac = X.values_and_jacobian(y[:n])  # a zero-time leg compiles nothing
-        out = np.empty(n + n * n)
-        out[:n] = vals
-        np.matmul(jac, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
-        return out
-
-    trajectory: list[tuple[float, np.ndarray]] = [(0.0, x.copy())]
-    drift = _start_drift(manifold, x)  # later points are probed by their retraction
-
-    def on_step(tt, y):
-        nonlocal drift
-        if manifold is not None:
-            pt = y[:n]
-            moved, resid = retract(manifold, pt)
-            if moved is not pt:
-                y = np.concatenate((moved, y[n:]))
-            drift = max(drift, resid)
-        trajectory.append((t_offset + abs(tt), y[:n].copy()))
-        return y
-
-    differential = np.eye(n)
-    t_offset = 0.0
-    for idx, t in word.steps:
-        X = frame[idx - 1]  # rhs reads the current leg's field
-        y = _integrate(rhs, (0.0, t), np.concatenate((x, np.eye(n).ravel())), cfg, on_step)
-        x = y[:n]
-        differential = y[n:].reshape(n, n) @ differential
-        t_offset += abs(t)
-    return FlowResult(x, differential, trajectory, drift, drift > DRIFT_BOUND)
+    [res] = _Lockstep(frame, [word], [x0], cfg, manifold).run()
+    if isinstance(res, FlowError):
+        raise res
+    return res
 
 
 def composed_flows(
@@ -464,12 +426,12 @@ def composed_flows(
 ) -> list[FlowResult | FlowError]:
     """:func:`composed_flow` of each word from its start point: a result or the flow's error.
 
-    Words run in lockstep batches of up to :data:`MAX_BATCH` members, a
-    batch of one included.  Every member gets exactly the bits
-    :func:`composed_flow` gives for its word alone, and a failing member
-    fails alone, with the error that call raises.  Bad input
-    (a field index outside the frame, a start point of the wrong shape, a
-    time that is not finite) raises ``ValueError`` before its batch runs.
+    Words run in lockstep batches of up to :data:`MAX_BATCH` members.  Every
+    member gets the bits of its word flowed alone, in a batch of one, and a
+    failing member fails alone, with the error :func:`composed_flow` raises
+    for it.  Bad input (a field index outside the frame, a start point whose
+    shape is not the frame's, a time that is not finite) raises
+    ``ValueError`` before its batch runs.
     """
     words, x0s = list(words), list(x0s)
     if len(words) != len(x0s):
@@ -529,7 +491,7 @@ class _Lockstep:
         self.gone = False  # a member finished or failed since the last _compact
         self.arranged = False  # the rows are in field order, and groups holds their runs
         self.groups: list[tuple[int, slice]] = []
-        if manifold is not None:  # one probe of the start points, like _start_drift's
+        if manifold is not None:  # one probe of the start points
             rho, errors = manifold.rho_value_rows(self.y[:, :n])
             self.drift = np.abs(rho).max(axis=1, initial=0.0).tolist()
             for r, exc in errors.items():  # run() drops these members
@@ -785,7 +747,7 @@ class _Lockstep:
             self._start(ended)
 
     def _on_step(self, members: list[int], ya: np.ndarray):
-        """``composed_flow``'s step hook for the accepted states ``ya`` of ``members``.
+        """The step hook of a flow on a manifold, for the accepted states ``ya`` of ``members``.
 
         One rho probe of the rows decides which states are within
         :data:`RETRACT_TOL`; only the others take :func:`retract`'s Newton

@@ -70,11 +70,6 @@ class SubspaceBasis:
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ v)
 
-    def residual(self, v: np.ndarray) -> float:
-        """Norm of the component of ``v`` outside the subspace."""
-        v = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(v - self.project(v)))
-
     def complement(self) -> "SubspaceBasis":
         """Orthogonal complement within the ambient space."""
         comp = nullspace(self.basis.T) if self.dim else np.eye(self.ambient_dim)

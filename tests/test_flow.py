@@ -3,6 +3,7 @@
 import importlib
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crorbit.flow import (
     DRIFT_BOUND,
     FlowError,
     FlowResult,
+    _domain_error,
     _initial_step,
     _integrate,
     _rms,
@@ -45,41 +47,6 @@ CIRCLE = EmbeddedManifold.parse(1, ["x1^2 + x2^2 - 1"])
 ROTATION = VectorFieldSpec.parse(["-1*x2", "x1"], 2)
 LOOSE = IntegratorConfig(rtol=1e-6, atol=1e-8)  # drift above RETRACT_TOL: Newton steps
 WORDS = 64  # words per lockstep comparison; one test runs MAX_BATCH + 1
-
-
-def _record_integrations(monkeypatch):
-    """Log every RHS call ('r') and accepted step ('a' kept, 'm' moved by the hook)."""
-    flow_module = importlib.import_module("crorbit.flow")
-    real = flow_module._integrate
-    events = []
-
-    def recording(rhs, t_span, y0, cfg, on_step=None):
-        def counted_rhs(t, y):
-            events.append("r")
-            return rhs(t, y)
-
-        def logged_step(t, y):
-            out = y if on_step is None else on_step(t, y)
-            events.append("a" if out is y else "m")
-            return out
-
-        return real(counted_rhs, t_span, y0, cfg, on_step=logged_step)
-
-    monkeypatch.setattr(flow_module, "_integrate", recording)
-    return events
-
-
-def _steps(events) -> list[str]:
-    """Split one integration's log into steps after the two start-up calls.
-
-    A step is its six stage calls, then 'a' or 'm' if it was accepted, and one
-    more call ('r') when the hook moved the state and the integration goes on.
-    """
-    log = "".join(events)
-    assert log.startswith("rr")
-    steps = re.findall(r"r{6}(?:a|mr?)?", log[2:])
-    assert "".join(steps) == log[2:], log
-    return steps
 
 
 class _CountingManifold:
@@ -239,6 +206,29 @@ class TestComposedFlow:
         assert res.drift <= DRIFT_BOUND
         assert not res.drift_exceeded
 
+    @pytest.mark.parametrize("manifold", [None, LEWY], ids=["free", "lewy"])
+    def test_empty_word_start_point_is_checked_against_the_frame(self, manifold):
+        """The empty word uses no field, and its start point still has the frame's dimension."""
+        message = re.escape("initial point has shape (3,), expected (4,)")
+        with pytest.raises(ValueError, match=message):
+            composed_flow(LEWY_FRAME, FlowWord.empty(), [1.0, 2.0, 3.0], manifold=manifold)
+        with pytest.raises(ValueError, match=message):
+            composed_flows(LEWY_FRAME, [FlowWord.empty()] * 2, [np.zeros(4), [1.0, 2.0, 3.0]],
+                           manifold=manifold)
+
+    def test_flows_run_without_the_one_state_integrator(self, monkeypatch):
+        """flow and composed_flow run in the lockstep; _integrate is the transports' loop."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("_integrate called")
+
+        monkeypatch.setattr(importlib.import_module("crorbit.flow"), "_integrate", refuse)
+        res = flow(ROTATION, [0.6, 0.8], 0.5, LOOSE, CIRCLE)
+        assert np.allclose(res.endpoint, [0.6 * math.cos(0.5) - 0.8 * math.sin(0.5),
+                                          0.8 * math.cos(0.5) + 0.6 * math.sin(0.5)], atol=1e-5)
+        word = FlowWord.of((1, 0.3), (2, -0.2))
+        assert composed_flow(LEWY_FRAME, word, np.zeros(4), manifold=LEWY).drift <= DRIFT_BOUND
+
 
 class TestRetraction:
     def test_on_manifold_point_unchanged(self):
@@ -261,24 +251,60 @@ class TestRetraction:
 
 
 class TestIntegratorStep:
-    def test_last_stage_reused_without_retraction(self, monkeypatch):
-        events = _record_integrations(monkeypatch)
-        bump = VectorFieldSpec.parse(["1", "exp(-100*(x1-1)^2)"], 2)
-        flow(bump, [0.0, 0.0], 2.0)
-        steps = _steps(events)
-        rejected = steps.count("r" * 6)
-        accepted = steps.count("r" * 6 + "a")
-        assert rejected > 0
-        assert accepted + rejected == len(steps)
-        assert events.count("r") == 2 + 6 * (accepted + rejected)
+    def test_last_stage_reused_without_retraction(self):
+        """Two start-up derivatives, then six stages a step, accepted or rejected."""
+        events = []
 
-    def test_moved_state_re_evaluates_rhs(self, monkeypatch):
-        events = _record_integrations(monkeypatch)
-        flow(ROTATION, [1.0, 0.0], 1.0, LOOSE, CIRCLE)
-        steps = _steps(events)
-        re_evaluated = steps.count("r" * 6 + "mr")
+        def bump(t, _y):  # y' = exp(-100 (t - 1)^2): the steps shrink near t = 1
+            events.append("r")
+            return np.array([math.exp(-100 * (t - 1) ** 2)])
+
+        _integrate(bump, (0.0, 2.0), np.zeros(1), IntegratorConfig(),
+                   on_step=lambda _t, _y: events.append("a"))
+        log = "".join(events)
+        steps = re.findall(r"r{6}a?", log[2:])
+        assert log.startswith("rr") and "".join(steps) == log[2:]
+        rejected = steps.count("r" * 6)
+        assert rejected > 0 and steps.count("r" * 6 + "a") == len(steps) - rejected
+        assert log.count("r") == 2 + 6 * len(steps)
+
+    def test_moved_state_re_evaluates_rhs(self):
+        """A flow evaluates one more row after each Newton-moved point where its leg goes on.
+
+        The log holds 'r' per right-hand-side row, 'p' per probed state and
+        'n' per Newton iteration: the start probe and two start-up rows, then
+        per step six stage rows and, if it was accepted, a probe, the Newton
+        iterations and, where they moved the state, one more row.
+        """
+        events = []
+
+        class Field:
+            dim = 2
+
+            def values_and_jacobian_rows(self, X):
+                events.append("r" * len(X))
+                return ROTATION.values_and_jacobian_rows(X)
+
+        class Circle:
+            rho_values = staticmethod(CIRCLE.rho_values)
+
+            def rho_value_rows(self, X):
+                events.append("p" * len(X))
+                return CIRCLE.rho_value_rows(X)
+
+            def rho_jacobian(self, x):
+                events.append("n")
+                return CIRCLE.rho_jacobian(x)
+
+        res = flow(Field(), [1.0, 0.0], 1.0, LOOSE, Circle())
+        log = "".join(events)
+        steps = re.findall(r"r{6}(?:p(?:n+r?)?)?", log[3:])
+        assert log.startswith("prr") and "".join(steps) == log[3:]
+        assert sum("p" in step for step in steps) == len(res.trajectory) - 1
+        moved = sum("n" in step for step in steps)
+        re_evaluated = moved - ("n" in steps[-1])  # the last step ends the leg
         assert re_evaluated > 0
-        assert events.count("r") == 2 + 6 * len(steps) + re_evaluated
+        assert log.count("r") == 2 + 6 * len(steps) + re_evaluated
 
     def test_drift_is_the_retraction_residual(self):
         counting = _CountingManifold(CIRCLE)
@@ -406,12 +432,66 @@ def _compiled(frame):
     return frame
 
 
-def _one_word_calls(frame, words, x0s, cfg, manifold=None):
-    """composed_flow word by word: its result, or the FlowError it raises."""
+def _reference_flow(frame, word, x0, cfg, manifold=None):
+    """One word's flow from ``_integrate`` and ``retract`` alone, independent of the lockstep.
+
+    Each leg is one ``_integrate`` call from (x, I), whose step hook retracts
+    the accepted point, folds its residual into the drift and records the
+    trajectory.  ``_integrate``'s hook only observes, and its next step
+    starts from the last stage's derivative, ``k[6]``.  So where a Newton
+    step moves the point and the leg goes on, this hook moves the point in
+    place and overwrites ``k[6]`` in ``_integrate``'s frame with the
+    derivative there, the fresh evaluation a flow makes after a Newton step.
+    """
+    word.validate(len(frame))
+    x = np.array(x0, dtype=float)
+    n = x.shape[0]
+    field, t1, t_offset, drift = None, 0.0, 0.0, 0.0
+    trajectory = [(0.0, x.copy())]
+
+    def rhs(_t, y):
+        vals, jac = field.values_and_jacobian(y[:n])
+        return np.concatenate((vals, (jac @ y[n:].reshape(n, n)).ravel()))
+
+    def on_step(t, y):
+        nonlocal drift
+        if manifold is not None:
+            point = y[:n]
+            try:
+                moved, resid = retract(manifold, point)
+                if moved is not point:
+                    point[:] = moved
+                    if abs(t1 - t) > 1e-15 * max(abs(t1), 1.0):  # the leg goes on
+                        f = rhs(t, y)
+                        if not np.isfinite(f).all():
+                            raise FlowBlowupError("non-finite derivative encountered")
+                        sys._getframe(1).f_locals["k"][6] = f
+            except ExprDomainError as exc:
+                raise _domain_error(exc) from exc
+            drift = max(drift, resid)
+        trajectory.append((t_offset + abs(t), y[:n].copy()))
+
+    if manifold is not None:
+        try:
+            drift = float(np.max(np.abs(manifold.rho_values(x)), initial=0.0))
+        except ExprDomainError as exc:
+            raise _domain_error(exc) from exc
+    differential = np.eye(n)
+    for idx, t1 in word.steps:
+        field = frame[idx - 1]
+        y = _integrate(rhs, (0.0, t1), np.concatenate((x, np.eye(n).ravel())), cfg, on_step)
+        x = y[:n]
+        differential = y[n:].reshape(n, n) @ differential
+        t_offset += abs(t1)
+    return FlowResult(x, differential, trajectory, drift, drift > DRIFT_BOUND)
+
+
+def _one_word_calls(frame, words, x0s, cfg, manifold=None, run=_reference_flow):
+    """``run`` (the reference or composed_flow) word by word: its result, or its FlowError."""
     out = []
     for word, x0 in zip(words, x0s):
         try:
-            out.append(composed_flow(frame, word, x0, cfg, manifold))
+            out.append(run(frame, word, x0, cfg, manifold))
         except FlowError as exc:
             out.append(exc)
     return out
@@ -465,7 +545,7 @@ def _assert_every_batch_size(alone, frame, words, x0s, cfg, manifold=None):
 
 
 class TestLockstep:
-    """composed_flows: a batch of words gives each word composed_flow's bits."""
+    """composed_flows: a batch of words gives each word the bits of the one-word reference."""
 
     @pytest.mark.parametrize(
         "frame, m, cfg, x0",
@@ -495,11 +575,11 @@ class TestLockstep:
         ids=["lewy", "circle-newton-steps"],
     )
     def test_one_member_does_one_word_work(self, frame, m, cfg, x0):
-        """A batch of one evaluates as many right-hand-side and rho rows as composed_flow."""
+        """A batch of one evaluates as many right-hand-side and rho rows as the reference."""
         words = random_words(np.random.default_rng(6), 12, len(frame), 4, 0.5)
         for word in words:
             counts = []
-            for run in (composed_flow, lambda *a: composed_flows(a[0], [a[1]], [a[2]], *a[3:])):
+            for run in (_reference_flow, lambda *a: composed_flows(a[0], [a[1]], [a[2]], *a[3:])):
                 log = {"rhs": 0}
                 counting = _CountingManifold(m)
                 run([_CountingField(f, log) for f in frame], word, x0, cfg, counting)
@@ -539,6 +619,7 @@ class TestLockstep:
         x0s = [[0.5, 0.0], [1.0, 0.0]] + [[0.5, 0.0]] * 5 + [[0.0, 0.0]]
         cfg = IntegratorConfig()
         alone = _one_word_calls(frame, words, x0s, cfg)
+        _assert_same_bits(_one_word_calls(frame, words, x0s, cfg, run=composed_flow), alone)
         assert [type(res).__name__ for res in alone] == [
             "FlowResult", "FlowBlowupError", "FlowBlowupError", "FlowDomainError",
             "FlowDomainError", "FlowResult", "FlowResult", "FlowResult",
@@ -679,7 +760,7 @@ class TestExactMultiLegFlows:
         if size:
             results = _batched(size, SKEW_FRAME, words, x0s, cfg, manifold)
         else:
-            results = _one_word_calls(SKEW_FRAME, words, x0s, cfg, manifold)
+            results = _one_word_calls(SKEW_FRAME, words, x0s, cfg, manifold, composed_flow)
         for word, res in zip(words, results):
             exact, reversed_ = _exact_word(word), _exact_word(word, reverse=True)
             assert np.max(np.abs(res.differential - exact)) <= 1e-8, word
