@@ -40,14 +40,11 @@ from .flow import DRIFT_BOUND, FlowError, FlowWord
 from .orbit import (
     SPAN_WORDS,
     TAU_CERT,
-    certificate_plan,
-    cloud_plan,
+    cloud_words,
     global_minimality_certificate,
     lie_hull,
-    run_plans,
-    span_plan,
+    orbit_checks,
     span_words,
-    write_cloud_csv,
 )
 from .report import CheckResult, Report
 from .scenario import Scenario, ScenarioError, _finite_coordinates, load_scenario
@@ -82,6 +79,14 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return seed
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV file of ``header`` and ``rows``, whose floats the caller has written with repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_word(text: str) -> FlowWord:
@@ -256,18 +261,11 @@ def cmd_transport(
             ("transport_eta.csv", eta_path, "eta"),
             ("transport_xi.csv", xi_path, "xi"),
         ):
-            with open(out_dir / fname, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["t", *[f"xp{i + 1}" for i in range(chart.l)],
-                     *[f"{label}{i + 1}" for i in range(chart.m)]]
-                )
-                for tt, base, fiber in rows:
-                    writer.writerow(
-                        [repr(float(tt))]
-                        + [repr(float(v)) for v in base]
-                        + [repr(float(v)) for v in fiber]
-                    )
+            header = ["t", *[f"xp{i + 1}" for i in range(chart.l)],
+                      *[f"{label}{i + 1}" for i in range(chart.m)]]
+            _write_csv(out_dir / fname, header, (
+                [repr(float(v)) for v in (tt, *base, *fiber)] for tt, base, fiber in rows
+            ))
             report.outputs[fname] = str(out_dir / fname)
     return report
 
@@ -314,13 +312,12 @@ def cmd_orbit(
 
     cert_rep = global_minimality_certificate(m, frame, pt, budget, seed, cfg)
     cert = cert_rep.certificate
-    # the re-check, the span words and the cloud words flow in one batch
     words = span_words(len(frame), seed, min(budget, SPAN_WORDS))
-    plans = [] if cert is None else [certificate_plan(m, pt, cert)]
-    plans += [span_plan(m, pt, words), cloud_plan(pt, min(budget, 60), len(frame), seed)]
-    *verdict, span, cloud = run_plans(m, frame, cfg, plans)
+    verdict, span, cloud = orbit_checks(
+        m, frame, pt, cfg, cert, words, cloud_words(len(frame), seed, min(budget, 60))
+    )
     if cert is not None:
-        [(ok, sigma)] = verdict
+        ok, sigma = verdict
         report.results.append(
             CheckResult(
                 "global-minimality-certificate",
@@ -378,7 +375,11 @@ def cmd_orbit(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         cloud_path = out_dir / "orbit_cloud.csv"
-        write_cloud_csv(str(cloud_path), cloud)
+        header = ["word", *[f"x{i + 1}" for i in range(len(pt))], "drift"]
+        _write_csv(cloud_path, header, (
+            [i, *[repr(float(v)) for v in (*point, drift)]]
+            for i, (point, drift) in enumerate(zip(cloud.points, cloud.drifts))
+        ))
         report.outputs["orbit_cloud.csv"] = str(cloud_path)
     return report
 

@@ -14,13 +14,15 @@ together with consistency checks against the restricted Hamiltonian field
 of the symbol and against the connection axioms.
 
 Each transport runs along a :class:`FlowWord` over the chart frame, one
-frame field per leg.  A transport ``path`` starts with one row at t = 0 and
+frame field per leg, and each leg's field must be tangent to N where that
+leg starts.  A transport ``path`` starts with one row at t = 0 and
 then times each accepted step by the elapsed |t| along the whole word, as a
 composed flow's trajectory does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -227,7 +229,6 @@ def _transport_ode(
 
     def on_step(tt, y):
         path.append((t_offset + abs(tt), y[:l].copy(), y[l:].copy()))
-        return y
 
     y = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(v0, dtype=float)))
     if path is not None:
@@ -277,13 +278,18 @@ def flow_transport(
     """Transport eta0 by the differential of the flow of ``word``, reduced mod TN.
 
     Lifts eta0 to (0, eta0), pushes it through the flow differential from
-    (x0', 0) and keeps the last m coordinates.
+    (x0', 0) and keeps the last m coordinates.  Each leg's field must be
+    tangent to N at that leg's start, as in :func:`horizontal_transport`.
     """
     word.validate(c.rank)
-    for idx, _ in word.steps:
-        _require_valid(c, c.frame[idx - 1], x0p)
     x0 = np.concatenate((np.asarray(x0p, dtype=float), np.zeros(c.m)))
     res = composed_flow(c.frame, word, x0, cfg)
+    # a leg starts at the last trajectory point at or before its elapsed time
+    times, elapsed = [tt for tt, _ in res.trajectory], 0.0
+    for idx, t in word.steps:
+        start = res.trajectory[bisect_right(times, elapsed) - 1][1]
+        _require_valid(c, c.frame[idx - 1], start[: c.l])
+        elapsed += abs(t)
     lifted = np.concatenate((np.zeros(c.l), np.asarray(eta0, dtype=float)))
     eta_t = (res.differential @ lifted)[c.l:]
     return NormalVector(res.endpoint[: c.l], eta_t)

@@ -17,23 +17,21 @@ and best span come from one SVD of its selection, and an exhausted search
 reports the span of the block it already built.
 
 Words are integrated in batches (:func:`~crorbit.flow.composed_flows`), with
-the bits of one word at a time.  :func:`verify_certificate`,
-:func:`pushforward_span` and :func:`reachable_samples` are each a
-:class:`FlowPlan` (:func:`certificate_plan`, :func:`span_plan`,
-:func:`cloud_plan`): the words to flow and the assembly of their results.
-:func:`run_plans` flows the words of several plans in one call and runs
-their assemblies in order, so an orbit run's post-search words share one
-lockstep batch; the span and the re-check raise the first failure in word
-order.  The certificate search evaluates its pool in chunks of 1, 2, 4, ...,
-``MAX_BATCH`` words, still stops at the first word whose span reaches
-``TAU_CERT``, and discards the chunk's words past it.
+the bits of one word at a time.  :func:`orbit_checks` flows the words of the
+certificate re-check, the pushforward span and the reachable cloud in one
+call and assembles the three in that order, so an orbit run's post-search
+words share one lockstep batch; :func:`verify_certificate`,
+:func:`pushforward_span` and :func:`reachable_samples` are each an
+:func:`orbit_checks` call for one part.  The span and the re-check raise the
+first failure in word order.  The certificate search evaluates its pool in
+chunks of 1, 2, 4, ..., ``MAX_BATCH`` words, still stops at the first word
+whose span reaches ``TAU_CERT``, and discards the chunk's words past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +49,6 @@ __all__ = [
     "Certificate",
     "MinimalityReport",
     "SampleCloud",
-    "FlowPlan",
     "lie_hull",
     "pushforward_span",
     "global_minimality_certificate",
@@ -59,11 +56,8 @@ __all__ = [
     "reachable_samples",
     "random_words",
     "span_words",
-    "write_cloud_csv",
-    "certificate_plan",
-    "span_plan",
-    "cloud_plan",
-    "run_plans",
+    "cloud_words",
+    "orbit_checks",
 ]
 
 # randomized word search: lengths in [1, cap], times in [-T, T]
@@ -255,63 +249,14 @@ def _span(coords: np.ndarray) -> tuple[PushforwardSpan, float]:
     return PushforwardSpan(sv, int(_svd_rank(sv))), sigma
 
 
-@dataclass(frozen=True)
-class FlowPlan:
-    """A check's words, each with its start point, and what the check makes of their flows.
-
-    ``assemble`` takes the words' results in word order, as
-    :func:`~crorbit.flow.composed_flows` returns them, and returns the
-    check's outcome or raises its error.
-    """
-
-    words: list[FlowWord]
-    starts: list[np.ndarray]
-    assemble: Callable[[list[FlowResult | FlowError]], Any]
-
-
-def run_plans(
-    m: EmbeddedManifold,
-    frame: Sequence[VectorFieldSpec],
-    cfg: IntegratorConfig,
-    plans: Sequence[FlowPlan],
-) -> list:
-    """Each plan's outcome, in order, from one ``composed_flows`` call for all their words.
-
-    Every word gets the bits of a call of its own, so a plan's outcome does
-    not depend on its company; the first assembly that raises ends the run
-    before a later plan's results are read.
-    """
-    results = composed_flows(
-        frame,
-        [word for plan in plans for word in plan.words],
-        [start for plan in plans for start in plan.starts],
-        cfg,
-        m,
-    )
-    outcomes, lo = [], 0
-    for plan in plans:
-        outcomes.append(plan.assemble(results[lo : lo + len(plan.words)]))
-        lo += len(plan.words)
-    return outcomes
-
-
-def span_plan(m: EmbeddedManifold, z: Sequence[float], words: Sequence[FlowWord]) -> FlowPlan:
-    """:func:`pushforward_span`'s flows, the inverse words from z, and its assembly."""
-    z = np.asarray(z, dtype=float)
-    words = list(words)
-    basis_t = tangent_space(m, z).basis.T
-    return FlowPlan(
-        [w.inverse() for w in words], [z] * len(words), partial(_span_of, m, basis_t, words)
-    )
-
-
 def _span_of(
     m: EmbeddedManifold,
-    basis_t: np.ndarray,
-    words: list[FlowWord],
+    z: np.ndarray,
+    words: Sequence[FlowWord],
     backs: Sequence[FlowResult | FlowError],
 ) -> PushforwardSpan:
     """:func:`pushforward_span` from the backward flows ``backs`` of ``words``."""
+    basis_t = tangent_space(m, z).basis.T
     coords = [np.empty((m.dim, 0))]
     for columns in _columns(m, words, backs):
         if isinstance(columns, FlowError):
@@ -335,8 +280,7 @@ def pushforward_span(
     integrated once.  The unit-normalized images are taken in an orthonormal
     basis of T_zM, and the span is read off those coordinates.
     """
-    [span] = run_plans(m, frame, cfg, [span_plan(m, z, words)])
-    return span
+    return orbit_checks(m, frame, z, cfg, span_words=words)[1]
 
 
 def random_words(
@@ -366,6 +310,17 @@ def span_words(frame_size: int, seed: int, count: int = SPAN_WORDS) -> list[Flow
     """
     rng = np.random.default_rng(seed)
     return [FlowWord.empty()] + random_words(rng, count, frame_size, 3, 0.4)
+
+
+def cloud_words(
+    frame_size: int,
+    seed: int,
+    count: int,
+    length_cap: int = WORD_LENGTH_CAP,
+    time_range: float = TIME_RANGE,
+) -> list[FlowWord]:
+    """The reachable-cloud word sample: ``count`` seeded words (see :func:`random_words`)."""
+    return random_words(np.random.default_rng(seed), count, frame_size, length_cap, time_range)
 
 
 def _greedy_select(
@@ -461,28 +416,9 @@ def global_minimality_certificate(
     return MinimalityReport(span, certificate)
 
 
-def certificate_plan(
-    m: EmbeddedManifold, z: Sequence[float], certificate: Certificate
-) -> FlowPlan:
-    """:func:`verify_certificate`'s flows, each word from its source, and its assembly."""
-    if len(certificate.sources) != len(certificate.words):
-        raise ValueError(
-            f"certificate has {len(certificate.words)} word(s) "
-            f"but {len(certificate.sources)} source(s)"
-        )
-    z = np.asarray(z, dtype=float)
-    basis_t = tangent_space(m, z).basis.T
-    return FlowPlan(
-        list(certificate.words),
-        list(certificate.sources),
-        partial(_reverified, m, z, basis_t, certificate),
-    )
-
-
 def _reverified(
     m: EmbeddedManifold,
     z: np.ndarray,
-    basis_t: np.ndarray,
     certificate: Certificate,
     fwds: Sequence[FlowResult | FlowError],
 ) -> tuple[bool, float]:
@@ -494,6 +430,7 @@ def _reverified(
     :func:`~crorbit.crmanifold.complex_tangent_space` would fail raise
     in that order.
     """
+    basis_t = tangent_space(m, z).basis.T
     errors: dict = {}
     if certificate.sources:
         _, complex_tangent, *_, errors = _conormal_geometry(m, np.array(certificate.sources))
@@ -532,8 +469,7 @@ def verify_certificate(
     forward differential: the other route through the flow cocycle than the
     search's inverse of the backward differential.
     """
-    [verdict] = run_plans(m, frame, cfg, [certificate_plan(m, z, certificate)])
-    return verdict
+    return orbit_checks(m, frame, z, cfg, certificate=certificate)[0]
 
 
 @dataclass
@@ -542,21 +478,6 @@ class SampleCloud:
     points: list[np.ndarray]
     drifts: list[float]
     failures: int
-
-
-def cloud_plan(
-    z: Sequence[float],
-    n_words: int,
-    frame_size: int,
-    seed: int,
-    word_length_cap: int = WORD_LENGTH_CAP,
-    time_range: float = TIME_RANGE,
-) -> FlowPlan:
-    """:func:`reachable_samples`' flows, seeded random words from z, and its assembly."""
-    z = np.asarray(z, dtype=float)
-    rng = np.random.default_rng(seed)
-    words = random_words(rng, n_words, frame_size, word_length_cap, time_range)
-    return FlowPlan(words, [z] * len(words), partial(_cloud_of, z))
 
 
 def _cloud_of(z: np.ndarray, results: Sequence[FlowResult | FlowError]) -> SampleCloud:
@@ -582,18 +503,46 @@ def reachable_samples(
     time_range: float = TIME_RANGE,
 ) -> SampleCloud:
     """Endpoints of seeded random words from z; failed flows are skipped and counted."""
-    plan = cloud_plan(z, n_words, len(frame), seed, word_length_cap, time_range)
-    [cloud] = run_plans(m, frame, cfg, [plan])
-    return cloud
+    words = cloud_words(len(frame), seed, n_words, word_length_cap, time_range)
+    return orbit_checks(m, frame, z, cfg, cloud_words=words)[2]
 
 
-def write_cloud_csv(path: str, cloud: SampleCloud) -> None:
-    """CSV with columns word id, endpoint coordinates, drift."""
-    import csv
+def orbit_checks(
+    m: EmbeddedManifold,
+    frame: Sequence[VectorFieldSpec],
+    z: Sequence[float],
+    cfg: IntegratorConfig,
+    certificate: Certificate | None = None,
+    span_words: Sequence[FlowWord] | None = None,
+    cloud_words: Sequence[FlowWord] | None = None,
+) -> tuple[tuple[bool, float] | None, PushforwardSpan | None, SampleCloud | None]:
+    """(verdict, span, cloud): the certificate re-check, the pushforward span and the cloud.
 
-    dim = cloud.base_point.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word", *[f"x{i + 1}" for i in range(dim)], "drift"])
-        for i, (pt, drift) in enumerate(zip(cloud.points, cloud.drifts)):
-            writer.writerow([i, *[repr(float(v)) for v in pt], repr(float(drift))])
+    One ``composed_flows`` call flows the certificate's words from their
+    sources, the inverse span words from z and the cloud words from z; every
+    word gets the bits of a call of its own.  The re-check, the span and the
+    cloud are then assembled in that order, and the first one that raises
+    ends the run before a later part's results are read.  A part that was
+    not asked for is None.
+    """
+    z = np.asarray(z, dtype=float)
+    cert_words = [] if certificate is None else list(certificate.words)
+    sources = [] if certificate is None else list(certificate.sources)
+    if len(sources) != len(cert_words):
+        raise ValueError(
+            f"certificate has {len(cert_words)} word(s) but {len(sources)} source(s)"
+        )
+    backward = [w.inverse() for w in span_words or ()]
+    forward = list(cloud_words or ())
+    results = composed_flows(
+        frame,
+        cert_words + backward + forward,
+        sources + [z] * (len(backward) + len(forward)),
+        cfg,
+        m,
+    )
+    lo, hi = len(cert_words), len(cert_words) + len(backward)
+    verdict = None if certificate is None else _reverified(m, z, certificate, results[:lo])
+    span = None if span_words is None else _span_of(m, z, span_words, results[lo:hi])
+    cloud = None if cloud_words is None else _cloud_of(z, results[hi:])
+    return verdict, span, cloud

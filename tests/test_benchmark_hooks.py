@@ -8,19 +8,25 @@ benchmark run fails at install.  These checks make it a test failure.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """``perfbench/<name>.py`` as a module, read from the checkout without importing perfbench."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_traced_function_resolves(tracer):
@@ -71,3 +77,28 @@ def test_verify_suites_match_tracer(tracer):
 
     assert len(tracer.SUITES) == 5
     assert set(tracer.SUITES) == set(SUITES)
+
+
+def test_orbit_reports_pass_the_benchmark_verdicts(tmp_path):
+    """``judge_orbit`` of ``perfbench/child.py`` on the orbit workloads' reports.
+
+    The orbit workloads judge ``cmd_orbit`` detail keys; a renamed or dropped
+    key would otherwise show only as a lower benchmark ``pass_frac``.
+    Certificates are written under ``tmp_path``, not the child's ``CERT_OUT``.
+    """
+    from crorbit.cli import cmd_orbit
+    from crorbit.scenario import builtin_scenario
+
+    child = _load("child")
+    verdicts = child.Verdicts()
+    for name in ("flat", "tube3"):
+        report = cmd_orbit(builtin_scenario(name), "origin", child.EXHAUST_BUDGET, 0)
+        child.judge_orbit(report, name, name, verdicts)
+    for i, (spec, seed) in enumerate(child.lewy_points(0)[:3]):
+        out = tmp_path / f"lewy{i}"
+        report = cmd_orbit(builtin_scenario("lewy"), spec, child.CERT_BUDGET, seed, out_dir=out)
+        path = out / "certificate.json"
+        certificate = json.loads(path.read_text()) if path.exists() else None
+        child.judge_orbit(report, "lewy", f"lewy[{i}]", verdicts, certificate)
+    assert verdicts.attempted == 20
+    assert verdicts.failures == []

@@ -179,6 +179,20 @@ class TestTransports:
         with pytest.raises(ValueError, match=f"field index {index} outside frame of size 1"):
             transport(EXP_CHART, word, [0.0], [1.0])
 
+    @pytest.mark.parametrize("transport", [horizontal_transport, dual_transport, flow_transport])
+    @pytest.mark.parametrize(
+        "word",
+        [FlowWord.of((1, 0.5), (2, 1.0)), FlowWord.of((1, 0.25), (1, 0.0), (1, 0.25), (2, -1.0))],
+        ids=["two-legs", "zero-time-leg"],
+    )
+    def test_each_leg_is_checked_at_its_own_start(self, transport, word):
+        """(0, x1) is tangent to N where the word starts, x' = 0, but not where its leg does."""
+        c = ChartSetup(1, 1, (VectorFieldSpec.parse(["1", "0"], 2),
+                              VectorFieldSpec.parse(["0", "x1"], 2)))
+        message = r"field is not tangent to N at \[0\.5\]: \|a''\| = 5\.000e-01"
+        with pytest.raises(ChartValidationError, match=message):
+            transport(c, word, [0.0], [1.0])
+
     @pytest.mark.parametrize(
         "transport, fiber", [(horizontal_transport, "eta"), (dual_transport, "xi")]
     )

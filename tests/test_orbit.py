@@ -16,17 +16,14 @@ from crorbit.orbit import (
     Certificate,
     _greedy_select,
     _word_columns,
-    certificate_plan,
-    cloud_plan,
+    cloud_words,
     global_minimality_certificate,
     lie_hull,
+    orbit_checks,
     pushforward_span,
     reachable_samples,
-    run_plans,
-    span_plan,
     span_words,
     verify_certificate,
-    write_cloud_csv,
 )
 from crorbit.scenario import builtin_scenario
 from crorbit.vectorfield import VectorFieldSpec
@@ -489,12 +486,30 @@ class TestReachableSamples:
         assert int(np.sum(sv > 1e-6 * sv[0])) == 3
 
     def test_cloud_csv(self, tmp_path):
+        """``orbit_cloud.csv``: a header, then each point's word id, coordinates and drift."""
+        report = cmd_orbit(FLAT_SC, "origin", budget=10, seed=1, out_dir=tmp_path)
         cloud = reachable_samples(FLAT, FLAT_FRAME, np.zeros(4), 10, CFG, 1)
-        path = tmp_path / "cloud.csv"
-        write_cloud_csv(str(path), cloud)
+        path = tmp_path / "orbit_cloud.csv"
+        assert report.outputs["orbit_cloud.csv"] == str(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "word,x1,x2,x3,x4,drift"
-        assert len(lines) == len(cloud.points) + 1
+        assert len(lines) == len(cloud.points) + 1 == 11
+        for i, (line, point, drift) in enumerate(zip(lines[1:], cloud.points, cloud.drifts)):
+            assert line == ",".join([str(i), *[repr(float(v)) for v in (*point, drift)]])
+
+    def test_cloud_needs_no_generic_point(self):
+        """rho = (x4, x3) is not generic at the origin: a cloud is drawn there, a span is not."""
+        from crorbit.crmanifold import NonGenericPointError
+        from crorbit.flow import IntegratorConfig
+
+        manifold = EmbeddedManifold.parse(2, ["x4", "x3"])
+        frame = [VectorFieldSpec.parse(["1", "0", "0", "0"], 4),
+                 VectorFieldSpec.parse(["0", "1", "0", "0"], 4)]
+        z = np.zeros(4)
+        cloud = reachable_samples(manifold, frame, z, 10, IntegratorConfig(), 0)
+        assert len(cloud.points) == 10 and cloud.failures == 0
+        with pytest.raises(NonGenericPointError):
+            pushforward_span(manifold, frame, z, span_words(2, 0), IntegratorConfig())
 
     def test_flow_failures_skipped_and_counted(self):
         cloud = reachable_samples(
@@ -517,10 +532,12 @@ class TestReachableSamples:
 
 
 def _assert_same_outcomes(fused, separate):
-    """Verdicts, spans and clouds of ``run_plans`` equal the public calls' bits."""
+    """Verdicts, spans and clouds of ``orbit_checks`` equal the public calls' bits."""
     assert len(fused) == len(separate)
     for a, b in zip(fused, separate):
-        if isinstance(a, tuple):  # verify_certificate's (ok, sigma)
+        if a is None or b is None:  # a part that was not asked for
+            assert a is b
+        elif isinstance(a, tuple):  # verify_certificate's (ok, sigma)
             assert a[0] == b[0] and a[1].hex() == b[1].hex()
         elif hasattr(a, "singular_values"):
             assert a.dimension == b.dimension
@@ -531,7 +548,7 @@ def _assert_same_outcomes(fused, separate):
 
 
 class TestFlowPlans:
-    """An orbit run's post-search words flow in one batch, with each check's bits."""
+    """An orbit run's post-search words: one ``orbit_checks`` batch, each part's own bits."""
 
     @pytest.mark.parametrize(
         "name, budget", [("lewy", 64), ("flat", 16)], ids=["lewy-found", "flat-exhausted"]
@@ -575,15 +592,13 @@ class TestFlowPlans:
         z = np.zeros(4)
         cert = global_minimality_certificate(manifold, frame, z, budget, 7, CFG).certificate
         words = span_words(len(frame), 7)
-        plans = [span_plan(manifold, z, words), cloud_plan(z, 60, len(frame), 7)]
+        fused = orbit_checks(manifold, frame, z, CFG, cert, words, cloud_words(len(frame), 7, 60))
         separate = [
+            None if cert is None else verify_certificate(manifold, frame, z, cert, CFG),
             pushforward_span(manifold, frame, z, words, CFG),
             reachable_samples(manifold, frame, z, 60, CFG, 7),
         ]
-        if cert is not None:
-            plans.insert(0, certificate_plan(manifold, z, cert))
-            separate.insert(0, verify_certificate(manifold, frame, z, cert, CFG))
-        _assert_same_outcomes(run_plans(manifold, frame, CFG, plans), separate)
+        _assert_same_outcomes(fused, separate)
         assert (cert is not None) == (manifold is LEWY)
 
     def test_failing_words_fail_alone_in_the_fused_batch(self):
@@ -592,18 +607,15 @@ class TestFlowPlans:
         words = span_words(2, 3)
         cloud = reachable_samples(BLOWUP, BLOWUP_FRAME, z, 12, CFG, 1, time_range=0.9)
         assert cloud.failures > 0 and cloud.points
-        fused = run_plans(BLOWUP, BLOWUP_FRAME, CFG, [
-            span_plan(BLOWUP, z, words), cloud_plan(z, 12, 2, 1, time_range=0.9),
-        ])
+        blowing_up = cloud_words(2, 1, 12, time_range=0.9)
+        fused = orbit_checks(BLOWUP, BLOWUP_FRAME, z, CFG, span_words=words, cloud_words=blowing_up)
         span = pushforward_span(BLOWUP, BLOWUP_FRAME, z, words, CFG)
-        _assert_same_outcomes(fused, [span, cloud])
+        _assert_same_outcomes(fused, [None, span, cloud])
         failing = words + [FlowWord.of((1, -0.5))]  # its inverse runs into x = 1
         with pytest.raises(FlowError) as alone:
             pushforward_span(BLOWUP, BLOWUP_FRAME, z, failing, CFG)
         with pytest.raises(FlowError) as together:
-            run_plans(BLOWUP, BLOWUP_FRAME, CFG, [
-                span_plan(BLOWUP, z, failing), cloud_plan(z, 12, 2, 1, time_range=0.9),
-            ])
+            orbit_checks(BLOWUP, BLOWUP_FRAME, z, CFG, span_words=failing, cloud_words=blowing_up)
         assert type(together.value) is type(alone.value)
         assert str(together.value) == str(alone.value)
 

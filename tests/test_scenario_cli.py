@@ -578,8 +578,8 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("orbit work started before the budget was checked")
 
-        for name in ("lie_hull", "global_minimality_certificate", "span_plan", "cloud_plan",
-                     "run_plans"):
+        for name in ("lie_hull", "global_minimality_certificate", "span_words", "cloud_words",
+                     "orbit_checks"):
             monkeypatch.setattr(sys.modules["crorbit.cli"], name, no_work)
         code = main(["orbit", "--scenario", "lewy", "--point", "origin", "--budget", budget])
         assert code == 2
