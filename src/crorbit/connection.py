@@ -13,16 +13,15 @@ reduced mod TN.  Three equivalent transport descriptions are implemented:
 together with consistency checks against the restricted Hamiltonian field
 of the symbol and against the connection axioms.
 
-Each transport runs along a :class:`FlowWord` over the chart frame, one
-frame field per leg, and each leg's field must be tangent to N where that
-leg starts.  A transport ``path`` starts with one row at t = 0 and
-then times each accepted step by the elapsed |t| along the whole word, as a
-composed flow's trajectory does.
+Each transport walks a :class:`FlowWord` over the chart frame leg by leg,
+one frame field per leg, each leg from t = 0 where the last one ended.  At
+the first leg whose field is not tangent to N where it starts, it raises
+:class:`ChartValidationError` before integrating that leg.  A ``path`` has
+one row at t = 0, then one per accepted step at the elapsed |t| along the word.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,7 +37,7 @@ from .expr import (
     mul,
     substitute,
 )
-from .flow import FlowWord, IntegratorConfig, composed_flow, _integrate
+from .flow import FlowWord, IntegratorConfig, _integrate, flow
 from .linalg import rank
 from .vectorfield import VectorFieldSpec, lie_bracket
 
@@ -207,6 +206,15 @@ def covariant_derivative_via_bracket(
     return lie_bracket(X, lift, x_full)[c.l:]
 
 
+def _walk_start(c: ChartSetup, word: FlowWord, x0p, v0) -> tuple[np.ndarray, np.ndarray]:
+    """(x0', v0) as float arrays, after checking the word's indices and their shapes (l,), (m,)."""
+    word.validate(c.rank)
+    xp, v = np.asarray(x0p, dtype=float), np.asarray(v0, dtype=float)
+    if (xp.shape, v.shape) != ((c.l,), (c.m,)):
+        raise ValueError("point components do not match chart dimensions")
+    return xp, v
+
+
 def _transport_ode(
     c: ChartSetup,
     word: FlowWord,
@@ -217,7 +225,6 @@ def _transport_ode(
     path: list | None,
 ):
     """Shared base/fiber ODE for horizontal (b v) and dual (-b^T v) transport."""
-    word.validate(c.rank)
     l, m = c.l, c.m
     x = np.zeros(l + m)  # (x', 0): the base point on N
 
@@ -230,14 +237,14 @@ def _transport_ode(
     def on_step(tt, y):
         path.append((t_offset + abs(tt), y[:l].copy(), y[l:].copy()))
 
-    y = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(v0, dtype=float)))
+    y = np.concatenate(_walk_start(c, word, x0p, v0))
     if path is not None:
         path.append((0.0, y[:l].copy(), y[l:].copy()))
     t_offset = 0.0
     for idx, t in word.steps:
         X = c.frame[idx - 1]  # rhs reads the current leg's field
         _require_valid(c, X, y[:l])
-        y = _integrate(rhs, (0.0, t), y, cfg, on_step=None if path is None else on_step)
+        y = _integrate(rhs, t, y, cfg, on_step=None if path is None else on_step)
         t_offset += abs(t)
     return y[:l], y[l:]
 
@@ -278,21 +285,18 @@ def flow_transport(
     """Transport eta0 by the differential of the flow of ``word``, reduced mod TN.
 
     Lifts eta0 to (0, eta0), pushes it through the flow differential from
-    (x0', 0) and keeps the last m coordinates.  Each leg's field must be
-    tangent to N at that leg's start, as in :func:`horizontal_transport`.
+    (x0', 0) and keeps the last m coordinates.  The word is walked leg by leg
+    as in :func:`horizontal_transport`, and the leg differentials compose.
     """
-    word.validate(c.rank)
-    x0 = np.concatenate((np.asarray(x0p, dtype=float), np.zeros(c.m)))
-    res = composed_flow(c.frame, word, x0, cfg)
-    # a leg starts at the last trajectory point at or before its elapsed time
-    times, elapsed = [tt for tt, _ in res.trajectory], 0.0
+    xp, eta = _walk_start(c, word, x0p, eta0)
+    x = np.concatenate((xp, np.zeros(c.m)))
+    d = np.eye(c.dim)
     for idx, t in word.steps:
-        start = res.trajectory[bisect_right(times, elapsed) - 1][1]
-        _require_valid(c, c.frame[idx - 1], start[: c.l])
-        elapsed += abs(t)
-    lifted = np.concatenate((np.zeros(c.l), np.asarray(eta0, dtype=float)))
-    eta_t = (res.differential @ lifted)[c.l:]
-    return NormalVector(res.endpoint[: c.l], eta_t)
+        _require_valid(c, c.frame[idx - 1], x[: c.l])
+        res = flow(c.frame[idx - 1], x, t, cfg)
+        x, d = res.endpoint, np.matmul(res.differential, d)
+    lifted = np.concatenate((np.zeros(c.l), eta))
+    return NormalVector(x[: c.l], (d @ lifted)[c.l:])
 
 
 def curve_transport(
@@ -331,7 +335,7 @@ def curve_transport(
         return out
 
     y0 = np.concatenate((np.asarray(x0p, dtype=float), np.asarray(eta0, dtype=float)))
-    y = _integrate(rhs, (0.0, t), y0, cfg)
+    y = _integrate(rhs, t, y0, cfg)
     return NormalVector(y[:l], y[l:])
 
 

@@ -57,9 +57,9 @@ An expression undefined along the trajectory (``ExprDomainError``) ends the
 flow with :class:`FlowDomainError`, whether the right-hand side or rho met
 it: at the start point's probe or in a step's retraction.
 
-:func:`_integrate` is the same step for one state without a manifold, whose
-step hook only observes; it integrates the transport ODEs of
-:mod:`crorbit.connection` and the symbol check of :mod:`crorbit.verify`.
+:func:`_integrate` is the same step for one state without a manifold, from
+t = 0, whose step hook only observes; it integrates the transport ODE legs
+of :mod:`crorbit.connection` and the symbol check of :mod:`crorbit.verify`.
 :func:`_initial_step` is written once, over rows; :func:`_integrate` passes
 one row.  Its norms are stacked :func:`_rms` reductions, and the rest is
 each row's Python float arithmetic.
@@ -215,8 +215,8 @@ def _rms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1) / v.shape[-1])
 
 
-def _initial_step(rhs, t0, y0, f0, directions, rtol, atol) -> list[float]:
-    """First step sizes (Hairer-Norsett-Wanner II.4) for the rows of ``y0``, ``f0`` (B, N).
+def _initial_step(rhs, y0, f0, directions, rtol, atol) -> list[float]:
+    """First step sizes (Hairer-Norsett-Wanner II.4) at t = 0 for the rows of ``y0``, ``f0`` (B, N).
 
     ``rhs(t, y)`` takes times (B,) and states (B, N); ``directions`` holds
     each row's sign of time.  The norms are stacked :func:`_rms` reductions;
@@ -229,7 +229,7 @@ def _initial_step(rhs, t0, y0, f0, directions, rtol, atol) -> list[float]:
     d0s, d1s = _rms(y0 / scale).tolist(), _rms(f0 / scale).tolist()
     h0s = [1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1 for d0, d1 in zip(d0s, d1s)]
     step = np.multiply(h0s, directions)
-    f1 = rhs(t0 + step, y0 + step[:, None] * f0)
+    f1 = rhs(step, y0 + step[:, None] * f0)
     out, powered, quotients = [], [], []
     for h0, d1, r in zip(h0s, d1s, _rms((f1 - f0) / scale).tolist()):
         d2 = r / h0 if h0 else (math.inf if r > 0 else math.nan)  # numpy's r / 0.0
@@ -253,25 +253,23 @@ def _domain_error(exc: Exception) -> FlowDomainError:
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
-    t_span: tuple[float, float],
+    t1: float,
     y0: np.ndarray,
     cfg: IntegratorConfig,
     on_step: Callable[[float, np.ndarray], object] | None = None,
 ) -> np.ndarray:
-    """Adaptive RK5(4) from t_span[0] to t_span[1]; returns the final state.
+    """Adaptive RK5(4) from t = 0 to ``t1``; returns the final state.
 
     ``on_step(t, y)`` sees every accepted state and leaves it alone: the next
     step reuses the last stage's derivative there.
     """
-    t0, t1 = t_span
-    for bound in (t0, t1):
-        if not math.isfinite(bound):
-            raise ValueError(f"integration time {bound} is not finite")
-    if t1 == t0:
+    if not math.isfinite(t1):
+        raise ValueError(f"integration time {t1} is not finite")
+    if t1 == 0.0:
         return y0.copy()
-    direction = 1.0 if t1 > t0 else -1.0
+    direction = 1.0 if t1 > 0.0 else -1.0
     atol, rtol = cfg.atol, cfg.rtol
-    t = t0
+    t = 0.0
     y = y0.astype(float).copy()
 
     def checked_rhs(tt, yy):
@@ -288,9 +286,9 @@ def _integrate(
     k[0] = checked_rhs(t, y)
     [h] = _initial_step(
         lambda tt, yy: checked_rhs(float(tt[0]), yy[0])[None],
-        t, y[None], k[:1], [direction], rtol, atol,
+        y[None], k[:1], [direction], rtol, atol,
     )
-    h = min(h, abs(t1 - t0))
+    h = min(h, abs(t1))
     err_prev = 1.0
     for _ in range(_MAX_STEPS):
         if h < _MIN_STEP * max(abs(t), 1.0):
@@ -642,7 +640,7 @@ class _Lockstep:
             return
         members = [self.rows[j] for j in positions]
         h = _initial_step(
-            lambda _t, y1: self._checked_rhs(positions, y1), 0.0, ys, f0,
+            lambda _t, y1: self._checked_rhs(positions, y1), ys, f0,
             [self.direction[r] for r in members], self.cfg.rtol, self.cfg.atol,
         )
         for r, h0 in zip(members, h):

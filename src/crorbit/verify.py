@@ -585,13 +585,7 @@ def _check_symbol_conservation(seed: int) -> CheckResult:
                 drift[0], abs(symbol(f, CotangentPoint(y[:2], y[2:])) - sigma0)
             )
 
-        _integrate(
-            rhs,
-            (0.0, 1.0),
-            np.concatenate((x0, xi0)),
-            IntegratorConfig(),
-            on_step=watch,
-        )
+        _integrate(rhs, 1.0, np.concatenate((x0, xi0)), IntegratorConfig(), on_step=watch)
         worst = max(worst, drift[0])
     return CheckResult("symbol-conservation", value=worst, bound=TOL_SYMBOL_DRIFT)
 

@@ -33,13 +33,14 @@ from crorbit.expr import (
     mul,
     parse_expr,
 )
-from crorbit.flow import FlowWord, IntegratorConfig, flow
+from crorbit.flow import FlowWord, IntegratorConfig, composed_flow, flow
 from crorbit.orbit import lie_hull
 from crorbit.vectorfield import VectorFieldSpec
 from crorbit.verify import (
     TOL_AXIOMS,
     TOL_HAMILTONIAN,
     TOL_MULTIPLIER,
+    TOL_TRANSPORT_RANDOM,
     random_chart,
     transport_corpus,
 )
@@ -180,18 +181,54 @@ class TestTransports:
             transport(EXP_CHART, word, [0.0], [1.0])
 
     @pytest.mark.parametrize("transport", [horizontal_transport, dual_transport, flow_transport])
+    @pytest.mark.parametrize("word", [FlowWord.empty(), leg(0.5)], ids=["empty", "one-leg"])
+    @pytest.mark.parametrize("x0p, v0", [([0.0, 1.0], [1.0]), ([0.0], [1.0, 1.0])],
+                             ids=["long-point", "long-fiber"])
+    def test_start_shapes_are_checked(self, transport, word, x0p, v0):
+        with pytest.raises(ValueError, match="point components do not match chart dimensions"):
+            transport(EXP_CHART, word, x0p, v0)
+
+    @pytest.mark.parametrize("transport", [horizontal_transport, dual_transport, flow_transport])
     @pytest.mark.parametrize(
         "word",
-        [FlowWord.of((1, 0.5), (2, 1.0)), FlowWord.of((1, 0.25), (1, 0.0), (1, 0.25), (2, -1.0))],
-        ids=["two-legs", "zero-time-leg"],
+        [
+            FlowWord.of((1, 0.5), (2, 1.0)),
+            FlowWord.of((1, 0.25), (1, 0.0), (1, 0.25), (2, -1.0)),
+            FlowWord.of((1, 0.5), (2, 1.0), (3, 2.0)),
+        ],
+        ids=["two-legs", "zero-time-leg", "before-a-later-leg-blows-up"],
     )
     def test_each_leg_is_checked_at_its_own_start(self, transport, word):
-        """(0, x1) is tangent to N where the word starts, x' = 0, but not where its leg does."""
+        """(0, x1) is tangent to N where the word starts, x' = 0, but not where its leg does.
+
+        The third field blows up before x1 = 1, which a flow of it from x1 = 0.5 for
+        time 2 would reach: the check ends the walk before any later leg runs.
+        """
         c = ChartSetup(1, 1, (VectorFieldSpec.parse(["1", "0"], 2),
-                              VectorFieldSpec.parse(["0", "x1"], 2)))
+                              VectorFieldSpec.parse(["0", "x1"], 2),
+                              VectorFieldSpec.parse(["(1 - x1)^-2", "0"], 2)))
         message = r"field is not tangent to N at \[0\.5\]: \|a''\| = 5\.000e-01"
         with pytest.raises(ChartValidationError, match=message):
             transport(c, word, [0.0], [1.0])
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_flow_transport_composes_legs_in_order(self, l):
+        """Each leg's differential acts after the ones before it: D = D_3 D_2 D_1.
+
+        With m = 2 the normal blocks of the two fields do not commute, so a
+        reversed composition moves eta by about 1e-3.
+        """
+        rng = np.random.default_rng(5)
+        c = ChartSetup(l, 2, (random_chart(rng, l, 2).frame[0], random_chart(rng, l, 2).frame[0]))
+        word = FlowWord.of((1, 0.6), (2, -0.7), (1, 0.5))
+        x0, eta0 = np.zeros(l), np.array([1.0, -0.5])
+        moved = flow_transport(c, word, x0, eta0)
+        lifted = np.concatenate((np.zeros(l), eta0))
+        res = composed_flow(c.frame, word, np.zeros(c.dim))
+        assert moved.eta.tobytes() == (res.differential @ lifted)[l:].tobytes()
+        h = horizontal_transport(c, word, x0, eta0)
+        scale = max(1.0, float(np.max(np.abs(h.eta))))
+        assert np.max(np.abs(h.eta - moved.eta)) <= TOL_TRANSPORT_RANDOM * scale
 
     @pytest.mark.parametrize(
         "transport, fiber", [(horizontal_transport, "eta"), (dual_transport, "xi")]

@@ -208,5 +208,5 @@ class TestHamiltonianField:
             )
             return y
 
-        _integrate(rhs, (0.0, 1.0), np.concatenate((x0, xi0)), IntegratorConfig(), on_step=watch)
+        _integrate(rhs, 1.0, np.concatenate((x0, xi0)), IntegratorConfig(), on_step=watch)
         assert drift[0] <= 1e-8

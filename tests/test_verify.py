@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crorbit import verify
 from crorbit.verify import (
     N_RANDOM_CHARTS, _corpus, _quadric_points, _uniform_draws, run_suite, transport_corpus,
 )
@@ -21,6 +22,23 @@ SEED0_VALUES = {
 def test_sampled_check_values_at_seed_0():
     results = {r.name: r.value for suite in ("hamiltonian", "lemma21") for r in run_suite(suite, 0)}
     assert {name: float(results[name]).hex() for name in SEED0_VALUES} == SEED0_VALUES
+
+
+# float.hex of the seed-0 value of checks that walk transport words leg by leg
+# and integrate with ``_integrate``: (check, the seed the suite passes it at seed 0)
+TRANSPORT_SEED0_VALUES = {
+    (verify._check_theta_duality, 3): "0x1.1b0a000000000p-35",
+    (verify._check_transport_expchart, None): "0x1.f03c000000000p-36",
+    (verify._check_duality_expchart, None): "0x1.0a35800000000p-35",
+}
+
+
+def test_transport_check_values_at_seed_0():
+    values = {
+        (check, seed): float((check() if seed is None else check(seed)).value).hex()
+        for check, seed in TRANSPORT_SEED0_VALUES
+    }
+    assert values == TRANSPORT_SEED0_VALUES
 
 
 def _quadric_point(name, rng):
