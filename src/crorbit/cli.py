@@ -126,7 +126,7 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
 
     if scenario.kind == "chart":
         chart = scenario.model_chart
-        rep = validate_chart(chart, [pt])
+        rep = validate_chart(chart, pt)
         report.results.append(
             CheckResult(
                 "chart-validation",
@@ -171,9 +171,9 @@ def cmd_analyze(scenario: Scenario, point_spec: str, seed: int | None = None) ->
     rng = np.random.default_rng(seed)
     draws = [(rng.uniform(-1.0, 1.0, m.d), rng.uniform(-1.0, 1.0, m.dim)) for _ in range(20)]
     weights, coeffs = (np.array(v) for v in zip(*draws))
-    worst = max(0.0, *(float(np.max(r)) for r in lemma21_residuals(m, pt, weights, coeffs)))
+    worst = max(0.0, *(float(np.max(r)) for r in lemma21_residuals(m, pt[None], weights, coeffs)))
     report.results.append(CheckResult("lemma21-spot", value=worst, bound=TOL_LEMMA21))
-    sv = theta_isomorphism_check(m, pt)
+    (sv,) = theta_isomorphism_check(m, pt[None])
     report.results.append(
         CheckResult("theta-isomorphism", value=sv, bound=THETA_SV_MIN, comparator=">=")
     )
@@ -212,7 +212,7 @@ def cmd_transport(
     if eta0.shape != (chart.m,) or xi0.shape != (chart.m,):
         raise ScenarioError(f"eta and xi need {chart.m} components")
 
-    rep = validate_chart(chart, [x0])
+    rep = validate_chart(chart, x0)
     if not rep.passed:
         raise ChartValidationError(f"chart failed validation at {x0}: {rep}")
 

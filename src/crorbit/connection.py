@@ -121,10 +121,7 @@ class ChartReport:
     passed: bool
     max_tangency_violation: float
     rank_ok: bool
-    first_failure: tuple[int, int] | None = None  # (field index, sample index), 1-based field
-
-    def __bool__(self) -> bool:
-        return self.passed
+    first_failure: int | None = None  # 1-based field index, 0 for a rank failure
 
 
 def _restricted(field: VectorFieldSpec, c: ChartSetup, xp: Sequence[float]):
@@ -134,28 +131,21 @@ def _restricted(field: VectorFieldSpec, c: ChartSetup, xp: Sequence[float]):
     return a, jac[c.l:, c.l:]
 
 
-def validate_chart(
-    c: ChartSetup,
-    samples: Sequence[Sequence[float]],
-) -> ChartReport:
-    """Check K-tangency (|a_j(x',0)| <= TANGENCY_TOL for j > l) and frame rank at samples."""
+def validate_chart(c: ChartSetup, xp: Sequence[float]) -> ChartReport:
+    """Check K-tangency (|a_j(x',0)| <= TANGENCY_TOL for j > l) and frame rank at x'."""
     worst = 0.0
-    first: tuple[int, int] | None = None
-    rank_ok = True
-    for s_idx, xp in enumerate(samples):
-        vecs = []
-        for f_idx, f in enumerate(c.frame, start=1):
-            a, _ = _restricted(f, c, xp)
-            viol = float(np.max(np.abs(a[c.l:]), initial=0.0))
-            if viol > worst:
-                worst = viol
-            if viol > TANGENCY_TOL and first is None:
-                first = (f_idx, s_idx)
-            vecs.append(a)
-        if vecs and rank(np.column_stack(vecs)) < c.rank:
-            rank_ok = False
-            if first is None:
-                first = (0, s_idx)
+    first: int | None = None
+    vecs = []
+    for f_idx, f in enumerate(c.frame, start=1):
+        a, _ = _restricted(f, c, xp)
+        viol = float(np.max(np.abs(a[c.l:]), initial=0.0))
+        worst = max(worst, viol)
+        if viol > TANGENCY_TOL and first is None:
+            first = f_idx
+        vecs.append(a)
+    rank_ok = not vecs or rank(np.column_stack(vecs)) == c.rank
+    if not rank_ok and first is None:
+        first = 0
     return ChartReport(worst <= TANGENCY_TOL and rank_ok, worst, rank_ok, first)
 
 
@@ -339,19 +329,16 @@ def curve_transport(
     return NormalVector(y[:l], y[l:])
 
 
-def _on_n(X: VectorFieldSpec, c: ChartSetup, p) -> tuple[np.ndarray, ...]:
-    """xi'' and (a, Da) at (x', 0) for p = (x', xi''), with a leading batch axis.
+def _on_n(X: VectorFieldSpec, c: ChartSetup, xp, xi) -> tuple[np.ndarray, ...]:
+    """xi'' and (a, Da) at (x', 0) for rows x' (B, l) and xi'' (B, m).
 
-    One point, (l,) and (m,), is a batch of one from ``X.values_and_jacobian``;
-    rows (B, l) and (B, m) make one ``X.values_and_jacobian_rows`` call.
+    One ``X.values_and_jacobian_rows`` call: one row is one
+    ``X.values_and_jacobian`` call, and the first undefined row raises.
     """
-    xp, xi = (np.asarray(v, dtype=float) for v in p)
-    if xp.ndim > 2 or (xp.shape, xi.shape) != (xp.shape[:-1] + (c.l,), xp.shape[:-1] + (c.m,)):
-        raise ValueError("point components do not match chart dimensions")
-    x = np.concatenate((xp, np.zeros(xp.shape[:-1] + (c.m,))), axis=-1)
-    if x.ndim == 1:
-        a, jac = X.values_and_jacobian(x)
-        return xi[None], a[None], jac[None]
+    xp, xi = np.asarray(xp, dtype=float), np.asarray(xi, dtype=float)
+    if xp.ndim != 2 or (xp.shape, xi.shape) != ((len(xp), c.l), (len(xp), c.m)):
+        raise ValueError("sample rows do not match chart dimensions")
+    x = np.concatenate((xp, np.zeros((len(xp), c.m))), axis=1)
     a, jac, errors = X.values_and_jacobian_rows(x)
     if errors:
         raise errors[min(errors)]
@@ -363,14 +350,13 @@ def xhat_field(
 ) -> np.ndarray:
     """Evaluate the conormal transport field at (x', xi''): (a'(x',0), -B^T xi'').
 
-    ``p`` is one point, (l,) and (m,), or B samples, rows (B, l) and (B, m),
-    giving (l + m,) or (l + m, B): components on axis 0, so ``out[c.l:]``
-    is the xi''-velocity of every sample.
+    ``p`` is B samples, rows x' (B, l) and xi'' (B, m); one point is one
+    row.  Returns (l + m, B): components on axis 0, so ``out[c.l:]`` is the
+    xi''-velocity of every sample.
     """
-    xi, a, jac = _on_n(X, c, p)
+    xi, a, jac = _on_n(X, c, *p)
     xidot = -(np.swapaxes(jac[:, c.l:, c.l:], 1, 2) @ xi[..., None])[..., 0]
-    out = np.concatenate((a[:, : c.l], xidot), axis=1)
-    return out.T if np.ndim(p[0]) == 2 else out[0]
+    return np.concatenate((a[:, : c.l], xidot), axis=1).T
 
 
 def restricted_hamiltonian(
@@ -383,12 +369,11 @@ def restricted_hamiltonian(
     conormal bundle.  Rows x' (B, l) and xi'' (B, m) give velocities laid
     out as in :func:`xhat_field` and B defects.
     """
-    xi, a, jac = _on_n(X, c, (xp, xi))
+    xi, a, jac = _on_n(X, c, xp, xi)
     xi_full = np.concatenate((np.zeros((len(xi), c.l)), xi), axis=1)
     xidot = -(np.swapaxes(jac, 1, 2) @ xi_full[..., None])[..., 0]
     tangency = np.max(np.abs(np.concatenate((a[:, c.l:], xidot[:, : c.l]), axis=1)), axis=1)
-    out = np.concatenate((a[:, : c.l], xidot[:, c.l:]), axis=1)
-    return (out.T, tangency) if np.ndim(xp) == 2 else (out[0], tangency[0])
+    return np.concatenate((a[:, : c.l], xidot[:, c.l:]), axis=1).T, tangency
 
 
 @dataclass
@@ -401,18 +386,18 @@ class RestrictionReport:
 def hamiltonian_restriction_check(
     c: ChartSetup,
     X: VectorFieldSpec,
-    samples: Sequence[tuple[Sequence[float], Sequence[float]]],
+    xp: np.ndarray,
+    xi: np.ndarray,
     multiplier: ScalarExpr,
 ) -> RestrictionReport:
     """Compare the restricted Hamiltonian field of the symbol with the conormal field.
 
-    At each (x', xi'') the Hamiltonian field of sigma(X), evaluated at the
-    embedded cotangent point ((x', 0), (0, xi'')), must be tangent to the
-    conormal bundle (x''-velocities and xi'-velocities vanish) and its
-    (x', xi'') part must equal :func:`xhat_field`.  The scalar ``multiplier``
+    At each sample, rows x' (B, l) and xi'' (B, m), the Hamiltonian field of
+    sigma(X), evaluated at the embedded cotangent point ((x', 0), (0, xi'')),
+    must be tangent to the conormal bundle (x''-velocities and xi'-velocities
+    vanish) and its (x', xi'') part must equal :func:`xhat_field`.  The scalar ``multiplier``
     on X must rescale the restricted field by its value on the base.
     """
-    xp, xi = (np.array([s[k] for s in samples], dtype=float) for k in (0, 1))
     restricted, tangency = restricted_hamiltonian(c, X, xp, xi)
     mismatch = np.abs(restricted - xhat_field(c, X, (xp, xi)))
     x_full = np.concatenate((xp, np.zeros((len(xp), c.m))), axis=1)

@@ -13,9 +13,9 @@ complex tangent space.
 
 Every object built at a point presupposes that M is generic there (the
 d rho_i / dz are C-independent).  One pass, :func:`_conormal_geometry`,
-decides it, for one point or a batch of rows, from the two SVDs that also
-give T_zM and T^c_zM; the tangent, complex-tangent and conormal spaces,
-the genericity report and the Lemma 2.1 checks all read that pass.
+decides it at rows of points, one point being one row, from the two SVDs
+that also give T_zM and T^c_zM; the tangent, complex-tangent and conormal
+spaces, the genericity report and the Lemma 2.1 checks all read that pass.
 """
 
 from __future__ import annotations
@@ -219,13 +219,12 @@ class GenericityReport:
 
 
 def _conormal_geometry(m: EmbeddedManifold, z: np.ndarray) -> tuple:
-    """Everything crorbit builds at one point z (2n,) or at rows z (B, 2n), and where it fails.
+    """Everything crorbit builds at rows z (B, 2n), one point being one row, and where it fails.
 
     Returns T_zM bases (B, 2n, dim), T^c_zM bases (B, 2n, 2 cr_dim), the
     forms i d rho_k (B, d, n), the real and complex ranks of d rho (B,) each,
-    and the errors: by row, what the point path raises there, checked in
-    this order: rho undefined, z off M, d rho undefined, z not generic.  One
-    point is a batch of one, whose first three errors raise at once.
+    and the errors: by row, the first of these that holds there: rho
+    undefined, z off M, d rho undefined, z not generic.
 
     This is the one place genericity is decided.  One SVD of d rho gives
     T_zM and the real rank; one SVD of the stack [d rho; d rho o J] gives
@@ -234,18 +233,14 @@ def _conormal_geometry(m: EmbeddedManifold, z: np.ndarray) -> tuple:
     each twice, and half its rank is the complex rank.  Stacked SVDs give
     each row the bits of one SVD per point.
     """
-    if z.ndim == 1:
-        m.require_on_manifold(z)
-        jac, errors = m.rho_jacobian(z)[None], {}
-    else:
-        vals, errors = m.rho_value_rows(z)
-        resid = np.max(np.abs(vals), axis=1)
-        for k in np.flatnonzero(~(resid <= ON_MANIFOLD_TOL)).tolist():
-            errors.setdefault(k, _off_manifold(resid[k], z[k]))
-        jac, jac_undefined = m.rho_jacobian_rows(z)
-        for k, exc in jac_undefined.items():
-            errors.setdefault(k, exc)
-        jac[list(errors)] = 0.0  # keeps the SVDs of the other rows finite
+    vals, errors = m.rho_value_rows(z)
+    resid = np.max(np.abs(vals), axis=1)
+    for k in np.flatnonzero(~(resid <= ON_MANIFOLD_TOL)).tolist():
+        errors.setdefault(k, _off_manifold(resid[k], z[k]))
+    jac, jac_undefined = m.rho_jacobian_rows(z)
+    for k, exc in jac_undefined.items():
+        errors.setdefault(k, exc)
+    jac[list(errors)] = 0.0  # keeps the SVDs of the other rows finite
     _, s, vh = np.linalg.svd(jac)
     _, s_c, vh_c = np.linalg.svd(np.concatenate((jac, jac @ jmat(m.n)), axis=1))
     real_rank, complex_rank = _svd_rank(s), _svd_rank(s_c) // 2
@@ -263,15 +258,20 @@ def _conormal_geometry(m: EmbeddedManifold, z: np.ndarray) -> tuple:
 
 def _generic_point(m: EmbeddedManifold, z: Sequence[float]) -> tuple:
     """Row 0 of :func:`_conormal_geometry` at the point z; raises unless z is generic."""
-    *geometry, errors = _conormal_geometry(m, np.asarray(z))
+    *geometry, errors = _conormal_geometry(m, np.asarray(z)[None])
     if errors:
         raise errors[0]
     return tuple(a[0] for a in geometry)
 
 
 def genericity_check(m: EmbeddedManifold, z: Sequence[float]) -> GenericityReport:
-    """Rank report at a point of M; generic iff the d rho_i are C-independent."""
-    *_, real_rank, complex_rank, _ = _conormal_geometry(m, np.asarray(z))
+    """Rank report at a point of M; generic iff the d rho_i are C-independent.
+
+    Raises where z is off M or rho or d rho is undefined there.
+    """
+    *_, real_rank, complex_rank, errors = _conormal_geometry(m, np.asarray(z)[None])
+    if errors and not isinstance(errors[0], NonGenericPointError):
+        raise errors[0]
     real, complex_ = int(real_rank[0]), int(complex_rank[0])
     return GenericityReport(real, complex_, complex_ == m.d)
 
@@ -339,7 +339,7 @@ def lemma21_check(
     Checks <omega, JX> = i <omega, X> exactly and, under the Re-pairing
     convention for real forms, Im<omega, JX> = theta(omega) . X.
     """
-    basis, *_, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
+    basis, *_, errors = _conormal_geometry(m, np.asarray(z, dtype=float)[None])
     r1, r2 = _lemma21_rows(basis, omega.zeta[None], np.asarray(x_vec, dtype=float)[None], errors)
     return Lemma21Report(float(r1[0]), float(r2[0]))
 
@@ -371,7 +371,7 @@ def _lemma21_rows(basis: np.ndarray, zeta: np.ndarray, x_vec: np.ndarray, errors
 def lemma21_residuals(
     m: EmbeddedManifold, z: Sequence[float], weights: np.ndarray, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lemma21_check` at B samples, at one point z (2n,) or at rows z (B, 2n).
+    """:func:`lemma21_check` at B samples, at rows z (B, 2n) or at one row z (1, 2n) shared by all.
 
     Sample k weights the :func:`conormal_fiber` basis by ``weights[k]`` and
     the orthonormal T_zM basis by ``coeffs[k]``.  Returns both residuals,
@@ -387,17 +387,15 @@ def theta_isomorphism_check(m: EmbeddedManifold, z: Sequence[float]):
     """Smallest singular value of the conormal basis restricted to TM.
 
     The restriction is an isomorphism when it reaches :data:`THETA_SV_MIN`.
-    One point z (2n,) gives a float, rows z (B, 2n) an array (B,).
+    Rows z (B, 2n) give an array (B,); one point is one row.
     """
-    z = np.asarray(z, dtype=float)
-    basis, _, forms, *_, errors = _conormal_geometry(m, z)
+    basis, _, forms, *_, errors = _conormal_geometry(m, np.asarray(z, dtype=float))
     if errors:
         raise errors[min(errors)]
     theta = theta_covector(HolomorphicForm(forms))
     # one vector-matrix product per form: a matrix product rounds differently
     rows = np.concatenate([theta[:, k : k + 1] @ basis for k in range(m.d)], axis=1)
-    sv = np.linalg.svd(rows, compute_uv=False)[:, -1]
-    return float(sv[0]) if z.ndim == 1 else sv
+    return np.linalg.svd(rows, compute_uv=False)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +512,20 @@ def e_fiber(m: EmbeddedManifold, chart: AdaptedChart, xp: Sequence[float]) -> EF
     return EFiber(z, e_basis, forms, low, tm, dpsi)
 
 
+def _quotient_start(
+    m: EmbeddedManifold, chart: AdaptedChart, frame_chart: Sequence[VectorFieldSpec], xp
+) -> tuple[ChartSetup, EFiber]:
+    """The chart model of S in M and :func:`e_fiber` at psi(x', 0): both theta routes start here.
+
+    Raises :class:`ManifoldError` unless the frame is tangent to S, with full rank, at x'.
+    """
+    k_chart = ChartSetup(chart.l, chart.m, tuple(frame_chart))
+    chart_rep = validate_chart(k_chart, xp)
+    if not chart_rep.passed:
+        raise ManifoldError(f"frame is not a full-rank frame tangent to S: {chart_rep}")
+    return k_chart, e_fiber(m, chart, xp)
+
+
 @dataclass
 class ThetaTransportResult:
     endpoint_parameters: np.ndarray
@@ -536,12 +548,7 @@ def theta_transport(
     with the flow-differential description in the chart, pushed forward by J
     and reduced mod (TM + JTS) at the endpoint.
     """
-    k_chart = ChartSetup(chart.l, chart.m, tuple(frame_chart))
-    chart_rep = validate_chart(k_chart, [np.asarray(xp, dtype=float)])
-    if not chart_rep.passed:
-        raise ManifoldError(f"frame is not tangent to S in the chart: {chart_rep}")
-
-    start = e_fiber(m, chart, xp)
+    k_chart, start = _quotient_start(m, chart, frame_chart, xp)
     eta = np.asarray(eta, dtype=float)
     tm0 = start.tangent
 
@@ -599,8 +606,7 @@ def theta_star_transport(
     the chart, and re-expressed in the paired-space basis at the endpoint.
     Pairings with :func:`theta_transport` values are conserved.
     """
-    k_chart = ChartSetup(chart.l, chart.m, tuple(frame_chart))
-    start = e_fiber(m, chart, xp)
+    k_chart, start = _quotient_start(m, chart, frame_chart, xp)
     theta_r = theta_covector(omega)
     tangential = float(np.max(np.abs(theta_r @ start.dpsi[:, : chart.l]), initial=0.0))
     tm0 = start.tangent

@@ -80,8 +80,11 @@ FRAME_SUBFAMILY_NOTE = (
 class LieHullResult:
     depth_reached: int
     basis: SubspaceBasis
-    dimension: int
     stabilized: bool
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.dim
 
 
 @dataclass
@@ -173,7 +176,7 @@ def lie_hull(
         if span.dim >= m.dim:
             stabilized = True
     depth_reached = contributing_depth if stabilized else depth
-    return LieHullResult(depth_reached, span, span.dim, stabilized)
+    return LieHullResult(depth_reached, span, stabilized)
 
 
 def _word_columns(

@@ -555,8 +555,8 @@ def _check_multiplier(seed: int) -> CheckResult:
     worst = 0.0
     for c, f in _hamiltonian_charts(seed + 1, 4):
         phi = _random_poly(rng, c.dim, 2, 3, 1.0)
-        samples = list(zip(*_uniform_draws(rng, 50, (-0.5, 0.5, c.l), (-1.0, 1.0, c.m))))
-        rep = hamiltonian_restriction_check(c, f, samples, multiplier=phi)
+        xp, xi = _uniform_draws(rng, 50, (-0.5, 0.5, c.l), (-1.0, 1.0, c.m))
+        rep = hamiltonian_restriction_check(c, f, xp, xi, multiplier=phi)
         worst = max(worst, rep.max_multiplier_mismatch)
     return CheckResult("multiplier-independence", value=worst, bound=TOL_MULTIPLIER)
 

@@ -35,7 +35,7 @@ from crorbit.expr import (
 )
 from crorbit.flow import FlowWord, IntegratorConfig, composed_flow, flow
 from crorbit.orbit import lie_hull
-from crorbit.vectorfield import VectorFieldSpec
+from crorbit.vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field
 from crorbit.verify import (
     TOL_AXIOMS,
     TOL_HAMILTONIAN,
@@ -52,30 +52,34 @@ PHI = add(Const(1.0), mul(Var(0), Var(0)))  # 1 + x1^2
 
 class TestValidateChart:
     def test_tangent_field_passes(self):
-        rep = validate_chart(EXP_CHART, [[0.0], [0.5], [-1.2]])
-        assert rep.passed and rep.max_tangency_violation <= 1e-12
+        for xp in ([0.0], [0.5], [-1.2]):
+            rep = validate_chart(EXP_CHART, xp)
+            assert rep.passed and rep.max_tangency_violation <= 1e-12
+            assert rep.first_failure is None
 
     def test_normal_field_fails_with_location(self):
         bad = ChartSetup(1, 1, (VectorFieldSpec.parse(["0", "1"], 2),))
-        rep = validate_chart(bad, [[0.0]])
+        rep = validate_chart(bad, [0.0])
         assert not rep.passed
-        assert rep.first_failure == (1, 0)
+        assert rep.first_failure == 1  # the 1-based index of the failing field
+        assert rep.max_tangency_violation == 1.0
 
     def test_degenerate_codimension_zero_passes_vacuously(self):
         frame = (VectorFieldSpec.parse(["1", "0", "2*x2"], 3),)
-        rep = validate_chart(ChartSetup(3, 0, frame), [[0.1, 0.2, 0.3]])
+        rep = validate_chart(ChartSetup(3, 0, frame), [0.1, 0.2, 0.3])
         assert rep.passed
 
     def test_rank_deficiency_detected(self):
         doubled = ChartSetup(1, 1, (EXP_FIELD, EXP_FIELD))
-        rep = validate_chart(doubled, [[0.3]])
+        rep = validate_chart(doubled, [0.3])
         assert not rep.rank_ok and not rep.passed
+        assert rep.first_failure == 0  # every field is tangent: the rank fails
 
     @pytest.mark.parametrize("delta, independent", [("1e-9", False), ("1e-6", True)])
     def test_rank_cut_is_relative_to_the_largest_singular_value(self, delta, independent):
         # columns (1, 0) and (1, delta): sigma_min / sigma_max ~ delta / 2 against RANK_RTOL 1e-8
         frame = tuple(VectorFieldSpec.parse(f, 2) for f in (["1", "0"], ["1", delta]))
-        rep = validate_chart(ChartSetup(2, 0, frame), [[0.0, 0.0]])
+        rep = validate_chart(ChartSetup(2, 0, frame), [0.0, 0.0])
         assert rep.rank_ok is independent and rep.passed is independent
 
 
@@ -271,18 +275,20 @@ class TestTransports:
 
 
 class TestXhatField:
+    """One point is one row: x' (1, l) and xi'' (1, m) give (l + m, 1)."""
+
     def test_exponential_chart(self):
-        out = xhat_field(EXP_CHART, EXP_FIELD, ([0.7], [1.0]))
-        assert np.allclose(out, [1.0, -1.0], atol=1e-14)
+        out = xhat_field(EXP_CHART, EXP_FIELD, ([[0.7]], [[1.0]]))
+        assert np.allclose(out, [[1.0], [-1.0]], atol=1e-14)
 
     def test_zero_covector_keeps_base_velocity(self):
-        out = xhat_field(EXP_CHART, EXP_FIELD, ([0.2], [0.0]))
-        assert np.allclose(out, [1.0, 0.0])
+        out = xhat_field(EXP_CHART, EXP_FIELD, ([[0.2]], [[0.0]]))
+        assert np.allclose(out, [[1.0], [0.0]])
 
     def test_constant_field(self):
         c = ChartSetup(1, 1, (VectorFieldSpec.parse(["1", "0"], 2),))
-        out = xhat_field(c, c.frame[0], ([0.0], [3.0]))
-        assert np.allclose(out, [1.0, 0.0])
+        out = xhat_field(c, c.frame[0], ([[0.0]], [[3.0]]))
+        assert np.allclose(out, [[1.0], [0.0]])
 
 
 class TestRestrictedEvaluation:
@@ -302,7 +308,7 @@ class TestRestrictedEvaluation:
                 assert b.shape == (m, m)
                 assert np.allclose(b, b_ref, rtol=1e-13, atol=1e-13)
                 assert np.allclose(
-                    xhat_field(c, field, (xp, xi)),
+                    xhat_field(c, field, (xp[None], xi[None]))[:, 0],
                     np.concatenate((a_ref[:l], -(b_ref.T @ xi))),
                     rtol=1e-13,
                     atol=1e-13,
@@ -317,7 +323,7 @@ class TestRestrictedEvaluation:
         horizontal_transport(chart, leg(0.5), [0.1], [1.0])
         dual_transport(chart, leg(0.5), [0.1], [1.0])
         flow_transport(chart, leg(0.5), [0.1], [1.0])
-        xhat_field(chart, field, ([0.1], [1.0]))
+        xhat_field(chart, field, ([[0.1]], [[1.0]]))
         line = EmbeddedManifold.parse(1, ["x2"])  # dimension 1: the field alone spans it
         assert lie_hull(line, [field], [0.1, 0.0]).dimension == 1
         assert compilations["compile_values_and_jacobian"] == [(field.coefficients, 2)]
@@ -333,6 +339,8 @@ def _unsigned(a) -> bytes:
 class TestHamiltonianBatches:
     @pytest.mark.parametrize("batch", [1, 1000])
     def test_batch_is_the_point_path_bit_for_bit(self, batch):
+        """Row k has the bits of the one-point formulas at sample k: the Hamiltonian
+        field at ((x', 0), (0, xi'')) read in (x', xi''), and (a'(x',0), -B^T xi'')."""
         rng = np.random.default_rng(21)
         for l, m in ((1, 1), (2, 1), (1, 3), (3, 2), (2, 3)):
             c = random_chart(rng, l, m)
@@ -344,10 +352,18 @@ class TestHamiltonianBatches:
             assert restricted.shape == xhat.shape == (l + m, batch)
             assert tangency.shape == (batch,)
             for k in range(batch):
-                point, point_tangency = restricted_hamiltonian(c, field, xp[k], xi[k])
-                assert _unsigned(restricted[:, k]) == _unsigned(point)
-                assert tangency[k] == point_tangency
-                assert _unsigned(xhat[:, k]) == _unsigned(xhat_field(c, field, (xp[k], xi[k])))
+                base = np.concatenate((xp[k], np.zeros(m)))
+                xdot, xidot = hamiltonian_field(
+                    field, CotangentPoint(base, np.concatenate((np.zeros(l), xi[k])))
+                )
+                assert _unsigned(restricted[:, k]) == _unsigned(
+                    np.concatenate((xdot[:l], xidot[l:]))
+                )
+                assert tangency[k] == np.max(np.abs(np.concatenate((xdot[l:], xidot[:l]))))
+                a, b = _restricted(field, c, xp[k])
+                assert _unsigned(xhat[:, k]) == _unsigned(
+                    np.concatenate((a[:l], -(b.T @ xi[k])))
+                )
 
     def test_normal_block_of_every_sample_is_axis_0_tail(self):
         xp, xi = np.array([[0.1], [0.7]]), np.array([[1.0], [2.0]])
@@ -365,10 +381,11 @@ class TestHamiltonianBatches:
             def call(p, q):
                 return restricted_hamiltonian(EXP_CHART, field, p, q)
         with pytest.raises(ExprDomainError) as point:
-            call(xp[2], xi[2])
-        with pytest.raises(ExprDomainError) as batch:
-            call(xp, xi)
-        assert str(batch.value) == str(point.value) == "float division by zero"
+            field.values_and_jacobian([xp[2, 0], 0.0])
+        for rows in (slice(2, 3), slice(None)):  # the failing row alone, and among others
+            with pytest.raises(ExprDomainError) as batch:
+                call(xp[rows], xi[rows])
+            assert str(batch.value) == str(point.value) == "float division by zero"
 
     def test_sample_dimensions_are_checked(self):
         with pytest.raises(ValueError, match="chart dimensions"):
@@ -378,30 +395,29 @@ class TestHamiltonianBatches:
 class TestHamiltonianRestriction:
     def test_exponential_chart_samples(self):
         rng = np.random.default_rng(3)
-        samples = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(100)]
-        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, PHI)
+        draws = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(100)]
+        xp, xi = (np.array(v) for v in zip(*draws))
+        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, xp, xi, PHI)
         assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
         assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_multiplier_scaling(self):
-        samples = [(np.array([0.5]), np.array([2.0]))]
-        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, PHI)
+        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, [[0.5]], [[2.0]], PHI)
         assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
         assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_zero_covector_samples(self):
-        samples = [(np.array([0.4]), np.array([0.0]))]
-        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, samples, PHI)
+        rep = hamiltonian_restriction_check(EXP_CHART, EXP_FIELD, [[0.4]], [[0.0]], PHI)
         assert max(rep.max_tangency, rep.max_mismatch) <= TOL_HAMILTONIAN
         assert rep.max_multiplier_mismatch <= TOL_MULTIPLIER
 
     def test_restricted_field_and_tangency_defect(self):
-        restricted, tangency = restricted_hamiltonian(EXP_CHART, EXP_FIELD, [0.3], [0.7])
-        assert np.allclose(restricted, [1.0, -0.7]) and tangency == 0.0
+        restricted, tangency = restricted_hamiltonian(EXP_CHART, EXP_FIELD, [[0.3]], [[0.7]])
+        assert np.allclose(restricted, [[1.0], [-0.7]]) and tangency.tolist() == [0.0]
         # a'' = 1 + x1 leaves N, and its xi'-velocity is -xi''
         normal = VectorFieldSpec.parse(["1", "1 + x1"], 2)
-        _, tangency = restricted_hamiltonian(EXP_CHART, normal, [0.3], [0.7])
-        assert tangency == pytest.approx(1.3)
+        _, tangency = restricted_hamiltonian(EXP_CHART, normal, [[0.3]], [[0.7]])
+        assert tangency == pytest.approx([1.3])
 
 
 class TestConnectionAxioms:

@@ -59,13 +59,13 @@ def lemma21_residual(rep):
 
 
 def lemma21_sample(m, z, rng):
-    """One Lemma 2.1 sample at z: ``lemma21_residuals`` with B = 1.
+    """One Lemma 2.1 sample at z: ``lemma21_residuals`` at the one row z with B = 1.
 
     U[-1, 1] weights on the conormal basis are drawn first, then U[-1, 1]
     coefficients on the orthonormal tangent basis.
     """
     weights = rng.uniform(-1.0, 1.0, (1, m.d))
-    r1, r2 = lemma21_residuals(m, z, weights, rng.uniform(-1.0, 1.0, (1, m.dim)))
+    r1, r2 = lemma21_residuals(m, np.asarray(z)[None], weights, rng.uniform(-1.0, 1.0, (1, m.dim)))
     return Lemma21Report(float(r1[0]), float(r2[0]))
 
 
@@ -152,22 +152,22 @@ class TestTangentSpaces:
     @pytest.mark.parametrize("space", [tangent_space, complex_tangent_space])
     def test_space_takes_two_svds_and_one_jacobian(self, space, monkeypatch):
         """One SVD of d rho and one of [d rho; d rho o J] decide genericity and give the basis."""
-        svds, jacobians = [], []
-        real_svd, real_jacobian = np.linalg.svd, EmbeddedManifold.rho_jacobian
+        svds, jacobian_rows = [], []
+        real_svd, real_jacobian = np.linalg.svd, EmbeddedManifold.rho_jacobian_rows
 
         def counted_svd(a, *args, **kwargs):
             svds.append(np.shape(a))
             return real_svd(a, *args, **kwargs)
 
-        def counted_jacobian(self, x):
-            jacobians.append(x)
-            return real_jacobian(self, x)
+        def counted_jacobian(self, X):
+            jacobian_rows.append(len(X))
+            return real_jacobian(self, X)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian", counted_jacobian)
+        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian_rows", counted_jacobian)
         space(TUBE3, tube3_point(-0.4, 0.1, 0.2, 0.6))
         assert svds == [(1, 2, 6), (1, 4, 6)]
-        assert len(jacobians) == 1
+        assert jacobian_rows == [1]  # one rows call, for the one point
 
     @pytest.mark.parametrize("point", [[0.0, 1.0], np.array([0.0, 1.0])], ids=["list", "ndarray"])
     def test_rho_where_undefined_raises(self, point):
@@ -262,7 +262,9 @@ class TestLemma21:
             lemma21_check(LEWY, np.zeros(4), omega, np.array([0, 0, 0, 1.0]))
 
     def test_theta_isomorphism(self):
-        assert theta_isomorphism_check(TUBE3, np.zeros(6)) >= THETA_SV_MIN
+        # at the origin theta(i d rho_k) = du1 / 2 and du2 / 2 on T_0M = ker(dv1, dv2)
+        (sv,) = theta_isomorphism_check(TUBE3, np.zeros((1, 6)))
+        assert sv == pytest.approx(0.5, abs=1e-15) and sv >= THETA_SV_MIN
 
     def test_random_samples_pass_in_codimension_one_and_two(self):
         rng = np.random.default_rng(11)
@@ -289,7 +291,7 @@ class TestLemma21:
         rep = lemma21_sample(LEWY, z, np.random.default_rng(2))
         assert lemma21_residual(rep) <= TOL_LEMMA21
         assert jacobian_svds == [(1, 1, 4)]
-        lemma21_residuals(LEWY, z, np.ones((20, 1)), np.ones((20, 3)))
+        lemma21_residuals(LEWY, z[None], np.ones((20, 1)), np.ones((20, 3)))
         assert jacobian_svds == [(1, 1, 4)] * 2
 
     @pytest.mark.parametrize(
@@ -299,21 +301,21 @@ class TestLemma21:
             lambda m, z: complex_tangent_space(m, z),
             lambda m, z: conormal_fiber(m, z),
             lambda m, z: lemma21_sample(m, z, np.random.default_rng(2)),
-            lambda m, z: theta_isomorphism_check(m, z),
+            lambda m, z: theta_isomorphism_check(m, z[None]),
         ],
         ids=["tangent", "complex-tangent", "conormal", "lemma21-sample", "theta-iso"],
     )
     def test_one_jacobian_per_point(self, call, monkeypatch):
-        calls = []
-        real = EmbeddedManifold.rho_jacobian
+        rows = []
+        real = EmbeddedManifold.rho_jacobian_rows
 
-        def counted(self, x):
-            calls.append(x)
-            return real(self, x)
+        def counted(self, X):
+            rows.append(len(X))
+            return real(self, X)
 
-        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian", counted)
+        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian_rows", counted)
         call(TUBE3, tube3_point(-0.4, 0.1, 0.2, 0.6))
-        assert len(calls) == 1
+        assert rows == [1]  # one d rho evaluation: one rows call of one row
 
 
 def _draws(rng, m, points):
@@ -360,16 +362,16 @@ class TestLemma21Batches:
         z = tube3_point(-0.4, 0.1, 0.2, 0.6)
         rng = np.random.default_rng(8)
         weights, coeffs = (np.array(v) for v in zip(*_draws(rng, TUBE3, range(20))))
-        calls = []
-        real = EmbeddedManifold.rho_jacobian
+        rows = []
+        real = EmbeddedManifold.rho_jacobian_rows
 
-        def counted(self, x):
-            calls.append(x)
-            return real(self, x)
+        def counted(self, X):
+            rows.append(len(X))
+            return real(self, X)
 
-        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian", counted)
-        complex_res, real_res = lemma21_residuals(TUBE3, z, weights, coeffs)
-        assert len(calls) == 1
+        monkeypatch.setattr(EmbeddedManifold, "rho_jacobian_rows", counted)
+        complex_res, real_res = lemma21_residuals(TUBE3, z[None], weights, coeffs)
+        assert rows == [1]  # the 20 samples share one d rho evaluation
         rng = np.random.default_rng(8)
         for k in range(20):
             rep = lemma21_sample(TUBE3, z, rng)
@@ -378,10 +380,16 @@ class TestLemma21Batches:
             )
 
     def test_theta_isomorphism_rows_are_the_point_values(self):
+        """Row k: the smallest singular value of theta(conormal_fiber) on T_zM at z_k."""
         rng = np.random.default_rng(3)
         points = np.array([tube3_point(*rng.uniform(-0.7, 0.7, 4)) for _ in range(50)])
         rows = theta_isomorphism_check(TUBE3, points)
-        assert [v.hex() for v in rows] == [theta_isomorphism_check(TUBE3, z).hex() for z in points]
+        expected = []
+        for z in points:
+            basis = tangent_space(TUBE3, z).basis
+            theta = np.array([theta_covector(w) @ basis for w in conormal_fiber(TUBE3, z)])
+            expected.append(np.linalg.svd(theta, compute_uv=False)[-1].hex())
+        assert [v.hex() for v in rows] == expected
 
     def test_rho_jacobian_rows_are_the_point_kernel(self):
         rng = np.random.default_rng(5)
@@ -394,27 +402,16 @@ class TestLemma21Batches:
     @pytest.mark.parametrize("kind", sorted(CROSS_ROWS))
     @pytest.mark.parametrize("check", ["lemma21", "theta"])
     def test_failing_row_raises_the_point_error(self, kind, check):
-        bad, error, _ = CROSS_ROWS[kind]
+        bad, error, message = CROSS_ROWS[kind]
         rows = np.array([[0.5, 0.5], [-0.3, -0.3], [0.7, -0.7], bad, [0.2, 0.2]])
         weights, coeffs = np.ones((5, 1)), np.ones((5, 1))
-        if check == "lemma21":
-            def run_rows():
-                return lemma21_residuals(CROSS, rows, weights, coeffs)
-
-            def run_point():
-                return lemma21_sample(CROSS, rows[3], np.random.default_rng(0))
-        else:
-            def run_rows():
-                return theta_isomorphism_check(CROSS, rows)
-
-            def run_point():
-                return theta_isomorphism_check(CROSS, rows[3])
-        with pytest.raises(error) as point:
-            run_point()
-        with pytest.raises(error) as batch:
-            run_rows()
-        assert type(batch.value) is type(point.value)
-        assert str(batch.value) == str(point.value)
+        for sel in (slice(3, 4), slice(None)):  # the failing row alone, and among others
+            with pytest.raises(error) as batch:
+                if check == "lemma21":
+                    lemma21_residuals(CROSS, rows[sel], weights[sel], coeffs[sel])
+                else:
+                    theta_isomorphism_check(CROSS, rows[sel])
+            assert type(batch.value) is error and str(batch.value) == message
 
     @pytest.mark.parametrize("kind", sorted(CROSS_ROWS))
     @pytest.mark.parametrize("view", sorted(POINT_VIEWS))
@@ -533,6 +530,18 @@ class TestThetaTransport:
                 ef.e_basis.basis[:, 0],
                 [0.0, 0.0],
             )
+        # both routes reject a frame whose field 2 leaves S, and a frame of rank 1,
+        # before any word is walked
+        leaves = [VectorFieldSpec.parse(f, 3) for f in (["1", "0", "0"], ["0", "1", "1"])]
+        for frame, failure in ((leaves, 2), (FLAT_CHART_FRAME[:1] * 2, 0)):
+            for transport, value in (
+                (theta_transport, ef.e_basis.basis[:, 0]),
+                (theta_star_transport, ef.estar_forms[0]),
+            ):
+                for word in (FlowWord.empty(), FlowWord.of((1, 0.3)), FlowWord.of((2, 0.3))):
+                    with pytest.raises(ManifoldError, match="full-rank frame tangent to S") as e:
+                        transport(FLAT, FLAT_CHART, frame, word, value, [0.0, 0.0])
+                    assert f"first_failure={failure})" in str(e.value)
 
 
 def _twisted_setup():

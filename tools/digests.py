@@ -34,6 +34,7 @@ REPORTS = [
      lambda: cmd_orbit(builtin_scenario("lewy"), "0.1,0.2,0.3,0.05", 64, 7)),
     *((f"analyze-{name}-origin", lambda name=name: cmd_analyze(builtin_scenario(name), "origin"))
       for name in ("lewy", "tube3", "flat")),
+    ("analyze-expchart-origin", lambda: cmd_analyze(builtin_scenario("expchart"), "origin")),
     ("transport-expchart-default", lambda: cmd_transport(builtin_scenario("expchart"))),
     ("transport-expchart-(1,-0.7),(1,1.3)",
      lambda: cmd_transport(builtin_scenario("expchart"), FlowWord.of((1, -0.7), (1, 1.3)))),
