@@ -23,9 +23,13 @@ call and assembles the three in that order, so an orbit run's post-search
 words share one lockstep batch; :func:`verify_certificate`,
 :func:`pushforward_span` and :func:`reachable_samples` are each an
 :func:`orbit_checks` call for one part.  The span and the re-check raise the
-first failure in word order.  The certificate search evaluates its pool in
-chunks of 1, 2, 4, ..., ``MAX_BATCH`` words, still stops at the first word
-whose span reaches ``TAU_CERT``, and discards the chunk's words past it.
+first failure in word order.  The certificate search draws and flows its
+pool in chunks of 2, 16, 128, ..., ``MAX_BATCH`` words (the empty word and
+one drawn word first) and takes one SVD of the block with the whole chunk
+appended.  Below ``TAU_CERT / 2`` no prefix of the chunk can reach
+``TAU_CERT``, so the chunk is kept whole on that SVD; otherwise the chunk is
+scanned word by word, the search stops at the first word whose span reaches
+``TAU_CERT`` and discards the chunk's words past it.
 """
 
 from __future__ import annotations
@@ -374,29 +378,56 @@ def global_minimality_certificate(
     is the greedy-pruned minimal subcollection, and its span is the best
     span.  On failure the span of every kept word is reported; this is
     explicitly not a proof of non-minimality.
+
+    The pool is drawn and flowed in chunks of 2, 16, 128, ..., ``MAX_BATCH``
+    words, so a search that succeeds early draws no more words than it flows.
+    One SVD of the kept block with a chunk's columns appended decides the
+    chunk when its sigma_dim is below ``TAU_CERT / 2``: no word of it can
+    reach ``TAU_CERT``, and every landed word is kept.  Otherwise the chunk is
+    taken word by word up to the first hit, so the search keeps the words, the
+    failures and the span of a search one word at a time.
     """
     z = np.asarray(z, dtype=float)
     basis_t = tangent_space(m, z).basis.T
     rng = np.random.default_rng(seed)
-    pool = [FlowWord.empty()] + random_words(
-        rng, budget, len(frame), WORD_LENGTH_CAP, TIME_RANGE
-    )
     kept: list[tuple[FlowWord, np.ndarray]] = []  # (word, source)
     col_sets: list[np.ndarray] = []  # each kept word's columns in T_zM coordinates
-    block = np.empty((m.dim, 0))  # col_sets side by side, one word appended at a time
+    block = np.empty((m.dim, 0))  # col_sets side by side
     span, sigma = _span(block)
     failures = 0
-    lo, size = 0, 1  # chunks of 1, 2, 4, ..., MAX_BATCH words
-    while lo < len(pool) and sigma < TAU_CERT:
-        chunk = pool[lo : lo + size]
-        lo, size = lo + size, min(2 * size, MAX_BATCH)
-        for word, columns in zip(chunk, _word_columns(m, frame, z, chunk, cfg)):
-            if isinstance(columns, FlowError):
+    lo, size = 0, 2  # pool words flowed so far; chunks of 2, 16, 128, ..., MAX_BATCH words
+    while lo <= budget and sigma < TAU_CERT:
+        hi = min(lo + size, budget + 1)
+        chunk = [FlowWord.empty()] if lo == 0 else []  # the pool's first word
+        chunk += random_words(rng, hi - max(lo, 1), len(frame), WORD_LENGTH_CAP, TIME_RANGE)
+        lo, size = hi, min(8 * size, MAX_BATCH)
+        results = [
+            None if isinstance(columns, FlowError) else (word, columns[0], basis_t @ columns[1])
+            for word, columns in zip(chunk, _word_columns(m, frame, z, chunk, cfg))
+        ]
+        landed = [entry for entry in results if entry is not None]
+        whole = np.hstack([block, *(coords for *_, coords in landed)])
+        span, sigma = _span(whole)
+        if sigma < TAU_CERT / 2:
+            # No prefix of the chunk can reach TAU_CERT, so the chunk is kept
+            # whole on this one SVD.  Appending columns C to a block A never
+            # lowers its dim M-th singular value, since [A C][A C]^T =
+            # AA^T + CC^T.  LAPACK's singular values of a (p x k) block lie
+            # within p * eps * |A|_2 <= p * eps * sqrt(k) of the exact ones
+            # for these unit columns, far below the margin TAU_CERT / 2.
+            failures += len(results) - len(landed)
+            kept += [(word, source) for word, source, _ in landed]
+            col_sets += [coords for *_, coords in landed]
+            block = whole
+            continue
+        for entry in results:  # word by word, to the first hit
+            if entry is None:
                 failures += 1
                 continue
-            kept.append((word, columns[0]))
-            col_sets.append(basis_t @ columns[1])
-            block = np.hstack((block, col_sets[-1]))
+            word, source, coords = entry
+            kept.append((word, source))
+            col_sets.append(coords)
+            block = np.hstack((block, coords))
             span, sigma = _span(block)
             if sigma >= TAU_CERT:
                 break  # the chunk's words past the hit are discarded

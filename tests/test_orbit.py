@@ -341,6 +341,52 @@ class TestOnePassWords:
         assert rep.budget_exhausted
         assert len(words) == 17  # the empty word and 16 random words
 
+    def test_search_draws_only_the_words_it_flows(self, monkeypatch):
+        """The pool is drawn chunk by chunk: a hit in the first chunk draws one word."""
+        cert64 = global_minimality_certificate(
+            LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG
+        ).certificate
+        drawn = []
+
+        def counting(rng, count, *args):
+            drawn.append(count)
+            return random_words(rng, count, *args)
+
+        random_words = orbit.random_words
+        monkeypatch.setattr(orbit, "random_words", counting)
+        flowed = count_composed_flows(monkeypatch)
+        cert = global_minimality_certificate(
+            LEWY, LEWY_FRAME, np.zeros(4), 10_000, 7, CFG
+        ).certificate
+        assert sum(drawn) == len(flowed) - 1 == 1  # the empty word is not drawn
+        assert cert.to_dict() == cert64.to_dict()
+        assert [s.tobytes() for s in cert.sources] == [s.tobytes() for s in cert64.sources]
+
+    @pytest.mark.parametrize(
+        "manifold, frame", [(FLAT, FLAT_FRAME), (TUBE3, TUBE3_FRAME)], ids=["flat", "tube3"]
+    )
+    def test_exhausted_search_flows_four_chunks_on_five_svds(self, manifold, frame, monkeypatch):
+        """Budget 256 runs out in chunks of 2, 16, 128 and 111 words, each decided by one SVD."""
+        sizes, spans = [], []
+
+        def word_columns(m, frame, z, words, cfg):
+            sizes.append(len(words))
+            return _word_columns(m, frame, z, words, cfg)
+
+        def span(coords):
+            spans.append(coords.shape[1])
+            return orbit_span(coords)
+
+        orbit_span = orbit._span
+        monkeypatch.setattr(orbit, "_word_columns", word_columns)
+        monkeypatch.setattr(orbit, "_span", span)
+        rep = global_minimality_certificate(
+            manifold, frame, np.zeros(manifold.ambient_dim), 256, 0, CFG
+        )
+        assert rep.budget_exhausted
+        assert sizes == [2, 16, 128, 111]
+        assert len(spans) <= 5
+
     def test_verify_integrates_each_word_once(self, monkeypatch):
         rep = global_minimality_certificate(LEWY, LEWY_FRAME, np.zeros(4), 64, 7, CFG)
         cert = rep.certificate
@@ -385,12 +431,18 @@ class TestOnePassWords:
         assert rep.best_span.singular_values.tobytes() == fresh.singular_values.tobytes()
 
     @pytest.mark.parametrize(
-        "manifold, frame, budget",
-        [(LEWY, LEWY_FRAME, 64), (FLAT, FLAT_FRAME, 100), (TUBE3, TUBE3_FRAME, 100)],
-        ids=["lewy-found", "flat-exhausted", "tube3-exhausted"],
+        "manifold, frame, budget, tau",
+        [(LEWY, LEWY_FRAME, 64, TAU_CERT), (LEWY, LEWY_FRAME, 64, 1.5),
+         (FLAT, FLAT_FRAME, 100, TAU_CERT), (TUBE3, TUBE3_FRAME, 100, TAU_CERT)],
+        ids=["lewy-found", "lewy-late-hit", "flat-exhausted", "tube3-exhausted"],
     )
-    def test_chunked_search_equals_word_by_word(self, manifold, frame, budget):
-        """Chunks of 1, 2, 4, ... words keep exactly the words a one-word search keeps."""
+    def test_chunked_search_equals_word_by_word(self, manifold, frame, budget, tau, monkeypatch):
+        """Chunks of 2, 16, 128, ... words keep exactly the words a one-word search keeps.
+
+        At tau = 1.5 lewy's sigma_dim first reaches tau at pool word 5, strictly
+        inside the second chunk, whose words past it must be discarded.
+        """
+        monkeypatch.setattr(orbit, "TAU_CERT", tau)
         z = np.zeros(manifold.ambient_dim)
         rng = np.random.default_rng(7)
         pool = [FlowWord.empty()] + orbit.random_words(
@@ -405,7 +457,7 @@ class TestOnePassWords:
             kept.append((word, *columns))
             block = np.hstack((block, tangent.basis.T @ columns[1]))
             sv = np.linalg.svd(block, compute_uv=False)
-            if sv.size == tangent.dim and sv[-1] >= TAU_CERT:
+            if sv.size == tangent.dim and sv[-1] >= tau:
                 break
         rep = global_minimality_certificate(manifold, frame, z, budget, 7, CFG)
         if rep.certificate is None:
@@ -416,8 +468,9 @@ class TestOnePassWords:
             assert rep.best_span.singular_values.tobytes() == sv.tobytes()
             return
         col_sets = [tangent.basis.T @ cols for _, _, cols in kept]
-        selected, span, sigma = _greedy_select(col_sets, [w for w, _, _ in kept], TAU_CERT)
+        selected, span, sigma = _greedy_select(col_sets, [w for w, _, _ in kept], tau)
         cert = rep.certificate
+        assert cert.tau == tau
         assert cert.words == tuple(kept[i][0] for i in selected)
         assert all(s.tobytes() == kept[i][1].tobytes() for s, i in zip(cert.sources, selected))
         assert cert.smallest_singular_value == sigma
