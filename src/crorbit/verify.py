@@ -3,15 +3,19 @@
 Every check compares a measured residual against a pinned bound and is
 reproducible from its seed.  The suites back both the ``verify`` CLI
 command and the acceptance test module; sizes and tolerances are module
-constants, not call-site choices.
+constants, not call-site choices.  One table, ``CHECKS``, lists each
+suite's checks in report order; :func:`run_checks` runs them on every
+usable CPU and :func:`run_suite` runs one suite in this process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +58,7 @@ from .report import CheckResult
 from .scenario import builtin_scenario
 from .vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field, lie_bracket, symbol
 
-__all__ = ["SUITES", "run_suite", "transport_corpus", "random_chart"]
+__all__ = ["CHECKS", "SUITES", "run_checks", "run_suite", "transport_corpus", "random_chart"]
 
 # corpus and sample sizes (pinned)
 N_RANDOM_CHARTS = 200
@@ -380,19 +384,6 @@ def _check_chart_tangency(seed: int) -> CheckResult:
     return CheckResult("flow-chart-tangency", value=worst, bound=TOL_CHART_TANGENCY)
 
 
-def connection_suite(seed: int) -> list[CheckResult]:
-    return _run_checks(
-        (_check_transport_expchart, None),
-        (_check_transport_random, seed),
-        (_check_axioms, seed + 1),
-        (_check_bracket_exactness, seed + 2),
-        (_check_commutator_loop, None),
-        (_check_flow_group_law, seed + 3),
-        (_check_manifold_drift, seed + 4),
-        (_check_chart_tangency, seed + 5),
-    )
-
-
 # ---------------------------------------------------------------------------
 # duality suite
 # ---------------------------------------------------------------------------
@@ -503,16 +494,6 @@ def _check_theta_duality(seed: int) -> CheckResult:
     return CheckResult("theta-duality", value=worst, bound=TOL_DUALITY, details=details)
 
 
-def duality_suite(seed: int) -> list[CheckResult]:
-    return _run_checks(
-        (_check_duality_expchart, None),
-        (_check_duality_random, seed),
-        (_check_linearity, seed + 1),
-        (_check_transport_reversibility, seed + 2),
-        (_check_theta_duality, seed + 3),
-    )
-
-
 # ---------------------------------------------------------------------------
 # hamiltonian suite
 # ---------------------------------------------------------------------------
@@ -590,14 +571,6 @@ def _check_symbol_conservation(seed: int) -> CheckResult:
     return CheckResult("symbol-conservation", value=worst, bound=TOL_SYMBOL_DRIFT)
 
 
-def hamiltonian_suite(seed: int) -> list[CheckResult]:
-    return _run_checks(
-        (_check_xhat_hamiltonian, seed),
-        (_check_multiplier, seed + 1),
-        (_check_symbol_conservation, seed + 2),
-    )
-
-
 # ---------------------------------------------------------------------------
 # lemma21 suite
 # ---------------------------------------------------------------------------
@@ -641,10 +614,6 @@ def _check_theta_isomorphism(seed: int) -> CheckResult:
     return CheckResult(
         "theta-isomorphism", value=smallest, bound=THETA_SV_MIN, comparator=">="
     )
-
-
-def lemma21_suite(seed: int) -> list[CheckResult]:
-    return _run_checks((_check_lemma21, seed), (_check_theta_isomorphism, seed + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -780,18 +749,71 @@ def _check_cloud_pca(seed: int) -> CheckResult:
     return CheckResult("cloud-pca-dimensions", ok, details=details)
 
 
-def orbits_suite(seed: int) -> list[CheckResult]:
-    return _run_checks(
-        (_check_orbit_dimensions, seed),
-        (_check_certificates, seed + 1),
-        (_check_orbit_invariants, seed + 2),
-        (_check_cloud_pca, seed + 3),
-    )
-
-
 # ---------------------------------------------------------------------------
 # suite registry
 # ---------------------------------------------------------------------------
+
+# suite -> its checks in report order: the name of each check function in this
+# module, and its seed's offset from the run's seed (None: the check takes no seed).
+# A job names its check, and the name is looked up where the job runs, so a
+# check replaced in this module (as tests do with monkeypatch) runs instead.
+CHECKS: dict[str, tuple[tuple[str, int | None], ...]] = {
+    "connection": (
+        ("_check_transport_expchart", None),
+        ("_check_transport_random", 0),
+        ("_check_axioms", 1),
+        ("_check_bracket_exactness", 2),
+        ("_check_commutator_loop", None),
+        ("_check_flow_group_law", 3),
+        ("_check_manifold_drift", 4),
+        ("_check_chart_tangency", 5),
+    ),
+    "duality": (
+        ("_check_duality_expchart", None),
+        ("_check_duality_random", 0),
+        ("_check_linearity", 1),
+        ("_check_transport_reversibility", 2),
+        ("_check_theta_duality", 3),
+    ),
+    "hamiltonian": (
+        ("_check_xhat_hamiltonian", 0),
+        ("_check_multiplier", 1),
+        ("_check_symbol_conservation", 2),
+    ),
+    "lemma21": (("_check_lemma21", 0), ("_check_theta_isomorphism", 1)),
+    "orbits": (
+        ("_check_orbit_dimensions", 0),
+        ("_check_certificates", 1),
+        ("_check_orbit_invariants", 2),
+        ("_check_cloud_pca", 3),
+    ),
+}
+
+
+def _known(name: str) -> str:
+    """``name`` if it names a suite, else the unknown-suite error."""
+    if name not in CHECKS:
+        raise ValueError(f"unknown suite {name!r}; available: {sorted(CHECKS)} or 'all'")
+    return name
+
+
+def _jobs(name: str, seed: int) -> list[tuple[str, int | None]]:
+    """The (check name, seed) jobs of suite ``name`` at ``seed``, in report order."""
+    return [
+        (check, None if offset is None else seed + offset) for check, offset in CHECKS[_known(name)]
+    ]
+
+
+def _check(job: tuple[str, int | None]) -> tuple[Callable, int | None]:
+    """A job's (check, seed) pair: its check function as this module binds it now."""
+    name, seed = job
+    return globals()[name], seed
+
+
+def _stem(check_name: str) -> str:
+    """A check's name in reports: ``_check_linearity`` is ``linearity``."""
+    return check_name.removeprefix("_check_").replace("_", "-")
+
 
 def _run_checks(*checks: tuple[Callable, int | None]) -> list[CheckResult]:
     """Run each (check, seed) pair, without a seed when it is None.
@@ -804,23 +826,65 @@ def _run_checks(*checks: tuple[Callable, int | None]) -> list[CheckResult]:
         try:
             res = check() if seed is None else check(seed)
         except (FlowError, ManifoldError) as exc:
-            name = check.__name__.removeprefix("_check_").replace("_", "-")
             details = {"error": str(exc), "seed": seed}
-            res = CheckResult(f"{name}-aborted", False, details=details)
+            res = CheckResult(f"{_stem(check.__name__)}-aborted", False, details=details)
         out.extend(res if isinstance(res, list) else [res])
     return out
 
 
+def _timed_job(job: tuple[str, int | None]) -> tuple[list[CheckResult], float]:
+    """One job's results and its wall time where it ran."""
+    t0 = time.perf_counter()
+    results = _run_checks(_check(job))
+    return results, time.perf_counter() - t0
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_checks(names: Sequence[str], seed: int) -> tuple[list[CheckResult], dict]:
+    """The results of the named suites at ``seed`` in report order, and their timings.
+
+    Every check is one job, :func:`_run_checks` of its (check, seed) pair.
+    The jobs run in one process pool of ``min(jobs, usable CPUs)`` workers
+    started by fork, so the workers inherit this process's modules as they
+    are, monkeypatched names included.  With one worker, or where the
+    platform cannot fork, they run in this process.  Results come back in
+    report order either way, so the report is the same bit for bit.  An
+    exception other than ``<check>-aborted`` propagates from the first job
+    that raised it, and no worker outlives the call.
+
+    The timings hold each check's wall time in its worker, keyed by its
+    name in reports (``timings["checks"]``), and the worker count.
+    """
+    jobs = [job for name in names for job in _jobs(name, seed)]
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:  # imported here, so no command pays for them at import
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            timed = list(pool.map(_timed_job, jobs))
+    else:
+        timed = [_timed_job(job) for job in jobs]
+    results = [r for job_results, _ in timed for r in job_results]
+    checks = {_stem(name): seconds for (name, _), (_, seconds) in zip(jobs, timed)}
+    return results, {"checks": checks, "workers": workers}
+
+
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
-    "connection": connection_suite,
-    "duality": duality_suite,
-    "hamiltonian": hamiltonian_suite,
-    "lemma21": lemma21_suite,
-    "orbits": orbits_suite,
+    name: lambda seed, name=name: _run_checks(*map(_check, _jobs(name, seed))) for name in CHECKS
 }
 
 
 def run_suite(name: str, seed: int) -> list[CheckResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed)
+    return SUITES[_known(name)](seed)

@@ -1,17 +1,21 @@
-"""Mutation tests: a one-line defect in the library must turn the named ``verify`` checks red.
+"""Mutation tests: a one-line defect in the library must turn the named ``verify`` results red.
 
 Each row copies a function's source with one text replacement, executes the
-copy in its module's namespace and installs it with ``monkeypatch``, then
-runs only the ``_check_*`` functions the row names, at the seeds the suites
-pass them at seed 0.  A check the defect cannot turn red is no evidence
-against it.
+copy in its module's namespace and installs it with ``monkeypatch`` in every
+crorbit module that holds the original (``verify`` imports names such as
+``lie_bracket`` from their modules).  It then runs only the ``_check_*``
+functions the row names, at the seeds the suites pass them at seed 0, and
+asserts that exactly the named results fail: a check can report several
+results, and a defect need not turn all of them red.  A check the defect
+cannot turn red is no evidence against it.
 """
 
 import inspect
+import sys
 
 import pytest
 
-from crorbit import connection, verify
+from crorbit import connection, orbit, vectorfield, verify
 
 ROWS = {
     "dual-transport-with-plus-BT": (
@@ -20,30 +24,49 @@ ROWS = {
         "(b.T @ y[l:]) if dual",
         [(verify._check_duality_expchart, None), (verify._check_duality_random, 0),
          (verify._check_theta_duality, 3)],
+        {"duality-expchart", "duality-random", "theta-duality"},
     ),
     "normal-block-transposed": (
         connection._transport_ode,
         "b = jac[l:, l:]",
         "b = jac[l:, l:].T",
         [(verify._check_transport_random, 0)],
+        {"transport-equivalence-random"},
+    ),
+    "lie-bracket-sign-flipped": (
+        vectorfield.lie_bracket,
+        "return jy @ ax - jx @ ay",
+        "return jx @ ay - jy @ ax",
+        [(verify._check_bracket_exactness, 2)],
+        {"bracket-exactness-lewy"},
+    ),
+    "word-columns-push-T-not-Tc": (
+        orbit._columns,
+        "_, complex_tangent, *_, errors = _conormal_geometry(",
+        "complex_tangent, _, *_, errors = _conormal_geometry(",
+        [(verify._check_orbit_dimensions, 0), (verify._check_certificates, 1)],
+        {"orbit-dimensions-pushforward", "lewy-certificate", "flat-no-certificate"},
     ),
 }
 
 
 def _install_mutant(monkeypatch, fn, old: str, new: str) -> None:
-    """Replace ``fn`` in its module by a copy of its source with ``old`` replaced by ``new``."""
+    """Replace ``fn`` wherever crorbit binds it by a copy of its source with ``old`` replaced by ``new``."""
     source = inspect.getsource(fn)
     assert source.count(old) == 1, f"{old!r} is not one line of {fn.__name__}"
     module = inspect.getmodule(fn)
     defined: dict = {}
     exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), defined)
-    monkeypatch.setattr(module, fn.__name__, defined[fn.__name__])
+    for holder in list(sys.modules.values()):
+        if getattr(holder, "__name__", "").startswith("crorbit"):
+            for name, value in list(vars(holder).items()):
+                if value is fn:
+                    monkeypatch.setattr(holder, name, defined[fn.__name__])
 
 
 @pytest.mark.parametrize("row", ROWS)
 def test_defect_fails_its_checks(row, monkeypatch):
-    fn, old, new, checks = ROWS[row]
+    fn, old, new, checks, failing = ROWS[row]
     _install_mutant(monkeypatch, fn, old, new)
     results = verify._run_checks(*checks)
-    assert len(results) == len(checks)
-    assert not [r.name for r in results if r.passed]
+    assert {r.name for r in results if not r.passed} == failing

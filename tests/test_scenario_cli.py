@@ -726,4 +726,6 @@ class TestDeterminism:
         ]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["arguments"] == {"suite": "lemma21"}
-        assert "timings" in doc
+        timings = doc["timings"]
+        assert set(timings) == {"checks", "workers", "total_seconds"}
+        assert set(timings["checks"]) == {"lemma21", "theta-isomorphism"}

@@ -1,9 +1,15 @@
-"""Regression witnesses for the sampled paper checks of ``verify``."""
+"""Regression witnesses for the sampled paper checks of ``verify``, and its check pool."""
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from crorbit import verify
+from crorbit.cli import cmd_verify
+from crorbit.flow import FlowError
+from crorbit.report import Report
 from crorbit.verify import (
     N_RANDOM_CHARTS, _corpus, _quadric_points, _uniform_draws, run_suite, transport_corpus,
 )
@@ -81,3 +87,57 @@ def test_every_count_reads_one_corpus_per_seed():
         assert (a.t_equiv, a.t_dual) == (b.t_equiv, b.t_dual)
         for x, y in ((a.x0, b.x0), (a.eta0, b.eta0), (a.xi0, b.xi0)):
             assert x.tobytes() == y.tobytes()
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+class TestCheckPool:
+    """``cmd_verify`` runs one job per check in a forked pool: the same report, no child left."""
+
+    @pytest.mark.parametrize("suite", ["hamiltonian", "lemma21", "orbits"])
+    def test_pooled_report_equals_in_process_reference(self, suite, monkeypatch):
+        entries = verify.CHECKS[suite]  # at seed 0 each check's seed is its offset
+        jobs = [(getattr(verify, name), offset) for name, offset in entries]
+        pooled = cmd_verify(suite, 0)
+        assert pooled.timings["workers"] == min(len(jobs), _usable_cpus())
+        assert list(pooled.timings["checks"]) == [verify._stem(name) for name, _ in entries]
+        reference = Report("verify", {"suite": suite}, 0, verify._run_checks(*jobs))
+        assert pooled.comparable_json() == reference.comparable_json()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        in_process = cmd_verify(suite, 0)
+        assert in_process.timings["workers"] == 1
+        assert in_process.comparable_json() == reference.comparable_json()
+        assert not multiprocessing.active_children()
+
+    def test_flow_error_comes_back_aborted(self, monkeypatch):
+        def fault(seed):
+            raise FlowError("injected")
+
+        fault.__name__ = "_check_symbol_conservation"
+        monkeypatch.setattr(verify, "_check_symbol_conservation", fault)
+        report = cmd_verify("hamiltonian", 0)
+        assert report.timings["workers"] == min(3, _usable_cpus())
+        names = [r.name for r in report.results]
+        assert names == ["xhat-hamiltonian-identification", "multiplier-independence",
+                         "symbol-conservation-aborted"]
+        aborted = report.results[-1]
+        assert not aborted.passed
+        assert aborted.details == {"error": "injected", "seed": 2}
+        assert not multiprocessing.active_children()
+
+    def test_other_exceptions_propagate_and_leave_no_child(self, monkeypatch):
+        def fault(*args):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(verify, "hamiltonian_field", fault)
+        with pytest.raises(ZeroDivisionError, match="injected"):
+            cmd_verify("hamiltonian", 0)
+        assert not multiprocessing.active_children()
+
+    def test_unknown_suite_raises(self):
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
+            cmd_verify("nope", 0)
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
+            run_suite("nope", 0)

@@ -6,13 +6,17 @@ faster.  The reports come from in-process ``cmd_verify``, ``cmd_orbit``,
 ``cmd_analyze`` and ``cmd_transport`` calls, and nothing is written to disk.
 
     python3 tools/digests.py
+    python3 tools/digests.py --check
 
-The digests depend on string hashing, so the script re-runs itself with
-``PYTHONHASHSEED=0`` when that is not already set.
+With ``--check`` the script also compares every digest with its pin in
+``PINNED``; it exits 1 naming each label whose digest differs, and 0 when
+all of them match.  The digests depend on string hashing, so the script
+re-runs itself with ``PYTHONHASHSEED=0`` when that is not already set.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -40,14 +44,42 @@ REPORTS = [
      lambda: cmd_transport(builtin_scenario("expchart"), FlowWord.of((1, -0.7), (1, 1.3)))),
 ]
 
+PINNED = {
+    "verify-all-seed0": "62bbfd00941118f5",
+    "verify-all-seed1": "c40fc1927b956ea4",
+    "verify-all-seed2": "bd6aa06038e4901f",
+    "verify-all-seed3": "cd8265ebba9be2bd",
+    "orbit-flat-origin-256-seed0": "ec5d43c40767cb02",
+    "orbit-tube3-origin-256-seed0": "4b6e847383831436",
+    "orbit-lewy-origin-64-seed0": "4f4c3515ce3c86aa",
+    "orbit-lewy-0.1,0.2,0.3,0.05-64-seed7": "dc0e45e85e08b043",
+    "analyze-lewy-origin": "24184740045f50e3",
+    "analyze-tube3-origin": "baaa1fb36db4c457",
+    "analyze-flat-origin": "5a22a75cf5be56c2",
+    "analyze-expchart-origin": "bad31864671975ff",
+    "transport-expchart-default": "7a296794e4ea923a",
+    "transport-expchart-(1,-0.7),(1,1.3)": "d5b5161da047bb24",
+}
 
-def main() -> None:
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="exit 1 unless every pin matches")
+    args = parser.parse_args()
+    differ = []
     for label, run in REPORTS:
         digest = hashlib.sha256(run().comparable_json().encode()).hexdigest()[:16]
         print(label, digest, flush=True)
+        if digest != PINNED[label]:
+            differ.append(label)
+    if args.check and differ:
+        for label in differ:
+            print(f"differs: {label} (pinned {PINNED[label]})", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
-    main()
+    sys.exit(main())
