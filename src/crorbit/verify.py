@@ -4,8 +4,8 @@ Every check compares a measured residual against a pinned bound and is
 reproducible from its seed.  The suites back both the ``verify`` CLI
 command and the acceptance test module; sizes and tolerances are module
 constants, not call-site choices.  One table, ``CHECKS``, lists each
-suite's checks in report order; :func:`run_checks` runs them on every
-usable CPU and :func:`run_suite` runs one suite in this process.
+suite's checks in report order, and :func:`run_checks` runs them on every
+usable CPU.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .report import CheckResult
 from .scenario import builtin_scenario
 from .vectorfield import CotangentPoint, VectorFieldSpec, hamiltonian_field, lie_bracket, symbol
 
-__all__ = ["CHECKS", "SUITES", "run_checks", "run_suite", "transport_corpus", "random_chart"]
+__all__ = ["CHECKS", "SUITES", "run_checks", "transport_corpus", "random_chart"]
 
 # corpus and sample sizes (pinned)
 N_RANDOM_CHARTS = 200
@@ -858,33 +858,39 @@ def run_checks(names: Sequence[str], seed: int) -> tuple[list[CheckResult], dict
     exception other than ``<check>-aborted`` propagates from the first job
     that raised it, and no worker outlives the call.
 
-    The timings hold each check's wall time in its worker, keyed by its
-    name in reports (``timings["checks"]``), and the worker count.
+    The timings hold each check's wall time where it ran, keyed by its name
+    in reports (``timings["checks"]``), and the worker count.
+
+    A caller that replaces an entry of :data:`SUITES` observes the suites
+    through it (the benchmark's tracer times each suite and counts the calls
+    under it), and what it records must land in its own process.  So then
+    every named suite runs through its entry, in this process, and the
+    timings hold only the worker count.
     """
     jobs = [job for name in names for job in _jobs(name, seed)]
+    if SUITES != _STOCK_SUITES:
+        return [r for name in names for r in SUITES[name](seed)], {"workers": 1}
     workers = min(len(jobs), _usable_cpus())
     if workers > 1:  # imported here, so no command pays for them at import
         import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            timed = list(pool.map(_timed_job, jobs))
-    else:
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                timed = list(pool.map(_timed_job, jobs))
+        else:
+            workers = 1
+    if workers == 1:
         timed = [_timed_job(job) for job in jobs]
     results = [r for job_results, _ in timed for r in job_results]
     checks = {_stem(name): seconds for (name, _), (_, seconds) in zip(jobs, timed)}
     return results, {"checks": checks, "workers": workers}
 
 
+# suite -> the callable that runs it in this process.  Callers may replace an
+# entry to observe its suite; run_checks then runs the suites through SUITES.
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
     name: lambda seed, name=name: _run_checks(*map(_check, _jobs(name, seed))) for name in CHECKS
 }
-
-
-def run_suite(name: str, seed: int) -> list[CheckResult]:
-    return SUITES[_known(name)](seed)
+_STOCK_SUITES = dict(SUITES)

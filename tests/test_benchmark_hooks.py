@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,35 @@ def test_verify_suites_match_tracer(tracer):
 
     assert len(tracer.SUITES) == 5
     assert set(tracer.SUITES) == set(SUITES)
+
+
+def test_traced_verify_counts_in_the_tracing_process():
+    """With the tracer installed, ``cmd_verify``'s checks run where it counts them.
+
+    The tracer replaces the ``SUITES`` entries, so ``run_checks`` runs every
+    suite through them in this process instead of in forked workers, whose
+    calls the tracer would never see.  Installing it rebinds crorbit's
+    functions for good, so it runs in a fresh interpreter.
+    """
+    script = (
+        "import json, sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import crorbit.cli\n"
+        "from tracer import Tracer\n"
+        "t = Tracer()\n"
+        "t.install()\n"
+        "report = crorbit.cli.cmd_verify('hamiltonian', 0)\n"
+        "print(json.dumps([sorted(t.suite_s), t.calls['expr.compile'], report.timings]))\n"
+    )
+    src = PERFBENCH.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(src), str(PERFBENCH)],
+        capture_output=True, text=True, check=True,
+    )
+    suites, compiles, timings = json.loads(out.stdout)
+    assert suites == ["hamiltonian"]
+    assert compiles > 0
+    assert timings == {"workers": 1}
 
 
 def test_orbit_reports_pass_the_benchmark_verdicts(tmp_path):

@@ -11,7 +11,7 @@ from crorbit.cli import cmd_verify
 from crorbit.flow import FlowError
 from crorbit.report import Report
 from crorbit.verify import (
-    N_RANDOM_CHARTS, _corpus, _quadric_points, _uniform_draws, run_suite, transport_corpus,
+    N_RANDOM_CHARTS, _corpus, _quadric_points, _uniform_draws, run_checks, transport_corpus,
 )
 
 # float.hex of each check's value at seed 0, as computed one sample at a time
@@ -26,7 +26,7 @@ SEED0_VALUES = {
 
 
 def test_sampled_check_values_at_seed_0():
-    results = {r.name: r.value for suite in ("hamiltonian", "lemma21") for r in run_suite(suite, 0)}
+    results = {r.name: r.value for r in run_checks(["hamiltonian", "lemma21"], 0)[0]}
     assert {name: float(results[name]).hex() for name in SEED0_VALUES} == SEED0_VALUES
 
 
@@ -89,10 +89,6 @@ def test_every_count_reads_one_corpus_per_seed():
             assert x.tobytes() == y.tobytes()
 
 
-def _usable_cpus():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
 class TestCheckPool:
     """``cmd_verify`` runs one job per check in a forked pool: the same report, no child left."""
 
@@ -101,7 +97,7 @@ class TestCheckPool:
         entries = verify.CHECKS[suite]  # at seed 0 each check's seed is its offset
         jobs = [(getattr(verify, name), offset) for name, offset in entries]
         pooled = cmd_verify(suite, 0)
-        assert pooled.timings["workers"] == min(len(jobs), _usable_cpus())
+        assert pooled.timings["workers"] == min(len(jobs), verify._usable_cpus())
         assert list(pooled.timings["checks"]) == [verify._stem(name) for name, _ in entries]
         reference = Report("verify", {"suite": suite}, 0, verify._run_checks(*jobs))
         assert pooled.comparable_json() == reference.comparable_json()
@@ -118,7 +114,7 @@ class TestCheckPool:
         fault.__name__ = "_check_symbol_conservation"
         monkeypatch.setattr(verify, "_check_symbol_conservation", fault)
         report = cmd_verify("hamiltonian", 0)
-        assert report.timings["workers"] == min(3, _usable_cpus())
+        assert report.timings["workers"] == min(3, verify._usable_cpus())
         names = [r.name for r in report.results]
         assert names == ["xhat-hamiltonian-identification", "multiplier-independence",
                          "symbol-conservation-aborted"]
@@ -140,4 +136,20 @@ class TestCheckPool:
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
             cmd_verify("nope", 0)
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
-            run_suite("nope", 0)
+            run_checks(["nope"], 0)
+
+    def test_a_replaced_suite_entry_runs_in_this_process(self, monkeypatch):
+        """A caller that wraps a ``SUITES`` entry (the benchmark's tracer) sees it run."""
+        reference = cmd_verify("lemma21", 0)
+        stock = verify.SUITES["lemma21"]
+        calls = []
+
+        def observed(seed):
+            calls.append((seed, os.getpid()))
+            return stock(seed)
+
+        monkeypatch.setitem(verify.SUITES, "lemma21", observed)
+        report = cmd_verify("lemma21", 0)
+        assert calls == [(0, os.getpid())]
+        assert report.timings == {"workers": 1}
+        assert report.comparable_json() == reference.comparable_json()
