@@ -48,7 +48,7 @@ from .orbit import (
 )
 from .report import CheckResult, Report
 from .scenario import Scenario, ScenarioError, _finite_coordinates, load_scenario
-from .verify import SUITES, TOL_DUALITY, TOL_LEMMA21, TOL_TRANSPORT_RANDOM, run_checks
+from .verify import CHECKS, TOL_DUALITY, TOL_LEMMA21, TOL_TRANSPORT_RANDOM, run_checks
 
 __all__ = ["main", "cmd_analyze", "cmd_transport", "cmd_orbit", "cmd_verify"]
 
@@ -90,7 +90,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _parse_word(text: str) -> FlowWord:
-    """A JSON list of [field index, time] steps; a JSON true is not a number here."""
+    """A JSON list of [field index, finite time] steps; a JSON true is not a number here."""
     try:
         steps = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -102,6 +102,8 @@ def _parse_word(text: str) -> FlowWord:
     for k, step in enumerate(steps):
         if not isinstance(step, list) or [type(v) for v in step] not in ([int, int], [int, float]):
             raise ScenarioError(f"--word step {k} {json.dumps(step)} must be [field index, time]")
+        if isinstance(step[1], float) and not np.isfinite(step[1]):  # NaN, Infinity, 1e400
+            raise ScenarioError(f"--word step {k} {json.dumps(step)} has a time that is not finite")
     try:
         return FlowWord(tuple(map(tuple, steps)))
     except OverflowError as exc:  # an integer time beyond the float range
@@ -390,7 +392,7 @@ def cmd_verify(suite: str = "all", seed: int = 0) -> Report:
     The checks run on every usable CPU (:func:`crorbit.verify.run_checks`),
     and ``timings`` holds each check's wall time and the worker count.
     """
-    names = sorted(SUITES) if suite == "all" else [suite]
+    names = sorted(CHECKS) if suite == "all" else [suite]
     report = Report("verify", {"suite": suite}, seed)
     report.results, report.timings = run_checks(names, seed)
     return report
@@ -445,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        help=f"one of {sorted(SUITES)} or 'all'",
+        help=f"one of {sorted(CHECKS)} or 'all'",
     )
     p.add_argument("--seed", type=_seed, default=0)
     common(p)

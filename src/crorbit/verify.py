@@ -189,7 +189,7 @@ def _canonical_trio():
     """(manifold, frame, origin, integrator, name) of lewy, flat and tube3."""
     scs = [builtin_scenario(n) for n in ("lewy", "flat", "tube3")]
     return [
-        (sc.manifold, sc.frames["cr"], sc.points["origin"], sc.integrator, sc.name)
+        (sc.manifold, sc.default_frame(), sc.points["origin"], sc.integrator, sc.name)
         for sc in scs
     ]
 
@@ -652,22 +652,14 @@ def _check_orbit_dimensions(seed: int) -> list[CheckResult]:
 
 def _check_certificates(seed: int) -> list[CheckResult]:
     out = []
-    lewy = builtin_scenario("lewy")
-    rep = global_minimality_certificate(
-        lewy.manifold,
-        lewy.frames["cr"],
-        lewy.points["origin"],
-        N_CERT_BUDGET,
-        seed,
-        lewy.integrator,
-    )
+    lewy, flat, _tube3 = _canonical_trio()
+    manifold, frame, origin, cfg, _ = lewy
+    rep = global_minimality_certificate(manifold, frame, origin, N_CERT_BUDGET, seed, cfg)
     cert = rep.certificate
     if cert is None:
         out.append(CheckResult("lewy-certificate", False, details={"found": False}))
     else:
-        ok, sigma = verify_certificate(
-            lewy.manifold, lewy.frames["cr"], lewy.points["origin"], cert, lewy.integrator
-        )
+        ok, sigma = verify_certificate(manifold, frame, origin, cert, cfg)
         out.append(
             CheckResult(
                 "lewy-certificate",
@@ -682,15 +674,8 @@ def _check_certificates(seed: int) -> list[CheckResult]:
                 },
             )
         )
-    flat = builtin_scenario("flat")
-    repf = global_minimality_certificate(
-        flat.manifold,
-        flat.frames["cr"],
-        flat.points["origin"],
-        N_CERT_BUDGET,
-        seed,
-        flat.integrator,
-    )
+    manifold, frame, origin, cfg, _ = flat
+    repf = global_minimality_certificate(manifold, frame, origin, N_CERT_BUDGET, seed, cfg)
     passed_flat = repf.certificate is None and repf.best_span.dimension == 2
     out.append(
         CheckResult(
@@ -708,14 +693,10 @@ def _check_certificates(seed: int) -> list[CheckResult]:
 def _check_orbit_invariants(seed: int) -> CheckResult:
     worst = 0.0
     details = {}
-    for name, coords in (("flat", (2,)), ("tube3", (4, 5))):
-        sc = builtin_scenario(name)
-        cloud = reachable_samples(
-            sc.manifold, sc.frames["cr"], sc.points["origin"], 40, sc.integrator, seed
-        )
-        dev = max(
-            float(abs(p[c] - sc.points["origin"][c])) for p in cloud.points for c in coords
-        )
+    _lewy, flat, tube3 = _canonical_trio()
+    for (manifold, frame, origin, cfg, name), coords in ((flat, (2,)), (tube3, (4, 5))):
+        cloud = reachable_samples(manifold, frame, origin, 40, cfg, seed)
+        dev = max(float(abs(p[c] - origin[c])) for p in cloud.points for c in coords)
         details[name] = dev
         worst = max(worst, dev)
     return CheckResult(
@@ -790,24 +771,11 @@ CHECKS: dict[str, tuple[tuple[str, int | None], ...]] = {
 }
 
 
-def _known(name: str) -> str:
-    """``name`` if it names a suite, else the unknown-suite error."""
-    if name not in CHECKS:
-        raise ValueError(f"unknown suite {name!r}; available: {sorted(CHECKS)} or 'all'")
-    return name
-
-
 def _jobs(name: str, seed: int) -> list[tuple[str, int | None]]:
     """The (check name, seed) jobs of suite ``name`` at ``seed``, in report order."""
-    return [
-        (check, None if offset is None else seed + offset) for check, offset in CHECKS[_known(name)]
-    ]
-
-
-def _check(job: tuple[str, int | None]) -> tuple[Callable, int | None]:
-    """A job's (check, seed) pair: its check function as this module binds it now."""
-    name, seed = job
-    return globals()[name], seed
+    if name not in CHECKS:
+        raise ValueError(f"unknown suite {name!r}; available: {sorted(CHECKS)} or 'all'")
+    return [(check, None if offset is None else seed + offset) for check, offset in CHECKS[name]]
 
 
 def _stem(check_name: str) -> str:
@@ -815,28 +783,23 @@ def _stem(check_name: str) -> str:
     return check_name.removeprefix("_check_").replace("_", "-")
 
 
-def _run_checks(*checks: tuple[Callable, int | None]) -> list[CheckResult]:
-    """Run each (check, seed) pair, without a seed when it is None.
+def _run_job(job: tuple[str, int | None]) -> tuple[list[CheckResult], float]:
+    """One (check name, seed) job's results and its wall time where it ran.
 
-    A flow or manifold fault (a pathological seed can blow up a random-corpus
-    flow) fails only its own check, as ``<check>-aborted``; the rest still run.
+    The check is the function this module binds to the name when the job
+    runs, without a seed when it is None.  A flow or manifold fault (a
+    pathological seed can blow up a random-corpus flow) fails only this job,
+    as ``<stem>-aborted`` named from the job; the other jobs still run.
     """
-    out: list[CheckResult] = []
-    for check, seed in checks:
-        try:
-            res = check() if seed is None else check(seed)
-        except (FlowError, ManifoldError) as exc:
-            details = {"error": str(exc), "seed": seed}
-            res = CheckResult(f"{_stem(check.__name__)}-aborted", False, details=details)
-        out.extend(res if isinstance(res, list) else [res])
-    return out
-
-
-def _timed_job(job: tuple[str, int | None]) -> tuple[list[CheckResult], float]:
-    """One job's results and its wall time where it ran."""
+    name, seed = job
+    check = globals()[name]
     t0 = time.perf_counter()
-    results = _run_checks(_check(job))
-    return results, time.perf_counter() - t0
+    try:
+        res = check() if seed is None else check(seed)
+    except (FlowError, ManifoldError) as exc:
+        details = {"error": str(exc), "seed": seed}
+        res = CheckResult(f"{_stem(name)}-aborted", False, details=details)
+    return (res if isinstance(res, list) else [res]), time.perf_counter() - t0
 
 
 def _usable_cpus() -> int:
@@ -849,14 +812,14 @@ def _usable_cpus() -> int:
 def run_checks(names: Sequence[str], seed: int) -> tuple[list[CheckResult], dict]:
     """The results of the named suites at ``seed`` in report order, and their timings.
 
-    Every check is one job, :func:`_run_checks` of its (check, seed) pair.
-    The jobs run in one process pool of ``min(jobs, usable CPUs)`` workers
-    started by fork, so the workers inherit this process's modules as they
-    are, monkeypatched names included.  With one worker, or where the
-    platform cannot fork, they run in this process.  Results come back in
-    report order either way, so the report is the same bit for bit.  An
-    exception other than ``<check>-aborted`` propagates from the first job
-    that raised it, and no worker outlives the call.
+    Every check is one job, run by :func:`_run_job`.  The jobs run in one
+    process pool of ``min(jobs, usable CPUs)`` workers started by fork, so
+    the workers inherit this process's modules as they are, monkeypatched
+    checks included.  With one worker, or where the platform cannot fork,
+    they run in this process.  Results come back in report order either way,
+    so the report is the same bit for bit.  An exception other than
+    ``<check>-aborted`` propagates from the first job that raised it, and no
+    worker outlives the call.
 
     The timings hold each check's wall time where it ran, keyed by its name
     in reports (``timings["checks"]``), and the worker count.
@@ -870,27 +833,26 @@ def run_checks(names: Sequence[str], seed: int) -> tuple[list[CheckResult], dict
     jobs = [job for name in names for job in _jobs(name, seed)]
     if SUITES != _STOCK_SUITES:
         return [r for name in names for r in SUITES[name](seed)], {"workers": 1}
-    workers = min(len(jobs), _usable_cpus())
+    workers = min(len(jobs), _usable_cpus()) if hasattr(os, "fork") else 1
     if workers > 1:  # imported here, so no command pays for them at import
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                timed = list(pool.map(_timed_job, jobs))
-        else:
-            workers = 1
-    if workers == 1:
-        timed = [_timed_job(job) for job in jobs]
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            timed = list(pool.map(_run_job, jobs))
+    else:
+        timed = [_run_job(job) for job in jobs]
     results = [r for job_results, _ in timed for r in job_results]
     checks = {_stem(name): seconds for (name, _), (_, seconds) in zip(jobs, timed)}
     return results, {"checks": checks, "workers": workers}
 
 
-# suite -> the callable that runs it in this process.  Callers may replace an
-# entry to observe its suite; run_checks then runs the suites through SUITES.
+# suite -> the callable that runs it in this process: only an observation hook.
+# A caller may replace an entry to observe its suite; run_checks then runs the
+# suites through SUITES, and reads it for nothing else.
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
-    name: lambda seed, name=name: _run_checks(*map(_check, _jobs(name, seed))) for name in CHECKS
+    name: lambda seed, name=name: [r for job in _jobs(name, seed) for r in _run_job(job)[0]]
+    for name in CHECKS
 }
 _STOCK_SUITES = dict(SUITES)

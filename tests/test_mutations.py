@@ -3,8 +3,8 @@
 Each row copies a function's source with one text replacement, executes the
 copy in its module's namespace and installs it with ``monkeypatch`` in every
 crorbit module that holds the original (``verify`` imports names such as
-``lie_bracket`` from their modules).  It then runs only the ``_check_*``
-functions the row names, at the seeds the suites pass them at seed 0, and
+``lie_bracket`` from their modules).  It then runs only the ``verify.CHECKS``
+jobs the row names, at the seeds the suites pass them at seed 0, and
 asserts that exactly the named results fail: a check can report several
 results, and a defect need not turn all of them red.  A check the defect
 cannot turn red is no evidence against it.
@@ -22,32 +22,34 @@ ROWS = {
         connection._transport_ode,
         "-(b.T @ y[l:]) if dual",
         "(b.T @ y[l:]) if dual",
-        [(verify._check_duality_expchart, None), (verify._check_duality_random, 0),
-         (verify._check_theta_duality, 3)],
+        ["_check_duality_expchart", "_check_duality_random", "_check_theta_duality"],
         {"duality-expchart", "duality-random", "theta-duality"},
     ),
     "normal-block-transposed": (
         connection._transport_ode,
         "b = jac[l:, l:]",
         "b = jac[l:, l:].T",
-        [(verify._check_transport_random, 0)],
+        ["_check_transport_random"],
         {"transport-equivalence-random"},
     ),
     "lie-bracket-sign-flipped": (
         vectorfield.lie_bracket,
         "return jy @ ax - jx @ ay",
         "return jx @ ay - jy @ ax",
-        [(verify._check_bracket_exactness, 2)],
+        ["_check_bracket_exactness"],
         {"bracket-exactness-lewy"},
     ),
     "word-columns-push-T-not-Tc": (
         orbit._columns,
         "_, complex_tangent, *_, errors = _conormal_geometry(",
         "complex_tangent, _, *_, errors = _conormal_geometry(",
-        [(verify._check_orbit_dimensions, 0), (verify._check_certificates, 1)],
+        ["_check_orbit_dimensions", "_check_certificates"],
         {"orbit-dimensions-pushforward", "lewy-certificate", "flat-no-certificate"},
     ),
 }
+
+# check name -> the seed its suite passes it at seed 0 (its offset)
+SEED0 = dict(job for jobs in verify.CHECKS.values() for job in jobs)
 
 
 def _install_mutant(monkeypatch, fn, old: str, new: str) -> None:
@@ -68,5 +70,5 @@ def _install_mutant(monkeypatch, fn, old: str, new: str) -> None:
 def test_defect_fails_its_checks(row, monkeypatch):
     fn, old, new, checks, failing = ROWS[row]
     _install_mutant(monkeypatch, fn, old, new)
-    results = verify._run_checks(*checks)
+    results = [r for name in checks for r in verify._run_job((name, SEED0[name]))[0]]
     assert {r.name for r in results if not r.passed} == failing

@@ -31,19 +31,22 @@ def test_sampled_check_values_at_seed_0():
 
 
 # float.hex of the seed-0 value of checks that walk transport words leg by leg
-# and integrate with ``_integrate``: (check, the seed the suite passes it at seed 0)
+# and integrate with ``_integrate``
 TRANSPORT_SEED0_VALUES = {
-    (verify._check_theta_duality, 3): "0x1.1b0a000000000p-35",
-    (verify._check_transport_expchart, None): "0x1.f03c000000000p-36",
-    (verify._check_duality_expchart, None): "0x1.0a35800000000p-35",
+    "_check_theta_duality": "0x1.1b0a000000000p-35",
+    "_check_transport_expchart": "0x1.f03c000000000p-36",
+    "_check_duality_expchart": "0x1.0a35800000000p-35",
 }
+
+# check name -> the seed its suite passes it at seed 0 (its offset)
+SEED0 = dict(job for jobs in verify.CHECKS.values() for job in jobs)
 
 
 def test_transport_check_values_at_seed_0():
-    values = {
-        (check, seed): float((check() if seed is None else check(seed)).value).hex()
-        for check, seed in TRANSPORT_SEED0_VALUES
-    }
+    values = {}
+    for name in TRANSPORT_SEED0_VALUES:
+        (result,), _ = verify._run_job((name, SEED0[name]))
+        values[name] = float(result.value).hex()
     assert values == TRANSPORT_SEED0_VALUES
 
 
@@ -94,12 +97,12 @@ class TestCheckPool:
 
     @pytest.mark.parametrize("suite", ["hamiltonian", "lemma21", "orbits"])
     def test_pooled_report_equals_in_process_reference(self, suite, monkeypatch):
-        entries = verify.CHECKS[suite]  # at seed 0 each check's seed is its offset
-        jobs = [(getattr(verify, name), offset) for name, offset in entries]
+        jobs = verify.CHECKS[suite]  # at seed 0 each check's seed is its offset
         pooled = cmd_verify(suite, 0)
         assert pooled.timings["workers"] == min(len(jobs), verify._usable_cpus())
-        assert list(pooled.timings["checks"]) == [verify._stem(name) for name, _ in entries]
-        reference = Report("verify", {"suite": suite}, 0, verify._run_checks(*jobs))
+        assert list(pooled.timings["checks"]) == [verify._stem(name) for name, _ in jobs]
+        results = [r for job in jobs for r in verify._run_job(job)[0]]
+        reference = Report("verify", {"suite": suite}, 0, results)
         assert pooled.comparable_json() == reference.comparable_json()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         in_process = cmd_verify(suite, 0)
@@ -111,7 +114,6 @@ class TestCheckPool:
         def fault(seed):
             raise FlowError("injected")
 
-        fault.__name__ = "_check_symbol_conservation"
         monkeypatch.setattr(verify, "_check_symbol_conservation", fault)
         report = cmd_verify("hamiltonian", 0)
         assert report.timings["workers"] == min(3, verify._usable_cpus())

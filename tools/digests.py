@@ -62,15 +62,20 @@ PINNED = {
 }
 
 
+def digest(report) -> str:
+    """The first 16 hex digits of the sha256 of ``report.comparable_json()``."""
+    return hashlib.sha256(report.comparable_json().encode()).hexdigest()[:16]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="exit 1 unless every pin matches")
     args = parser.parse_args()
     differ = []
     for label, run in REPORTS:
-        digest = hashlib.sha256(run().comparable_json().encode()).hexdigest()[:16]
-        print(label, digest, flush=True)
-        if digest != PINNED.get(label):
+        value = digest(run())
+        print(label, value, flush=True)
+        if value != PINNED.get(label):
             differ.append(label)
     if args.check and differ:
         for label in differ:
